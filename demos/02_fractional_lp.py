@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Exact fractional matchings by rational LP, and weight-disjoint extraction.
 
-The solver works over Fractions end to end: a returned matching satisfies
-every vertex equation exactly, and infeasibility is a terminal simplex state,
-not a tolerance call.
+A float64 simplex only suggests a starting basis; the solver finishes over
+Fractions, so a returned matching satisfies every vertex equation exactly, and
+infeasibility comes with an exactly checked Farkas certificate, not a
+tolerance call.
 """
 
 from kmatch import (

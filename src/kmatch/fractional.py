@@ -130,17 +130,10 @@ def dump_lp(model: LPModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solve_feasible(model: LPModel, hint=None):
-    """Exact feasible point of the model, or None when infeasible.
-
-    `hint` is an optional list of edges to offer the simplex as a crash
-    sequence (typically an integer matching); it only affects speed.
-    """
-    crash = None
-    if hint:
-        pos = {e: j for j, e in enumerate(model.edges)}
-        crash = [pos[edge_key(e)] for e in hint if edge_key(e) in pos]
-    res = solve_equality_feasibility(model.columns, model.b, crash_order=crash)
+def solve_feasible(model: LPModel):
+    """Exact feasible point of the model, or None when infeasible (the solver
+    has then checked a Farkas certificate exactly)."""
+    res = solve_equality_feasibility(model.columns, model.b)
     if not res.feasible:
         return None
     weights = {model.edges[j]: val for j, val in res.solution.items()}
@@ -229,8 +222,8 @@ class PairWeights:
 def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     """Random greedy F-balanced perfect matching on the pair-pruned system.
 
-    Used as an LP crash hint and as a fast path: an indicator vector of a
-    perfect matching with exact per-index quotas is a feasible LP point.
+    A fast path past the LP: an indicator vector of a perfect matching with
+    exact per-index quotas is a feasible LP point.
     Returns a list of edges or None; failure here proves nothing.
     """
     uni = system.universe
@@ -336,13 +329,13 @@ def extract_weight_disjoint(
     diag = {"rounds": [], "greedy_hits": 0, "lp_solves": 0}
     implicit = not hasattr(system, "top_sorted")
     for rnd in range(ell):
-        hint = None
+        greedy = None
         if use_greedy:
-            hint = _greedy_integer_pm(system, alloc, pairs, rng)
+            greedy = _greedy_integer_pm(system, alloc, pairs, rng)
         frac = None
-        if hint is not None:
+        if greedy is not None:
             frac = FractionalMatching(
-                host=system, weights={edge_key(e): ONE for e in hint}
+                host=system, weights={edge_key(e): ONE for e in greedy}
             )
             diag["greedy_hits"] += 1
         else:
@@ -366,11 +359,13 @@ def extract_weight_disjoint(
         for e, w in frac.weights.items():
             for pr in edge_pairs(e):
                 pairs.charge(pr, w)
-        # erosion accounting from the extraction proof: after r rounds at most
-        # r dead pairs can sit at any one vertex
+        # erosion accounting: every round is a perfect fractional matching, so
+        # after r rounds the pairs at a vertex carry load exactly (k-1)r; a
+        # dead pair carries load > 1, so if any sit there, fewer than (k-1)r do
         dead = pairs.dead_pairs_at()
         worst = max(dead.values(), default=0)
-        assert worst <= rnd + 1, f"pair erosion {worst} exceeds round count {rnd + 1}"
+        load = (system.k - 1) * (rnd + 1)
+        assert worst == 0 or worst < load, f"pair erosion {worst} reaches pair load {load}"
         diag["rounds"].append({"round": rnd, "status": "ok", "max_dead_pairs": worst})
         out.append(frac)
     assert pairs.min_weight() >= 0, "pair weight went negative"

@@ -127,13 +127,20 @@ def test_extraction_complete_n12():
 
 
 def test_extraction_erosion_bound():
-    # after r rounds at most r dead pairs can sit at one vertex
+    # integral (greedy) rounds: after r of them at most r dead pairs sit at one vertex
     cc = complete_complex(18, 3)
     res = extract_weight_disjoint(cc, ALLOC3, 5, seed=7)
     assert res.completed
     rounds = res.diagnostics["rounds"]
     for i, r in enumerate(rounds):
         assert r["max_dead_pairs"] <= i + 1
+
+
+def test_extraction_k1_has_no_pairs():
+    cx = build_complex([(0,), (1,), (2,)], VertexUniverse.single(3), close=True)
+    res = extract_weight_disjoint(cx, plain_allocation(1), 3, seed=0)
+    assert res.completed
+    assert all(r["max_dead_pairs"] == 0 for r in res.diagnostics["rounds"])
 
 
 def test_extraction_partial_prefix():

@@ -182,3 +182,23 @@ def test_r1_models_with_pm_always_feasible():
         if pm is None:
             continue
         assert solve_feasible(build_lp(cx, ALLOC3)) is not None
+
+
+def test_erosion_bound_holds_for_lp_rounds(monkeypatch):
+    # an exact-LP round with fractional weights kills more pairs at a vertex
+    # than the round count; the load bound (k-1)r must still hold
+    import kmatch.pipeline as pipeline
+
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(extract_weight_disjoint(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(pipeline, "extract_weight_disjoint", recording)
+    cx = gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=178118052)
+    cert = run_matching_pipeline(cx, None, PipelineConfig(ell=15, seed=324388370))
+    assert cert.tag == "PerfectMatching"
+    diag = runs[-1].diagnostics
+    assert diag["lp_solves"] > 0
+    assert any(r["max_dead_pairs"] > i + 1 for i, r in enumerate(diag["rounds"]))
