@@ -33,6 +33,8 @@ from .lattice import (
 )
 from .oracle import brute_force_pm
 
+MERGE_ROUNDS = 2  # passes that merge components by sampled 2-step reach
+
 
 @dataclass
 class ReachabilityParams:
@@ -66,17 +68,7 @@ class NeighborhoodReport:
         return len(self.vertices)
 
 
-def _link_map(system):
-    """vertex -> set of (k-1)-tuples completing it to a top edge."""
-    links = {}
-    for e in system.iter_top():
-        for v in e:
-            rest = tuple(u for u in e if u != v)
-            links.setdefault(v, set()).add(rest)
-    return links
-
-
-def reachable_neighborhood(system, v, params: ReachabilityParams, links=None,
+def reachable_neighborhood(system, v, params: ReachabilityParams,
                            seed: int = 0) -> NeighborhoodReport:
     """Vertices u such that many witness sets complete both u and v to
     perfectly matchable induced subgraphs.
@@ -89,8 +81,7 @@ def reachable_neighborhood(system, v, params: ReachabilityParams, links=None,
     nv = len(pool)
     k = system.k
     if params.i == 1:
-        if links is None:
-            links = _link_map(system)
+        links = system.link_map()
         threshold = params.beta * Fraction(nv) ** (k - 1)
         mine = links.get(v, set())
         out = set()
@@ -202,7 +193,6 @@ def closed_partition(
     alpha,
     seed: int = 0,
     audit_samples: int = 40,
-    merge_rounds: int = 2,
 ) -> ClosedPartition:
     """Partition each input part into reachability-closed classes.
 
@@ -220,7 +210,7 @@ def closed_partition(
     uni = system.universe
     pool = sorted(system.vertex_pool)
     nv = len(pool)
-    links = _link_map(system)
+    links = system.link_map()
     threshold = alpha * Fraction(nv) ** (system.k - 1)
     reach = {v: set() for v in pool}
     for j in range(uni.r):
@@ -261,7 +251,7 @@ def closed_partition(
             unvisited -= comp
             comps.append(sorted(comp))
         # merge components with high sampled 2-step connectivity
-        for _ in range(merge_rounds):
+        for _ in range(MERGE_ROUNDS):
             if len(comps) <= 1:
                 break
             merged = False
@@ -285,7 +275,7 @@ def closed_partition(
         clique = all(u in reach[v] for v in p for u in p if u != v)
         t = 1 if clique else 2
         witness.append((alpha, t))
-        ok = _audit_part(system, p, t, rng, audit_samples, links=links)
+        ok = _audit_part(system, p, t, rng, audit_samples)
         audit["pairs"].append({"part_head": p[0], "t": t, "pass_rate": ok})
     audit["passed"] = all(x["pass_rate"] >= 0.9 for x in audit["pairs"])
     return ClosedPartition(
@@ -321,7 +311,7 @@ def _sampled_cross_reach(system, comp_a, comp_b, rng, samples=6, witnesses=30) -
     return trials > 0 and hits == trials
 
 
-def _audit_part(system, part, t, rng, samples, links=None) -> float:
+def _audit_part(system, part, t, rng, samples) -> float:
     """Sampled (beta', t)-closure check: fraction of sampled in-part pairs
     with a witness set of size t*k-1 (exact common links for t=1)."""
     if len(part) < 2:
@@ -332,8 +322,7 @@ def _audit_part(system, part, t, rng, samples, links=None) -> float:
     hits = 0
     trials = min(samples, len(part) * (len(part) - 1) // 2)
     if t == 1:
-        if links is None:
-            links = _link_map(system)
+        links = system.link_map()
         for _ in range(trials):
             u, v = rng.sample(part, 2)
             hits += bool(links.get(u, set()) & links.get(v, set()))
@@ -581,7 +570,6 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
             f"(epsilon={config.epsilon}, pool={nv})"
         )
 
-    links = _link_map(system)
     used = set()
     members = []
     member_pms = []
@@ -598,9 +586,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         tries += 1
         comp = target_comps[comp_cycle % len(target_comps)]
         comp_cycle += 1
-        member = _build_absorber_member(
-            system, comp, t, part_lookup, dim, parts, links, used, rng
-        )
+        member = _build_absorber_member(system, comp, t, part_lookup, dim, used, rng)
         if member is None:
             continue
         verts, pm = member
@@ -675,9 +661,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     if not validate_matching(system, w_matching, cover=w_vertices):
         raise BudgetExhausted("recorded W matching failed validation")
 
-    coverage = _audit_coverage(
-        system, members, t, vectors, part_lookup, dim, parts, used, rng, config
-    )
+    coverage = _audit_coverage(system, members, vectors, part_lookup, dim, used, rng, config)
     family = AbsorbingFamily(
         sets=tuple(members), internal_pms=tuple(member_pms), t=t, coverage=coverage
     )
@@ -698,13 +682,14 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     return state
 
 
-def _build_absorber_member(system, comp, t, part_lookup, dim, parts, links, used, rng):
+def _build_absorber_member(system, comp, t, part_lookup, dim, used, rng):
     """One t*k^2 absorber for a target composition: an edge of that composition
     plus per-coordinate reachability witness sets, all disjoint from `used`.
 
     Returns (vertex set, internal perfect matching) or None.
     """
     k = system.k
+    links = system.link_map()
     # candidate edges of the target composition avoiding used vertices
     cands = [
         e
@@ -779,7 +764,7 @@ def _build_absorber_member(system, comp, t, part_lookup, dim, parts, links, used
     return None
 
 
-def _audit_coverage(system, members, t, vectors, part_lookup, dim, parts, used, rng, config):
+def _audit_coverage(system, members, vectors, part_lookup, dim, used, rng, config):
     """Sampled check: random k-sets of each robust composition find at least
     coverage_min absorbing members (exact matchability tests)."""
     coverage = {"per_vector": {}, "samples": config.audit_samples}
@@ -801,7 +786,7 @@ def _audit_coverage(system, members, t, vectors, part_lookup, dim, parts, used, 
             trials += 1
             absorbing = 0
             for s in members:
-                if _absorbs(system, s, target):
+                if _absorbs(system, s, target) is not None:
                     absorbing += 1
                     if absorbing >= config.coverage_min:
                         break
@@ -817,13 +802,14 @@ def _audit_coverage(system, members, t, vectors, part_lookup, dim, parts, used, 
     return coverage
 
 
-def _absorbs(system, absorber_set, target) -> bool:
-    """Exact: both J[T] (recorded at build) and J[T u S] perfectly matchable."""
+def _absorbs(system, absorber_set, target):
+    """Exact: a perfect matching of J[T u S], or None when there is none or
+    the sets overlap (J[S] alone was matched at build)."""
     joint = sorted(set(absorber_set) | set(target))
     if len(joint) != len(absorber_set) + len(target):
-        return False
+        return None
     edges = _induced_top(system, joint)
-    return brute_force_pm(edges, vertices=joint, cap=len(joint)) is not None
+    return brute_force_pm(edges, vertices=joint, cap=len(joint))
 
 
 def absorb(state: AbsorberState, leftover) -> Matching:
@@ -885,9 +871,8 @@ def absorb(state: AbsorberState, leftover) -> Matching:
             for mi, member in enumerate(state.family.sets):
                 if mi in used_members:
                     continue
-                if _absorbs(system, member, tset):
-                    joint = sorted(set(member) | set(tset))
-                    pm = brute_force_pm(_induced_top(system, joint), vertices=joint, cap=len(joint))
+                pm = _absorbs(system, member, tset)
+                if pm is not None:
                     final_edges.extend(pm.edges)
                     used_members.add(mi)
                     placed = True

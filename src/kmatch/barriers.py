@@ -26,6 +26,7 @@ from .lattice import (
 )
 
 SPACE_EXHAUSTIVE_LIMIT = 14      # exhaust all S when the pool is at most this
+SPACE_RESTARTS = 20              # local-search restarts per p above that size
 DIV_EXHAUSTIVE_LIMIT = 12        # exhaust set partitions up to this pool size
 
 
@@ -60,6 +61,18 @@ class SpaceBarrierCert:
             "exhaustive": self.exhaustive,
             "top_overflow_count": self.top_overflow_count,
         }
+
+    @classmethod
+    def from_json(cls, data) -> "SpaceBarrierCert":
+        return cls(
+            p=data["p"],
+            part_sets=tuple(tuple(s) for s in data["sets"]),
+            edge_count=data["edge_count"],
+            beta=Fraction(data["beta"]),
+            part_size=data["part_size"],
+            exhaustive=data["exhaustive"],
+            top_overflow_count=data["top_overflow_count"],
+        )
 
 
 def _count_inside(system, level, inside: frozenset, stop_after=None) -> int:
@@ -111,15 +124,7 @@ def verify_space_barrier(system, cert: SpaceBarrierCert) -> bool:
     return count <= cert.threshold
 
 
-def space_barrier_search(
-    system,
-    beta,
-    budget=None,
-    seed: int = 0,
-    restarts: int = 20,
-    steps_per_restart=None,
-    exhaustive_limit: int = SPACE_EXHAUSTIVE_LIMIT,
-):
+def space_barrier_search(system, beta, budget=None, seed: int = 0):
     """Look for a space-barrier certificate at every p.
 
     Exhaustive over all planted sets when the pool is small, so absence of a
@@ -140,7 +145,7 @@ def space_barrier_search(
         evaluations[0] += 1
         return cap is not None and evaluations[0] > cap
 
-    exhaustive = len(pool) <= exhaustive_limit
+    exhaustive = len(pool) <= SPACE_EXHAUSTIVE_LIMIT
     rng = random.Random(seed)
     for p in range(1, system.k):
         n, want = _space_target_sizes(system, p)
@@ -181,12 +186,11 @@ def space_barrier_search(
             if got is not None:
                 return got
         else:
-            steps = steps_per_restart if steps_per_restart is not None else 200 * n
-            for _ in range(restarts):
+            for _ in range(SPACE_RESTARTS):
                 chosen = [rng.sample(avail, want) for avail in per_part]
                 inside = frozenset(v for s in chosen for v in s)
                 cnt = _count_inside(system, p + 1, inside)
-                for _ in range(steps):
+                for _ in range(200 * n):
                     if spent():
                         return None
                     if cnt <= threshold:
@@ -239,6 +243,19 @@ class DivBarrierCert:
             "ambient_groups": list(self.ambient_groups) if self.ambient_groups else None,
             "robust_vectors": [list(v) for v in self.robust_vectors],
         }
+
+    @classmethod
+    def from_json(cls, data) -> "DivBarrierCert":
+        groups = data["ambient_groups"]
+        return cls(
+            parts=tuple(tuple(p) for p in data["parts"]),
+            min_part_size=data["min_part_size"],
+            lattice=IndexLattice.from_json(data["lattice"]),
+            mu=Fraction(data["mu"]),
+            exhaustive=data["exhaustive"],
+            ambient_groups=tuple(groups) if groups else None,
+            robust_vectors=tuple(tuple(v) for v in data["robust_vectors"]),
+        )
 
 
 def _check_div_partition(system, parts, min_part_size):
@@ -352,21 +369,14 @@ def _decode(code, dim, base):
     return tuple(out)
 
 
-def divisibility_barrier_search(
-    system,
-    mu,
-    min_part_size: int,
-    candidates=None,
-    exhaustive_limit: int = DIV_EXHAUSTIVE_LIMIT,
-    ambient_groups_of=None,
-):
-    """First partition whose robust lattice is incomplete and transferral-free.
+def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None):
+    """First partition whose robust lattice is incomplete and transferral-free,
+    under the plain (non-partite) notions.
 
     With no explicit candidates the search is exhaustive over set partitions
     into at most k parts when the pool is small; larger instances must supply
     candidates (the pipeline passes the closed partition and its
-    coarsenings). ambient_groups_of maps a candidate to its ambient-part
-    grouping for the partite notions; with None the plain notions are used.
+    coarsenings).
     """
     mu = as_fraction(mu)
     k = system.k
@@ -379,8 +389,7 @@ def divisibility_barrier_search(
                 continue
             if any(len(p) < min_part_size for p in parts):
                 continue
-            groups = ambient_groups_of(parts) if ambient_groups_of else None
-            rv, lat, complete, transferral = _div_facts(system, parts, mu, groups)
+            rv, lat, complete, transferral = _div_facts(system, parts, mu)
             if not complete and transferral is None:
                 return DivBarrierCert(
                     parts=parts,
@@ -388,12 +397,11 @@ def divisibility_barrier_search(
                     lattice=lat,
                     mu=mu,
                     exhaustive=False,
-                    ambient_groups=tuple(groups) if groups else None,
                     robust_vectors=tuple(rv.vectors()),
                 )
         return None
 
-    if len(system.vertex_pool) > exhaustive_limit:
+    if len(system.vertex_pool) > DIV_EXHAUSTIVE_LIMIT:
         return None
     base = k + 1
     verdict_cache = {}

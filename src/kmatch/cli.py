@@ -12,16 +12,17 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .absorbing import AbsorberConfig, absorb, build_absorber
 from .barriers import (
+    DivBarrierCert,
+    SpaceBarrierCert,
     divisibility_barrier_search,
     space_barrier_search,
     verify_divisibility_barrier,
     verify_space_barrier,
 )
-from .core import allocation_from_index_multiset, plain_allocation
+from .core import Matching, allocation_from_index_multiset, plain_allocation, validate_matching
 from .errors import KmatchError
 from .fractional import extract_weight_disjoint, verify_fractional
 from .khg import dump_khg, load_khg
@@ -86,37 +87,13 @@ def _load_config(args) -> tuple:
 
 def _reverify(system, cert: Certificate) -> bool:
     """Recheck an outgoing certificate against its verifier."""
-    from .barriers import DivBarrierCert, SpaceBarrierCert
-    from .core import Matching, validate_matching
-    from .lattice import IndexLattice
-
     if cert.tag == "PerfectMatching":
         m = Matching.from_edges([tuple(e) for e in cert.payload["edges"]])
         return validate_matching(system, m, cover=system.vertex_pool)
     if cert.tag == "SpaceBarrier":
-        p = cert.payload
-        rebuilt = SpaceBarrierCert(
-            p=p["p"],
-            part_sets=tuple(tuple(s) for s in p["sets"]),
-            edge_count=p["edge_count"],
-            beta=Fraction(p["beta"]),
-            part_size=p["part_size"],
-            exhaustive=p["exhaustive"],
-            top_overflow_count=p["top_overflow_count"],
-        )
-        return verify_space_barrier(system, rebuilt)
+        return verify_space_barrier(system, SpaceBarrierCert.from_json(cert.payload))
     if cert.tag == "DivisibilityBarrier":
-        p = cert.payload
-        rebuilt = DivBarrierCert(
-            parts=tuple(tuple(q) for q in p["parts"]),
-            min_part_size=p["min_part_size"],
-            lattice=IndexLattice.from_json(p["lattice"]),
-            mu=Fraction(p["mu"]),
-            exhaustive=p["exhaustive"],
-            ambient_groups=tuple(p["ambient_groups"]) if p["ambient_groups"] else None,
-            robust_vectors=tuple(tuple(v) for v in p["robust_vectors"]),
-        )
-        return verify_divisibility_barrier(system, rebuilt)
+        return verify_divisibility_barrier(system, DivBarrierCert.from_json(cert.payload))
     return True
 
 

@@ -1,8 +1,8 @@
 """Partitioned k-complexes and k-systems, allocations, degrees, balance accounting.
 
 Vertices are dense integer ids 0..total-1 grouped by part (part order is
-significant everywhere). Edges are sorted tuples of vertex ids; each edge also
-has a bitmask mirror used for fast disjointness tests.
+significant everywhere). Edges are sorted tuples of vertex ids. An explicit
+system computes its top-level link map and incidence once, on first use.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ from .errors import (
 def edge_key(vertices) -> tuple:
     """Canonical form of an edge: sorted tuple of vertex ids."""
     return tuple(sorted(vertices))
-
-
-def edge_mask(edge) -> int:
-    m = 0
-    for v in edge:
-        m |= 1 << v
-    return m
 
 
 @dataclass(frozen=True)
@@ -107,6 +100,15 @@ def index_vector(vertex_set, universe: VertexUniverse) -> tuple:
     return tuple(counts)
 
 
+def _link_map(top_edges) -> dict:
+    """vertex -> set of (k-1)-tuples completing it to a top edge."""
+    links = {}
+    for e in top_edges:
+        for v in e:
+            links.setdefault(v, set()).add(tuple(u for u in e if u != v))
+    return links
+
+
 class KSystem:
     """Leveled edge sets over a universe, without the closure requirement.
 
@@ -115,6 +117,7 @@ class KSystem:
     """
 
     closed = False
+    implicit = False
 
     def __init__(self, universe: VertexUniverse, k: int, levels: dict, vertex_pool=None):
         self.universe = universe
@@ -139,7 +142,8 @@ class KSystem:
                 canon.add(e)
             lv[i] = frozenset(canon)
         self.levels = lv
-        self._masks = {e: edge_mask(e) for e in lv[k]}
+        self._links = None
+        self._incidence = None
 
     @property
     def vertex_pool(self) -> frozenset:
@@ -162,23 +166,42 @@ class KSystem:
         e = edge_key(edge)
         return e in self.levels.get(len(e), frozenset())
 
-    def mask(self, edge) -> int:
-        return self._masks[edge_key(edge)]
-
     def iter_top(self):
         return iter(self.levels[self.k])
 
-    def top_sorted(self) -> list:
-        return sorted(self.levels[self.k])
+    def link_map(self) -> dict:
+        """vertex -> set of (k-1)-tuples completing it to a top edge; built
+        once, callers must not mutate it."""
+        if self._links is None:
+            self._links = _link_map(self.levels[self.k])
+        return self._links
+
+    def incidence(self) -> dict:
+        """vertex -> list of its top edges in top-level order; built once,
+        callers must not mutate it."""
+        if self._incidence is None:
+            incident = {}
+            for e in self.levels[self.k]:
+                for v in e:
+                    incident.setdefault(v, []).append(e)
+            self._incidence = incident
+        return self._incidence
 
     def induced(self, vertex_set):
         """Subsystem on a vertex subset (all levels restricted)."""
-        keep = frozenset(vertex_set) & self._pool
+        return self.rebuild(self.universe, frozenset(vertex_set) & self._pool)
+
+    def rebuild(self, universe: VertexUniverse, vertex_pool):
+        """The same kind of system over another universe or a smaller pool,
+        keeping the edges inside the pool; a complex stays closed unchecked."""
+        pool = frozenset(vertex_pool)
         levels = {
-            i: [e for e in self.levels.get(i, ()) if keep.issuperset(e)]
+            i: [e for e in self.levels.get(i, ()) if pool.issuperset(e)]
             for i in range(self.k + 1)
         }
-        return KSystem(self.universe, self.k, levels, vertex_pool=keep)
+        if self.closed:
+            return KComplex(universe, self.k, levels, check=False, vertex_pool=pool)
+        return KSystem(universe, self.k, levels, vertex_pool=pool)
 
 
 class KComplex(KSystem):
@@ -192,15 +215,6 @@ class KComplex(KSystem):
             self.levels[0] = frozenset({()})
         if check:
             self._check_closure()
-
-    def induced(self, vertex_set):
-        # a restriction of a closed complex stays closed
-        keep = frozenset(vertex_set) & self._pool
-        levels = {
-            i: [e for e in self.levels.get(i, ()) if keep.issuperset(e)]
-            for i in range(self.k + 1)
-        }
-        return KComplex(self.universe, self.k, levels, check=False, vertex_pool=keep)
 
     def _check_closure(self):
         for i in range(self.k, 0, -1):
@@ -253,25 +267,17 @@ def build_complex(raw_edges, universe: VertexUniverse, k=None, close=True):
     return KComplex(universe, k, leveled, check=not close)
 
 
-def top_level_graph(edges, universe: VertexUniverse, k=None) -> KSystem:
-    """Wrap a plain k-graph (top edges only) as a KSystem."""
-    edges = [edge_key(e) for e in edges]
-    if k is None:
-        if not edges:
-            raise BadVertex("cannot infer k from an empty edge set")
-        k = len(edges[0])
-    return KSystem(universe, k, {k: edges})
-
-
 class CompleteComplex:
     """Implicit complete k-complex: every i-set is an edge.
 
     Duck-compatible with KComplex for the operations the pipeline needs
-    (membership, top counts, induced restriction); levels are never
-    materialized, which keeps n in the hundreds tractable.
+    (membership, top counts, links, induced restriction); levels are never
+    materialized, which keeps n in the hundreds tractable, and nothing is
+    cached.
     """
 
     closed = True
+    implicit = True
 
     def __init__(self, universe: VertexUniverse, k: int, vertex_pool=None):
         self.universe = universe
@@ -300,6 +306,9 @@ class CompleteComplex:
 
     def iter_top(self):
         return combinations(sorted(self._pool), self.k)
+
+    def link_map(self) -> dict:
+        return _link_map(self.iter_top())
 
     def induced(self, vertex_set):
         return CompleteComplex(self.universe, self.k, self._pool & frozenset(vertex_set))

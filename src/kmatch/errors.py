@@ -57,10 +57,6 @@ class MixedHost(KmatchError):
     """Fractional matchings from different host systems were combined."""
 
 
-class DegenerateInput(KmatchError):
-    """Sampled graph statistics are outside the configured slack."""
-
-
 class PreconditionFailed(KmatchError):
     """A stated precondition does not hold for the input."""
 

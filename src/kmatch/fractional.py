@@ -17,6 +17,7 @@ from .simplex import solve_equality_feasibility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+LP_COLUMN_CAP = 250_000  # larger pruned systems end extraction instead of an LP
 
 
 @dataclass
@@ -242,12 +243,9 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
             return None  # exact balance unreachable by an integer matching
         quotas[vec] = int(q)
 
-    explicit = hasattr(system, "top_sorted")
+    explicit = not system.implicit
     if explicit:
-        incident = {}
-        for e in system.iter_top():
-            for v in e:
-                incident.setdefault(v, []).append(e)
+        incident = system.incidence()
 
     for _ in range(tries):
         free = set(pool)
@@ -311,27 +309,25 @@ def extract_weight_disjoint(
     alloc: Allocation,
     ell: int,
     seed: int = 0,
-    lp_column_cap: int = 250_000,
-    use_greedy: bool = True,
 ) -> ExtractionResult:
     """Extract up to ell perfect fractional matchings whose pair loads sum to
     at most 2 on every vertex pair.
 
-    Each round solves feasibility on the shrinking system (edges supported on
-    pairs with residual weight >= 1), then charges the chosen weights to the
-    pairs. Residuals stay >= 0 by construction: an edge is only usable while
-    all its pairs have residual >= 1, and one round charges a pair at most 1.
-    Stops early with the completed prefix when a round is infeasible.
+    Each round first tries a random greedy F-balanced perfect matching on the
+    live edges (edges supported on pairs with residual weight >= 1). When that
+    misses, an explicit host solves exact LP feasibility on the pruned system
+    (at most LP_COLUMN_CAP columns); an implicit host has no LP fallback and
+    stops. The chosen weights are then charged to the pairs. Residuals stay
+    >= 0 by construction: an edge is only usable while all its pairs have
+    residual >= 1, and one round charges a pair at most 1. Stops early with
+    the completed prefix when a round is infeasible.
     """
     rng = random.Random(seed)
     pairs = PairWeights()
     out = []
     diag = {"rounds": [], "greedy_hits": 0, "lp_solves": 0}
-    implicit = not hasattr(system, "top_sorted")
     for rnd in range(ell):
-        greedy = None
-        if use_greedy:
-            greedy = _greedy_integer_pm(system, alloc, pairs, rng)
+        greedy = _greedy_integer_pm(system, alloc, pairs, rng)
         frac = None
         if greedy is not None:
             frac = FractionalMatching(
@@ -339,11 +335,11 @@ def extract_weight_disjoint(
             )
             diag["greedy_hits"] += 1
         else:
-            if implicit:
+            if system.implicit:
                 diag["rounds"].append({"round": rnd, "status": "implicit-host-no-greedy"})
                 break
             pruned = _pruned_system(system, pairs)
-            if pruned.top_count() == 0 or pruned.top_count() > lp_column_cap:
+            if pruned.top_count() == 0 or pruned.top_count() > LP_COLUMN_CAP:
                 diag["rounds"].append(
                     {"round": rnd, "status": "empty-or-oversized", "columns": pruned.top_count()}
                 )

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import index_vector
 from .errors import (
     BoundTooSmall,
     DimensionMismatch,
@@ -341,7 +340,7 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def robust_edge_vectors(edges, partition, mu, total_vertices=None) -> RobustVectorSet:
+def robust_edge_vectors(edges, partition, mu) -> RobustVectorSet:
     """Index vectors realized by at least mu * |V|^k edges.
 
     `partition` is either a VertexUniverse or an ordered sequence of vertex
@@ -361,8 +360,6 @@ def robust_edge_vectors(edges, partition, mu, total_vertices=None) -> RobustVect
         part_of = lookup.__getitem__
         dim = len(parts)
         nv = sum(len(p) for p in parts)
-    if total_vertices is not None:
-        nv = total_vertices
     counts = {}
     k = None
     for e in edges:
@@ -384,16 +381,3 @@ def robust_edge_vectors(edges, partition, mu, total_vertices=None) -> RobustVect
         all_counts=tuple(sorted(counts.items())),
     )
 
-
-def robust_vectors_of(system, partition, mu) -> RobustVectorSet:
-    """Robust edge-vectors of a system's top level."""
-    return robust_edge_vectors(system.iter_top(), partition, mu)
-
-
-def matching_index_sum(matching_edges, universe) -> tuple:
-    """Index vector of the union of a matching's edges (additivity check aid)."""
-    total = [0] * universe.r
-    for e in matching_edges:
-        for j, c in enumerate(index_vector(e, universe)):
-            total[j] += c
-    return tuple(total)

@@ -31,6 +31,7 @@ from .lattice import generate_lattice, lattice_contains
 
 BRUTE_PM_CAP = 15
 BRUTE_FRACTIONAL_CAP = 30
+COMPLETE_EXPLICIT_LIMIT = 200_000  # top edges; larger complete complexes are implicit
 
 
 def _top_edges(host):
@@ -258,10 +259,10 @@ def gen_divisibility_barrier(part_sizes, k, lattice_generators) -> KSystem:
     return KSystem(uni, k, {k: edges})
 
 
-def complete_complex(n, k, r=1, explicit_limit=200_000):
+def complete_complex(n, k, r=1):
     """Complete k-complex on r parts of size n; implicit above the size limit."""
     uni = VertexUniverse.single(n) if r == 1 else VertexUniverse.equipartition(r, n)
-    if math.comb(uni.total, k) > explicit_limit:
+    if math.comb(uni.total, k) > COMPLETE_EXPLICIT_LIMIT:
         return CompleteComplex(uni, k)
     allv = list(uni.vertices())
     levels = {i: list(combinations(allv, i)) for i in range(1, k + 1)}

@@ -31,6 +31,7 @@ from .barriers import (
 )
 from .core import (
     Matching,
+    VertexUniverse,
     degree_sequences,
     is_pf_partite,
     matching_stats,
@@ -43,6 +44,7 @@ from .errors import (
     BadParams,
     BudgetExhausted,
     EmptyTopLevel,
+    KmatchError,
     PreconditionFailed,
 )
 from .fractional import (
@@ -224,20 +226,9 @@ def _stage_seed(config: PipelineConfig, stage: int) -> int:
 
 def _flatten_universe(system):
     """Plain mode treats the universe as one part; vertex ids are preserved."""
-    from .core import KComplex, KSystem, VertexUniverse
-
     if system.universe.r == 1:
         return system
-    uni = VertexUniverse.single(system.universe.total)
-    cls = KComplex if system.closed else KSystem
-    kwargs = {"check": False} if system.closed else {}
-    return cls(
-        uni,
-        system.k,
-        {i: list(system.level(i)) for i in range(system.k + 1)},
-        vertex_pool=system.vertex_pool,
-        **kwargs,
-    )
+    return system.rebuild(VertexUniverse.single(system.universe.total), system.vertex_pool)
 
 
 def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certificate:
@@ -455,7 +446,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
     else:
         try:
             wu_matching = absorb(state, leftover)
-        except Exception as exc:  # AbsorptionFailed and kin: surfaced, never hidden
+        except KmatchError as exc:  # AbsorptionFailed and kin: surfaced, never hidden
             diagnostics["stages"].append({
                 "stage": "absorb", "status": "failed", "why": str(exc),
             })
@@ -519,8 +510,7 @@ def _inflate_space_cert(system, cert: SpaceBarrierCert):
     )
 
 
-def run_general(system, frac_provider=None, config: PipelineConfig = None,
-                external_family=None) -> Certificate:
+def run_general(system, config: PipelineConfig = None, external_family=None) -> Certificate:
     """General mode: the weight-disjoint family is supplied by the caller
     (verified here) or delegated to the extraction loop.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Allocation, Matching, index_vector
-from .errors import DegenerateInput, IndexNotInAllocation, MixedHost
+from .errors import IndexNotInAllocation, MixedHost
 
 ZERO = Fraction(0)
 
@@ -183,14 +183,12 @@ class NibbleParams:
     """Knobs for the rounding loop; defaults are desk-scale, not asymptotic."""
 
     epsilon: float = 0.05
-    tau: float = 0.2
     seed: int = 0
     max_rounds: int = None      # default 50 * |pool| candidate draws
-    require_regular: bool = False
 
     def __post_init__(self):
-        if not (0 < self.epsilon < 1) or not (0 < self.tau < 1):
-            raise ValueError("epsilon and tau must lie in (0, 1)")
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must lie in (0, 1)")
 
 
 @dataclass
@@ -293,16 +291,12 @@ def nibble_match(sampled: SampledGraph, alloc: Allocation, params: NibbleParams)
     output is balanced tuple by tuple.
 
     An empty sample returns an empty matching flagged "round-limit" rather
-    than raising; set require_regular to reject degenerate samples up front.
+    than raising.
     """
     pool = sampled.vertices()
     nv = len(pool)
     rng = random.Random(params.seed)
     budget = params.max_rounds if params.max_rounds is not None else 50 * max(nv, 1)
-    if params.require_regular:
-        rep = check_regularity(sampled, tau=params.tau)
-        if not rep["all_pass"]:
-            raise DegenerateInput(f"sampled graph fails regularity: {rep}")
 
     if not sampled.edges:
         return NibbleResult(

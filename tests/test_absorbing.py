@@ -239,3 +239,33 @@ def test_absorber_state_json_roundtrip_replays():
     avail = sorted(set(cx.vertex_pool) - state.w_vertices)
     leftover = rng.sample(avail, 3)
     assert absorb(replayed, leftover).edges == absorb(state, leftover).edges
+
+
+def test_link_map_built_once_per_host(monkeypatch):
+    import kmatch.core as core
+
+    builds = []
+    original = core._link_map
+
+    def counting(top_edges):
+        builds.append(1)
+        return original(top_edges)
+
+    monkeypatch.setattr(core, "_link_map", counting)
+    cx = gen_random_dense(30, 3, p=0.9, seed=5)
+    cp = closed_partition(cx, delta=Fraction(1, 6), alpha=Fraction(1, 1000), seed=1)
+    cfg = AbsorberConfig(seed=1, phi=Fraction(1, 5), epsilon=Fraction(7, 10),
+                         mu=Fraction(1, 500), family_target=2)
+    state = build_absorber(cx, ALLOC3, cfg, partition=cp)
+    assert state.family.t == 1  # t=1 members draw their witnesses from the links
+    assert len(builds) == 1
+    # a new host builds its own
+    reachable_neighborhood(cx.induced(range(27)), 0, ReachabilityParams())
+    assert len(builds) == 2
+
+
+def test_complete_host_links_match_explicit():
+    small = complete_complex(300, 3).induced(range(6))  # implicit, never cached
+    explicit = complete_complex(6, 3)
+    assert small.implicit and not explicit.implicit
+    assert small.link_map() == explicit.link_map()

@@ -15,7 +15,12 @@ from itertools import combinations
 import numpy as np
 
 from kmatch.absorbing import AbsorberConfig, absorb, build_absorber
-from kmatch.barriers import verify_divisibility_barrier, verify_space_barrier
+from kmatch.barriers import (
+    DivBarrierCert,
+    SpaceBarrierCert,
+    verify_divisibility_barrier,
+    verify_space_barrier,
+)
 from kmatch.cli import main as cli_main
 from kmatch.core import (
     Matching,
@@ -23,6 +28,7 @@ from kmatch.core import (
     plain_allocation,
     validate_matching,
 )
+from kmatch.errors import KmatchError
 from kmatch.fractional import (
     build_lp,
     extract_weight_disjoint,
@@ -217,7 +223,7 @@ def test_criterion_07_absorption_correctness():
         )
         try:
             state = build_absorber(cx, ALLOC3, cfg)
-        except Exception:
+        except KmatchError:
             continue
         if not state.family.coverage["passed"]:
             continue
@@ -228,7 +234,7 @@ def test_criterion_07_absorption_correctness():
         leftover = rng.sample(avail, size)
         try:
             m = absorb(state, leftover)
-        except Exception:
+        except KmatchError:
             continue  # honest failure is allowed; invalid output is not
         absorbed += 1
         if not validate_matching(cx, m, cover=state.w_vertices | set(leftover)):
@@ -298,8 +304,6 @@ def test_criterion_09_trichotomy_vs_oracle():
     dense_matchable = 0
     dense_inconclusive = 0
     from kmatch.pipeline import _ensure_complex, _flatten_universe
-    from kmatch.barriers import DivBarrierCert, SpaceBarrierCert
-    from kmatch.lattice import IndexLattice
 
     for i, (kind, system) in enumerate(instances):
         cert = decide(system, PipelineConfig(seed=i))
@@ -310,26 +314,10 @@ def test_criterion_09_trichotomy_vs_oracle():
             if oracle_pm is None or not validate_matching(view, m, cover=view.vertex_pool):
                 contradictions += 1
         elif cert.tag == "SpaceBarrier":
-            p = cert.payload
-            rebuilt = SpaceBarrierCert(
-                p=p["p"], part_sets=tuple(tuple(s) for s in p["sets"]),
-                edge_count=p["edge_count"], beta=Fraction(p["beta"]),
-                part_size=p["part_size"], exhaustive=p["exhaustive"],
-                top_overflow_count=p["top_overflow_count"],
-            )
-            if not verify_space_barrier(view, rebuilt):
+            if not verify_space_barrier(view, SpaceBarrierCert.from_json(cert.payload)):
                 unverified += 1
         elif cert.tag == "DivisibilityBarrier":
-            p = cert.payload
-            rebuilt = DivBarrierCert(
-                parts=tuple(tuple(q) for q in p["parts"]),
-                min_part_size=p["min_part_size"],
-                lattice=IndexLattice.from_json(p["lattice"]),
-                mu=Fraction(p["mu"]),
-                exhaustive=p["exhaustive"],
-                robust_vectors=tuple(tuple(v) for v in p["robust_vectors"]),
-            )
-            if not verify_divisibility_barrier(view, rebuilt):
+            if not verify_divisibility_barrier(view, DivBarrierCert.from_json(cert.payload)):
                 unverified += 1
         if kind == "dense" and oracle_pm is not None:
             dense_matchable += 1

@@ -176,3 +176,22 @@ def test_every_returned_cert_passes_its_verifier():
         dc = divisibility_barrier_search(cx, Fraction(1, 200), 2)
         if dc is not None:
             assert verify_divisibility_barrier(cx, dc)
+
+
+def test_certificates_round_trip_through_json():
+    space = space_barrier_search(gen_space_barrier(9, 3, 1, 4), Fraction(1, 100))
+    local = space_barrier_search(gen_space_barrier(18, 3, 1, 7), Fraction(1, 1000), seed=3)
+    div = divisibility_barrier_search(
+        gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]), Fraction(1, 100), 2
+    )
+    assert space.exhaustive and not local.exhaustive
+    for cert in (space, local):
+        assert SpaceBarrierCert.from_json(cert.to_json()) == cert
+    assert DivBarrierCert.from_json(div.to_json()) == div
+    # the partite grouping survives the round trip too
+    grouped = DivBarrierCert(
+        parts=div.parts, min_part_size=div.min_part_size, lattice=div.lattice,
+        mu=div.mu, exhaustive=div.exhaustive, ambient_groups=(0, 1),
+        robust_vectors=div.robust_vectors,
+    )
+    assert DivBarrierCert.from_json(grouped.to_json()) == grouped

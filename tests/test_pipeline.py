@@ -202,3 +202,15 @@ def test_erosion_bound_holds_for_lp_rounds(monkeypatch):
     diag = runs[-1].diagnostics
     assert diag["lp_solves"] > 0
     assert any(r["max_dead_pairs"] > i + 1 for i, r in enumerate(diag["rounds"]))
+
+
+def test_absorb_programming_error_propagates(monkeypatch):
+    # only KmatchError is an honest absorption failure; a bug must surface
+    import kmatch.pipeline as pipeline
+
+    def broken(state, leftover):
+        raise RuntimeError("bug inside absorb")
+
+    monkeypatch.setattr(pipeline, "absorb", broken)
+    with pytest.raises(RuntimeError, match="bug inside absorb"):
+        run_matching_pipeline(complete_complex(30, 3), None, PipelineConfig(seed=1))
