@@ -34,7 +34,7 @@ for seed in range(10):
     H = sample_subgraph(cc, g, seed=seed)
     H = color_classes(H, alloc, seed=seed)
     reg = check_regularity(H, tau=0.2, ell=15)
-    nr = nibble_match(H, alloc, NibbleParams(epsilon=0.02, seed=seed))
+    nr = nibble_match(H, NibbleParams(epsilon=0.02, seed=seed))
     coverages.append(nr.covered_fraction)
     if seed < 3:
         print(f"seed {seed}: {len(H.edges)} sampled edges,"

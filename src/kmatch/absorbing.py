@@ -347,7 +347,6 @@ class AbsorberConfig:
     """Desk-scale knobs for the absorber build; these are module-level budgets,
     not the asymptotic hierarchy constants."""
 
-    beta: Fraction = Fraction(1, 100)    # reachability threshold
     mu: Fraction = Fraction(1, 200)      # robust-vector density
     phi: Fraction = Fraction(1, 10)      # leftover fraction the absorber must swallow
     epsilon: Fraction = Fraction(6, 10)  # W-budget as a fraction of the pool
@@ -364,7 +363,7 @@ class AbsorberConfig:
     audit_min_rate: float = 0.95
 
     def __post_init__(self):
-        for name in ("beta", "mu", "phi", "epsilon", "delta", "alpha"):
+        for name in ("mu", "phi", "epsilon", "delta", "alpha"):
             setattr(self, name, as_fraction(getattr(self, name)))
 
 
@@ -573,11 +572,9 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     used = set()
     members = []
     member_pms = []
-    top_by_comp = {}
+    top_by_comp = {}              # composition -> its top edges, in top-level order
     for e in system.iter_top():
         top_by_comp.setdefault(_composition_of(e, part_lookup, dim), []).append(e)
-    for comp_edges in top_by_comp.values():
-        comp_edges.sort()
 
     target_comps = list(vectors)
     tries = 0
@@ -586,7 +583,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         tries += 1
         comp = target_comps[comp_cycle % len(target_comps)]
         comp_cycle += 1
-        member = _build_absorber_member(system, comp, t, part_lookup, dim, used, rng)
+        member = _build_absorber_member(system, top_by_comp.get(comp, ()), t, used, rng)
         if member is None:
             continue
         verts, pm = member
@@ -601,7 +598,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     reserves = {}
     for vec, want in sorted(reserve_sizes.items()):
         got = []
-        cand = [e for e in top_by_comp.get(vec, ()) if not set(e) & used]
+        cand = [e for e in sorted(top_by_comp.get(vec, ())) if not set(e) & used]
         rng.shuffle(cand)
         for e in cand:
             if len(got) >= want:
@@ -682,20 +679,16 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     return state
 
 
-def _build_absorber_member(system, comp, t, part_lookup, dim, used, rng):
+def _build_absorber_member(system, comp_edges, t, used, rng):
     """One t*k^2 absorber for a target composition: an edge of that composition
     plus per-coordinate reachability witness sets, all disjoint from `used`.
 
-    Returns (vertex set, internal perfect matching) or None.
+    comp_edges are the top edges of the target composition, in top-level
+    order. Returns (vertex set, internal perfect matching) or None.
     """
     k = system.k
     links = system.link_map()
-    # candidate edges of the target composition avoiding used vertices
-    cands = [
-        e
-        for e in system.iter_top()
-        if not (set(e) & used) and _composition_of(e, part_lookup, dim) == comp
-    ]
+    cands = [e for e in comp_edges if not (set(e) & used)]
     if not cands:
         return None
     for _ in range(30):

@@ -3,6 +3,12 @@
 Searches are heuristic outside the exhaustive range and say so; verifiers
 recompute everything from scratch so a returned certificate never depends on
 search-time state.
+
+The exhaustive searches are flat enumerations: the space search walks the
+product of per-part planted-set combinations; the divisibility search holds
+every set partition into at most k parts as one array of label rows, counts
+the robust vectors of a chunk of rows with one `np.bincount`, and judges each
+distinct (part count, robust set) once.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from .lattice import (
 SPACE_EXHAUSTIVE_LIMIT = 14      # exhaust all S when the pool is at most this
 SPACE_RESTARTS = 20              # local-search restarts per p above that size
 DIV_EXHAUSTIVE_LIMIT = 12        # exhaust set partitions up to this pool size
+DIV_CHUNK_ROWS = 4096           # partitions whose robust codes are counted at once
 
 
 @dataclass
@@ -86,11 +93,7 @@ def _count_inside(system, level, inside: frozenset, stop_after=None) -> int:
 
 
 def _count_top_overflow(system, inside: frozenset, p: int) -> int:
-    count = 0
-    for e in system.iter_top():
-        if sum(1 for v in e if v in inside) > p:
-            count += 1
-    return count
+    return sum(1 for e in system.iter_top() if len(inside.intersection(e)) > p)
 
 
 def _space_target_sizes(system, p):
@@ -130,68 +133,44 @@ def space_barrier_search(system, beta, budget=None, seed: int = 0):
     Exhaustive over all planted sets when the pool is small, so absence of a
     certificate is then a proof; otherwise randomized local search (swap one
     planted vertex for an outside one, keep when the inside count drops), and
-    absence proves nothing. budget caps candidate evaluations; budget=0
-    returns None immediately.
+    absence proves nothing. budget caps candidate evaluations (planted sets
+    counted, or local-search steps); budget=0 returns None immediately.
     """
     beta = as_fraction(beta)
     uni = system.universe
-    pool = sorted(system.vertex_pool)
     if budget == 0:
         return None
-    evaluations = [0]
-    cap = budget if budget is not None else None
-
-    def spent():
-        evaluations[0] += 1
-        return cap is not None and evaluations[0] > cap
-
-    exhaustive = len(pool) <= SPACE_EXHAUSTIVE_LIMIT
+    evaluations = 0
+    exhaustive = len(system.vertex_pool) <= SPACE_EXHAUSTIVE_LIMIT
     rng = random.Random(seed)
+    per_part = [
+        [v for v in uni.part_vertices(j) if v in system.vertex_pool]
+        for j in range(uni.r)
+    ]
     for p in range(1, system.k):
         n, want = _space_target_sizes(system, p)
         threshold = beta * Fraction(n) ** (p + 1)
-        if want == 0:
+        if want == 0 or any(len(avail) < want for avail in per_part):
             continue
-        per_part = [
-            [v for v in uni.part_vertices(j) if v in system.vertex_pool]
-            for j in range(uni.r)
-        ]
-        if any(len(avail) < want for avail in per_part):
-            continue
+        found = None
         if exhaustive:
-            def rec(j, chosen):
-                if spent():
+            for chosen in product(*(combinations(avail, want) for avail in per_part)):
+                evaluations += 1
+                if budget is not None and evaluations > budget:
                     return None
-                if j == uni.r:
-                    inside = frozenset(v for s in chosen for v in s)
-                    cnt = _count_inside(system, p + 1, inside)
-                    if cnt <= threshold:
-                        return SpaceBarrierCert(
-                            p=p,
-                            part_sets=tuple(tuple(sorted(s)) for s in chosen),
-                            edge_count=cnt,
-                            beta=beta,
-                            part_size=n,
-                            exhaustive=True,
-                            top_overflow_count=_count_top_overflow(system, inside, p),
-                        )
-                    return None
-                for s in combinations(per_part[j], want):
-                    got = rec(j + 1, chosen + [s])
-                    if got is not None:
-                        return got
-                return None
-
-            got = rec(0, [])
-            if got is not None:
-                return got
+                inside = frozenset(v for s in chosen for v in s)
+                cnt = _count_inside(system, p + 1, inside)
+                if cnt <= threshold:
+                    found = chosen, inside, cnt
+                    break
         else:
             for _ in range(SPACE_RESTARTS):
                 chosen = [rng.sample(avail, want) for avail in per_part]
                 inside = frozenset(v for s in chosen for v in s)
                 cnt = _count_inside(system, p + 1, inside)
                 for _ in range(200 * n):
-                    if spent():
+                    evaluations += 1
+                    if budget is not None and evaluations > budget:
                         return None
                     if cnt <= threshold:
                         break
@@ -208,15 +187,19 @@ def space_barrier_search(system, beta, budget=None, seed: int = 0):
                     if cand_cnt <= cnt:
                         chosen, inside, cnt = cand, cand_inside, cand_cnt
                 if cnt <= threshold:
-                    return SpaceBarrierCert(
-                        p=p,
-                        part_sets=tuple(tuple(sorted(s)) for s in chosen),
-                        edge_count=cnt,
-                        beta=beta,
-                        part_size=n,
-                        exhaustive=False,
-                        top_overflow_count=_count_top_overflow(system, inside, p),
-                    )
+                    found = chosen, inside, cnt
+                    break
+        if found is not None:
+            chosen, inside, cnt = found
+            return SpaceBarrierCert(
+                p=p,
+                part_sets=tuple(tuple(sorted(s)) for s in chosen),
+                edge_count=cnt,
+                beta=beta,
+                part_size=n,
+                exhaustive=exhaustive,
+                top_overflow_count=_count_top_overflow(system, inside, p),
+            )
     return None
 
 
@@ -291,92 +274,36 @@ def verify_divisibility_barrier(system, cert: DivBarrierCert) -> bool:
     return (not complete) and transferral is None
 
 
-def _partitions_into_at_most(items, max_parts):
-    """Set partitions by restricted growth strings, at most max_parts classes."""
-    n = len(items)
-    if n == 0:
-        return
-    rgs = [0] * n
+def _labelings(n: int, k: int):
+    """Every set partition of n items into at most k classes, as restricted
+    growth label rows (item i is in class row[i]; each row's first item of
+    class c follows the first of class c - 1) in lexicographic order.
 
-    def rec(i, used):
-        if i == n:
-            parts = [[] for _ in range(used)]
-            for t, cls in enumerate(rgs):
-                parts[cls].append(items[t])
-            yield tuple(tuple(p) for p in parts)
-            return
-        for cls in range(min(used + 1, max_parts)):
-            rgs[i] = cls
-            yield from rec(i + 1, max(used, cls + 1))
-
-    yield from rec(0, 0)
-
-
-def _exhaustive_div_candidates(system, mu, min_part_size):
-    """All partitions into at most k parts meeting the size floor, ordered
-    deterministically, with the per-partition robust sets batched in numpy."""
-    pool = sorted(system.vertex_pool)
-    n = len(pool)
-    k = system.k
-    pos = {v: i for i, v in enumerate(pool)}
-    edges = sorted(system.iter_top())
-    if not edges:
-        return
-    E = np.array([[pos[v] for v in e] for e in edges], dtype=np.int64)
-    mu = as_fraction(mu)
-    thr = mu * Fraction(n) ** k
-    thr_int = math.ceil(thr)  # integer counts: count >= thr iff count >= ceil(thr)
-    base = k + 1
-    chunk_rows = []
-    chunk_parts = []
-
-    def flush():
-        if not chunk_rows:
-            return []
-        P = np.array(chunk_rows, dtype=np.int64)          # (C, n)
-        idx = P[:, E]                                     # (C, m, k)
-        codes = np.zeros(idx.shape[:2], dtype=np.int64)   # (C, m)
-        for t in range(k):
-            codes += (idx == t).sum(axis=2) * base**t
-        out = []
-        for row, parts in zip(codes, chunk_parts):
-            counts = np.bincount(row, minlength=base**k)
-            robust = frozenset(int(c) for c in np.nonzero(counts >= thr_int)[0])
-            out.append((parts, robust))
-        chunk_rows.clear()
-        chunk_parts.clear()
-        return out
-
-    for parts in _partitions_into_at_most(pool, k):
-        if any(len(p) < min_part_size for p in parts):
-            continue
-        row = [0] * n
-        for cls, part in enumerate(parts):
-            for v in part:
-                row[pos[v]] = cls
-        chunk_rows.append(row)
-        chunk_parts.append(parts)
-        if len(chunk_rows) >= 4096:
-            yield from flush()
-    yield from flush()
-
-
-def _decode(code, dim, base):
-    out = []
-    for _ in range(dim):
-        out.append(code % base)
-        code //= base
-    return tuple(out)
+    Returns the (rows, n) int8 label array and each row's class count.
+    """
+    labels = np.zeros((1, 0), dtype=np.int8)
+    classes = np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        fan = np.minimum(classes + 1, k)          # labels 0..fan-1 may follow
+        parent = np.repeat(np.arange(len(labels)), fan)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        grown = np.empty((len(parent), i + 1), dtype=np.int8)
+        grown[:, :i] = labels[parent]
+        grown[:, i] = label
+        labels, classes = grown, np.maximum(classes[parent], label + 1)
+    return labels, classes
 
 
 def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None):
     """First partition whose robust lattice is incomplete and transferral-free,
     under the plain (non-partite) notions.
 
-    With no explicit candidates the search is exhaustive over set partitions
-    into at most k parts when the pool is small; larger instances must supply
-    candidates (the pipeline passes the closed partition and its
-    coarsenings).
+    With no explicit candidates the search is exhaustive when the pool is
+    small: it tries every set partition of the sorted pool into at most k
+    parts with no part below min_part_size, in lexicographic order of the
+    restricted growth label rows, so the returned barrier is the first one in
+    that order. Larger instances must supply candidates (the pipeline passes
+    the closed partition and its coarsenings), tried in the order given.
     """
     mu = as_fraction(mu)
     k = system.k
@@ -401,29 +328,56 @@ def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None)
                 )
         return None
 
-    if len(system.vertex_pool) > DIV_EXHAUSTIVE_LIMIT:
+    pool = sorted(system.vertex_pool)
+    n = len(pool)
+    if n > DIV_EXHAUSTIVE_LIMIT:
         return None
+    pos = {v: i for i, v in enumerate(pool)}
+    edges = np.array([[pos[v] for v in e] for e in system.iter_top()], dtype=np.intp)
+    if not len(edges):
+        return None
+    labels, classes = _labelings(n, k)
+    keep = np.ones(len(labels), dtype=bool)
+    for c in range(k):
+        keep &= (classes <= c) | ((labels == c).sum(axis=1) >= min_part_size)
+    labels, classes = labels[keep], classes[keep]
+
+    # An edge's robust code is its index vector read in base k + 1, the sum
+    # of (k + 1) ** label over its vertices; a vector is robust when at least
+    # mu * n^k edges share its code (integer counts: compare with the ceiling).
     base = k + 1
+    codes_per_row = base ** k
+    weight = base ** np.arange(k, dtype=np.int64)
+    digits = np.arange(codes_per_row)[:, None] // weight % base
+    thr_int = math.ceil(mu * Fraction(n) ** k)
     verdict_cache = {}
-    for parts, robust_codes in _exhaustive_div_candidates(system, mu, min_part_size):
-        dim = len(parts)
-        key = (dim, robust_codes)
-        verdict = verdict_cache.get(key)
-        if verdict is None:
-            vectors = sorted(_decode(c, dim, base) for c in robust_codes)
-            lat = generate_lattice(vectors, dim)
-            complete = is_complete(lat, k)
-            transferral = find_transferral(lat)
-            verdict = (not complete and transferral is None, lat, tuple(vectors))
-            verdict_cache[key] = verdict
-        good, lat, vectors = verdict
-        if good:
-            return DivBarrierCert(
-                parts=parts,
-                min_part_size=min_part_size,
-                lattice=lat,
-                mu=mu,
-                exhaustive=True,
-                robust_vectors=vectors,
-            )
+    for start in range(0, len(labels), DIV_CHUNK_ROWS):
+        chunk = labels[start:start + DIV_CHUNK_ROWS]
+        rows = weight[chunk]
+        codes = sum(rows[:, col] for col in edges.T)
+        codes += codes_per_row * np.arange(len(chunk))[:, None]
+        counts = np.bincount(codes.ravel(), minlength=codes_per_row * len(chunk))
+        robust = counts.reshape(len(chunk), codes_per_row) >= thr_int
+        for row in range(len(chunk)):
+            dim = int(classes[start + row])
+            key = (dim, robust[row].tobytes())
+            verdict = verdict_cache.get(key)
+            if verdict is None:
+                vectors = sorted(map(tuple, digits[robust[row], :dim].tolist()))
+                lat = generate_lattice(vectors, dim)
+                complete = is_complete(lat, k)
+                transferral = find_transferral(lat)
+                verdict = (not complete and transferral is None, lat, tuple(vectors))
+                verdict_cache[key] = verdict
+            good, lat, vectors = verdict
+            if good:
+                label_of = dict(zip(pool, chunk[row].tolist()))
+                return DivBarrierCert(
+                    parts=tuple(tuple(v for v in pool if label_of[v] == c) for c in range(dim)),
+                    min_part_size=min_part_size,
+                    lattice=lat,
+                    mu=mu,
+                    exhaustive=True,
+                    robust_vectors=vectors,
+                )
     return None

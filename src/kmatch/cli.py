@@ -23,7 +23,7 @@ from .barriers import (
     verify_space_barrier,
 )
 from .core import Matching, allocation_from_index_multiset, plain_allocation, validate_matching
-from .errors import KmatchError
+from .errors import BadParams, KmatchError
 from .fractional import extract_weight_disjoint, verify_fractional
 from .khg import dump_khg, load_khg
 from .oracle import GenSpec, brute_force_fractional, brute_force_pm
@@ -76,13 +76,16 @@ def _load_config(args) -> tuple:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise BadParams("the config file must hold a JSON object")
     alloc_spec = raw.pop("allocation_index_multiset", None)
     config = PipelineConfig.from_json(raw, seed=args.seed)
-    if not args.verify:
-        config.verify = False
     alloc = None
     if alloc_spec:
-        alloc = allocation_from_index_multiset([tuple(v) for v in alloc_spec])
+        try:
+            alloc = allocation_from_index_multiset([tuple(v) for v in alloc_spec])
+        except (TypeError, ValueError):
+            raise BadParams("allocation_index_multiset must list integer vectors") from None
     return config, alloc
 
 def _reverify(system, cert: Certificate) -> bool:
@@ -294,8 +297,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        sys.stderr.write(f"error: cannot read input: {exc}\n")
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: bad JSON input: {exc}\n")

@@ -6,7 +6,8 @@ class KmatchError(Exception):
 
 
 class BadVertex(KmatchError):
-    """An edge references a vertex outside the universe."""
+    """Malformed instance: a bad khg directive, or an edge referencing a
+    vertex outside the universe."""
 
 
 class ClosureViolation(KmatchError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Allocation, edge_key, index_vector
-from .errors import EmptyTopLevel, UnknownEdge
+from .errors import BadParams, EmptyTopLevel, UnknownEdge
 from .simplex import solve_equality_feasibility
 
 ZERO = Fraction(0)
@@ -322,6 +322,8 @@ def extract_weight_disjoint(
     residual >= 1, and one round charges a pair at most 1. Stops early with
     the completed prefix when a round is infeasible.
     """
+    if ell < 0:
+        raise BadParams(f"ell must be nonnegative, got {ell}")
     rng = random.Random(seed)
     pairs = PairWeights()
     out = []

@@ -25,63 +25,86 @@ def _tokens(line: str) -> list:
     return line.split() if line else []
 
 
+def _positive_int(token: str, what: str, where: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise BadVertex(f"{where}: {what} {token!r} is not an integer") from None
+    if value < 1:
+        raise BadVertex(f"{where}: {what} must be at least 1, got {value}")
+    return value
+
+
 def parse_khg(text: str):
-    """Parse khg text into (universe, k, leveled edges, vertex name list)."""
-    lines = [_tokens(l) for l in text.splitlines()]
-    lines = [t for t in lines if t]
-    if not lines or lines[0][:2] != ["khg", "1"]:
+    """Parse khg text into (universe, k, leveled edges, vertex name list).
+
+    Every malformed directive raises BadVertex naming its line.
+    """
+    lines = [(no, _tokens(l)) for no, l in enumerate(text.splitlines(), 1)]
+    lines = [(no, t) for no, t in lines if t]
+    if not lines or lines[0][1][:2] != ["khg", "1"]:
         raise BadVertex("missing 'khg 1' header")
-    it = iter(lines[1:])
-    k = None
-    r = None
+    declared = {}                 # "k" and "parts" -> value
     labels, sizes, names = [], [], []
-    leveled = {}
-    seen_parts = 0
-    for toks in it:
+    raw_edges = []                # (line, level, vertex names)
+    for no, toks in lines[1:]:
         key = toks[0]
-        if key == "k":
-            k = int(toks[1])
-        elif key == "parts":
-            r = int(toks[1])
+        where = f"line {no}"
+        if key in ("k", "parts"):
+            if len(toks) != 2:
+                raise BadVertex(f"{where}: '{key}' takes one value")
+            if key in declared:
+                raise BadVertex(f"{where}: '{key}' declared twice")
+            declared[key] = _positive_int(toks[1], key, where)
         elif key == "part":
+            if len(toks) < 2:
+                raise BadVertex(f"{where}: part line without a label")
             label = toks[1]
             rest = toks[2:]
             if rest and rest[0].endswith(":"):
-                size = int(rest[0][:-1])
-                verts = rest[1:]
+                size_token, verts = rest[0][:-1], rest[1:]
             elif len(rest) >= 2 and rest[1] == ":":
-                size = int(rest[0])
-                verts = rest[2:]
+                size_token, verts = rest[0], rest[2:]
             else:
-                raise BadVertex(f"malformed part line for {label!r}")
+                raise BadVertex(f"{where}: malformed part line for {label!r}")
+            size = _positive_int(size_token, "part size", where)
             if len(verts) != size:
-                raise BadVertex(f"part {label} declares {size} vertices, lists {len(verts)}")
+                raise BadVertex(
+                    f"{where}: part {label} declares {size} vertices, lists {len(verts)}"
+                )
             labels.append(label)
             sizes.append(size)
             names.extend(verts)
-            seen_parts += 1
-        elif key.startswith("edge"):
+        elif key == "edge" or key.startswith("edge@"):
+            k = declared.get("k")
             if k is None:
-                raise BadVertex("edge before k declaration")
-            level = int(key[5:]) if key.startswith("edge@") else k
-            leveled.setdefault(level, []).append(toks[1:])
+                raise BadVertex(f"{where}: edge before k declaration")
+            level = _positive_int(key[5:], "edge level", where) if key != "edge" else k
+            if level > k:
+                raise BadVertex(f"{where}: edge level {level} exceeds k={k}")
+            verts = toks[1:]
+            if len(verts) != level:
+                raise BadVertex(f"{where}: edge lists {len(verts)} vertices, needs {level}")
+            if len(set(verts)) != level:
+                raise BadVertex(f"{where}: edge repeats a vertex")
+            raw_edges.append((no, level, verts))
         else:
-            raise BadVertex(f"unknown khg directive {key!r}")
-    if k is None or r is None or seen_parts != r:
+            raise BadVertex(f"{where}: unknown khg directive {key!r}")
+    k = declared.get("k")
+    if k is None or declared.get("parts") != len(labels):
         raise BadVertex("incomplete khg header (k/parts/part lines)")
     if len(set(names)) != len(names):
         raise BadVertex("duplicate vertex name")
+    if k > len(names):
+        raise BadVertex(f"k={k} exceeds the {len(names)} declared vertices")
     uni = VertexUniverse(tuple(labels), tuple(sizes))
     ids = {name: i for i, name in enumerate(names)}
     edges = {}
-    for level, raw in leveled.items():
-        lv = []
-        for e in raw:
-            try:
-                lv.append(tuple(ids[v] for v in e))
-            except KeyError as exc:
-                raise BadVertex(f"unknown vertex {exc.args[0]!r}") from None
-        edges[level] = lv
+    for no, level, verts in raw_edges:
+        try:
+            edges.setdefault(level, []).append(tuple(ids[v] for v in verts))
+        except KeyError as exc:
+            raise BadVertex(f"line {no}: unknown vertex {exc.args[0]!r}") from None
     return uni, k, edges, names
 
 

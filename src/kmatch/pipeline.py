@@ -87,12 +87,23 @@ class PipelineConfig:
     nibble_rounds: int = None
     absorber_tries: int = 400
     space_budget: int = None
-    verify: bool = True
     mode: str = "pipeline"
 
     def __post_init__(self):
         for name in ("phi", "epsilon", "alpha", "gamma", "mu", "beta", "zeta"):
-            setattr(self, name, as_fraction(getattr(self, name)))
+            value = getattr(self, name)
+            try:
+                setattr(self, name, as_fraction(value))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise BadParams(f"{name}={value!r} is not a number") from None
+        if type(self.seed) is not int:
+            raise BadParams(f"seed must be an integer, got {self.seed!r}")
+        for name in ("nibble_attempts", "absorber_tries", "ell", "nibble_rounds", "space_budget"):
+            value = getattr(self, name)
+            if value is None and name in ("ell", "nibble_rounds", "space_budget"):
+                continue  # derived by the stage that reads it
+            if type(value) is not int or value < 0:
+                raise BadParams(f"{name} must be a nonnegative integer, got {value!r}")
         chain = [self.phi, self.epsilon, self.alpha, self.gamma]
         if not all(a < b for a, b in zip(chain, chain[1:])):
             raise BadParams("hierarchy must satisfy phi < epsilon < alpha < gamma")
@@ -412,7 +423,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
             seed=seed,
             max_rounds=config.nibble_rounds,
         )
-        candidate = nibble_match(sampled, alloc, params)
+        candidate = nibble_match(sampled, params)
         uncovered = len(candidate.uncovered)
         if uncovered <= max_leftover and uncovered % k == 0:
             nibble_result = candidate

@@ -280,7 +280,7 @@ def _collapsed_rounds(edges, pool, rng, budget, stop_at):
     return best, rounds, trace
 
 
-def nibble_match(sampled: SampledGraph, alloc: Allocation, params: NibbleParams) -> NibbleResult:
+def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
     """Round the sampled graph to a balanced matching covering all but a small
     vertex fraction.
 

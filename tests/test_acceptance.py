@@ -195,7 +195,7 @@ def test_criterion_06_rounding_coverage():
         H = color_classes(H, ALLOC3, seed=seed)
         rep = check_regularity(H, tau=0.2, ell=15)
         reg_passes += rep["degree_pass"] and rep["codegree_pass"]
-        nr = nibble_match(H, ALLOC3, NibbleParams(epsilon=0.02, seed=seed))
+        nr = nibble_match(H, NibbleParams(epsilon=0.02, seed=seed))
         covers.append(nr.covered_fraction)
         worst = max(worst, time.time() - start)
     med = statistics.median(covers)

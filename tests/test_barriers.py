@@ -1,7 +1,7 @@
 """Barrier search and verification against independent exhaustion oracles."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -195,3 +195,60 @@ def test_certificates_round_trip_through_json():
         robust_vectors=div.robust_vectors,
     )
     assert DivBarrierCert.from_json(grouped.to_json()) == grouped
+
+
+def set_partitions(items, max_parts):
+    """Independent: every set partition into at most max_parts blocks, as
+    restricted growth strings filtered from all label tuples, in
+    lexicographic order."""
+    out = []
+    for labels in product(range(max_parts), repeat=len(items)):
+        if all(c <= max(labels[:i], default=-1) + 1 for i, c in enumerate(labels)):
+            blocks = [[] for _ in range(max(labels) + 1)]
+            for v, c in zip(items, labels):
+                blocks[c].append(v)
+            out.append(tuple(tuple(b) for b in blocks))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, k, p, seed",
+    [(6, 2, 0.5, 1), (8, 2, 0.7, 2), (6, 3, 0.4, 3), (9, 3, 0.6, 4), (9, 3, 0.9, 5),
+     (8, 4, 0.5, 6), (8, 4, 0.9, 7)],
+)
+def test_exhaustive_divisibility_matches_candidates_in_order(n, k, p, seed):
+    cx = gen_random_dense(n, k, p=p, seed=seed)
+    assert cx.top_count() > 0
+    every = set_partitions(sorted(cx.vertex_pool), k)
+    for mu in (Fraction(1, 500), Fraction(1, 60), Fraction(1, 15)):
+        for min_part_size in (0, 2, 3):
+            fast = divisibility_barrier_search(cx, mu, min_part_size)
+            slow = divisibility_barrier_search(cx, mu, min_part_size, candidates=every)
+            assert (fast is None) == (slow is None), (mu, min_part_size)
+            if fast is not None:
+                assert fast.exhaustive and not slow.exhaustive
+                assert fast.parts == slow.parts
+                assert fast.lattice.basis == slow.lattice.basis
+                assert fast.robust_vectors == slow.robust_vectors
+
+
+def test_space_budget_counts_planted_sets():
+    # the first planted set under the threshold is the 155th one tried: 84
+    # sets of size 3 at p=1 (none sparse enough), then 71 of size 6 at p=2
+    cx = gen_random_dense(9, 3, p=0.5, seed=7)
+    beta = Fraction(1, 100)
+    tried = 0
+    hit = None
+    for p in (1, 2):
+        threshold = beta * Fraction(9) ** (p + 1)
+        for s in combinations(sorted(cx.vertex_pool), 3 * p):
+            tried += 1
+            if sum(1 for e in cx.level(p + 1) if set(s).issuperset(e)) <= threshold:
+                hit = (p, s)
+                break
+        if hit:
+            break
+    assert hit is not None and tried == 155
+    cert = space_barrier_search(cx, beta, budget=tried)
+    assert (cert.p, cert.part_sets) == (hit[0], (hit[1],))
+    assert space_barrier_search(cx, beta, budget=tried - 1) is None

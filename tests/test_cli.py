@@ -145,3 +145,47 @@ def test_config_file(instances, capsys, tmp_path):
     bad.write_text("{not json")
     code, _ = run_cli(capsys, "decide", instances["dense"], "--config", str(bad))
     assert code == 3
+
+
+GOOD_KHG = "khg 1\nk 3\nparts 1\npart A 6: a b c d e f\nedge a b c\nedge d e f\n"
+
+
+@pytest.mark.parametrize(
+    "khg, config, extra, message",
+    [
+        (GOOD_KHG.replace("k 3", "k x"), None, [], "line 2: k 'x' is not an integer"),
+        (GOOD_KHG.replace("k 3", "k 0"), None, [], "line 2: k must be at least 1, got 0"),
+        (GOOD_KHG.replace("edge a b c", "edge a a b"), None, [], "line 5: edge repeats a vertex"),
+        (GOOD_KHG.replace("edge a b c", "edge a b"), None, [], "line 5: edge lists 2 vertices"),
+        (GOOD_KHG, {"gamma": "abc"}, [], "BadParams: gamma='abc' is not a number"),
+        (GOOD_KHG, {"ell": "2"}, [], "BadParams: ell must be a nonnegative integer"),
+        (GOOD_KHG, [1, 2], [], "BadParams: the config file must hold a JSON object"),
+    ],
+)
+def test_malformed_input_exits_3(tmp_path, capsys, khg, config, extra, message):
+    path = tmp_path / "bad.khg"
+    path.write_text(khg)
+    argv = ["decide", str(path), "--json", *extra]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_frac_negative_ell_exits_3(tmp_path, capsys):
+    path = tmp_path / "ok.khg"
+    path.write_text(GOOD_KHG)
+    assert main(["frac", str(path), "--ell", "-1", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BadParams: ell must be nonnegative, got -1" in captured.err
+
+
+def test_unreadable_input_exits_3(tmp_path, capsys):
+    text = GOOD_KHG.replace("part A 6: a", "part A 6: \xe9")
+    (tmp_path / "latin1.khg").write_bytes(text.encode("latin-1"))
+    for path in (tmp_path / "latin1.khg", tmp_path):
+        assert main(["decide", str(path), "--json"]) == 3
+        assert "error: cannot read input" in capsys.readouterr().err

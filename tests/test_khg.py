@@ -1,8 +1,13 @@
 """Text-format round trips and parse failures."""
 
-import pytest
+import os
+import tempfile
 
-from kmatch.errors import BadVertex
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmatch.errors import BadVertex, KmatchError
 from kmatch.khg import load_khg, load_khg_system, parse_khg, save_khg
 from kmatch.oracle import gen_divisibility_barrier, gen_space_barrier
 
@@ -55,3 +60,47 @@ def test_partite_roundtrip(tmp_path):
     back = load_khg_system(path)
     assert back.level(3) == H.level(3)
     assert back.universe.part_labels == ("A", "B")
+
+
+_NAMES = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "x"]), max_size=5)
+_NUMBERS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "x", "2.5", "99"])
+_LINES = st.one_of(
+    st.builds("k {}".format, _NUMBERS),
+    st.builds("parts {}".format, _NUMBERS),
+    st.builds(
+        lambda label, size, names: f"part {label} {size}: {' '.join(names)}",
+        st.sampled_from(["A", "B"]), _NUMBERS, _NAMES,
+    ),
+    st.builds(
+        lambda key, names: " ".join([key, *names]),
+        st.sampled_from(["edge", "edge@1", "edge@2", "edge@0", "edge@x", "edgy"]), _NAMES,
+    ),
+    st.text(alphabet="kpaedg @:#12x-\t", max_size=12),
+)
+
+
+_VALID = ["k 3", "parts 2", "part A 3: a b c", "part B 3: d e f",
+          "edge a b d", "edge c e f", "edge@2 a b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.sampled_from([True, True, True, False]),
+    drop=st.lists(st.integers(0, len(_VALID) - 1), max_size=2),
+    extra=st.lists(st.tuples(st.integers(0, len(_VALID)), _LINES), max_size=2),
+    close=st.booleans(),
+)
+def test_load_khg_raises_only_kmatch_errors(header, drop, extra, close):
+    # a valid instance with some lines dropped and a few random ones inserted
+    lines = [line for i, line in enumerate(_VALID) if i not in drop]
+    for at, line in extra:
+        lines.insert(at, line)
+    text = "\n".join((["khg 1"] if header else []) + lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.khg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            load_khg(path, close=close)
+        except KmatchError:
+            pass

@@ -130,7 +130,7 @@ def test_nibble_single_family():
     cx = build_complex({3: edges}, uni, k=3, close=True)
     H = sample_subgraph(cx, {e: Fraction(1) for e in cx.iter_top()}, seed=0)
     H = color_classes(H, alloc, seed=0)
-    result = nibble_match(H, alloc, NibbleParams(epsilon=0.9, seed=0))
+    result = nibble_match(H, NibbleParams(epsilon=0.9, seed=0))
     assert sorted(result.matching.edges) == sorted(
         tuple(sorted(e)) for e in edges
     )
@@ -139,7 +139,7 @@ def test_nibble_single_family():
 def test_nibble_empty():
     cc = complete_complex(6, 3)
     H = sample_subgraph(cc, {}, seed=0)
-    result = nibble_match(H, ALLOC3, NibbleParams(seed=0))
+    result = nibble_match(H, NibbleParams(seed=0))
     assert len(result.matching) == 0
     assert result.flag == "round-limit"
     assert len(result.uncovered) == 6
@@ -153,7 +153,7 @@ def test_nibble_reproducible_and_monotone():
     for _ in range(2):
         H = sample_subgraph(cc, g, seed=17)
         H = color_classes(H, ALLOC3, seed=17)
-        runs.append(nibble_match(H, ALLOC3, NibbleParams(seed=17)))
+        runs.append(nibble_match(H, NibbleParams(seed=17)))
     assert runs[0].matching.edges == runs[1].matching.edges
     assert runs[0].uncovered == runs[1].uncovered
     trace = runs[0].best_trace
