@@ -691,6 +691,7 @@ def _build_absorber_member(system, comp_edges, t, used, rng):
     cands = [e for e in comp_edges if not (set(e) & used)]
     if not cands:
         return None
+    sorted_links = {}  # anchor -> its link set in sorted order, for all tries
     for _ in range(30):
         e = cands[rng.randrange(len(cands))]
         taken = set(used) | set(e)
@@ -701,15 +702,13 @@ def _build_absorber_member(system, comp_edges, t, used, rng):
             # the witness: the witness set must pair with u and with any
             # same-part vertex at absorb time, which the audit samples
             if t == 1:
-                cand_sets = [
-                    s
-                    for s in links.get(u, ())
-                    if not (set(s) & taken)
-                ]
+                if u not in sorted_links:
+                    sorted_links[u] = sorted(links.get(u, ()))
+                cand_sets = [s for s in sorted_links[u] if taken.isdisjoint(s)]
                 if not cand_sets:
                     ok = False
                     break
-                s = sorted(cand_sets)[rng.randrange(len(cand_sets))]
+                s = cand_sets[rng.randrange(len(cand_sets))]
                 witness_sets.append((u, tuple(s)))
                 taken |= set(s)
             else:

@@ -2,7 +2,7 @@
 
 Vertices are dense integer ids 0..total-1 grouped by part (part order is
 significant everywhere). Edges are sorted tuples of vertex ids. An explicit
-system computes its top-level link map and incidence once, on first use.
+system caches its top-level link map, incidence and top_vectors on first use.
 """
 
 from __future__ import annotations
@@ -144,6 +144,7 @@ class KSystem:
         self.levels = lv
         self._links = None
         self._incidence = None
+        self._vectors = None
 
     @property
     def vertex_pool(self) -> frozenset:
@@ -186,6 +187,12 @@ class KSystem:
                     incident.setdefault(v, []).append(e)
             self._incidence = incident
         return self._incidence
+
+    def top_vectors(self) -> dict:
+        """top edge -> its index vector; built once, callers must not mutate it."""
+        if self._vectors is None:
+            self._vectors = {e: index_vector(e, self.universe) for e in self.levels[self.k]}
+        return self._vectors
 
     def induced(self, vertex_set):
         """Subsystem on a vertex subset (all levels restricted)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .core import Allocation, edge_key, index_vector
 from .errors import BadParams, EmptyTopLevel, UnknownEdge
@@ -180,32 +181,28 @@ def verify_fractional(system, frac: FractionalMatching, alloc: Allocation = None
 
 # --- weight-disjoint extraction ----------------------------------------------
 
-def _pair_key(u, v):
-    return (u, v) if u < v else (v, u)
-
-
 def edge_pairs(e):
-    return [_pair_key(e[a], e[b]) for a in range(len(e)) for b in range(a + 1, len(e))]
+    return [(u, v) if u < v else (v, u) for u, v in combinations(e, 2)]
 
 
 class PairWeights:
-    """Residual pair capacities for the extraction loop; everything starts at 2."""
+    """Residual pair capacities for the extraction loop; everything starts at 2.
+
+    `w` holds the exact residuals. A pair joins `dead` when its residual drops
+    below 1 and never leaves, since residuals only fall."""
 
     def __init__(self):
         self.w = {}
-
-    def get(self, u, v) -> Fraction:
-        return self.w.get(_pair_key(u, v), Fraction(2))
+        self.dead = set()
 
     def charge(self, pair, amount):
-        self.w[pair] = self.w.get(pair, Fraction(2)) - amount
-
-    def alive(self, u, v) -> bool:
-        """Pair still usable: residual weight at least 1."""
-        return self.get(u, v) >= 1
+        left = self.w[pair] = self.w.get(pair, Fraction(2)) - amount
+        if left < 1:
+            self.dead.add(pair)
 
     def edge_alive(self, e) -> bool:
-        return all(self.alive(e[a], e[b]) for a in range(len(e)) for b in range(a + 1, len(e)))
+        """Every pair of the sorted edge e still has residual at least 1."""
+        return self.dead.isdisjoint(combinations(e, 2))
 
     def min_weight(self) -> Fraction:
         return min(self.w.values(), default=Fraction(2))
@@ -246,6 +243,7 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     explicit = not system.implicit
     if explicit:
         incident = system.incidence()
+        vec_of = system.top_vectors()
 
     for _ in range(tries):
         free = set(pool)
@@ -257,7 +255,7 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
             cands = []
             if explicit:
                 for e in incident.get(v, ()):
-                    if all(u in free for u in e) and need.get(index_vector(e, uni), 0) > 0 and pairs.edge_alive(e):
+                    if free.issuperset(e) and need.get(vec_of[e], 0) > 0 and pairs.edge_alive(e):
                         cands.append(e)
             else:
                 # implicit complete host: sample partners directly
@@ -278,7 +276,7 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
                 break
             e = cands[rng.randrange(len(cands))]
             chosen.append(e)
-            need[index_vector(e, uni)] -= 1
+            need[vec_of[e] if explicit else index_vector(e, uni)] -= 1
             free.difference_update(e)
         if ok and not free:
             return chosen

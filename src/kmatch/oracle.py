@@ -339,6 +339,8 @@ class GenSpec:
     def from_json(cls, data):
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict) or "kind" not in data:
+            raise BadParams("a generator spec must be a JSON object with a kind")
         return cls(
             kind=data["kind"],
             n=data.get("n", 0),

@@ -116,8 +116,10 @@ class PipelineConfig:
             data = json.loads(data)
         merged = dict(data)
         merged.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in merged.items() if k in known})
+        unknown = sorted(set(merged) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise BadParams(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**merged)
 
     def echo(self) -> dict:
         return {

@@ -1,8 +1,14 @@
 """Command-line surface: exit codes, JSON output, reproducibility."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from kmatch.cli import main
 from kmatch.khg import save_khg
@@ -106,6 +112,13 @@ def test_input_errors(capsys):
     assert code == 3
 
 
+def test_gen_spec_without_kind_exits_3(tmp_path, capsys):
+    for text in ('{"n": 6}', "[1, 2]"):
+        (tmp_path / "spec.json").write_text(text)
+        assert main(["gen", str(tmp_path / "spec.json")]) == 3
+        assert "BadParams: a generator spec must be a JSON object with a kind" in capsys.readouterr().err
+
+
 def test_byte_reproducibility(instances, capsys):
     outs = []
     for _ in range(2):
@@ -160,6 +173,7 @@ GOOD_KHG = "khg 1\nk 3\nparts 1\npart A 6: a b c d e f\nedge a b c\nedge d e f\n
         (GOOD_KHG, {"gamma": "abc"}, [], "BadParams: gamma='abc' is not a number"),
         (GOOD_KHG, {"ell": "2"}, [], "BadParams: ell must be a nonnegative integer"),
         (GOOD_KHG, [1, 2], [], "BadParams: the config file must hold a JSON object"),
+        (GOOD_KHG, {"gama": "abc", "verify": False}, [], "BadParams: unknown config keys: gama, verify"),
     ],
 )
 def test_malformed_input_exits_3(tmp_path, capsys, khg, config, extra, message):
@@ -189,3 +203,66 @@ def test_unreadable_input_exits_3(tmp_path, capsys):
     for path in (tmp_path / "latin1.khg", tmp_path):
         assert main(["decide", str(path), "--json"]) == 3
         assert "error: cannot read input" in capsys.readouterr().err
+
+
+_ARGV_FILE_TEXT = {
+    "tiny.khg": GOOD_KHG.replace("edge d e f", "edge d e f\nedge a d e\nedge b c f"),
+    "spec.json": json.dumps({"kind": "space-barrier", "n": 6, "k": 3, "params": {"j": 1, "s_size": 2}}),
+    "cfg.json": json.dumps({"ell": 2, "gamma": "0.12"}),
+    "badkey.json": json.dumps({"gama": "abc"}),
+    "list.json": "[1, 2]",
+}
+_ARGV_FILES = [*_ARGV_FILE_TEXT, "missing.khg", "."]
+_ARGV_INTS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["x", "1.5", "", "99999"]))
+_ARGV_OPTIONS = st.one_of(
+    st.sampled_from(["--json", "--verify", "--no-verify"]),
+    st.builds(lambda value: ["--seed", value], _ARGV_INTS),
+    st.builds(lambda name: ["--config", name], st.sampled_from(_ARGV_FILES)),
+    # options that only some commands take
+    st.one_of(
+        st.sampled_from(["--weights", "--state", "-h"]),
+        st.builds(lambda flag, value: [flag, value], st.sampled_from(["--ell", "--cap"]), _ARGV_INTS),
+        st.builds(lambda name: ["-o", name], st.sampled_from(["out.khg", "sub"])),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from(
+        ["decide", "match", "frac", "barriers", "gen", "absorb-demo", "oracle", "nope"]
+    ),
+    target=st.one_of(
+        st.sampled_from([["tiny.khg"], ["spec.json"]]),
+        st.lists(st.sampled_from(_ARGV_FILES), max_size=2),
+    ),
+    options=st.lists(_ARGV_OPTIONS, max_size=3),
+    junk=st.lists(st.text(alphabet="-abx0", max_size=4), max_size=1),
+)
+def test_argv_fuzz_exits_cleanly(command, target, options, junk):
+    # every run happens inside a fresh directory, so gen -o and relative paths
+    # stay in it; "sub" is a directory there, so writing to it must fail cleanly
+    argv = [command, *target]
+    for opt in options:
+        argv += opt if isinstance(opt, list) else [opt]
+    argv += junk
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _ARGV_FILE_TEXT.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        os.mkdir(os.path.join(tmp, "sub"))
+        err = io.StringIO()
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors and -h
+                    code = exc.code
+                    event("argparse exit")
+        finally:
+            os.chdir(here)
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

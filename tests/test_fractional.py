@@ -2,20 +2,26 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmatch.core import (
     VertexUniverse,
     allocation_from_index_multiset,
     build_complex,
+    index_vector,
     plain_allocation,
 )
 from kmatch.errors import EmptyTopLevel, UnknownEdge
 from kmatch.fractional import (
     FractionalMatching,
+    PairWeights,
     build_lp,
     dump_lp,
+    edge_pairs,
     extract_weight_disjoint,
     solve_feasible,
     verify_fractional,
@@ -174,3 +180,41 @@ def test_solver_agrees_with_oracle_small():
             continue
         mine = solve_feasible(build_lp(cx, ALLOC3)) is not None
         assert mine == brute_force_fractional(cx)
+
+
+# integral rounds charge 1, LP rounds charge vertex weights such as 1/3 and 2/3
+_CHARGES = st.sampled_from([1, 2, Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(1, 6), 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 4), data=st.data())
+def test_edge_alive_is_exact_residual_at_least_one(k, data):
+    edges = list(combinations(range(6), k))
+    charges = data.draw(st.lists(st.tuples(st.sampled_from(edges), _CHARGES), max_size=12))
+    pairs = PairWeights()
+    for charged, amount in charges:
+        for pr in edge_pairs(charged):
+            pairs.charge(pr, amount)
+        for e in edges:
+            exact = all(pairs.w.get(pr, 2) >= 1 for pr in combinations(e, 2))
+            assert pairs.edge_alive(e) == exact
+
+
+def test_top_vectors_match_index_vector_and_are_built_once(monkeypatch):
+    import kmatch.core as core
+
+    H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
+    assert H.top_vectors() == {e: index_vector(e, H.universe) for e in H.top}
+    calls = []
+    original = core.index_vector
+
+    def counting(vertex_set, universe):
+        calls.append(1)
+        return original(vertex_set, universe)
+
+    monkeypatch.setattr(core, "index_vector", counting)
+    cx = gen_random_dense(12, 3, p=0.9, seed=5)
+    assert extract_weight_disjoint(cx, ALLOC3, 3, seed=1).diagnostics["greedy_hits"] == 3
+    assert len(calls) == cx.top_count()
+    assert cx.top_vectors() is cx.top_vectors()
+    assert len(calls) == cx.top_count()
