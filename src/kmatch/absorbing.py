@@ -14,6 +14,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, combinations
+
+import numpy as np
 
 from .core import Matching, edge_key, index_vector, validate_matching
 from .errors import (
@@ -125,10 +128,10 @@ def reachable_neighborhood(system, v, params: ReachabilityParams,
 
 
 def _induced_top(system, vertices):
-    """Top edges inside a small vertex set, by hashed membership tests."""
-    from itertools import combinations
-
-    return [e for e in combinations(sorted(vertices), system.k) if system.has_top(e)]
+    """Top edges inside a small vertex set, by hashed membership tests; the
+    combinations of a sorted list are canonical edges already."""
+    has = system.has_top if system.implicit else system.top.__contains__
+    return list(filter(has, combinations(sorted(vertices), system.k)))
 
 
 def _set_matchable(system, vertices) -> bool:
@@ -187,6 +190,23 @@ def _merges(blocks):
             yield merged
 
 
+def _common_links(system) -> np.ndarray:
+    """|L(u) & L(w)| for every pair of vertex ids, as the product A A^T of
+    the vertex x (k-1)-set incidence matrix A of the top level. float64 is
+    exact here: every entry is at most C(n-1, k-1) < 2**53."""
+    k, total = system.k, system.universe.total
+    top = np.fromiter(chain.from_iterable(system.iter_top()), dtype=np.int64).reshape(-1, k)
+    # row block t of `rest` is every top edge without its t-th vertex; its
+    # columns fold into dense (k-1)-set ids, each fold below m*k*total
+    rest = np.concatenate([np.delete(top, t, axis=1) for t in range(k)])
+    col = np.zeros(len(rest), dtype=np.int64)
+    for c in rest.T:
+        col = np.unique(col * total + c, return_inverse=True)[1].ravel()
+    incidence = np.zeros((total, col.max(initial=-1) + 1))
+    incidence[top.T.ravel(), col] = 1
+    return (incidence @ incidence.T).astype(np.int64)
+
+
 def closed_partition(
     system,
     delta,
@@ -196,12 +216,12 @@ def closed_partition(
 ) -> ClosedPartition:
     """Partition each input part into reachability-closed classes.
 
-    Builds the exact 1-step reachability graph at threshold alpha, takes its
-    connected components inside each input part, then merges components whose
-    sampled longer-reach connectivity is high. Every vertex must see at least
-    delta * |V| reachable vertices in its own part, or PreconditionFailed.
-    The (beta', t) closure witness of each final part is audited by sampling
-    and attached.
+    Builds the exact 1-step reachability graph at threshold alpha from all
+    common-link counts at once (_common_links), takes its components inside
+    each input part, then merges components whose sampled longer-reach
+    connectivity is high. Every vertex must see at least delta * |V|
+    reachable vertices in its own part, or PreconditionFailed. The (beta',
+    t) closure witness of each final part is audited by sampling and attached.
     """
     delta = as_fraction(delta)
     alpha = as_fraction(alpha)
@@ -210,19 +230,13 @@ def closed_partition(
     uni = system.universe
     pool = sorted(system.vertex_pool)
     nv = len(pool)
-    links = system.link_map()
-    threshold = alpha * Fraction(nv) ** (system.k - 1)
-    reach = {v: set() for v in pool}
-    for j in range(uni.r):
-        members = [v for v in pool if uni.part_of(v) == j]
-        for a in range(len(members)):
-            u = members[a]
-            lu = links.get(u, set())
-            for b in range(a + 1, len(members)):
-                w = members[b]
-                if len(lu & links.get(w, set())) >= threshold:
-                    reach[u].add(w)
-                    reach[w].add(u)
+    common = _common_links(system)
+    # the counts are integers, so comparing with the ceiling is exact
+    need = math.ceil(alpha * Fraction(nv) ** (system.k - 1))
+    part = np.array([uni.part_of(v) for v in pool], dtype=np.int64)
+    hit = (common[np.ix_(pool, pool)] >= need) & (part[:, None] == part[None, :])
+    np.fill_diagonal(hit, False)
+    reach = {v: {pool[w] for w in np.flatnonzero(row)} for v, row in zip(pool, hit)}
     for v in pool:
         if Fraction(len(reach[v])) < delta * nv:
             raise PreconditionFailed(
@@ -275,7 +289,7 @@ def closed_partition(
         clique = all(u in reach[v] for v in p for u in p if u != v)
         t = 1 if clique else 2
         witness.append((alpha, t))
-        ok = _audit_part(system, p, t, rng, audit_samples)
+        ok = _audit_part(system, p, t, rng, audit_samples, common)
         audit["pairs"].append({"part_head": p[0], "t": t, "pass_rate": ok})
     audit["passed"] = all(x["pass_rate"] >= 0.9 for x in audit["pairs"])
     return ClosedPartition(
@@ -311,9 +325,9 @@ def _sampled_cross_reach(system, comp_a, comp_b, rng, samples=6, witnesses=30) -
     return trials > 0 and hits == trials
 
 
-def _audit_part(system, part, t, rng, samples) -> float:
+def _audit_part(system, part, t, rng, samples, common) -> float:
     """Sampled (beta', t)-closure check: fraction of sampled in-part pairs
-    with a witness set of size t*k-1 (exact common links for t=1)."""
+    with a witness set of size t*k-1 (for t=1, a common link in `common`)."""
     if len(part) < 2:
         return 1.0
     k = system.k
@@ -322,10 +336,9 @@ def _audit_part(system, part, t, rng, samples) -> float:
     hits = 0
     trials = min(samples, len(part) * (len(part) - 1) // 2)
     if t == 1:
-        links = system.link_map()
         for _ in range(trials):
             u, v = rng.sample(part, 2)
-            hits += bool(links.get(u, set()) & links.get(v, set()))
+            hits += bool(common[u, v])
         return hits / trials if trials else 1.0
     for _ in range(trials):
         u, v = rng.sample(part, 2)
@@ -568,6 +581,8 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
             f"absorber plan needs {w_size_plan} vertices, budget is {float(budget):.1f} "
             f"(epsilon={config.epsilon}, pool={nv})"
         )
+    if w_size_plan > nv:
+        raise BudgetExhausted(f"absorber plan needs {w_size_plan} vertices, the pool has {nv}")
 
     used = set()
     members = []

@@ -188,6 +188,8 @@ def cmd_gen(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = GenSpec.from_json(fh.read())
     system = spec.generate()
+    if system.implicit:
+        raise BadParams(f"{system.top_count()} top edges are too many to write as khg")
     text = dump_khg(system)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

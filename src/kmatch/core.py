@@ -1,8 +1,12 @@
 """Partitioned k-complexes and k-systems, allocations, degrees, balance accounting.
 
 Vertices are dense integer ids 0..total-1 grouped by part (part order is
-significant everywhere). Edges are sorted tuples of vertex ids. An explicit
-system caches its top-level link map, incidence and top_vectors on first use.
+significant everywhere). Edges are sorted tuples of vertex ids, sorted and
+validated once where outside input enters (KSystem(), build_complex);
+the downward closure and every restriction reuse those canonical tuples.
+An explicit system caches its top-level link map, incidence and top_vectors
+on first use, and degree_sequences counts each level's extensions in one
+pass.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 
 from .errors import (
     BadVertex,
@@ -104,9 +108,26 @@ def _link_map(top_edges) -> dict:
     """vertex -> set of (k-1)-tuples completing it to a top edge."""
     links = {}
     for e in top_edges:
-        for v in e:
-            links.setdefault(v, set()).add(tuple(u for u in e if u != v))
+        for v, rest in zip(reversed(e), combinations(e, len(e) - 1)):
+            links.setdefault(v, set()).add(rest)
     return links
+
+
+def _check_edges(edges, i, universe, pool):
+    """BadVertex unless every edge is an i-set of pool vertices. Decided in
+    bulk; the loop only names the first culprit."""
+    if all(len(e) == i == len(set(e)) for e in edges) and pool.issuperset(
+        chain.from_iterable(edges)
+    ):
+        return
+    for e in edges:
+        if len(e) != i or len(set(e)) != i:
+            raise BadVertex(f"edge {e} is not a {i}-set")
+        for v in e:
+            if not 0 <= v < universe.total:
+                raise BadVertex(f"vertex {v} outside universe")
+            if v not in pool:
+                raise BadVertex(f"vertex {v} outside the vertex pool")
 
 
 class KSystem:
@@ -120,31 +141,34 @@ class KSystem:
     implicit = False
 
     def __init__(self, universe: VertexUniverse, k: int, levels: dict, vertex_pool=None):
-        self.universe = universe
-        self.k = k
         pool = (
             frozenset(universe.vertices()) if vertex_pool is None else frozenset(vertex_pool)
         )
-        self._pool = pool
         lv = {}
         for i in range(k + 1):
-            edges = levels.get(i, ())
-            canon = set()
-            for e in edges:
-                e = edge_key(e)
-                if len(e) != i or len(set(e)) != i:
-                    raise BadVertex(f"edge {e} is not a {i}-set")
-                for v in e:
-                    if not 0 <= v < universe.total:
-                        raise BadVertex(f"vertex {v} outside universe")
-                    if v not in pool:
-                        raise BadVertex(f"vertex {v} outside the vertex pool")
-                canon.add(e)
-            lv[i] = frozenset(canon)
-        self.levels = lv
+            edges = [edge_key(e) for e in levels.get(i, ())]
+            _check_edges(edges, i, universe, pool)
+            lv[i] = frozenset(set(edges))
+        self._adopt(universe, k, lv, pool)
+
+    def _adopt(self, universe, k, levels, pool):
+        self.universe = universe
+        self.k = k
+        self._pool = pool
+        self.levels = levels
         self._links = None
         self._incidence = None
         self._vectors = None
+
+    @classmethod
+    def _of_levels(cls, universe, k, levels, pool):
+        """A system on levels that are already canonical and checked: each
+        levels[i], i <= k, a frozenset of sorted i-tuples of pool vertices,
+        built as frozenset(set(edges)) like KSystem() does. Level iteration
+        order feeds RNG draws, and frozenset(edges) iterates differently."""
+        system = cls.__new__(cls)
+        system._adopt(universe, k, levels, pool)
+        return system
 
     @property
     def vertex_pool(self) -> frozenset:
@@ -203,12 +227,10 @@ class KSystem:
         keeping the edges inside the pool; a complex stays closed unchecked."""
         pool = frozenset(vertex_pool)
         levels = {
-            i: [e for e in self.levels.get(i, ()) if pool.issuperset(e)]
+            i: frozenset(set(filter(pool.issuperset, self.level(i))))
             for i in range(self.k + 1)
         }
-        if self.closed:
-            return KComplex(universe, self.k, levels, check=False, vertex_pool=pool)
-        return KSystem(universe, self.k, levels, vertex_pool=pool)
+        return (KComplex if self.closed else KSystem)._of_levels(universe, self.k, levels, pool)
 
 
 class KComplex(KSystem):
@@ -235,14 +257,14 @@ class KComplex(KSystem):
 
 
 def close_down(levels: dict, k: int) -> dict:
-    """Downward closure of leveled edges: add every subset of every edge."""
-    out = {i: set(edge_key(e) for e in levels.get(i, ())) for i in range(k + 1)}
+    """Downward closure of leveled canonical edges: every subset of every
+    edge, as the level frozensets KSystem() would build from it."""
+    out = {i: set(levels.get(i, ())) for i in range(k + 1)}
     for i in range(k, 0, -1):
-        for e in out[i]:
-            for sub in combinations(e, i - 1):
-                out[i - 1].add(sub)
+        out[i - 1].update(chain.from_iterable(map(combinations, out[i], repeat(i - 1))))
     out[0].add(())
-    return out
+    # re-inserted in iteration order, as KSystem() would (see _of_levels)
+    return {i: frozenset(set(iter(s))) for i, s in out.items()}
 
 
 def build_complex(raw_edges, universe: VertexUniverse, k=None, close=True):
@@ -264,14 +286,12 @@ def build_complex(raw_edges, universe: VertexUniverse, k=None, close=True):
         k = max(leveled) if leveled else 0
     if any(i > k for i in leveled):
         raise BadVertex(f"edge level exceeds k={k}")
-    for es in leveled.values():
-        for e in es:
-            for v in e:
-                if not 0 <= v < universe.total:
-                    raise BadVertex(f"vertex {v} outside universe")
-    if close:
-        leveled = close_down(leveled, k)
-    return KComplex(universe, k, leveled, check=not close)
+    if not close:
+        return KComplex(universe, k, leveled)
+    pool = frozenset(universe.vertices())
+    for i, es in leveled.items():
+        _check_edges(es, i, universe, pool)
+    return KComplex._of_levels(universe, k, close_down(leveled, k), pool)
 
 
 class CompleteComplex:
@@ -548,6 +568,8 @@ def is_pf_partite(system, alloc: Allocation) -> bool:
     uni = system.universe
     if alloc.size == 0:
         return all(not system.level(i) for i in range(1, system.k + 1))
+    if alloc.r == uni.r == 1 and alloc.k >= system.k:
+        return True  # every j-edge has index (j,), a prefix of (0, ..., 0)
     for j in range(1, system.k + 1):
         allowed = alloc.prefix_indices(j)
         for e in system.level(j):
@@ -558,88 +580,27 @@ def is_pf_partite(system, alloc: Allocation) -> bool:
 
 @dataclass
 class DegreeSequenceReport:
-    """Exact minimum degree sequences, computed by enumeration."""
+    """Exact minimum degree sequences."""
 
     plain: tuple
     partite: tuple = None
     f_degree: tuple = None
 
 
-def _plain_degrees(system) -> tuple:
-    out = []
-    for i in range(system.k):
-        lower = system.level(i) if i > 0 else frozenset({()})
-        upper = system.level(i + 1)
-        if not lower:
-            out.append(0)
-            continue
-        counts = Counter()
-        for e in upper:
-            for sub in combinations(e, i):
-                counts[sub] += 1
-        out.append(min(counts.get(e, 0) for e in lower))
-    return tuple(out)
-
-
-def _partite_degrees(system) -> tuple:
-    uni = system.universe
-    out = []
-    for j in range(system.k):
-        lower = system.level(j) if j > 0 else frozenset({()})
-        upper = system.level(j + 1)
-        if not lower:
-            out.append(0)
-            continue
-        upper_set = upper
-        best = None
-        for e in lower:
-            used = set(uni.part_of(v) for v in e)
-            for p in range(uni.r):
-                if p in used:
-                    continue
-                cnt = sum(
-                    1
-                    for v in uni.part_vertices(p)
-                    if edge_key(e + (v,)) in upper_set
-                )
-                if best is None or cnt < best:
-                    best = cnt
-        out.append(best if best is not None else 0)
-    return tuple(out)
-
-
-def _f_degrees(system, alloc: Allocation) -> tuple:
-    uni = system.universe
-    out = []
-    patterns = [p for p, _ in alloc.functions]
-    for j in range(system.k):
-        lower = system.level(j) if j > 0 else frozenset({()})
-        upper = system.level(j + 1)
-        by_index = {}
-        for e in lower:
-            by_index.setdefault(index_vector(e, uni), []).append(e)
-        best = None
-        for pattern in patterns:
-            counts = [0] * uni.r
-            for p in pattern[:j]:
-                counts[p] += 1
-            prefix = tuple(counts)
-            target_part = pattern[j]
-            realizers = by_index.get(prefix, [])
-            for e in realizers:
-                cnt = sum(
-                    1
-                    for v in uni.part_vertices(target_part)
-                    if v not in e and edge_key(e + (v,)) in upper
-                )
-                if best is None or cnt < best:
-                    best = cnt
-        out.append(best if best is not None else 0)
-    return tuple(out)
+def _extension_counts(upper, j, part_of=None) -> Counter:
+    """How many (j+1)-edges of `upper` extend each j-edge: keyed by (j-edge,
+    part of the added vertex) when part_of is given, else by the j-edge."""
+    subs = chain.from_iterable(map(combinations, upper, repeat(j)))
+    if part_of is None:
+        return Counter(subs)
+    # the combinations of a sorted (j+1)-tuple drop its vertices last to first
+    added = map(part_of.__getitem__, chain.from_iterable(map(reversed, upper)))
+    return Counter(zip(subs, added))
 
 
 def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSequenceReport:
-    """Exact minimum degree sequences of a system, by full enumeration.
+    """Exact minimum degree sequences of a system, from one counting pass
+    per level.
 
     plain entries are always computed. Partite degrees are included when the
     system is P-partite with r >= 2 (or on demand via partite=True, which
@@ -648,16 +609,44 @@ def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSe
 
     By convention a level with no edges contributes 0.
     """
-    plain = _plain_degrees(system)
-    part = None
-    want_partite = partite
-    if want_partite is None:
-        want_partite = system.universe.r >= 2 and is_p_partite(system)
-    if want_partite:
-        if system.universe.r < 2 or not is_p_partite(system):
-            raise NotPartite("partite degrees need a P-partite system with r >= 2")
-        part = _partite_degrees(system)
-    fdeg = None
-    if alloc is not None:
-        fdeg = _f_degrees(system, alloc)
-    return DegreeSequenceReport(plain=plain, partite=part, f_degree=fdeg)
+    uni = system.universe
+    if partite is None:
+        partite = uni.r >= 2 and is_p_partite(system)
+    elif partite and (uni.r < 2 or not is_p_partite(system)):
+        raise NotPartite("partite degrees need a P-partite system with r >= 2")
+    by_part = uni.r >= 2 and (partite or alloc is not None)
+    plain, part, fdeg = [], [], []
+    for j in range(system.k):
+        lower = system.level(j) if j > 0 else frozenset({()})
+        counts = _extension_counts(system.level(j + 1), j, uni._part_of if by_part else None)
+        total = counts
+        if by_part:
+            total = Counter()
+            for (e, _), c in counts.items():
+                total[e] += c
+        elif alloc is not None:  # one part: every extension adds a part-0 vertex
+            counts = Counter({(e, 0): c for e, c in counts.items()})
+        plain.append(min(map(total.__getitem__, lower)) if lower else 0)
+        if partite:
+            part.append(min(
+                (counts[e, p] for e in lower
+                 for p in set(range(uni.r)).difference(map(uni.part_of, e))),
+                default=0,
+            ))
+        if alloc is not None:
+            by_index = {}
+            for e in lower:
+                by_index.setdefault(index_vector(e, uni), []).append(e)
+            # (prefix index vector, part of the next coordinate) over F
+            steps = {
+                (tuple(f[:j].count(p) for p in range(uni.r)), f[j]) for f, _ in alloc.functions
+            }
+            fdeg.append(min(
+                (counts[e, p] for prefix, p in steps for e in by_index.get(prefix, ())),
+                default=0,
+            ))
+    return DegreeSequenceReport(
+        plain=tuple(plain),
+        partite=tuple(part) if partite else None,
+        f_degree=tuple(fdeg) if alloc is not None else None,
+    )

@@ -20,11 +20,6 @@ from .core import KSystem, VertexUniverse, build_complex
 from .errors import BadVertex
 
 
-def _tokens(line: str) -> list:
-    line = line.split("#", 1)[0].strip()
-    return line.split() if line else []
-
-
 def _positive_int(token: str, what: str, where: str) -> int:
     try:
         value = int(token)
@@ -40,15 +35,21 @@ def parse_khg(text: str):
 
     Every malformed directive raises BadVertex naming its line.
     """
-    lines = [(no, _tokens(l)) for no, l in enumerate(text.splitlines(), 1)]
-    lines = [(no, t) for no, t in lines if t]
+    lines = [
+        (no, toks) for no, line in enumerate(text.splitlines(), 1)
+        if (toks := line.partition("#")[0].split())
+    ]
     if not lines or lines[0][1][:2] != ["khg", "1"]:
         raise BadVertex("missing 'khg 1' header")
     declared = {}                 # "k" and "parts" -> value
     labels, sizes, names = [], [], []
     raw_edges = []                # (line, level, vertex names)
+    edge_tokens = None            # token count of a well-formed top edge line
     for no, toks in lines[1:]:
         key = toks[0]
+        if key == "edge" and len(toks) == edge_tokens == len(set(toks)):
+            raw_edges.append((no, edge_tokens - 1, toks[1:]))
+            continue
         where = f"line {no}"
         if key in ("k", "parts"):
             if len(toks) != 2:
@@ -56,6 +57,8 @@ def parse_khg(text: str):
             if key in declared:
                 raise BadVertex(f"{where}: '{key}' declared twice")
             declared[key] = _positive_int(toks[1], key, where)
+            if key == "k":
+                edge_tokens = declared[key] + 1
         elif key == "part":
             if len(toks) < 2:
                 raise BadVertex(f"{where}: part line without a label")
@@ -102,7 +105,7 @@ def parse_khg(text: str):
     edges = {}
     for no, level, verts in raw_edges:
         try:
-            edges.setdefault(level, []).append(tuple(ids[v] for v in verts))
+            edges.setdefault(level, []).append(tuple(map(ids.__getitem__, verts)))
         except KeyError as exc:
             raise BadVertex(f"line {no}: unknown vertex {exc.args[0]!r}") from None
     return uni, k, edges, names

@@ -318,6 +318,13 @@ def gen_random_dense(
     )
 
 
+def _has_shape(value, shape: str) -> bool:
+    """JSON value check: shape is "int", "number", or "[shape]" for a list."""
+    if shape.startswith("["):
+        return isinstance(value, list) and all(_has_shape(v, shape[1:-1]) for v in value)
+    return type(value) is int or (shape == "number" and type(value) is float)
+
+
 @dataclass
 class GenSpec:
     """JSON-serializable description of a generator invocation."""
@@ -334,6 +341,22 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise BadParams(f"unknown generator kind {self.kind!r}")
+        for name in ("n", "k", "r", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int or (value < 1 and name in ("k", "r")):
+                raise BadParams(f"{name} must be an integer (k and r at least 1), got {value!r}")
+        if not isinstance(self.params, dict):
+            raise BadParams(f"params must be a JSON object, got {self.params!r}")
+
+    def _param(self, name, shape, *default):
+        """params[name] checked against a shape (_has_shape); default[0] when absent."""
+        if name not in self.params:
+            if default:
+                return default[0]
+            raise BadParams(f"a {self.kind} spec needs params.{name}")
+        if not _has_shape(self.params[name], shape):
+            raise BadParams(f"params.{name} must be {shape}, got {self.params[name]!r}")
+        return self.params[name]
 
     @classmethod
     def from_json(cls, data):
@@ -361,12 +384,13 @@ class GenSpec:
         }
 
     def generate(self):
-        p = self.params
+        param = self._param
         if self.kind == "space-barrier":
-            return gen_space_barrier(self.n, self.k, p.get("j", 1), p["s_size"], r=self.r)
+            j, s_size = param("j", "int", 1), param("s_size", "int")
+            return gen_space_barrier(self.n, self.k, j, s_size, r=self.r)
         if self.kind == "divisibility":
             return gen_divisibility_barrier(
-                p["part_sizes"], self.k, p["lattice_generators"]
+                param("part_sizes", "[int]"), self.k, param("lattice_generators", "[[int]]")
             )
         if self.kind == "complete":
             return complete_complex(self.n, self.k, r=self.r)
@@ -376,14 +400,15 @@ class GenSpec:
                 from .core import allocation_from_index_multiset
 
                 allocation = allocation_from_index_multiset(
-                    [tuple(v) for v in p["index_multiset"]]
+                    [tuple(v) for v in param("index_multiset", "[[int]]")]
                 )
+            floor = param("degree_floor", "[int]", None)
             return gen_random_dense(
                 self.n,
                 self.k,
                 r=self.r,
-                p=p.get("p"),
-                degree_floor=tuple(p["degree_floor"]) if "degree_floor" in p else None,
+                p=param("p", "number", None),
+                degree_floor=None if floor is None else tuple(floor),
                 seed=self.seed,
                 allocation=allocation,
             )

@@ -1,10 +1,15 @@
 """Reachability, closed partitions, absorber construction, and absorption."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kmatch.absorbing
 from kmatch.absorbing import (
     AbsorberConfig,
     ReachabilityParams,
@@ -14,6 +19,7 @@ from kmatch.absorbing import (
     reachable_neighborhood,
 )
 from kmatch.core import (
+    KSystem,
     VertexUniverse,
     allocation_from_index_multiset,
     build_complex,
@@ -120,6 +126,19 @@ def test_absorber_budget_exhausted():
     cx = gen_random_dense(30, 3, p=0.9, seed=3)
     cfg = AbsorberConfig(phi=Fraction(3, 10), epsilon=Fraction(1, 10), mu=Fraction(1, 500))
     with pytest.raises(BudgetExhausted):
+        build_absorber(cx, ALLOC3, cfg)
+
+
+def test_absorber_plan_larger_than_pool_fails_before_any_try(monkeypatch):
+    # a t=1 member needs k^2 = 9 vertices; a budget above the 6-vertex pool
+    # (as the pipeline's epsilon_eff gives at n=6) must not start 400 tries
+    def never(*args):
+        raise AssertionError("member construction attempted")
+
+    monkeypatch.setattr(kmatch.absorbing, "_build_absorber_member", never)
+    cx = gen_random_dense(6, 3, p=1.0, seed=0)
+    cfg = AbsorberConfig(epsilon=Fraction(15, 6), family_target=1)
+    with pytest.raises(BudgetExhausted, match="needs 9 vertices, the pool has 6"):
         build_absorber(cx, ALLOC3, cfg)
 
 
@@ -269,3 +288,31 @@ def test_complete_host_links_match_explicit():
     explicit = complete_complex(6, 3)
     assert small.implicit and not explicit.implicit
     assert small.link_map() == explicit.link_map()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    n=st.integers(1, 8),
+    picks=st.lists(st.integers(0, 10 ** 6), max_size=30),
+)
+def test_common_links_equal_pairwise_link_intersections(k, n, picks):
+    # random top levels, empty ones and isolated vertices included
+    cands = list(combinations(range(n), k))
+    top = [cands[i % len(cands)] for i in picks] if cands else []
+    system = KSystem(VertexUniverse.single(n), k, {k: top})
+    links = system.link_map()
+    common = kmatch.absorbing._common_links(system)
+    assert common.shape == (n, n)
+    for u in range(n):
+        for w in range(n):
+            assert common[u, w] == len(links.get(u, set()) & links.get(w, set()))
+
+
+def test_common_links_on_an_implicit_complete_host():
+    host = complete_complex(300, 3).induced(range(8))
+    assert host.implicit
+    common = kmatch.absorbing._common_links(host)
+    assert common[0, 1] == common[6, 7] == math.comb(6, 2)
+    assert common[3, 3] == math.comb(7, 2) and common[8, 9] == 0
+    assert len(closed_partition(host, delta=Fraction(1, 6), alpha=Fraction(1, 100)).parts) == 1

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from kmatch.cli import main
 from kmatch.khg import save_khg
-from kmatch.oracle import gen_divisibility_barrier, gen_random_dense, gen_space_barrier
+from kmatch.oracle import (
+    GenSpec,
+    gen_divisibility_barrier,
+    gen_random_dense,
+    gen_space_barrier,
+)
 
 
 @pytest.fixture()
@@ -227,27 +232,11 @@ _ARGV_OPTIONS = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    command=st.sampled_from(
-        ["decide", "match", "frac", "barriers", "gen", "absorb-demo", "oracle", "nope"]
-    ),
-    target=st.one_of(
-        st.sampled_from([["tiny.khg"], ["spec.json"]]),
-        st.lists(st.sampled_from(_ARGV_FILES), max_size=2),
-    ),
-    options=st.lists(_ARGV_OPTIONS, max_size=3),
-    junk=st.lists(st.text(alphabet="-abx0", max_size=4), max_size=1),
-)
-def test_argv_fuzz_exits_cleanly(command, target, options, junk):
-    # every run happens inside a fresh directory, so gen -o and relative paths
-    # stay in it; "sub" is a directory there, so writing to it must fail cleanly
-    argv = [command, *target]
-    for opt in options:
-        argv += opt if isinstance(opt, list) else [opt]
-    argv += junk
+def _run_isolated(argv, files):
+    """main(argv) inside a fresh directory holding `files` and a directory
+    "sub", so gen -o and relative paths stay in it; (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in _ARGV_FILE_TEXT.items():
+        for name, text in files.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         os.mkdir(os.path.join(tmp, "sub"))
@@ -264,5 +253,71 @@ def test_argv_fuzz_exits_cleanly(command, target, options, junk):
         finally:
             os.chdir(here)
     event(f"exit {code}")
-    assert code in (0, 2, 3), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from(
+        ["decide", "match", "frac", "barriers", "gen", "absorb-demo", "oracle", "nope"]
+    ),
+    target=st.one_of(
+        st.sampled_from([["tiny.khg"], ["spec.json"]]),
+        st.lists(st.sampled_from(_ARGV_FILES), max_size=2),
+    ),
+    options=st.lists(_ARGV_OPTIONS, max_size=3),
+    junk=st.lists(st.text(alphabet="-abx0", max_size=4), max_size=1),
+)
+def test_argv_fuzz_exits_cleanly(command, target, options, junk):
+    # writing to "sub", a directory, must fail cleanly
+    argv = [command, *target]
+    for opt in options:
+        argv += opt if isinstance(opt, list) else [opt]
+    argv += junk
+    code, err = _run_isolated(argv, _ARGV_FILE_TEXT)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+
+
+# small values only: a valid spec must generate in milliseconds
+_SPEC_VALUES = st.one_of(
+    st.integers(-1, 3),
+    st.sampled_from(["x", 2.5, 0.5, None, True, [], [1, 2], [2, 1, 0], [[1, 2], [3, 0]], {"j": 1}]),
+)
+_SPEC_PARAMS = ["j", "s_size", "part_sizes", "lattice_generators", "p", "degree_floor",
+                "index_multiset"]
+_SPECS = st.builds(
+    lambda kind, fields, params: {**kind, **fields, **params},
+    st.sampled_from([{}, {"kind": "nope"}, *({"kind": kind} for kind in GenSpec.KINDS)]),
+    st.dictionaries(st.sampled_from(["n", "k", "r", "seed", "params"]), _SPEC_VALUES, max_size=4),
+    st.one_of(st.just({}), st.builds(
+        lambda p: {"params": p},
+        st.dictionaries(st.sampled_from(_SPEC_PARAMS), _SPEC_VALUES, max_size=4),
+    )),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_SPECS, out=st.sampled_from([[], ["-o", "out.khg"], ["-o", "sub"]]))
+def test_gen_spec_fuzz_exits_cleanly(spec, out):
+    # random subsets of the spec fields, each of a random type
+    argv = ["gen", "fuzz.json", "--json", *out]
+    code, err = _run_isolated(argv, {"fuzz.json": json.dumps(spec)})
+    assert code in (0, 3), (spec, err)
+    assert "Traceback" not in err, spec
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "space-barrier"}, "BadParams: a space-barrier spec needs params.s_size"),
+        ({"kind": "complete", "n": "x"}, "BadParams: n must be an integer"),
+        ({"kind": "divisibility", "params": {"part_sizes": [3, 3], "lattice_generators": [1]}},
+         "BadParams: params.lattice_generators must be [[int]], got [1]"),
+        ({"kind": "complete", "n": 300}, "BadParams: 4455100 top edges are too many"),
+    ],
+)
+def test_gen_spec_field_errors_exit_3(tmp_path, capsys, spec, message):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["gen", str(tmp_path / "spec.json")]) == 3
+    assert message in capsys.readouterr().err

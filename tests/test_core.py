@@ -1,20 +1,24 @@
 """Core data model: complexes, index vectors, degrees, allocations, balance."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmatch.core import (
+    KSystem,
     Matching,
     VertexUniverse,
     allocation_from_index_multiset,
     allocation_properties,
     build_complex,
     degree_sequences,
+    edge_key,
     index_vector,
+    is_p_partite,
     is_pf_partite,
     matching_stats,
     plain_allocation,
@@ -145,6 +149,113 @@ def test_partite_degrees_require_partite_system():
     cx = complete_complex(6, 3)  # r=1: no untouched part to extend into
     with pytest.raises(NotPartite):
         degree_sequences(cx, partite=True)
+
+
+# Reference degrees by direct enumeration, one function per kind: each
+# extension is looked up edge by edge, independently of the counting pass.
+def _plain_degrees(system) -> tuple:
+    out = []
+    for i in range(system.k):
+        lower = system.level(i) if i > 0 else frozenset({()})
+        upper = system.level(i + 1)
+        if not lower:
+            out.append(0)
+            continue
+        counts = Counter()
+        for e in upper:
+            for sub in combinations(e, i):
+                counts[sub] += 1
+        out.append(min(counts.get(e, 0) for e in lower))
+    return tuple(out)
+
+
+def _partite_degrees(system) -> tuple:
+    uni = system.universe
+    out = []
+    for j in range(system.k):
+        lower = system.level(j) if j > 0 else frozenset({()})
+        upper = system.level(j + 1)
+        best = None
+        for e in lower:
+            used = set(uni.part_of(v) for v in e)
+            for p in range(uni.r):
+                if p in used:
+                    continue
+                cnt = sum(1 for v in uni.part_vertices(p) if edge_key(e + (v,)) in upper)
+                if best is None or cnt < best:
+                    best = cnt
+        out.append(best if best is not None else 0)
+    return tuple(out)
+
+
+def _f_degrees(system, alloc) -> tuple:
+    uni = system.universe
+    out = []
+    for j in range(system.k):
+        lower = system.level(j) if j > 0 else frozenset({()})
+        upper = system.level(j + 1)
+        by_index = {}
+        for e in lower:
+            by_index.setdefault(index_vector(e, uni), []).append(e)
+        best = None
+        for pattern, _ in alloc.functions:
+            counts = [0] * uni.r
+            for p in pattern[:j]:
+                counts[p] += 1
+            for e in by_index.get(tuple(counts), []):
+                cnt = sum(
+                    1
+                    for v in uni.part_vertices(pattern[j])
+                    if v not in e and edge_key(e + (v,)) in upper
+                )
+                if best is None or cnt < best:
+                    best = cnt
+        out.append(best if best is not None else 0)
+    return tuple(out)
+
+
+@st.composite
+def _systems_and_allocations(draw):
+    """Closed complexes and bare systems (random, unclosed lower levels) for
+    k in {2, 3, 4} on r in {1, 2, 3} parts, some P-partite, with a random
+    allocation or none."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    r = draw(st.sampled_from([1, 2, 3]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    uni = VertexUniverse(tuple(f"V{j}" for j in range(r)), tuple(sizes))
+    partite = r >= 2 and draw(st.booleans())
+
+    def edges(i, most):
+        cands = [
+            e for e in combinations(uni.vertices(), i)
+            if not partite or len({uni.part_of(v) for v in e}) == i
+        ]
+        return draw(st.lists(st.sampled_from(cands), max_size=most)) if cands else []
+
+    if draw(st.booleans()):
+        system = build_complex({k: edges(k, 16)}, uni, k=k, close=True)
+    else:
+        system = KSystem(uni, k, {i: edges(i, 8 if i < k else 16) for i in range(1, k + 1)})
+    vectors = [v for v in product(range(k + 1), repeat=r) if sum(v) == k]
+    alloc = None
+    if draw(st.booleans()):
+        alloc = allocation_from_index_multiset(
+            draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+        )
+    return system, alloc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems_and_allocations())
+def test_degree_sequences_match_enumeration(case):
+    system, alloc = case
+    rep = degree_sequences(system, alloc)
+    assert rep.plain == _plain_degrees(system)
+    if system.universe.r >= 2 and is_p_partite(system):
+        assert rep.partite == _partite_degrees(system)
+    else:
+        assert rep.partite is None
+    assert rep.f_degree == (None if alloc is None else _f_degrees(system, alloc))
 
 
 def test_allocation_from_index_multiset_r1():

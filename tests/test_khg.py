@@ -1,12 +1,15 @@
 """Text-format round trips and parse failures."""
 
 import os
+import random
 import tempfile
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmatch.core import VertexUniverse, build_complex
 from kmatch.errors import BadVertex, KmatchError
 from kmatch.khg import load_khg, load_khg_system, parse_khg, save_khg
 from kmatch.oracle import gen_divisibility_barrier, gen_space_barrier
@@ -60,6 +63,40 @@ def test_partite_roundtrip(tmp_path):
     back = load_khg_system(path)
     assert back.level(3) == H.level(3)
     assert back.universe.part_labels == ("A", "B")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 10 ** 6), max_size=25),
+    seed=st.integers(0, 10 ** 6),
+)
+def test_messy_khg_loads_like_build_complex(picks, seed):
+    # unsorted vertices inside lines, shuffled lines, comments, blank and
+    # repeated edges: the loaded levels equal build_complex on the same edges
+    rng = random.Random(seed)
+    names = ["b2", "a1", "c3", "a0", "z9", "m5", "k7"]
+    cands = list(combinations(range(7), 3))
+    edges = [cands[i % len(cands)] for i in picks]
+    body = ["# a comment line", "", "edge@2 " + " ".join(names[5:3:-1])]
+    for e in edges + edges[: len(edges) // 2]:
+        verts = [names[v] for v in e]
+        rng.shuffle(verts)
+        body.append("edge " + " ".join(verts) + rng.choice(["", "  # note", "\t#"]))
+    body.append("parts 2")
+    rng.shuffle(body)
+    # part lines go anywhere after k, in part order
+    at_a, at_b = sorted(rng.randint(0, len(body)) for _ in range(2))
+    body.insert(at_b, "part B 3 : " + " ".join(names[4:]))
+    body.insert(at_a, "part A 4: " + " ".join(names[:4]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "messy.khg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(["khg 1", "  # header comment", "k 3"] + body) + "\n")
+        loaded = load_khg(path)
+    uni = VertexUniverse(("A", "B"), (4, 3))
+    expected = build_complex({3: edges, 2: [(4, 5)]}, uni, k=3)
+    assert loaded.universe == uni
+    assert all(loaded.level(i) == expected.level(i) for i in range(4))
 
 
 _NAMES = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "x"]), max_size=5)
