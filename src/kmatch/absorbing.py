@@ -4,17 +4,19 @@ routine that upgrades an almost-perfect matching to a perfect one.
 Absorbers are t*k^2-sets built around reachability witnesses: for a target
 k-set pattern, one host edge plus per-coordinate witness sets whose unions
 with either endpoint of a reachable pair are perfectly matchable. Every
-membership and absorption claim is checked exactly (brute force at these
-sizes) before it is trusted.
+membership and absorption claim is checked exactly before it is trusted (a
+bitmask search, or brute force where the matching itself is recorded).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -134,13 +136,54 @@ def _induced_top(system, vertices):
     return list(filter(has, combinations(sorted(vertices), system.k)))
 
 
+@functools.cache
+def _subset_table(nv, k):
+    """(getter, bitmask, least position) of each k-subset of positions
+    0..nv-1; the getter picks the subset out of a sorted vertex list as a
+    canonical edge."""
+    return tuple((itemgetter(*c) if k > 1 else lambda verts, i=c[0]: (verts[i],),
+                  sum(1 << i for i in c), c[0]) for c in combinations(range(nv), k))
+
+
 def _set_matchable(system, vertices) -> bool:
-    """Does the induced subgraph on these vertices have a perfect matching?"""
+    """Does the induced subgraph on these vertices have a perfect matching?
+
+    Exact: a bitmask depth-first search covers the least uncovered vertex
+    first and memoizes the uncovered sets that failed. The edges are the
+    k-subsets of the sorted vertices in the top level (has_top when implicit).
+    """
     verts = sorted(vertices)
-    if len(verts) % system.k:
+    nv, k = len(verts), system.k
+    if nv % k:
         return False
-    edges = _induced_top(system, verts)
-    return brute_force_pm(edges, vertices=verts, cap=max(len(verts), 15)) is not None
+    has = system.has_top if system.implicit else system.top.__contains__
+    starting = [[] for _ in range(nv)]  # position -> masks of the edges it is least in
+    for get, mask, low in _subset_table(nv, k):
+        if has(get(verts)):
+            starting[low].append(mask)
+    failed = set()
+
+    def cover(left):
+        if not left or left in failed:
+            return not left
+        low = (left & -left).bit_length() - 1
+        if any(m & left == m and cover(left ^ m) for m in starting[low]):
+            return True
+        failed.add(left)
+        return False
+
+    return cover((1 << nv) - 1)
+
+
+def _shared_witness(system, pool, u, v, size, rng, tries):
+    """Is one of `tries` sampled size-sets of the pool without u and v a
+    witness for both, its union with either matchable? None when the pool
+    is too small."""
+    others = [w for w in pool if w not in (u, v)]
+    if len(others) < size:
+        return None
+    return any(_set_matchable(system, s + [u]) and _set_matchable(system, s + [v])
+               for s in (rng.sample(others, size) for _ in range(tries)))
 
 
 @dataclass
@@ -304,25 +347,15 @@ def closed_partition(
 def _sampled_cross_reach(system, comp_a, comp_b, rng, samples=6, witnesses=30) -> bool:
     """Do sampled cross pairs share 2-step witnesses? (2k-1 sets whose union
     with either vertex is matchable)."""
-    k = system.k
     pool = sorted(system.vertex_pool)
-    hits = 0
-    trials = 0
+    found = []
     for _ in range(samples):
         u = comp_a[rng.randrange(len(comp_a))]
         v = comp_b[rng.randrange(len(comp_b))]
-        others = [w for w in pool if w not in (u, v)]
-        if len(others) < 2 * k - 1:
+        found.append(_shared_witness(system, pool, u, v, 2 * system.k - 1, rng, witnesses))
+        if found[-1] is None:
             return False
-        found = False
-        for _ in range(witnesses):
-            s = rng.sample(others, 2 * k - 1)
-            if _set_matchable(system, s + [u]) and _set_matchable(system, s + [v]):
-                found = True
-                break
-        trials += 1
-        hits += found
-    return trials > 0 and hits == trials
+    return bool(found) and all(found)
 
 
 def _audit_part(system, part, t, rng, samples, common) -> float:
@@ -330,9 +363,7 @@ def _audit_part(system, part, t, rng, samples, common) -> float:
     with a witness set of size t*k-1 (for t=1, a common link in `common`)."""
     if len(part) < 2:
         return 1.0
-    k = system.k
     pool = sorted(system.vertex_pool)
-    size = t * k - 1
     hits = 0
     trials = min(samples, len(part) * (len(part) - 1) // 2)
     if t == 1:
@@ -342,15 +373,9 @@ def _audit_part(system, part, t, rng, samples, common) -> float:
         return hits / trials if trials else 1.0
     for _ in range(trials):
         u, v = rng.sample(part, 2)
-        others = [w for w in pool if w not in (u, v)]
-        if len(others) < size:
+        found = _shared_witness(system, pool, u, v, t * system.k - 1, rng, 40)
+        if found is None:
             return 0.0
-        found = False
-        for _ in range(40):
-            s = rng.sample(others, size)
-            if _set_matchable(system, s + [u]) and _set_matchable(system, s + [v]):
-                found = True
-                break
         hits += found
     return hits / trials if trials else 1.0
 
@@ -791,13 +816,8 @@ def _audit_coverage(system, members, vectors, part_lookup, dim, used, rng, confi
             if target is None:
                 continue
             trials += 1
-            absorbing = 0
-            for s in members:
-                if _absorbs(system, s, target) is not None:
-                    absorbing += 1
-                    if absorbing >= config.coverage_min:
-                        break
-            hits += absorbing >= config.coverage_min
+            absorbing = (s for s in members if _set_matchable(system, s + tuple(target)))
+            hits += len(list(islice(absorbing, config.coverage_min))) >= config.coverage_min
         rate = hits / trials if trials else 0.0
         coverage["per_vector"]["_".join(map(str, vec))] = {
             "trials": trials,

@@ -4,11 +4,14 @@ Searches are heuristic outside the exhaustive range and say so; verifiers
 recompute everything from scratch so a returned certificate never depends on
 search-time state.
 
-The exhaustive searches are flat enumerations: the space search walks the
-product of per-part planted-set combinations; the divisibility search holds
-every set partition into at most k parts as one array of label rows, counts
-the robust vectors of a chunk of rows with one `np.bincount`, and judges each
-distinct (part count, robust set) once.
+The exhaustive searches are array kernels over flat enumerations. The space
+search walks the product of per-part planted-set combinations in blocks that
+double in size, counting the (p+1)-edges inside every set of a block at once
+on a boolean indicator block. The divisibility search holds every set
+partition into at most k parts with no part below the minimum size as one
+array of label rows (prefixes that cannot reach the size are never grown),
+counts the robust vectors of a chunk of rows with one `np.bincount`, and
+judges each distinct (part count, robust set) once.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .lattice import (
 
 SPACE_EXHAUSTIVE_LIMIT = 14      # exhaust all S when the pool is at most this
 SPACE_RESTARTS = 20              # local-search restarts per p above that size
+SPACE_FIRST_BLOCK = 16           # planted sets counted at once first; blocks double
 DIV_EXHAUSTIVE_LIMIT = 12        # exhaust set partitions up to this pool size
 DIV_CHUNK_ROWS = 4096           # partitions whose robust codes are counted at once
 
@@ -127,6 +131,32 @@ def verify_space_barrier(system, cert: SpaceBarrierCert) -> bool:
     return count <= cert.threshold
 
 
+def _first_sparse_planted(system, per_part, want, p, threshold, limit):
+    """The first planted set, in product-of-combinations order over the parts,
+    with at most `threshold` (p+1)-edges inside, among the first `limit` sets,
+    as (chosen sets, inside, count) or None; and the number of planted sets.
+    A block of sets is counted at once: an edge lies inside a set when all of
+    its vertices do. Blocks double from SPACE_FIRST_BLOCK, so an early hit
+    stays cheap."""
+    total = math.prod(math.comb(len(avail), want) for avail in per_part)
+    planted = product(*(combinations(avail, want) for avail in per_part))
+    unit = np.eye(system.universe.total, dtype=bool)
+    edges = np.fromiter(chain.from_iterable(system.level(p + 1)), dtype=np.intp)
+    edges = edges.reshape(-1, p + 1)
+    start, block = 0, SPACE_FIRST_BLOCK
+    while start < min(total, limit):
+        sets = list(islice(planted, min(block, limit - start)))
+        ids = np.fromiter(chain.from_iterable(chain.from_iterable(sets)), dtype=np.intp)
+        inside = unit[ids.reshape(len(sets), -1)].any(axis=1)
+        counts = inside[:, edges].all(axis=2).sum(axis=1)
+        hits = np.flatnonzero(counts <= math.floor(threshold))
+        if len(hits):
+            chosen = sets[hits[0]]
+            return (chosen, frozenset(chain(*chosen)), int(counts[hits[0]])), total
+        start, block = start + len(sets), 2 * block
+    return None, total
+
+
 def space_barrier_search(system, beta, budget=None, seed: int = 0):
     """Look for a space-barrier certificate at every p.
 
@@ -140,6 +170,7 @@ def space_barrier_search(system, beta, budget=None, seed: int = 0):
     uni = system.universe
     if budget == 0:
         return None
+    budget = math.inf if budget is None else budget
     evaluations = 0
     exhaustive = len(system.vertex_pool) <= SPACE_EXHAUSTIVE_LIMIT
     rng = random.Random(seed)
@@ -154,15 +185,11 @@ def space_barrier_search(system, beta, budget=None, seed: int = 0):
             continue
         found = None
         if exhaustive:
-            for chosen in product(*(combinations(avail, want) for avail in per_part)):
-                evaluations += 1
-                if budget is not None and evaluations > budget:
-                    return None
-                inside = frozenset(v for s in chosen for v in s)
-                cnt = _count_inside(system, p + 1, inside)
-                if cnt <= threshold:
-                    found = chosen, inside, cnt
-                    break
+            found, tried = _first_sparse_planted(
+                system, per_part, want, p, threshold, budget - evaluations)
+            evaluations += tried
+            if found is None and evaluations > budget:
+                return None
         else:
             for _ in range(SPACE_RESTARTS):
                 chosen = [rng.sample(avail, want) for avail in per_part]
@@ -170,7 +197,7 @@ def space_barrier_search(system, beta, budget=None, seed: int = 0):
                 cnt = _count_inside(system, p + 1, inside)
                 for _ in range(200 * n):
                     evaluations += 1
-                    if budget is not None and evaluations > budget:
+                    if evaluations > budget:
                         return None
                     if cnt <= threshold:
                         break
@@ -274,23 +301,31 @@ def verify_divisibility_barrier(system, cert: DivBarrierCert) -> bool:
     return (not complete) and transferral is None
 
 
-def _labelings(n: int, k: int):
-    """Every set partition of n items into at most k classes, as restricted
-    growth label rows (item i is in class row[i]; each row's first item of
-    class c follows the first of class c - 1) in lexicographic order.
+def _labelings(n: int, k: int, min_size: int):
+    """Every set partition of n items into at most k classes of at least
+    min_size items each, as restricted growth label rows (item i is in class
+    row[i]; each row's first item of class c follows the first of class
+    c - 1) in lexicographic order.
 
-    Returns the (rows, n) int8 label array and each row's class count.
+    A prefix is dropped as soon as its classes lack more items than remain
+    to place, so only rows that can still meet min_size are grown. Returns
+    the (rows, n) int8 label array and each row's class count.
     """
     labels = np.zeros((1, 0), dtype=np.int8)
     classes = np.zeros(1, dtype=np.int64)
+    short = np.zeros((1, k), dtype=np.int64)   # items each class still lacks
     for i in range(n):
         fan = np.minimum(classes + 1, k)          # labels 0..fan-1 may follow
         parent = np.repeat(np.arange(len(labels)), fan)
         label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
-        grown = np.empty((len(parent), i + 1), dtype=np.int8)
-        grown[:, :i] = labels[parent]
-        grown[:, i] = label
-        labels, classes = grown, np.maximum(classes[parent], label + 1)
+        rows = np.arange(len(parent))
+        classes, short = classes[parent], short[parent]
+        # a new class (label == classes) lacks min_size - 1 items, an old one one fewer
+        lacking = np.where(label == classes, min_size - 1, short[rows, label] - 1)
+        short[rows, label] = lacking.clip(0)
+        keep = short.sum(axis=1) <= n - i - 1
+        grown = np.column_stack([labels[parent], label]).astype(np.int8)
+        labels, classes, short = grown[keep], np.maximum(classes, label + 1)[keep], short[keep]
     return labels, classes
 
 
@@ -336,11 +371,7 @@ def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None)
     edges = np.array([[pos[v] for v in e] for e in system.iter_top()], dtype=np.intp)
     if not len(edges):
         return None
-    labels, classes = _labelings(n, k)
-    keep = np.ones(len(labels), dtype=bool)
-    for c in range(k):
-        keep &= (classes <= c) | ((labels == c).sum(axis=1) >= min_part_size)
-    labels, classes = labels[keep], classes[keep]
+    labels, classes = _labelings(n, k, min_part_size)
 
     # An edge's robust code is its index vector read in base k + 1, the sum
     # of (k + 1) ** label over its vertices; a vector is robust when at least

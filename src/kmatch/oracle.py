@@ -3,8 +3,8 @@
 The solvers here are deliberately independent of the production code paths
 they cross-check: the perfect-matching search is exhaustive backtracking with
 bitmask memoization, and the fractional-feasibility oracle is a second,
-self-contained dense-tableau simplex with a different pivot rule than the
-production solver.
+self-contained dense-tableau simplex (fraction-free, in integers) with a
+different pivot rule than the production solver.
 """
 
 from __future__ import annotations
@@ -114,79 +114,68 @@ def brute_force_pm(host, vertices=None, cap=BRUTE_PM_CAP):
 
 # --- independent dense-tableau feasibility oracle ---------------------------
 
+def _bareiss(row, prow, p, f, d):
+    """(p*a - f*q) // d for each entry a of a row and q of the pivot row. The
+    division is exact (Bareiss); floor remainders are never negative, so the
+    sums agree only when all of them are zero."""
+    if not f and p == d:
+        return row
+    new = [p * a - f * q for a, q in zip(row, prow)]
+    out = [x // d for x in new]
+    if sum(new) != d * sum(out):
+        raise ArithmeticError("inexact fraction-free division")
+    return out
+
+
 def _dense_phase1(columns, b):
-    """Phase-1 simplex on equality constraints Ax = b, x >= 0, dense tableau.
+    """Phase-1 simplex on equality constraints Ax = b, x >= 0, on a dense
+    fraction-free (Edmonds-Bareiss) integer tableau.
+
+    Every row (right-hand side last) and the cost row (objective last) share
+    one denominator d, the previous pivot: the tableau is T / d. A pivot on
+    p = T[r][s] rewrites each other row by _bareiss, f its entry in column s,
+    and d becomes p. Input with fractions is first scaled by one common lcm.
 
     Entering rule: most negative reduced cost, leftmost on ties; leaving rule:
-    smallest ratio with the highest-index basic variable on ties (a fixed
-    total order, so the rule is Bland-style and cannot cycle). Returns
-    (feasible, solution list).
+    smallest ratio (cross-multiplied) with the highest-index basic variable on
+    ties (a fixed total order, so the rule is Bland-style and cannot cycle).
+    Returns (feasible, solution list).
     """
-    m = len(b)
-    ncols = len(columns)
-    tab = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(col.get(i, 0)) for col in columns]
-        bi = Fraction(b[i])
-        if bi < 0:
-            row = [-a for a in row]
-            bi = -bi
-        row.extend(Fraction(1) if t == i else Fraction(0) for t in range(m))
-        tab.append(row)
-        rhs.append(bi)
-    basis = [ncols + i for i in range(m)]
+    m, ncols = len(b), len(columns)
     total = ncols + m
-    cost = [Fraction(0)] * total
-    for j in range(total):
-        s = sum(tab[i][j] for i in range(m))
-        cj = Fraction(1) if j >= ncols else Fraction(0)
-        cost[j] = cj - s
-    z = -sum(rhs, Fraction(0))
-
+    b = [Fraction(x) for x in b]
+    columns = [{i: Fraction(a) for i, a in col.items()} for col in columns]
+    scale = math.lcm(*(a.denominator for col in columns for a in col.values()),
+                     *(x.denominator for x in b))
+    tab = []
+    for i in range(m):
+        sign = -scale if b[i] < 0 else scale
+        tab.append([int(col.get(i, 0) * sign) for col in columns]
+                   + [int(t == i) for t in range(m)] + [int(b[i] * sign)])
+    # reduced phase-1 costs: 1 on artificials minus the column sums; last, -sum(b)
+    cost = [int(ncols <= j < total) - sum(col) for j, col in enumerate(zip(*tab))]
+    basis = list(range(ncols, total))
+    d = 1
     while True:
-        enter = None
-        best = Fraction(0)
-        for j in range(total):
-            if cost[j] < best:
-                best = cost[j]
-                enter = j
-        if enter is None:
+        enter = min(range(total), key=cost.__getitem__)
+        if cost[enter] >= 0:
             break
-        leave = None
-        best_ratio = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = rhs[i] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] > basis[leave]
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave is None:
+        rows = [i for i in range(m) if tab[i][enter] > 0]
+        if not rows:
             raise ArithmeticError("phase-1 objective unbounded; constraints corrupt")
-        piv = tab[leave][enter]
-        tab[leave] = [a / piv for a in tab[leave]]
-        rhs[leave] = rhs[leave] / piv
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * p for a, p in zip(tab[i], tab[leave])]
-                rhs[i] -= f * rhs[leave]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * p for a, p in zip(cost, tab[leave])]
-            z -= f * rhs[leave]
-        basis[leave] = enter
+        leave = rows[0]
+        for i in rows[1:]:
+            mine, best = tab[i][-1] * tab[leave][enter], tab[leave][-1] * tab[i][enter]
+            if mine < best or (mine == best and basis[i] > basis[leave]):
+                leave = i
+        prow, p = tab[leave], tab[leave][enter]
+        tab = [row if i == leave else _bareiss(row, prow, p, row[enter], d)
+               for i, row in enumerate(tab)]
+        cost = _bareiss(cost, prow, p, cost[enter], d)
+        basis[leave], d = enter, p
 
-    feasible = z == 0
-    solution = [Fraction(0)] * ncols
-    if feasible:
-        for i, var in enumerate(basis):
-            if var < ncols:
-                solution[var] = rhs[i]
-    return feasible, solution
+    value = {var: Fraction(row[-1], d) for var, row in zip(basis, tab)} if cost[-1] == 0 else {}
+    return cost[-1] == 0, [value.get(j, Fraction(0)) for j in range(ncols)]
 
 
 def brute_force_fractional(host, cap=BRUTE_FRACTIONAL_CAP, with_solution=False):

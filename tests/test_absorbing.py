@@ -19,6 +19,7 @@ from kmatch.absorbing import (
     reachable_neighborhood,
 )
 from kmatch.core import (
+    CompleteComplex,
     KSystem,
     VertexUniverse,
     allocation_from_index_multiset,
@@ -316,3 +317,36 @@ def test_common_links_on_an_implicit_complete_host():
     assert common[0, 1] == common[6, 7] == math.comb(6, 2)
     assert common[3, 3] == math.comb(7, 2) and common[8, 9] == 0
     assert len(closed_partition(host, delta=Fraction(1, 6), alpha=Fraction(1, 100)).parts) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    implicit=st.booleans(),
+    density=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+    seed=st.integers(0, 10 ** 6),
+    vertices=st.lists(st.integers(0, 13), max_size=12, unique=True),
+)
+def test_set_matchable_agrees_with_brute_force(k, implicit, density, seed, vertices):
+    # the empty set and sizes that k does not divide are drawn too
+    uni = VertexUniverse.single(14)
+    if implicit:
+        host = CompleteComplex(uni, k)
+    else:
+        rng = random.Random(seed)
+        top = [e for e in combinations(range(14), k) if rng.random() < density]
+        host = KSystem(uni, k, {k: top})
+    verts = sorted(vertices)
+    edges = [e for e in combinations(verts, k) if host.has_top(e)]
+    want = brute_force_pm(edges, vertices=verts, cap=15) is not None
+    assert kmatch.absorbing._set_matchable(host, vertices) == want
+
+
+def test_set_matchable_edge_cases():
+    host = complete_complex(9, 3)
+    assert kmatch.absorbing._set_matchable(host, [])
+    assert not kmatch.absorbing._set_matchable(host, [0, 1, 2, 3])
+    assert kmatch.absorbing._set_matchable(host, range(9))
+    singles = KSystem(VertexUniverse.single(4), 1, {1: [(0,), (2,), (3,)]})
+    assert kmatch.absorbing._set_matchable(singles, [0, 2, 3])
+    assert not kmatch.absorbing._set_matchable(singles, [0, 1])

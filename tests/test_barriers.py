@@ -1,18 +1,22 @@
 """Barrier search and verification against independent exhaustion oracles."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
+import numpy as np
 import pytest
 
 from kmatch.barriers import (
     DivBarrierCert,
+    _count_inside,
+    _labelings,
     SpaceBarrierCert,
     divisibility_barrier_search,
     space_barrier_search,
     verify_divisibility_barrier,
     verify_space_barrier,
 )
+from kmatch.core import VertexUniverse, build_complex
 from kmatch.errors import MalformedCert
 from kmatch.oracle import (
     complete_complex,
@@ -252,3 +256,85 @@ def test_space_budget_counts_planted_sets():
     cert = space_barrier_search(cx, beta, budget=tried)
     assert (cert.p, cert.part_sets) == (hit[0], (hit[1],))
     assert space_barrier_search(cx, beta, budget=tried - 1) is None
+
+
+def first_sparse_by_count_inside(system, beta):
+    """Reference: the first planted set the exhaustive space search should
+    return, by a plain loop over _count_inside in product-of-combinations
+    order; (p, sets, count, number of sets tried before it), or the total
+    number of planted sets when none is sparse."""
+    uni = system.universe
+    n = uni.part_sizes[0]
+    tried = 0
+    for p in range(1, system.k):
+        want = p * n // system.k
+        threshold = beta * Fraction(n) ** (p + 1)
+        per_part = [list(uni.part_vertices(j)) for j in range(uni.r)]
+        for chosen in product(*(combinations(avail, want) for avail in per_part)):
+            count = _count_inside(system, p + 1, frozenset(chain.from_iterable(chosen)))
+            if count <= threshold:
+                return p, chosen, count, tried
+            tried += 1
+    return tried
+
+
+def test_exhaustive_space_search_matches_count_inside_loop():
+    seen = set()
+    hosts = [gen_space_barrier(n, 3, j, s, r=r)
+             for r, n in ((1, 9), (1, 12), (2, 5), (2, 6)) for j in (1, 2) for s in (2, 4)]
+    hosts += [gen_random_dense(n, 3, r=r, p=p, seed=s, max_tries=1)
+              for r, n in ((1, 9), (2, 6)) for p in (0.5, 0.9) for s in (1, 2)]
+    # one sparse planted set at each side of the first two block edges
+    # (blocks of 16, then 32 sets): the t-th triple, the only one spanning no 2-edge
+    triples = list(combinations(range(9), 3))
+    for t in (15, 16, 47, 48):
+        planted = set(triples[t])
+        hosts.append(build_complex([e for e in triples if len(planted.intersection(e)) <= 1],
+                                   VertexUniverse.single(9), k=3))
+    hits = set()
+    for cx in hosts:
+        for beta in (Fraction(1, 100), Fraction(1, 8)):
+            ref = first_sparse_by_count_inside(cx, beta)
+            if isinstance(ref, int):
+                assert space_barrier_search(cx, beta) is None
+                assert space_barrier_search(cx, beta, budget=ref) is None
+                continue
+            p, chosen, count, index = ref
+            cert = space_barrier_search(cx, beta, budget=index + 1)
+            assert cert.exhaustive and cert.p == p and cert.edge_count == count
+            assert cert.part_sets == tuple(tuple(sorted(s)) for s in chosen)
+            assert space_barrier_search(cx, beta, budget=index) is None
+            seen.add((cx.universe.r, p))
+            hits.add(index)
+    assert seen == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert {15, 16, 47, 48} <= hits
+
+
+def filtered_labelings(n, k, min_size):
+    """Reference: every restricted growth label row with at most k classes,
+    grown one item at a time, then filtered by class size."""
+    labels = np.zeros((1, 0), dtype=np.int8)
+    classes = np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        fan = np.minimum(classes + 1, k)
+        parent = np.repeat(np.arange(len(labels)), fan)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        grown = np.empty((len(parent), i + 1), dtype=np.int8)
+        grown[:, :i] = labels[parent]
+        grown[:, i] = label
+        labels, classes = grown, np.maximum(classes[parent], label + 1)
+    keep = np.ones(len(labels), dtype=bool)
+    for c in range(k):
+        keep &= (classes <= c) | ((labels == c).sum(axis=1) >= min_size)
+    return labels[keep], classes[keep]
+
+
+def test_pruned_labelings_equal_filtered_rows():
+    for n in range(11):
+        for k in range(1, 5):
+            for min_size in range(6):
+                labels, classes = _labelings(n, k, min_size)
+                want_labels, want_classes = filtered_labelings(n, k, min_size)
+                assert labels.shape == want_labels.shape, (n, k, min_size)
+                assert np.array_equal(labels, want_labels)
+                assert np.array_equal(classes, want_classes)

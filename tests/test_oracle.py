@@ -1,13 +1,25 @@
 """Brute-force solvers and instance generators."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from kmatch.core import VertexUniverse, build_complex, degree_sequences, index_vector
+from kmatch.core import (
+    VertexUniverse,
+    build_complex,
+    degree_sequences,
+    index_vector,
+    plain_allocation,
+)
 from kmatch.errors import BadParams, TooLarge, Unsatisfiable
+from kmatch.fractional import FractionalMatching, build_lp, verify_fractional
 from kmatch.lattice import generate_lattice, lattice_contains
 from kmatch.oracle import (
+    _dense_phase1,
     GenSpec,
     brute_force_fractional,
     brute_force_pm,
@@ -16,6 +28,7 @@ from kmatch.oracle import (
     gen_random_dense,
     gen_space_barrier,
 )
+from kmatch.simplex import solve_equality_feasibility
 
 
 def test_brute_pm_complete():
@@ -161,3 +174,45 @@ def test_genspec_roundtrip_and_dispatch():
     assert degree_sequences(cx).plain[1] == 5
     with pytest.raises(BadParams):
         GenSpec(kind="nonsense")
+
+
+def row_sums(columns, x, rows):
+    """A x for sparse columns [(row, coefficient), ...] and a dense x."""
+    sums = [Fraction(0)] * rows
+    for col, xj in zip(columns, x):
+        for i, a in col:
+            sums[i] += a * xj
+    return sums
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dense_oracle_agrees_with_the_checked_simplex(data):
+    k = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(k, 10))
+    top = data.draw(st.sets(st.sampled_from(list(combinations(range(n), k))),
+                            min_size=1, max_size=25))
+    cx = build_complex(sorted(top), VertexUniverse.single(n), k=k, close=True)
+    model = build_lp(cx, plain_allocation(k))
+    rows = model.num_rows
+    res = solve_equality_feasibility(model.columns, model.b)
+    feasible, weights = brute_force_fractional(cx, with_solution=True)
+    event(f"feasible={feasible}")
+    assert feasible == res.feasible
+    if feasible:
+        point = [res.solution.get(j, 0) for j in range(model.num_cols)]
+        assert min(point) >= 0 and row_sums(model.columns, point, rows) == model.b
+        assert verify_fractional(cx, FractionalMatching(host=cx, weights=weights))["ok"]
+    else:
+        y = res.certificate
+        assert all(sum(y[i] * a for i, a in col) <= 0 for col in model.columns)
+        assert sum(yi * bi for yi, bi in zip(y, model.b)) > 0
+    # scaling a row by a nonzero fraction changes no solution; the oracle
+    # clears the denominators with one common lcm
+    scales = [Fraction(data.draw(st.integers(-5, 5).filter(bool)), data.draw(st.integers(1, 6)))
+              for _ in range(rows)]
+    columns = [{i: a * scales[i] for i, a in col} for col in model.columns]
+    scaled, sol = _dense_phase1(columns, [bi * c for bi, c in zip(model.b, scales)])
+    assert scaled == feasible
+    if feasible:
+        assert min(sol) >= 0 and row_sums(model.columns, sol, rows) == model.b
