@@ -9,6 +9,7 @@ document, byte-reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -242,6 +243,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kmatch",

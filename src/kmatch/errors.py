@@ -88,7 +88,7 @@ class BadFamily(KmatchError):
 
 
 class TooLarge(KmatchError):
-    """Instance exceeds the configured brute-force cap."""
+    """Instance exceeds a size cap: brute force, or explicit levels for decide."""
 
 
 class BadParams(KmatchError):

@@ -82,7 +82,7 @@ def build_lp(system, alloc: Allocation) -> LPModel:
     columns = []
     for e in edges:
         col = [(vertex_rows[v], ONE) for v in e]
-        vec = index_vector(e, uni)
+        vec = index_vector(e, uni) if balance_pairs else None
         for t, (va, vb) in enumerate(balance_pairs):
             if vec == va:
                 col.append((nrows + t, Fraction(1, alloc.multiplicity(va))))

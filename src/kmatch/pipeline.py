@@ -46,6 +46,7 @@ from .errors import (
     EmptyTopLevel,
     KmatchError,
     PreconditionFailed,
+    TooLarge,
 )
 from .fractional import (
     PairWeights,
@@ -587,8 +588,11 @@ def _ensure_complex(system):
 def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
     """Cheap barrier searches first, then the matching pipeline; the first
     verified certificate wins. Small instances carry a brute-force
-    cross-check in the diagnostics."""
+    cross-check in the diagnostics. The barrier searches read explicit
+    levels, so an implicit host raises TooLarge."""
     config = config or PipelineConfig()
+    if system.implicit:
+        raise TooLarge(f"decide needs explicit levels, not {system.top_count()} implicit top edges")
     system = _ensure_complex(system)
     k = system.k
     if alloc is None:

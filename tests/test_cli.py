@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from kmatch.cli import main
+from kmatch.cli import build_parser, main
 from kmatch.khg import save_khg
 from kmatch.oracle import (
     GenSpec,
@@ -66,6 +66,20 @@ def test_frac_command(instances, capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["completed"] and blob["extracted"] == 3 and blob["all_exact"]
+
+
+def test_one_parser_leaks_no_options_between_calls(instances, capsys):
+    # main reuses one parser per process; flags of one call must not stay set
+    # for the next
+    assert build_parser() is build_parser()
+    _, out = run_cli(capsys, "frac", instances["dense"], "--ell", "1", "--json", "--weights")
+    assert "matchings" in json.loads(out)
+    _, out = run_cli(capsys, "frac", instances["dense"], "--ell", "1", "--json")
+    assert "matchings" not in json.loads(out)
+    _, out = run_cli(capsys, "decide", instances["div"], "--json", "--no-verify")
+    assert "reverified" not in json.loads(out)["diagnostics"]
+    _, out = run_cli(capsys, "decide", instances["div"], "--json")
+    assert json.loads(out)["diagnostics"]["reverified"] is True
 
 
 def test_barriers_command(instances, capsys):

@@ -1,11 +1,12 @@
 """Pipeline orchestration: certificates, modes, and reproducibility."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from kmatch.core import Matching, plain_allocation, validate_matching
-from kmatch.errors import BadFamily, BadParams
+from kmatch.errors import BadFamily, BadParams, TooLarge
 from kmatch.fractional import FractionalMatching, extract_weight_disjoint
 from kmatch.oracle import (
     brute_force_pm,
@@ -214,3 +215,12 @@ def test_absorb_programming_error_propagates(monkeypatch):
     monkeypatch.setattr(pipeline, "absorb", broken)
     with pytest.raises(RuntimeError, match="bug inside absorb"):
         run_matching_pipeline(complete_complex(30, 3), None, PipelineConfig(seed=1))
+
+
+def test_decide_rejects_an_implicit_host():
+    # C(60, 4) top edges are past the explicit limit; the barrier searches
+    # need explicit levels, so decide refuses with a typed error
+    host = complete_complex(60, 4)
+    assert host.implicit
+    with pytest.raises(TooLarge, match=str(math.comb(60, 4))):
+        decide(host)

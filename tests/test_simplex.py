@@ -1,14 +1,22 @@
 """The exact phase-1 simplex called directly: float-guided warm start, cold
 restarts, exact points and exactly checked Farkas certificates."""
 
+import hashlib
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kmatch.simplex as simplex
-from kmatch.core import VertexUniverse, build_complex, plain_allocation
+from kmatch.core import (
+    VertexUniverse,
+    allocation_from_index_multiset,
+    build_complex,
+    plain_allocation,
+)
 from kmatch.fractional import build_lp
 from kmatch.oracle import brute_force_fractional, gen_random_dense
 from kmatch.simplex import solve_equality_feasibility
@@ -121,13 +129,88 @@ def test_verdict_agrees_with_dense_oracle(data):
     raw = data.draw(st.sets(triples.filter(lambda e: len(set(e)) == 3), min_size=1, max_size=30))
     cx = build_complex(list(raw), VertexUniverse.single(n), close=True)
     model = build_lp(cx, ALLOC3)
-    # negating a row changes nothing about feasibility
+    # negating a row, or scaling it by a positive fraction, changes nothing
+    # about feasibility
     flips = data.draw(st.lists(st.booleans(), min_size=model.num_rows, max_size=model.num_rows))
-    columns = [[(i, -a if flips[i] else a) for i, a in col] for col in model.columns]
-    b = [-bi if f else bi for bi, f in zip(model.b, flips)]
+    scales = [Fraction(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6)))
+              * (-1 if f else 1) for f in flips]
+    columns = [[(i, a * scales[i]) for i, a in col] for col in model.columns]
+    b = [bi * c for bi, c in zip(model.b, scales)]
     res = solve_equality_feasibility(columns, b)
     assert res.feasible == brute_force_fractional(cx)
     if res.feasible:
         _assert_point(columns, b, res)
     else:
         _assert_farkas(columns, b, res)
+
+
+@pytest.mark.parametrize(
+    "min_den, message",
+    [
+        (2, "inexact"),         # a later pivot divides by den > 1 and meets a remainder
+        (1, "fails A x = b"),   # every division by 1 is exact; the point check catches it
+    ],
+)
+def test_corrupted_basis_inverse_raises(monkeypatch, min_den, message):
+    # one entry of D * B^-1 is off by one after the first pivot that leaves
+    # D >= min_den; the solver must raise rather than return a point
+    model = build_lp(gen_random_dense(15, 3, p=0.5, seed=4, max_tries=1), ALLOC3)
+    monkeypatch.setattr(simplex, "_float_basis", lambda cols, rhs: None)
+    real, done = simplex._pivot_rows, []
+
+    def corrupt(tab, d, leave, den):
+        den = real(tab, d, leave, den)
+        if not done and den >= min_den:
+            tab[leave][0] += 1
+            done.append(den)
+        return den
+
+    monkeypatch.setattr(simplex, "_pivot_rows", corrupt)
+    with pytest.raises(ArithmeticError, match=message):
+        solve_equality_feasibility(model.columns, model.b)
+
+
+TWO_PART_ALLOCS = [
+    [(1, 2), (2, 1)],
+    [(1, 2), (1, 2), (2, 1)],
+    [(1, 2), (2, 1), (2, 1), (2, 1)],
+    [(0, 3), (1, 2), (1, 2), (3, 0)],
+]
+
+
+def _corpus(count=200, seed=8):
+    """Seeded LP models: single-part hosts with n <= 24 and two-part hosts with
+    multi-index allocations (balance coefficients 1/2 and 1/3), rows negated at
+    random, a quarter of them solved cold."""
+    rng = random.Random(seed)
+    for t in range(count):
+        if t % 2:
+            uni = VertexUniverse(("A", "B"), (rng.randint(3, 8), rng.randint(3, 8)))
+            alloc = allocation_from_index_multiset(rng.choice(TWO_PART_ALLOCS))
+        else:
+            uni = VertexUniverse.single(rng.randint(4, 24))
+            alloc = ALLOC3
+        p = rng.uniform(0.1, 0.6)
+        top = [e for e in combinations(range(uni.total), 3) if rng.random() < p]
+        if not top:
+            continue
+        model = build_lp(build_complex(top, uni, close=True), alloc)
+        flips = [rng.random() < 0.3 for _ in model.b]
+        columns = [[(i, -a if flips[i] else a) for i, a in col] for col in model.columns]
+        b = [-bi if f else bi for bi, f in zip(model.b, flips)]
+        yield columns, b, rng.random() < 0.25
+
+
+def test_pivot_path_digest(monkeypatch):
+    # pins (feasible, solution, certificate, pivots) of every corpus model, so
+    # a change of the entering or leaving rule, of the basis the install
+    # keeps, or of the column scaling shows here
+    real = simplex._float_basis
+    digest = hashlib.sha256()
+    for columns, b, cold in _corpus():
+        monkeypatch.setattr(simplex, "_float_basis", (lambda cols, rhs: None) if cold else real)
+        res = solve_equality_feasibility(columns, b)
+        sol = sorted((j, str(v)) for j, v in res.solution.items())
+        cert = None if res.certificate is None else [str(y) for y in res.certificate]
+        digest.update(repr((res.feasible, sol, cert, res.pivots)).encode())
+    assert digest.hexdigest() == "7418bb89c4f0c56872e4b22041be68cf61ed3bc80f651d20ff2c6297ad8c81a1"
