@@ -39,6 +39,12 @@ from .lattice import (
 from .oracle import brute_force_pm
 
 MERGE_ROUNDS = 2  # passes that merge components by sampled 2-step reach
+PARTITION_DELTA = Fraction(1, 8)    # closed-partition density floor; sets the derived scale t
+PARTITION_ALPHA = Fraction(1, 200)  # reachability threshold for that partition
+T_CAP = 4                           # largest absorber scale t
+AUDIT_SAMPLES = 30                  # sampled k-sets per robust vector in the coverage audit
+COVERAGE_MIN = 1                    # absorbing members each sampled k-set needs
+AUDIT_MIN_RATE = 0.95               # pass rate the coverage audit needs per vector
 
 
 @dataclass
@@ -388,20 +394,12 @@ class AbsorberConfig:
     mu: Fraction = Fraction(1, 200)      # robust-vector density
     phi: Fraction = Fraction(1, 10)      # leftover fraction the absorber must swallow
     epsilon: Fraction = Fraction(6, 10)  # W-budget as a fraction of the pool
-    delta: Fraction = Fraction(1, 8)     # closed-partition density floor
-    alpha: Fraction = Fraction(1, 200)   # reachability threshold for the partition
-    t: int = None                        # absorber scale; None derives from delta
-    t_cap: int = 4
-    transfer_bound: int = None           # None computes the exact bound on the lattice
     family_target: int = None            # absorbers to build; None sizes from phi
     seed: int = 0
     build_tries: int = 400
-    audit_samples: int = 30
-    coverage_min: int = 1
-    audit_min_rate: float = 0.95
 
     def __post_init__(self):
-        for name in ("mu", "phi", "epsilon", "delta", "alpha"):
+        for name in ("mu", "phi", "epsilon"):
             setattr(self, name, as_fraction(getattr(self, name)))
 
 
@@ -548,8 +546,8 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     flags = []
     if partition is None:
         partition = closed_partition(
-            system, config.delta, config.alpha, seed=config.seed,
-            audit_samples=config.audit_samples,
+            system, PARTITION_DELTA, PARTITION_ALPHA, seed=config.seed,
+            audit_samples=AUDIT_SAMPLES,
         )
     parts = partition.parts
     dim = len(parts)
@@ -571,23 +569,17 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     table = {}
     max_bound = 0
     for w in sum_vectors(k, dim):
-        bound = (
-            config.transfer_bound
-            if config.transfer_bound is not None
-            else minimal_decomposition_bound(w, vectors)
-        )
+        bound = minimal_decomposition_bound(w, vectors)
         table[w] = bounded_decompose(w, vectors, bound)
         max_bound = max(max_bound, bound)
 
-    t = config.t
-    if t is None:
-        derived = 2 ** max(math.floor(1 / float(config.delta)) - 1, 0)
-        needed = max(tt for _, tt in partition.witness)
-        t = min(max(needed, 1), config.t_cap)
-        if derived > config.t_cap:
-            flags.append(f"closure parameter t={derived} capped to {config.t_cap}")
-        if needed < derived:
-            flags.append(f"partition audit supports t={needed}, using it over t={derived}")
+    derived = 2 ** max(math.floor(1 / float(PARTITION_DELTA)) - 1, 0)
+    needed = max(tt for _, tt in partition.witness)
+    t = min(max(needed, 1), T_CAP)
+    if derived > T_CAP:
+        flags.append(f"closure parameter t={derived} capped to {T_CAP}")
+    if needed < derived:
+        flags.append(f"partition audit supports t={needed}, using it over t={derived}")
 
     pool = sorted(system.vertex_pool)
     nv = len(pool)
@@ -698,7 +690,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     if not validate_matching(system, w_matching, cover=w_vertices):
         raise BudgetExhausted("recorded W matching failed validation")
 
-    coverage = _audit_coverage(system, members, vectors, part_lookup, dim, used, rng, config)
+    coverage = _audit_coverage(system, members, vectors, part_lookup, dim, used, rng)
     family = AbsorbingFamily(
         sets=tuple(members), internal_pms=tuple(member_pms), t=t, coverage=coverage
     )
@@ -796,10 +788,10 @@ def _build_absorber_member(system, comp_edges, t, used, rng):
     return None
 
 
-def _audit_coverage(system, members, vectors, part_lookup, dim, used, rng, config):
+def _audit_coverage(system, members, vectors, part_lookup, dim, used, rng):
     """Sampled check: random k-sets of each robust composition find at least
-    coverage_min absorbing members (exact matchability tests)."""
-    coverage = {"per_vector": {}, "samples": config.audit_samples}
+    COVERAGE_MIN absorbing members (exact matchability tests)."""
+    coverage = {"per_vector": {}, "samples": AUDIT_SAMPLES}
     all_pass = True
     avail = [v for v in sorted(system.vertex_pool) if v not in used]
     per_part_avail = {}
@@ -808,7 +800,7 @@ def _audit_coverage(system, members, vectors, part_lookup, dim, used, rng, confi
     for vec in vectors:
         hits = 0
         trials = 0
-        for _ in range(config.audit_samples):
+        for _ in range(AUDIT_SAMPLES):
             pools = {pid: set(vs) for pid, vs in per_part_avail.items()}
             target = _draw_by_composition(
                 [pools.get(pid, set()) for pid in range(dim)], vec, rng
@@ -817,13 +809,13 @@ def _audit_coverage(system, members, vectors, part_lookup, dim, used, rng, confi
                 continue
             trials += 1
             absorbing = (s for s in members if _set_matchable(system, s + tuple(target)))
-            hits += len(list(islice(absorbing, config.coverage_min))) >= config.coverage_min
+            hits += len(list(islice(absorbing, COVERAGE_MIN))) >= COVERAGE_MIN
         rate = hits / trials if trials else 0.0
         coverage["per_vector"]["_".join(map(str, vec))] = {
             "trials": trials,
             "pass_rate": rate,
         }
-        if rate < config.audit_min_rate:
+        if rate < AUDIT_MIN_RATE:
             all_pass = False
     coverage["passed"] = all_pass
     return coverage

@@ -15,15 +15,7 @@ import random
 import sys
 
 from .absorbing import AbsorberConfig, absorb, build_absorber
-from .barriers import (
-    DivBarrierCert,
-    SpaceBarrierCert,
-    divisibility_barrier_search,
-    space_barrier_search,
-    verify_divisibility_barrier,
-    verify_space_barrier,
-)
-from .core import Matching, allocation_from_index_multiset, plain_allocation, validate_matching
+from .core import allocation_from_index_multiset, plain_allocation
 from .errors import BadParams, KmatchError
 from .fractional import extract_weight_disjoint, verify_fractional
 from .khg import dump_khg, load_khg
@@ -31,11 +23,13 @@ from .oracle import GenSpec, brute_force_fractional, brute_force_pm
 from .pipeline import (
     Certificate,
     PipelineConfig,
-    _effective_beta,
     _effective_mu,
-    _min_part_size,
     decide,
+    divisibility_barrier_stage,
+    host_view,
     run_matching_pipeline,
+    space_barrier_stage,
+    verify_certificate,
 )
 
 EXIT_OK = 0
@@ -89,21 +83,11 @@ def _load_config(args) -> tuple:
             raise BadParams("allocation_index_multiset must list integer vectors") from None
     return config, alloc
 
-def _reverify(system, cert: Certificate) -> bool:
-    """Recheck an outgoing certificate against its verifier."""
-    if cert.tag == "PerfectMatching":
-        m = Matching.from_edges([tuple(e) for e in cert.payload["edges"]])
-        return validate_matching(system, m, cover=system.vertex_pool)
-    if cert.tag == "SpaceBarrier":
-        return verify_space_barrier(system, SpaceBarrierCert.from_json(cert.payload))
-    if cert.tag == "DivisibilityBarrier":
-        return verify_divisibility_barrier(system, DivBarrierCert.from_json(cert.payload))
-    return True
 
-
-def _certificate_exit(system, cert: Certificate, args) -> int:
+def _certificate_exit(system, alloc, cert: Certificate, args) -> int:
+    """Recheck the certificate on the pipeline's view of the input, then emit it."""
     if args.verify and cert.conclusive:
-        ok = _reverify(system, cert)
+        ok = verify_certificate(host_view(system, alloc), cert)
         cert.diagnostics["reverified"] = ok
         if not ok:
             cert = Certificate(
@@ -115,27 +99,18 @@ def _certificate_exit(system, cert: Certificate, args) -> int:
     return EXIT_OK if cert.conclusive else EXIT_INCONCLUSIVE
 
 
-def _pipeline_view(system, alloc):
-    from .pipeline import _ensure_complex, _flatten_universe
-
-    view = _ensure_complex(system)
-    if alloc is None or alloc.r == 1:
-        view = _flatten_universe(view)
-    return view
-
-
 def cmd_decide(args) -> int:
     config, alloc = _load_config(args)
     system = load_khg(args.file)
     cert = decide(system, config, alloc=alloc)
-    return _certificate_exit(_pipeline_view(system, alloc), cert, args)
+    return _certificate_exit(system, alloc, cert, args)
 
 
 def cmd_match(args) -> int:
     config, alloc = _load_config(args)
     system = load_khg(args.file)
     cert = run_matching_pipeline(system, alloc, config)
-    return _certificate_exit(_pipeline_view(system, alloc), cert, args)
+    return _certificate_exit(system, alloc, cert, args)
 
 
 def cmd_frac(args) -> int:
@@ -163,25 +138,15 @@ def cmd_frac(args) -> int:
 
 def cmd_barriers(args) -> int:
     config, alloc = _load_config(args)
-    system = load_khg(args.file)
-    alloc = alloc or plain_allocation(system.k)
+    view = host_view(load_khg(args.file), alloc)
     found = {}
-    beta_eff = _effective_beta(system, config.beta)
-    space = space_barrier_search(system, beta_eff, seed=config.seed)
-    if space is not None and verify_space_barrier(system, space):
+    space = space_barrier_stage(view, config)
+    if space is not None:
         found["space"] = space.to_json()
-    mu_eff = _effective_mu(system, config.mu)
-    div = divisibility_barrier_search(
-        system, mu_eff, _min_part_size(system, alloc, mu_eff)
-    )
-    if div is not None and verify_divisibility_barrier(system, div):
+    div = divisibility_barrier_stage(view, config, alloc)
+    if div is not None:
         found["divisibility"] = div.to_json()
-    out = {
-        "effective_beta": str(beta_eff),
-        "effective_mu": str(mu_eff),
-        "found": found,
-    }
-    _emit(out, args.json)
+    _emit({"found": found}, args.json)
     return EXIT_OK if found else EXIT_INCONCLUSIVE
 
 

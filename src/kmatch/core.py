@@ -357,14 +357,6 @@ class Allocation:
     size_bound: int = 0
 
     @property
-    def function_counts(self) -> Counter:
-        return Counter(dict(self.functions))
-
-    @property
-    def index_counts(self) -> Counter:
-        return Counter(dict(self.index_multiset))
-
-    @property
     def size(self) -> int:
         """|F| as a multiset (= k! times the multiset size of I(F))."""
         return sum(c for _, c in self.functions)

@@ -83,10 +83,6 @@ class AbsorptionFailed(KmatchError):
     """A leftover k-set found no unused absorber."""
 
 
-class BadFamily(KmatchError):
-    """A supplied fractional-matching family violates its invariants."""
-
-
 class TooLarge(KmatchError):
     """Instance exceeds a size cap: brute force, or explicit levels for decide."""
 

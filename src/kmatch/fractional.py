@@ -31,16 +31,6 @@ class FractionalMatching:
     def support(self) -> list:
         return sorted(self.weights)
 
-    def vertex_sums(self) -> dict:
-        sums = {}
-        for e, w in self.weights.items():
-            for v in e:
-                sums[v] = sums.get(v, ZERO) + w
-        return sums
-
-    def total_weight(self) -> Fraction:
-        return sum(self.weights.values(), ZERO)
-
 
 @dataclass
 class LPModel:

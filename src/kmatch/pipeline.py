@@ -23,6 +23,8 @@ from fractions import Fraction
 
 from .absorbing import AbsorberConfig, absorb, build_absorber, closed_partition
 from .barriers import (
+    DIV_EXHAUSTIVE_LIMIT,
+    DivBarrierCert,
     SpaceBarrierCert,
     divisibility_barrier_search,
     space_barrier_search,
@@ -32,6 +34,7 @@ from .barriers import (
 from .core import (
     Matching,
     VertexUniverse,
+    build_complex,
     degree_sequences,
     is_pf_partite,
     matching_stats,
@@ -40,20 +43,15 @@ from .core import (
 )
 from .errors import (
     AbsorberUnavailable,
-    BadFamily,
     BadParams,
     BudgetExhausted,
     EmptyTopLevel,
     KmatchError,
+    MalformedCert,
     PreconditionFailed,
     TooLarge,
 )
-from .fractional import (
-    PairWeights,
-    edge_pairs,
-    extract_weight_disjoint,
-    verify_fractional,
-)
+from .fractional import extract_weight_disjoint
 from .lattice import as_fraction
 from .oracle import brute_force_pm
 from .rounding import (
@@ -193,24 +191,117 @@ def _min_part_size(system, alloc, mu_eff) -> int:
     return max(1, math.ceil(dk1 - float(mu_eff) * nv))
 
 
-def _divisibility_from_partition(system, partition, mu_eff, min_part, diagnostics):
-    """Turn an absorber-stage partition into a verified divisibility certificate."""
-    candidates = [partition.parts] + partition.coarsenings()
+def _stage_seed(config: PipelineConfig, stage: int) -> int:
+    return config.seed * 1009 + stage
+
+
+def _flatten_universe(system):
+    """Plain mode treats the universe as one part; vertex ids are preserved."""
+    if system.universe.r == 1:
+        return system
+    return system.rebuild(VertexUniverse.single(system.universe.total), system.vertex_pool)
+
+
+def _ensure_complex(system):
+    """Bare k-graphs (no lower levels) are closed into their induced complex;
+    space-barrier counts are about the complex, not the top level alone."""
+    if all(not system.level(i) for i in range(1, system.k)):
+        return build_complex(
+            {system.k: list(system.iter_top())}, system.universe, k=system.k, close=True
+        )
+    return system
+
+
+def host_view(system, alloc=None):
+    """The host every stage and verifier reads: a bare k-graph closed into its
+    complex, with the universe flattened to one part when the allocation has
+    one part. The stages read explicit levels, so an implicit host raises
+    TooLarge."""
+    if system.implicit:
+        raise TooLarge(f"the pipeline needs explicit levels, not {system.top_count()} "
+                       "implicit top edges")
+    system = _ensure_complex(system)
+    if alloc is None or alloc.r == 1:
+        system = _flatten_universe(system)
+    return system
+
+
+def _partition_candidates(partition):
+    """The closed partition, then its coarsenings, each partition once."""
     seen = set()
-    ordered = []
-    for cand in candidates:
-        key = tuple(sorted(tuple(sorted(p)) for p in cand))
+    out = []
+    for cand in [partition.parts] + partition.coarsenings():
+        parts = tuple(tuple(sorted(p)) for p in cand)
+        key = tuple(sorted(parts))
         if key not in seen:
             seen.add(key)
-            ordered.append(tuple(tuple(sorted(p)) for p in cand))
-    cert = divisibility_barrier_search(
-        system, mu_eff, min_part, candidates=ordered
+            out.append(parts)
+    return out
+
+
+def space_barrier_stage(system, config: PipelineConfig):
+    """decide's space-barrier search on the host view; a verified
+    SpaceBarrierCert or None."""
+    cert = space_barrier_search(
+        system, _effective_beta(system, config.beta),
+        seed=_stage_seed(config, 90), budget=config.space_budget,
     )
-    if cert is not None and verify_divisibility_barrier(system, cert):
-        diagnostics["divisibility"] = {"verified": True}
+    if cert is not None and verify_space_barrier(system, cert):
         return cert
-    diagnostics["divisibility"] = {"verified": False, "found": cert is not None}
     return None
+
+
+def divisibility_barrier_stage(system, config: PipelineConfig, alloc=None,
+                               partition=None, diagnostics=None):
+    """decide's divisibility-barrier search on the host view; a verified
+    DivBarrierCert or None.
+
+    Exhaustive over set partitions when the pool is small and no partition is
+    given; otherwise the candidates are the given closed partition (the one
+    an AbsorberUnavailable carries) or decide's own, and its coarsenings.
+    When diagnostics is given, records whether a candidate was found and
+    whether it verified.
+    """
+    k = system.k
+    mu_eff = _effective_mu(system, config.mu)
+    min_part = _min_part_size(system, alloc or plain_allocation(k), mu_eff)
+    if partition is None and len(system.vertex_pool) <= DIV_EXHAUSTIVE_LIMIT:
+        cert = divisibility_barrier_search(system, mu_eff, min_part)
+    else:
+        if partition is None:
+            try:
+                partition = closed_partition(
+                    system, delta=Fraction(1, 2 * k),
+                    alpha=_effective_mu(system, config.alpha) / 2,
+                    seed=_stage_seed(config, 91),
+                )
+            except PreconditionFailed:
+                return None
+        cert = divisibility_barrier_search(
+            system, mu_eff, min_part, candidates=_partition_candidates(partition)
+        )
+    verified = cert is not None and verify_divisibility_barrier(system, cert)
+    if diagnostics is not None:
+        diagnostics["divisibility"] = (
+            {"verified": True} if verified else {"verified": False, "found": cert is not None}
+        )
+    return cert if verified else None
+
+
+def verify_certificate(system, cert: Certificate) -> bool:
+    """Recheck a certificate on the host view it was issued for: each tag is
+    decoded and verified by one code path. Inconclusive has nothing to check;
+    an unknown tag raises MalformedCert."""
+    if cert.tag == "PerfectMatching":
+        m = Matching.from_edges([tuple(e) for e in cert.payload["edges"]])
+        return validate_matching(system, m, cover=system.vertex_pool)
+    if cert.tag == "SpaceBarrier":
+        return verify_space_barrier(system, SpaceBarrierCert.from_json(cert.payload))
+    if cert.tag == "DivisibilityBarrier":
+        return verify_divisibility_barrier(system, DivBarrierCert.from_json(cert.payload))
+    if cert.tag == "Inconclusive":
+        return True
+    raise MalformedCert(f"unknown certificate tag {cert.tag!r}")
 
 
 def _absorber_plan(system, config: PipelineConfig):
@@ -234,27 +325,15 @@ def _absorber_plan(system, config: PipelineConfig):
     return phi_eff, family_target, epsilon_eff, flags
 
 
-def _stage_seed(config: PipelineConfig, stage: int) -> int:
-    return config.seed * 1009 + stage
-
-
-def _flatten_universe(system):
-    """Plain mode treats the universe as one part; vertex ids are preserved."""
-    if system.universe.r == 1:
-        return system
-    return system.rebuild(VertexUniverse.single(system.universe.total), system.vertex_pool)
-
-
 def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certificate:
     """Full pipeline: absorber, restriction, weight-disjoint family, rounding,
     absorption; emits the first verified certificate or Inconclusive."""
     config = config or PipelineConfig()
     diagnostics = {"config": config.echo(), "stages": []}
+    system = host_view(system, alloc)
     k = system.k
     if alloc is None:
         alloc = plain_allocation(k)
-    if alloc.r == 1:
-        system = _flatten_universe(system)
     uni = system.universe
     pool = sorted(system.vertex_pool)
     nv = len(pool)
@@ -314,9 +393,8 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
                 diagnostics["stages"].append(
                     {"stage": "absorber", "status": "lattice-incomplete"}
                 )
-                min_part = _min_part_size(system, alloc, mu_eff)
-                cert = _divisibility_from_partition(
-                    system, exc.partition, mu_eff, min_part, diagnostics
+                cert = divisibility_barrier_stage(
+                    system, config, alloc, partition=exc.partition, diagnostics=diagnostics
                 )
                 if cert is not None:
                     return Certificate(
@@ -524,32 +602,22 @@ def _inflate_space_cert(system, cert: SpaceBarrierCert):
     )
 
 
-def run_general(system, config: PipelineConfig = None, external_family=None) -> Certificate:
-    """General mode: the weight-disjoint family is supplied by the caller
-    (verified here) or delegated to the extraction loop.
+def run_general(system, config: PipelineConfig = None) -> Certificate:
+    """General mode: the matching pipeline under the plain allocation.
 
     The plain degree floor (n, zeta n, ..., zeta n) is checked and reported;
     lattice completeness is audited on the partitions actually built, not on
     all partitions.
     """
     config = config or PipelineConfig()
+    system = host_view(system)
     k = system.k
-    alloc = plain_allocation(k)
     deg = degree_sequences(system)
     nv = len(system.vertex_pool)
     floor = [nv] + [math.ceil(config.zeta * nv)] * (k - 1)
     floor_ok = all(d >= f for d, f in zip(deg.plain, floor))
     cfg = dataclasses.replace(config, mode="general")
-
-    if external_family is not None:
-        _validate_family(system, alloc, external_family)
-        if not external_family:
-            return Certificate(tag="Inconclusive", payload={
-                "reason": "external family is empty",
-            }, diagnostics={"degree_floor_ok": floor_ok})
-        cfg.ell = len(external_family)
-
-    cert = run_matching_pipeline(system, alloc, cfg)
+    cert = run_matching_pipeline(system, plain_allocation(k), cfg)
     cert.diagnostics["mode"] = "general"
     cert.diagnostics["degree_floor"] = {
         "floor": [int(f) for f in floor],
@@ -559,84 +627,29 @@ def run_general(system, config: PipelineConfig = None, external_family=None) -> 
     return cert
 
 
-def _validate_family(system, alloc, family):
-    """BadFamily when vertex sums or the pairwise load bound fail."""
-    pairs = PairWeights()
-    for g in family:
-        rep = verify_fractional(system, g, alloc)
-        if not rep["ok"]:
-            raise BadFamily("a family member has nonzero residuals")
-        for e, w in g.weights.items():
-            for pr in edge_pairs(e):
-                pairs.charge(pr, w)
-    if pairs.min_weight() < 0:
-        raise BadFamily("pair load exceeds 2 across the family")
-
-
-def _ensure_complex(system):
-    """Bare k-graphs (no lower levels) are closed into their induced complex;
-    space-barrier counts are about the complex, not the top level alone."""
-    if all(not system.level(i) for i in range(1, system.k)):
-        from .core import build_complex
-
-        return build_complex(
-            {system.k: list(system.iter_top())}, system.universe, k=system.k, close=True
-        )
-    return system
-
-
 def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
     """Cheap barrier searches first, then the matching pipeline; the first
     verified certificate wins. Small instances carry a brute-force
     cross-check in the diagnostics. The barrier searches read explicit
     levels, so an implicit host raises TooLarge."""
     config = config or PipelineConfig()
-    if system.implicit:
-        raise TooLarge(f"decide needs explicit levels, not {system.top_count()} implicit top edges")
-    system = _ensure_complex(system)
+    system = host_view(system, alloc)
     k = system.k
     if alloc is None:
         alloc = plain_allocation(k)
-    if alloc.r == 1:
-        system = _flatten_universe(system)
     nv = len(system.vertex_pool)
     diagnostics = {"config": config.echo(), "mode": "decide"}
 
     beta_eff = _effective_beta(system, config.beta)
     diagnostics["effective_beta"] = str(beta_eff)
-    space = space_barrier_search(
-        system, beta_eff, seed=_stage_seed(config, 90), budget=config.space_budget
-    )
-    if space is not None and verify_space_barrier(system, space):
-        cert = Certificate(tag="SpaceBarrier", payload=space.to_json(),
-                           diagnostics=diagnostics)
-        _attach_oracle(system, cert)
-        return cert
+    tag, barrier = "SpaceBarrier", space_barrier_stage(system, config)
+    if barrier is None:
+        diagnostics["effective_mu"] = str(_effective_mu(system, config.mu))
+        tag, barrier = "DivisibilityBarrier", divisibility_barrier_stage(system, config, alloc)
 
-    mu_eff = _effective_mu(system, config.mu)
-    diagnostics["effective_mu"] = str(mu_eff)
-    min_part = _min_part_size(system, alloc, mu_eff)
-    div = None
-    if nv <= 12:
-        div = divisibility_barrier_search(system, mu_eff, min_part)
-    else:
-        try:
-            partition = closed_partition(
-                system, delta=Fraction(1, 2 * k),
-                alpha=_effective_mu(system, config.alpha) / 2,
-                seed=_stage_seed(config, 91),
-            )
-            cands = [partition.parts] + partition.coarsenings()
-            div = divisibility_barrier_search(system, mu_eff, min_part, candidates=cands)
-        except PreconditionFailed:
-            div = None
-    if div is not None and verify_divisibility_barrier(system, div):
-        cert = Certificate(tag="DivisibilityBarrier", payload=div.to_json(),
-                           diagnostics=diagnostics)
-        _attach_oracle(system, cert)
-        return cert
-
-    if nv % k == 0 and system.top_count() > 0:
+    if barrier is not None:
+        cert = Certificate(tag=tag, payload=barrier.to_json(), diagnostics=diagnostics)
+    elif nv % k == 0 and system.top_count() > 0:
         cert = run_matching_pipeline(system, alloc, config)
         cert.diagnostics["mode"] = "decide"
         cert.diagnostics["effective_beta"] = str(beta_eff)

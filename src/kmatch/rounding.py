@@ -201,22 +201,6 @@ class NibbleResult:
     covered_fraction: float
     best_trace: tuple = ()      # best matching size after each improvement
 
-    @property
-    def hit_round_limit(self) -> bool:
-        return self.flag == "round-limit"
-
-    def to_json(self, seed=None) -> dict:
-        """Run report: sorted edges in vertex-id space plus the run stats."""
-        return {
-            "matching": [list(e) for e in self.matching.edges],
-            "uncovered": list(self.uncovered),
-            "covered_fraction": self.covered_fraction,
-            "rounds": self.rounds_used,
-            "restarts": self.restarts,
-            "flag": self.flag,
-            "seed": seed,
-        }
-
 
 def _collapsed_rounds(edges, pool, rng, budget, stop_at):
     """Random greedy plus single-conflict swap moves, tracking the best.

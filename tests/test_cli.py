@@ -94,6 +94,33 @@ def test_barriers_command(instances, capsys):
         assert code == 2
 
 
+def _barrier_agreement_cases():
+    # the 25 divisibility instances of criterion 9, with its seeds (their
+    # places 75-99 in the mixture), and two shapes past the exhaustive range
+    shapes = [(5, 3), (4, 4), (6, 3), (3, 3), (5, 4), (6, 4), (7, 3), (4, 3)]
+    gens = [[(1, 2), (3, 0)], [(2, 1), (0, 3)]]
+    cases = [(shapes[i % 8], gens[i % 2], 75 + i) for i in range(25)]
+    cases += [((7, 6), gens[0], 1), ((9, 6), gens[1], 2)]
+    return [pytest.param(*case, id=f"{case[0][0]}x{case[0][1]}-seed{case[2]}") for case in cases]
+
+
+@pytest.mark.parametrize("sizes, gens, seed", _barrier_agreement_cases())
+def test_barriers_reports_the_barrier_decide_returns(tmp_path, capsys, sizes, gens, seed):
+    path = str(tmp_path / "div.khg")
+    save_khg(gen_divisibility_barrier(list(sizes), 3, gens), path, include_lower=True)
+    _, out = run_cli(capsys, "decide", path, "--json", "--seed", str(seed))
+    cert = json.loads(out)
+    code, out = run_cli(capsys, "barriers", path, "--json", "--seed", str(seed))
+    found = json.loads(out)["found"]
+    kind = {"SpaceBarrier": "space", "DivisibilityBarrier": "divisibility"}.get(cert["tag"])
+    if kind is None:
+        assert found == {} and code == 2
+    else:
+        # decide stops at the first barrier; barriers runs both stages
+        assert found[kind] == cert["payload"] and code == 0
+        assert kind == "space" or "space" not in found
+
+
 def test_gen_and_roundtrip(instances, capsys, tmp_path):
     out_path = str(tmp_path / "gen.khg")
     code, _ = run_cli(capsys, "gen", instances["spec"], "-o", out_path, "--json")

@@ -84,6 +84,17 @@ CORPUS = {
         ["decide", "--seed", "10"], None,
         "01cdd52b49c3b9ae2638c6b0fd84b4b6bee1adbf97f349d625f100eb8881ee51",
     ),
+    "barriers-div8": (
+        lambda: gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]),
+        ["barriers", "--seed", "9"], None,
+        "3bc8c563b7edf69f3d4e57c5309e73f72d720760905d50320e7999ca7499ea7c",
+    ),
+    # n > 12: the divisibility stage tries decide's closed partition
+    "barriers-div13": (
+        lambda: gen_divisibility_barrier([7, 6], 3, [(1, 2), (3, 0)]),
+        ["barriers", "--seed", "13"], None,
+        "48c223789248abde9ddfbc841e7b7d04e83972d1a35c4435b2858f695e8fea2c",
+    ),
     "absorb-demo-dense30": (
         lambda: gen_random_dense(30, 3, p=0.9, seed=3),
         ["absorb-demo", "--state", "--seed", "11"], None,

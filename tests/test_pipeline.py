@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from kmatch.core import Matching, plain_allocation, validate_matching
-from kmatch.errors import BadFamily, BadParams, TooLarge
-from kmatch.fractional import FractionalMatching, extract_weight_disjoint
+from kmatch.errors import BadParams, TooLarge
+from kmatch.fractional import extract_weight_disjoint
 from kmatch.oracle import (
     brute_force_pm,
     complete_complex,
@@ -105,32 +105,6 @@ def test_general_mode_delegated():
     assert cert.diagnostics["degree_floor"]["ok"]
 
 
-def test_general_mode_external_family_validated():
-    cc = complete_complex(12, 3)
-    res = extract_weight_disjoint(cc, ALLOC3, 2, seed=0)
-    cert = run_general(cc, config=PipelineConfig(seed=4), external_family=res.matchings)
-    assert cert.tag == "PerfectMatching"
-
-
-def test_general_mode_bad_family():
-    cc = complete_complex(6, 3)
-    overload = FractionalMatching(host=cc, weights={(0, 1, 2): Fraction(1)})
-    ok = FractionalMatching(
-        host=cc, weights={(0, 1, 2): Fraction(1), (3, 4, 5): Fraction(1)}
-    )
-    with pytest.raises(BadFamily):
-        run_general(cc, config=PipelineConfig(seed=1), external_family=[overload])
-    # three copies of the same matching push pair loads over 2
-    with pytest.raises(BadFamily):
-        run_general(cc, config=PipelineConfig(seed=1), external_family=[ok, ok, ok])
-
-
-def test_general_mode_empty_family_inconclusive():
-    cc = complete_complex(6, 3)
-    cert = run_general(cc, config=PipelineConfig(seed=1), external_family=[])
-    assert cert.tag == "Inconclusive"
-
-
 def test_general_mode_reports_degree_floor_violation():
     cx = gen_random_dense(12, 3, p=0.4, seed=2)
     cert = run_general(cx, config=PipelineConfig(seed=2))
@@ -224,3 +198,14 @@ def test_decide_rejects_an_implicit_host():
     assert host.implicit
     with pytest.raises(TooLarge, match=str(math.comb(60, 4))):
         decide(host)
+
+
+def test_matching_pipeline_rejects_an_implicit_host():
+    # C(300, 3) top edges are past the explicit limit; the pipeline reads
+    # degree sequences and levels, so it refuses with a typed error
+    host = complete_complex(300, 3)
+    assert host.implicit
+    with pytest.raises(TooLarge, match=str(math.comb(300, 3))):
+        run_matching_pipeline(host, None)
+    # fractional extraction still runs on the implicit host
+    assert extract_weight_disjoint(host, ALLOC3, 1, seed=0).completed
