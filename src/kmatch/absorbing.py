@@ -45,18 +45,15 @@ T_CAP = 4                           # largest absorber scale t
 AUDIT_SAMPLES = 30                  # sampled k-sets per robust vector in the coverage audit
 COVERAGE_MIN = 1                    # absorbing members each sampled k-set needs
 AUDIT_MIN_RATE = 0.95               # pass rate the coverage audit needs per vector
+BUILD_TRIES = 400                   # absorber member attempts before the build gives up
 
 
 @dataclass
 class ReachabilityParams:
     beta: Fraction = Fraction(1, 100)
-    i: int = 1
-    sample_budget: int = 2000
 
     def __post_init__(self):
         self.beta = as_fraction(self.beta)
-        if self.i < 1:
-            raise ValueError("reach length i must be at least 1")
 
 
 @dataclass
@@ -65,9 +62,7 @@ class NeighborhoodReport:
 
     center: int
     vertices: frozenset
-    exact: bool
     threshold: Fraction
-    samples: int = 0
 
     def __contains__(self, v):
         return v in self.vertices
@@ -79,60 +74,17 @@ class NeighborhoodReport:
         return len(self.vertices)
 
 
-def reachable_neighborhood(system, v, params: ReachabilityParams,
-                           seed: int = 0) -> NeighborhoodReport:
-    """Vertices u such that many witness sets complete both u and v to
-    perfectly matchable induced subgraphs.
-
-    For reach length 1 the count is exact (common links); for longer reach the
-    fraction is estimated by Monte Carlo over sampled witness sets, with the
-    sample size recorded.
-    """
+def reachable_neighborhood(system, v, params: ReachabilityParams) -> NeighborhoodReport:
+    """Vertices u whose link shares at least beta * n^(k-1) (k-1)-sets with
+    the link of v: reach length 1, counted exactly on common links."""
     pool = sorted(system.vertex_pool)
-    nv = len(pool)
-    k = system.k
-    if params.i == 1:
-        links = system.link_map()
-        threshold = params.beta * Fraction(nv) ** (k - 1)
-        mine = links.get(v, set())
-        out = set()
-        for u in pool:
-            if u == v:
-                continue
-            # membership in either link set already excludes both endpoints
-            count = len(mine & links.get(u, set()))
-            if count >= threshold:
-                out.add(u)
-        return NeighborhoodReport(
-            center=v, vertices=frozenset(out), exact=True, threshold=threshold
-        )
-    size = params.i * k - 1
-    threshold = params.beta * Fraction(nv) ** size
-    total_sets = math.comb(max(nv - 2, 0), size)
-    rng = random.Random(seed)
-    out = set()
-    per_vertex = max(params.sample_budget // max(nv - 1, 1), 8)
-    for u in pool:
-        if u == v:
-            continue
-        others = [w for w in pool if w not in (u, v)]
-        if len(others) < size:
-            continue
-        hits = 0
-        for _ in range(per_vertex):
-            s = rng.sample(others, size)
-            if _set_matchable(system, s + [u]) and _set_matchable(system, s + [v]):
-                hits += 1
-        est_count = Fraction(hits, per_vertex) * total_sets
-        if est_count >= threshold:
-            out.add(u)
-    return NeighborhoodReport(
-        center=v,
-        vertices=frozenset(out),
-        exact=False,
-        threshold=threshold,
-        samples=per_vertex,
-    )
+    links = system.link_map()
+    threshold = params.beta * Fraction(len(pool)) ** (system.k - 1)
+    mine = links.get(v, set())
+    # membership in either link set already excludes both endpoints
+    out = frozenset(u for u in pool
+                    if u != v and len(mine & links.get(u, set())) >= threshold)
+    return NeighborhoodReport(center=v, vertices=out, threshold=threshold)
 
 
 def _induced_top(system, vertices):
@@ -396,7 +348,6 @@ class AbsorberConfig:
     epsilon: Fraction = Fraction(6, 10)  # W-budget as a fraction of the pool
     family_target: int = None            # absorbers to build; None sizes from phi
     seed: int = 0
-    build_tries: int = 400
 
     def __post_init__(self):
         for name in ("mu", "phi", "epsilon"):
@@ -611,7 +562,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     target_comps = list(vectors)
     tries = 0
     comp_cycle = 0
-    while len(members) < family_target and tries < config.build_tries:
+    while len(members) < family_target and tries < BUILD_TRIES:
         tries += 1
         comp = target_comps[comp_cycle % len(target_comps)]
         comp_cycle += 1

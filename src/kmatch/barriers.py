@@ -7,11 +7,12 @@ search-time state.
 The exhaustive searches are array kernels over flat enumerations. The space
 search walks the product of per-part planted-set combinations in blocks that
 double in size, counting the (p+1)-edges inside every set of a block at once
-on a boolean indicator block. The divisibility search holds every set
-partition into at most k parts with no part below the minimum size as one
-array of label rows (prefixes that cannot reach the size are never grown),
-counts the robust vectors of a chunk of rows with one `np.bincount`, and
-judges each distinct (part count, robust set) once.
+on a boolean indicator block; the local space search on larger pools counts
+each swap candidate with the same indicator test. The divisibility search
+holds every set partition into at most k parts with no part below the
+minimum size as one array of label rows (prefixes that cannot reach the size
+are never grown), counts the robust vectors of a chunk of rows with one
+`np.bincount`, and judges each distinct (part count, robust set) once.
 """
 
 from __future__ import annotations
@@ -86,14 +87,9 @@ class SpaceBarrierCert:
         )
 
 
-def _count_inside(system, level, inside: frozenset, stop_after=None) -> int:
-    count = 0
-    for e in system.level(level):
-        if inside.issuperset(e):
-            count += 1
-            if stop_after is not None and count > stop_after:
-                return count
-    return count
+def _count_inside(system, level, inside: frozenset) -> int:
+    """The verifier's recount, independent of the search kernels."""
+    return sum(1 for e in system.level(level) if inside.issuperset(e))
 
 
 def _count_top_overflow(system, inside: frozenset, p: int) -> int:
@@ -131,25 +127,34 @@ def verify_space_barrier(system, cert: SpaceBarrierCert) -> bool:
     return count <= cert.threshold
 
 
-def _first_sparse_planted(system, per_part, want, p, threshold, limit):
+def _inside_counts(inside, edges):
+    """Edges with every vertex inside, counted on a boolean vertex indicator:
+    one count per row of an indicator block, or one for a single row."""
+    return inside[..., edges].all(axis=-1).sum(axis=-1)
+
+
+def _inside_count(n_ids, edges, vertices) -> int:
+    inside = np.zeros(n_ids, dtype=bool)
+    inside[list(vertices)] = True
+    return int(_inside_counts(inside, edges))
+
+
+def _first_sparse_planted(edges, n_ids, per_part, want, allowed, limit):
     """The first planted set, in product-of-combinations order over the parts,
-    with at most `threshold` (p+1)-edges inside, among the first `limit` sets,
-    as (chosen sets, inside, count) or None; and the number of planted sets.
-    A block of sets is counted at once: an edge lies inside a set when all of
-    its vertices do. Blocks double from SPACE_FIRST_BLOCK, so an early hit
+    with at most `allowed` edges inside, among the first `limit` sets, as
+    (chosen sets, inside, count) or None; and the number of planted sets.
+    A block of sets is counted at once, on one indicator row per set over the
+    n_ids vertex ids. Blocks double from SPACE_FIRST_BLOCK, so an early hit
     stays cheap."""
     total = math.prod(math.comb(len(avail), want) for avail in per_part)
     planted = product(*(combinations(avail, want) for avail in per_part))
-    unit = np.eye(system.universe.total, dtype=bool)
-    edges = np.fromiter(chain.from_iterable(system.level(p + 1)), dtype=np.intp)
-    edges = edges.reshape(-1, p + 1)
+    unit = np.eye(n_ids, dtype=bool)
     start, block = 0, SPACE_FIRST_BLOCK
     while start < min(total, limit):
         sets = list(islice(planted, min(block, limit - start)))
         ids = np.fromiter(chain.from_iterable(chain.from_iterable(sets)), dtype=np.intp)
-        inside = unit[ids.reshape(len(sets), -1)].any(axis=1)
-        counts = inside[:, edges].all(axis=2).sum(axis=1)
-        hits = np.flatnonzero(counts <= math.floor(threshold))
+        counts = _inside_counts(unit[ids.reshape(len(sets), -1)].any(axis=1), edges)
+        hits = np.flatnonzero(counts <= allowed)
         if len(hits):
             chosen = sets[hits[0]]
             return (chosen, frozenset(chain(*chosen)), int(counts[hits[0]])), total
@@ -180,13 +185,15 @@ def space_barrier_search(system, beta, budget=None, seed: int = 0):
     ]
     for p in range(1, system.k):
         n, want = _space_target_sizes(system, p)
-        threshold = beta * Fraction(n) ** (p + 1)
+        allowed = math.floor(beta * Fraction(n) ** (p + 1))  # edge counts are integers
         if want == 0 or any(len(avail) < want for avail in per_part):
             continue
         found = None
+        edges = np.fromiter(chain.from_iterable(system.level(p + 1)), dtype=np.intp)
+        edges = edges.reshape(-1, p + 1)
         if exhaustive:
             found, tried = _first_sparse_planted(
-                system, per_part, want, p, threshold, budget - evaluations)
+                edges, uni.total, per_part, want, allowed, budget - evaluations)
             evaluations += tried
             if found is None and evaluations > budget:
                 return None
@@ -194,12 +201,12 @@ def space_barrier_search(system, beta, budget=None, seed: int = 0):
             for _ in range(SPACE_RESTARTS):
                 chosen = [rng.sample(avail, want) for avail in per_part]
                 inside = frozenset(v for s in chosen for v in s)
-                cnt = _count_inside(system, p + 1, inside)
+                cnt = _inside_count(uni.total, edges, inside)
                 for _ in range(200 * n):
                     evaluations += 1
                     if evaluations > budget:
                         return None
-                    if cnt <= threshold:
+                    if cnt <= allowed:
                         break
                     j = rng.randrange(uni.r)
                     outside = [v for v in per_part[j] if v not in inside]
@@ -210,10 +217,10 @@ def space_barrier_search(system, beta, budget=None, seed: int = 0):
                     cand = [list(s) for s in chosen]
                     cand[j] = [v for v in cand[j] if v != drop] + [add]
                     cand_inside = frozenset(v for s in cand for v in s)
-                    cand_cnt = _count_inside(system, p + 1, cand_inside, stop_after=cnt)
+                    cand_cnt = _inside_count(uni.total, edges, cand_inside)
                     if cand_cnt <= cnt:
                         chosen, inside, cnt = cand, cand_inside, cand_cnt
-                if cnt <= threshold:
+                if cnt <= allowed:
                     found = chosen, inside, cnt
                     break
         if found is not None:

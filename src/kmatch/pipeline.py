@@ -63,6 +63,8 @@ from .rounding import (
     sample_subgraph,
 )
 
+NIBBLE_ATTEMPTS = 8  # sample-and-nibble rounds tried before the best one is kept
+
 
 @dataclass
 class PipelineConfig:
@@ -82,9 +84,6 @@ class PipelineConfig:
     zeta: Fraction = Fraction(30, 100)
     ell: int = None
     seed: int = 0
-    nibble_attempts: int = 8
-    nibble_rounds: int = None
-    absorber_tries: int = 400
     space_budget: int = None
     mode: str = "pipeline"
 
@@ -97,9 +96,9 @@ class PipelineConfig:
                 raise BadParams(f"{name}={value!r} is not a number") from None
         if type(self.seed) is not int:
             raise BadParams(f"seed must be an integer, got {self.seed!r}")
-        for name in ("nibble_attempts", "absorber_tries", "ell", "nibble_rounds", "space_budget"):
+        for name in ("ell", "space_budget"):
             value = getattr(self, name)
-            if value is None and name in ("ell", "nibble_rounds", "space_budget"):
+            if value is None:
                 continue  # derived by the stage that reads it
             if type(value) is not int or value < 0:
                 raise BadParams(f"{name} must be a nonnegative integer, got {value!r}")
@@ -226,22 +225,10 @@ def host_view(system, alloc=None):
     return system
 
 
-def _partition_candidates(partition):
-    """The closed partition, then its coarsenings, each partition once."""
-    seen = set()
-    out = []
-    for cand in [partition.parts] + partition.coarsenings():
-        parts = tuple(tuple(sorted(p)) for p in cand)
-        key = tuple(sorted(parts))
-        if key not in seen:
-            seen.add(key)
-            out.append(parts)
-    return out
-
-
 def space_barrier_stage(system, config: PipelineConfig):
-    """decide's space-barrier search on the host view; a verified
-    SpaceBarrierCert or None."""
+    """The space-barrier search on the host view, as decide and `kmatch
+    barriers` run it first and run_matching_pipeline runs it when extraction
+    fails; a verified SpaceBarrierCert or None."""
     cert = space_barrier_search(
         system, _effective_beta(system, config.beta),
         seed=_stage_seed(config, 90), budget=config.space_budget,
@@ -278,7 +265,7 @@ def divisibility_barrier_stage(system, config: PipelineConfig, alloc=None,
             except PreconditionFailed:
                 return None
         cert = divisibility_barrier_search(
-            system, mu_eff, min_part, candidates=_partition_candidates(partition)
+            system, mu_eff, min_part, candidates=partition.coarsenings()
         )
     verified = cert is not None and verify_divisibility_barrier(system, cert)
     if diagnostics is not None:
@@ -385,7 +372,6 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
                     epsilon=epsilon_eff,
                     family_target=family_target,
                     seed=_stage_seed(config, 2) + 7 * attempt,
-                    build_tries=config.absorber_tries,
                 )
                 state = build_absorber(system, alloc, abs_cfg, partition=partition,
                                        ambient_groups=groups)
@@ -470,17 +456,10 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
         "extracted": got,
     })
     if not extraction or not extraction.completed:
-        beta_eff = _effective_beta(system, config.beta)
-        cert = space_barrier_search(
-            sub, beta_eff, seed=_stage_seed(config, 5), budget=config.space_budget
-        )
+        cert = space_barrier_stage(system, config)
         if cert is not None:
-            inflated = _inflate_space_cert(system, cert)
-            if inflated is not None and verify_space_barrier(system, inflated):
-                diagnostics["stages"].append({"stage": "space-barrier", "status": "verified"})
-                return Certificate(
-                    tag="SpaceBarrier", payload=inflated.to_json(), diagnostics=diagnostics
-                )
+            diagnostics["stages"].append({"stage": "space-barrier", "status": "verified"})
+            return Certificate(tag="SpaceBarrier", payload=cert.to_json(), diagnostics=diagnostics)
         return Certificate(tag="Inconclusive", payload={
             "reason": f"only {got} of {ell} weight-disjoint matchings found",
         }, diagnostics=diagnostics)
@@ -494,16 +473,12 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
     )
     nibble_result = None
     regularity = None
-    for attempt in range(config.nibble_attempts):
+    for attempt in range(NIBBLE_ATTEMPTS):
         seed = _stage_seed(config, 10 + attempt)
         sampled = sample_subgraph(sub, g, seed=seed)
         sampled = color_classes(sampled, alloc, seed=seed)
         regularity = check_regularity(sampled, tau=0.2)
-        params = NibbleParams(
-            epsilon=max(float(phi_eff), 1e-9),
-            seed=seed,
-            max_rounds=config.nibble_rounds,
-        )
+        params = NibbleParams(epsilon=max(float(phi_eff), 1e-9), seed=seed)
         candidate = nibble_match(sampled, params)
         uncovered = len(candidate.uncovered)
         if uncovered <= max_leftover and uncovered % k == 0:
@@ -566,40 +541,6 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
     }
     diagnostics["stages"].append({"stage": "assemble", "status": "ok"})
     return Certificate(tag="PerfectMatching", payload=payload, diagnostics=diagnostics)
-
-
-def _inflate_space_cert(system, cert: SpaceBarrierCert):
-    """Grow a certificate found on the pruned subcomplex back to the host:
-    top up each planted set from its part and recount on the full complex."""
-    from .barriers import _count_inside, _count_top_overflow
-
-    uni = system.universe
-    n = uni.part_sizes[0]
-    want = (cert.p * n) // system.k
-    new_sets = []
-    for j, part in enumerate(cert.part_sets):
-        members = list(part)
-        extras = [
-            v
-            for v in uni.part_vertices(j)
-            if v in system.vertex_pool and v not in members
-        ]
-        while len(members) < want and extras:
-            members.append(extras.pop(0))
-        if len(members) != want:
-            return None
-        new_sets.append(tuple(sorted(members)))
-    inside = frozenset(v for s in new_sets for v in s)
-    count = _count_inside(system, cert.p + 1, inside)
-    return SpaceBarrierCert(
-        p=cert.p,
-        part_sets=tuple(new_sets),
-        edge_count=count,
-        beta=cert.beta,
-        part_size=n,
-        exhaustive=False,
-        top_overflow_count=_count_top_overflow(system, inside, cert.p),
-    )
 
 
 def run_general(system, config: PipelineConfig = None) -> Certificate:

@@ -19,6 +19,7 @@ from .core import Allocation, Matching, index_vector
 from .errors import IndexNotInAllocation, MixedHost
 
 ZERO = Fraction(0)
+NIBBLE_DRAWS_PER_VERTEX = 50  # candidate draws of one nibble run, per pool vertex
 
 
 def combine_weights(fracs) -> dict:
@@ -184,7 +185,6 @@ class NibbleParams:
 
     epsilon: float = 0.05
     seed: int = 0
-    max_rounds: int = None      # default 50 * |pool| candidate draws
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -280,7 +280,7 @@ def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
     pool = sampled.vertices()
     nv = len(pool)
     rng = random.Random(params.seed)
-    budget = params.max_rounds if params.max_rounds is not None else 50 * max(nv, 1)
+    budget = NIBBLE_DRAWS_PER_VERTEX * max(nv, 1)
 
     if not sampled.edges:
         return NibbleResult(

@@ -52,7 +52,6 @@ def test_reachable_complete():
     cc = complete_complex(6, 3)
     rep = reachable_neighborhood(cc, 0, ReachabilityParams(beta=Fraction(1, 100)))
     assert set(rep) == {1, 2, 3, 4, 5}
-    assert rep.exact
 
 
 def test_reachable_divisibility_cross_pair_empty():

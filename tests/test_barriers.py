@@ -1,5 +1,6 @@
 """Barrier search and verification against independent exhaustion oracles."""
 
+import random
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from kmatch.barriers import (
+    SPACE_RESTARTS,
     DivBarrierCert,
     _count_inside,
     _labelings,
@@ -24,6 +26,7 @@ from kmatch.oracle import (
     gen_random_dense,
     gen_space_barrier,
 )
+from kmatch.pipeline import host_view
 
 
 def oracle_space_exhaustion(system, beta, p):
@@ -308,6 +311,89 @@ def test_exhaustive_space_search_matches_count_inside_loop():
             hits.add(index)
     assert seen == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert {15, 16, 47, 48} <= hits
+
+
+def count_inside_until(system, level, inside, stop_after=None):
+    """Rescan the level for edges inside; stop once the count passes
+    stop_after."""
+    count = 0
+    for e in system.level(level):
+        if inside.issuperset(e):
+            count += 1
+            if stop_after is not None and count > stop_after:
+                return count
+    return count
+
+
+def local_space_search_by_rescans(system, beta, budget, seed):
+    """Reference: the randomized local search above SPACE_EXHAUSTIVE_LIMIT,
+    counting each swap candidate by a rescan of the (p+1)-level that stops
+    once it passes the current count. Same draws, same acceptance; the
+    certificate, or None when none is found within budget evaluations."""
+    uni = system.universe
+    rng = random.Random(seed)
+    evaluations = 0
+    per_part = [[v for v in uni.part_vertices(j) if v in system.vertex_pool]
+                for j in range(uni.r)]
+    for p in range(1, system.k):
+        n = uni.part_sizes[0]
+        want = p * n // system.k
+        threshold = beta * Fraction(n) ** (p + 1)
+        if want == 0 or any(len(avail) < want for avail in per_part):
+            continue
+        for _ in range(SPACE_RESTARTS):
+            chosen = [rng.sample(avail, want) for avail in per_part]
+            inside = frozenset(v for s in chosen for v in s)
+            cnt = count_inside_until(system, p + 1, inside)
+            for _ in range(200 * n):
+                evaluations += 1
+                if evaluations > budget:
+                    return None
+                if cnt <= threshold:
+                    break
+                j = rng.randrange(uni.r)
+                outside = [v for v in per_part[j] if v not in inside]
+                if not outside:
+                    continue
+                drop = chosen[j][rng.randrange(len(chosen[j]))]
+                add = outside[rng.randrange(len(outside))]
+                cand = [list(s) for s in chosen]
+                cand[j] = [v for v in cand[j] if v != drop] + [add]
+                cand_inside = frozenset(v for s in cand for v in s)
+                cand_cnt = count_inside_until(system, p + 1, cand_inside, stop_after=cnt)
+                if cand_cnt <= cnt:
+                    chosen, inside, cnt = cand, cand_inside, cand_cnt
+            if cnt <= threshold:
+                return SpaceBarrierCert(
+                    p=p, part_sets=tuple(tuple(sorted(s)) for s in chosen),
+                    edge_count=cnt, beta=beta, part_size=n, exhaustive=False,
+                    top_overflow_count=sum(
+                        1 for e in system.iter_top() if len(inside.intersection(e)) > p),
+                )
+    return None
+
+
+def test_local_space_search_matches_rescan_reference():
+    # pools of 15-24 vertices: every search here is the local one
+    hosts = [gen_space_barrier(n, 3, j, s)
+             for n, j, s in ((15, 1, 6), (18, 2, 13), (21, 1, 8), (24, 1, 9))]
+    hosts += [gen_random_dense(n, 3, p=0.85, seed=n) for n in (15, 21)]
+    hosts += [gen_divisibility_barrier(shape, 3, [(1, 2), (3, 0)]) for shape in ([9, 6], [10, 6])]
+    cases = [(cx, beta, seed, 2000) for cx in map(host_view, hosts)
+             for beta, seed in ((Fraction(1, 100), 0), (Fraction(1, 40), 90),
+                                (Fraction(1, 200), 7153))]
+    # p = 1 spends its 20 * 200 * 15 steps, then p = 2 finds the planted set
+    cases.append((host_view(gen_space_barrier(15, 3, 2, 11)), Fraction(1, 100), 0, 61000))
+    found = set()
+    for cx, beta, seed, budget in cases:
+        ref = local_space_search_by_rescans(cx, beta, budget, seed)
+        cert = space_barrier_search(cx, beta, budget=budget, seed=seed)
+        if ref is None:
+            assert cert is None
+            continue
+        assert cert.to_json() == ref.to_json()
+        found.add((cert.p, cert.edge_count > 0))
+    assert found == {(1, False), (1, True), (2, False)}
 
 
 def filtered_labelings(n, k, min_size):

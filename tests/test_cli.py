@@ -220,6 +220,8 @@ GOOD_KHG = "khg 1\nk 3\nparts 1\npart A 6: a b c d e f\nedge a b c\nedge d e f\n
         (GOOD_KHG, {"ell": "2"}, [], "BadParams: ell must be a nonnegative integer"),
         (GOOD_KHG, [1, 2], [], "BadParams: the config file must hold a JSON object"),
         (GOOD_KHG, {"gama": "abc", "verify": False}, [], "BadParams: unknown config keys: gama, verify"),
+        (GOOD_KHG, {"nibble_attempts": 8, "nibble_rounds": None, "absorber_tries": 400}, [],
+         "BadParams: unknown config keys: absorber_tries, nibble_attempts, nibble_rounds"),
     ],
 )
 def test_malformed_input_exits_3(tmp_path, capsys, khg, config, extra, message):

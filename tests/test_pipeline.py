@@ -19,8 +19,10 @@ from kmatch.pipeline import (
     Certificate,
     PipelineConfig,
     decide,
+    host_view,
     run_general,
     run_matching_pipeline,
+    space_barrier_stage,
 )
 
 ALLOC3 = plain_allocation(3)
@@ -48,6 +50,19 @@ def test_pipeline_planted_space_never_false_pm():
     assert brute_force_pm(js) is None
     cert = run_matching_pipeline(js, None, PipelineConfig(seed=2))
     assert cert.tag in ("SpaceBarrier", "DivisibilityBarrier", "Inconclusive")
+
+
+@pytest.mark.parametrize("n, j, s", [(9, 1, 4), (12, 2, 9), (15, 1, 6), (18, 1, 7), (24, 1, 9)])
+def test_pipeline_reports_the_space_barrier_of_decides_stage(n, j, s):
+    # extraction fails on a planted space barrier, and the fallback is the
+    # stage decide runs, on the whole host
+    H = gen_space_barrier(n, 3, j, s)
+    cfg = PipelineConfig(seed=1)
+    cert = run_matching_pipeline(H, None, cfg)
+    stage = space_barrier_stage(host_view(H), cfg)
+    assert cert.tag == "SpaceBarrier"
+    assert cert.payload == stage.to_json()
+    assert cert.diagnostics["stages"][-1] == {"stage": "space-barrier", "status": "verified"}
 
 
 def test_pipeline_divisibility_via_absorber():
