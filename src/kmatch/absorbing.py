@@ -29,7 +29,6 @@ from .errors import (
 )
 from .lattice import (
     as_fraction,
-    bounded_decompose,
     generate_lattice,
     is_complete,
     minimal_decomposition_bound,
@@ -60,7 +59,6 @@ class ReachabilityParams:
 class NeighborhoodReport:
     """Set-like view of the vertices reachable from a target vertex."""
 
-    center: int
     vertices: frozenset
     threshold: Fraction
 
@@ -84,7 +82,7 @@ def reachable_neighborhood(system, v, params: ReachabilityParams) -> Neighborhoo
     # membership in either link set already excludes both endpoints
     out = frozenset(u for u in pool
                     if u != v and len(mine & links.get(u, set())) >= threshold)
-    return NeighborhoodReport(center=v, vertices=out, threshold=threshold)
+    return NeighborhoodReport(vertices=out, threshold=threshold)
 
 
 def _induced_top(system, vertices):
@@ -520,9 +518,8 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     table = {}
     max_bound = 0
     for w in sum_vectors(k, dim):
-        bound = minimal_decomposition_bound(w, vectors)
-        table[w] = bounded_decompose(w, vectors, bound)
-        max_bound = max(max_bound, bound)
+        table[w] = minimal_decomposition_bound(w, vectors)
+        max_bound = max(max_bound, table[w].bound)
 
     derived = 2 ** max(math.floor(1 / float(PARTITION_DELTA)) - 1, 0)
     needed = max(tt for _, tt in partition.witness)

@@ -1,31 +1,35 @@
 """Space-barrier and divisibility-barrier certificates: search and verification.
 
-Searches are heuristic outside the exhaustive range and say so; verifiers
-recompute everything from scratch so a returned certificate never depends on
+Searches are exhaustive on small pools and say so; verifiers recompute
+everything from scratch so a returned certificate never depends on
 search-time state.
 
 The exhaustive searches are array kernels over flat enumerations. The space
 search walks the product of per-part planted-set combinations in blocks that
 double in size, counting the (p+1)-edges inside every set of a block at once
-on a boolean indicator block; the local space search on larger pools counts
-each swap candidate with the same indicator test. The divisibility search
+on a boolean indicator block. On larger pools it plants one set read off the
+Farkas certificate of the exact fractional perfect-matching LP (Keevash and
+Mycroft: a space barrier is exactly an obstruction to a perfect fractional
+matching) and counts it with the same indicator test. The divisibility search
 holds every set partition into at most k parts with no part below the
 minimum size as one array of label rows (prefixes that cannot reach the size
 are never grown), counts the robust vectors of a chunk of rows with one
-`np.bincount`, and judges each distinct (part count, robust set) once.
+`np.bincount`, and judges each distinct (part count, robust set) once; larger
+pools are searched over supplied candidate partitions only.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 
 import numpy as np
 
+from .core import plain_allocation
 from .errors import MalformedCert
+from .fractional import LP_COLUMN_CAP, build_lp
 from .lattice import (
     IndexLattice,
     as_fraction,
@@ -34,9 +38,9 @@ from .lattice import (
     is_complete,
     robust_edge_vectors,
 )
+from .simplex import solve_equality_feasibility
 
 SPACE_EXHAUSTIVE_LIMIT = 14      # exhaust all S when the pool is at most this
-SPACE_RESTARTS = 20              # local-search restarts per p above that size
 SPACE_FIRST_BLOCK = 16           # planted sets counted at once first; blocks double
 DIV_EXHAUSTIVE_LIMIT = 12        # exhaust set partitions up to this pool size
 DIV_CHUNK_ROWS = 4096           # partitions whose robust codes are counted at once
@@ -139,90 +143,79 @@ def _inside_count(n_ids, edges, vertices) -> int:
     return int(_inside_counts(inside, edges))
 
 
-def _first_sparse_planted(edges, n_ids, per_part, want, allowed, limit):
+def _first_sparse_planted(edges, n_ids, per_part, want, allowed):
     """The first planted set, in product-of-combinations order over the parts,
-    with at most `allowed` edges inside, among the first `limit` sets, as
-    (chosen sets, inside, count) or None; and the number of planted sets.
-    A block of sets is counted at once, on one indicator row per set over the
-    n_ids vertex ids. Blocks double from SPACE_FIRST_BLOCK, so an early hit
-    stays cheap."""
-    total = math.prod(math.comb(len(avail), want) for avail in per_part)
+    with at most `allowed` edges inside, as (chosen sets, inside, count), or
+    None. A block of sets is counted at once, on one indicator row per set
+    over the n_ids vertex ids. Blocks double from SPACE_FIRST_BLOCK, so an
+    early hit stays cheap."""
     planted = product(*(combinations(avail, want) for avail in per_part))
     unit = np.eye(n_ids, dtype=bool)
-    start, block = 0, SPACE_FIRST_BLOCK
-    while start < min(total, limit):
-        sets = list(islice(planted, min(block, limit - start)))
+    block = SPACE_FIRST_BLOCK
+    while sets := list(islice(planted, block)):
         ids = np.fromiter(chain.from_iterable(chain.from_iterable(sets)), dtype=np.intp)
         counts = _inside_counts(unit[ids.reshape(len(sets), -1)].any(axis=1), edges)
         hits = np.flatnonzero(counts <= allowed)
         if len(hits):
             chosen = sets[hits[0]]
-            return (chosen, frozenset(chain(*chosen)), int(counts[hits[0]])), total
-        start, block = start + len(sets), 2 * block
-    return None, total
+            return chosen, frozenset(chain(*chosen)), int(counts[hits[0]])
+        block *= 2
+    return None
 
 
-def space_barrier_search(system, beta, budget=None, seed: int = 0):
+def _farkas_support(system):
+    """The vertices with a positive multiplier in the exact Farkas certificate
+    of the fractional perfect-matching LP (the whole pool when there is no top
+    edge), or None when the LP is feasible, the host is implicit or the LP
+    has more than LP_COLUMN_CAP columns."""
+    if system.top_count() == 0:
+        return frozenset(system.vertex_pool)
+    if system.implicit or system.top_count() > LP_COLUMN_CAP:
+        return None
+    model = build_lp(system, plain_allocation(system.k))
+    res = solve_equality_feasibility(model.columns, model.b)
+    if res.feasible:
+        return None
+    return frozenset(v for v, y in zip(sorted(system.vertex_pool), res.certificate) if y > 0)
+
+
+def space_barrier_search(system, beta):
     """Look for a space-barrier certificate at every p.
 
-    Exhaustive over all planted sets when the pool is small, so absence of a
-    certificate is then a proof; otherwise randomized local search (swap one
-    planted vertex for an outside one, keep when the inside count drops), and
-    absence proves nothing. budget caps candidate evaluations (planted sets
-    counted, or local-search steps); budget=0 returns None immediately.
+    Up to SPACE_EXHAUSTIVE_LIMIT vertices the search tries all planted sets,
+    so absence of a certificate is then a proof. Larger pools read one set
+    off the exact LP: when the fractional perfect-matching LP is infeasible,
+    S is the support of its Farkas certificate's positive part, and each p
+    that no top edge exceeds in S plants the first vertices of S in each
+    part, in id order. A barrier is then only reported where no perfect
+    matching, not even a fractional one, exists; absence proves nothing.
     """
     beta = as_fraction(beta)
     uni = system.universe
-    if budget == 0:
-        return None
-    budget = math.inf if budget is None else budget
-    evaluations = 0
     exhaustive = len(system.vertex_pool) <= SPACE_EXHAUSTIVE_LIMIT
-    rng = random.Random(seed)
-    per_part = [
-        [v for v in uni.part_vertices(j) if v in system.vertex_pool]
-        for j in range(uni.r)
-    ]
-    for p in range(1, system.k):
+    if exhaustive:
+        pool, least_p = system.vertex_pool, 1
+    else:
+        pool = _farkas_support(system)
+        if pool is None:
+            return None
+        # only a p that no top edge exceeds inside S
+        least_p = max([1] + [len(pool.intersection(e)) for e in system.iter_top()])
+    per_part = [[v for v in uni.part_vertices(j) if v in pool] for j in range(uni.r)]
+    for p in range(least_p, system.k):
         n, want = _space_target_sizes(system, p)
         allowed = math.floor(beta * Fraction(n) ** (p + 1))  # edge counts are integers
         if want == 0 or any(len(avail) < want for avail in per_part):
             continue
-        found = None
         edges = np.fromiter(chain.from_iterable(system.level(p + 1)), dtype=np.intp)
         edges = edges.reshape(-1, p + 1)
         if exhaustive:
-            found, tried = _first_sparse_planted(
-                edges, uni.total, per_part, want, allowed, budget - evaluations)
-            evaluations += tried
-            if found is None and evaluations > budget:
-                return None
+            found = _first_sparse_planted(edges, uni.total, per_part, want, allowed)
         else:
-            for _ in range(SPACE_RESTARTS):
-                chosen = [rng.sample(avail, want) for avail in per_part]
-                inside = frozenset(v for s in chosen for v in s)
-                cnt = _inside_count(uni.total, edges, inside)
-                for _ in range(200 * n):
-                    evaluations += 1
-                    if evaluations > budget:
-                        return None
-                    if cnt <= allowed:
-                        break
-                    j = rng.randrange(uni.r)
-                    outside = [v for v in per_part[j] if v not in inside]
-                    if not outside:
-                        continue
-                    drop = chosen[j][rng.randrange(len(chosen[j]))]
-                    add = outside[rng.randrange(len(outside))]
-                    cand = [list(s) for s in chosen]
-                    cand[j] = [v for v in cand[j] if v != drop] + [add]
-                    cand_inside = frozenset(v for s in cand for v in s)
-                    cand_cnt = _inside_count(uni.total, edges, cand_inside)
-                    if cand_cnt <= cnt:
-                        chosen, inside, cnt = cand, cand_inside, cand_cnt
-                if cnt <= allowed:
-                    found = chosen, inside, cnt
-                    break
+            chosen = [avail[:want] for avail in per_part]
+            inside = frozenset(chain(*chosen))
+            cnt = _inside_count(uni.total, edges, inside)
+            found = (chosen, inside, cnt) if cnt <= allowed else None
         if found is not None:
             chosen, inside, cnt = found
             return SpaceBarrierCert(

@@ -354,7 +354,6 @@ class Allocation:
     r: int
     functions: tuple          # sorted ((pattern, count), ...)
     index_multiset: tuple     # sorted ((vector, count), ...)
-    size_bound: int = 0
 
     @property
     def size(self) -> int:
@@ -396,7 +395,7 @@ def allocation_from_index_multiset(index_multiset, r=None, size_bound=0) -> Allo
     """
     vectors = [tuple(v) for v in index_multiset]
     if not vectors:
-        return Allocation(k=0, r=r or 0, functions=(), index_multiset=(), size_bound=size_bound)
+        return Allocation(k=0, r=r or 0, functions=(), index_multiset=())
     if r is None:
         r = len(vectors[0])
     k = sum(vectors[0])
@@ -421,7 +420,6 @@ def allocation_from_index_multiset(index_multiset, r=None, size_bound=0) -> Allo
         r=r,
         functions=tuple(sorted(funcs.items())),
         index_multiset=tuple(sorted(idx.items())),
-        size_bound=size_bound or total,
     )
 
 

@@ -28,9 +28,6 @@ class FractionalMatching:
     host: object
     weights: dict
 
-    def support(self) -> list:
-        return sorted(self.weights)
-
 
 @dataclass
 class LPModel:
@@ -41,7 +38,6 @@ class LPModel:
     columns: list                    # sparse columns [(row, Fraction), ...]
     b: list
     row_names: list
-    vertex_rows: dict                # vertex id -> row index
     balance_pairs: list              # [(index_vec, index_vec'), ...] in row order
 
     @property
@@ -68,7 +64,6 @@ def build_lp(system, alloc: Allocation) -> LPModel:
     nrows = len(vertex_rows)
     vectors = alloc.index_vectors()
     balance_pairs = [(vectors[t], vectors[t + 1]) for t in range(len(vectors) - 1)]
-    pair_row = {pair: nrows + t for t, pair in enumerate(balance_pairs)}
     columns = []
     for e in edges:
         col = [(vertex_rows[v], ONE) for v in e]
@@ -90,7 +85,6 @@ def build_lp(system, alloc: Allocation) -> LPModel:
         columns=columns,
         b=b,
         row_names=row_names,
-        vertex_rows=vertex_rows,
         balance_pairs=balance_pairs,
     )
 

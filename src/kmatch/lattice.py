@@ -92,9 +92,6 @@ class IndexLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, vector) -> bool:
-        return lattice_contains(self, vector)
-
     def to_json(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -271,12 +268,12 @@ def bounded_decompose(target, vectors, bound: int) -> Decomposition:
     return Decomposition(target=target, coefficients=pairs, bound=bound)
 
 
-def minimal_decomposition_bound(target, vectors, cap=30) -> int:
-    """Smallest bound admitting a decomposition, by iterative deepening."""
+def minimal_decomposition_bound(target, vectors, cap=30) -> Decomposition:
+    """The decomposition at the smallest bound admitting one (its `bound`),
+    by iterative deepening."""
     for c in range(cap + 1):
         try:
-            bounded_decompose(target, vectors, c)
-            return c
+            return bounded_decompose(target, vectors, c)
         except BoundTooSmall:
             continue
     raise BoundTooSmall(f"no decomposition of {target} within |a| <= {cap}")
@@ -306,7 +303,7 @@ def transfer_constant(k: int, r: int, configured=None, exhaustive_limit=EXHAUSTI
             for target in vectors:
                 if not lattice_contains(lat, target):
                     continue
-                best = max(best, minimal_decomposition_bound(target, subset))
+                best = max(best, minimal_decomposition_bound(target, subset).bound)
     return best, "exact"
 
 
@@ -317,7 +314,6 @@ class RobustVectorSet:
     mu: Fraction
     threshold: Fraction
     counts: tuple          # ((vector, exact count), ...) for robust vectors only
-    all_counts: tuple      # every observed vector, robust or not
 
     def vectors(self) -> list:
         return [v for v, _ in self.counts]
@@ -374,10 +370,5 @@ def robust_edge_vectors(edges, partition, mu) -> RobustVectorSet:
     mu = as_fraction(mu)
     threshold = mu * Fraction(nv) ** k
     robust = tuple(sorted((v, c) for v, c in counts.items() if c >= threshold))
-    return RobustVectorSet(
-        mu=mu,
-        threshold=threshold,
-        counts=robust,
-        all_counts=tuple(sorted(counts.items())),
-    )
+    return RobustVectorSet(mu=mu, threshold=threshold, counts=robust)
 

@@ -68,7 +68,7 @@ NIBBLE_ATTEMPTS = 8  # sample-and-nibble rounds tried before the best one is kep
 
 @dataclass
 class PipelineConfig:
-    """Hierarchy constants, seeds, and stage budgets.
+    """Hierarchy constants, the seed, and the extraction count ell.
 
     The strict ordering phi < epsilon < alpha < gamma < min(mu, beta) is
     enforced on construction; zeta is the plain degree floor used by the
@@ -84,7 +84,6 @@ class PipelineConfig:
     zeta: Fraction = Fraction(30, 100)
     ell: int = None
     seed: int = 0
-    space_budget: int = None
     mode: str = "pipeline"
 
     def __post_init__(self):
@@ -96,12 +95,9 @@ class PipelineConfig:
                 raise BadParams(f"{name}={value!r} is not a number") from None
         if type(self.seed) is not int:
             raise BadParams(f"seed must be an integer, got {self.seed!r}")
-        for name in ("ell", "space_budget"):
-            value = getattr(self, name)
-            if value is None:
-                continue  # derived by the stage that reads it
-            if type(value) is not int or value < 0:
-                raise BadParams(f"{name} must be a nonnegative integer, got {value!r}")
+        # ell is derived by the stage that reads it when unset
+        if self.ell is not None and (type(self.ell) is not int or self.ell < 0):
+            raise BadParams(f"ell must be a nonnegative integer, got {self.ell!r}")
         chain = [self.phi, self.epsilon, self.alpha, self.gamma]
         if not all(a < b for a, b in zip(chain, chain[1:])):
             raise BadParams("hierarchy must satisfy phi < epsilon < alpha < gamma")
@@ -229,10 +225,7 @@ def space_barrier_stage(system, config: PipelineConfig):
     """The space-barrier search on the host view, as decide and `kmatch
     barriers` run it first and run_matching_pipeline runs it when extraction
     fails; a verified SpaceBarrierCert or None."""
-    cert = space_barrier_search(
-        system, _effective_beta(system, config.beta),
-        seed=_stage_seed(config, 90), budget=config.space_budget,
-    )
+    cert = space_barrier_search(system, _effective_beta(system, config.beta))
     if cert is not None and verify_space_barrier(system, cert):
         return cert
     return None

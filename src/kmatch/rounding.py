@@ -195,8 +195,6 @@ class NibbleParams:
 class NibbleResult:
     matching: Matching
     uncovered: tuple
-    rounds_used: int
-    restarts: int
     flag: str                   # "ok" or "round-limit"
     covered_fraction: float
     best_trace: tuple = ()      # best matching size after each improvement
@@ -286,8 +284,6 @@ def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
         return NibbleResult(
             matching=Matching.from_edges([]),
             uncovered=tuple(pool),
-            rounds_used=0,
-            restarts=0,
             flag="round-limit",
             covered_fraction=0.0,
         )
@@ -296,13 +292,11 @@ def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
     k = len(sampled.edges[0])
     best = []
     rounds_used = 0
-    restarts = 0
     trace = []
 
     if sampled.num_classes <= 1:
         stop_at = nv // k
         while rounds_used < budget:
-            restarts += 1
             got, used_rounds, t = _collapsed_rounds(
                 sampled.edges, pool, rng, budget - rounds_used, stop_at
             )
@@ -321,7 +315,6 @@ def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
         if all(cl for cl in classes):
             attempts_per_restart = max(budget // 10, 1)
             while rounds_used < budget:
-                restarts += 1
                 matching, used = [], set()
                 stall = 0
                 while rounds_used < budget and stall < attempts_per_restart:
@@ -358,8 +351,6 @@ def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
     return NibbleResult(
         matching=matching,
         uncovered=uncovered,
-        rounds_used=rounds_used,
-        restarts=restarts,
         flag=flag,
         covered_fraction=frac,
         best_trace=tuple(trace),

@@ -1,6 +1,5 @@
 """Barrier search and verification against independent exhaustion oracles."""
 
-import random
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from kmatch.barriers import (
-    SPACE_RESTARTS,
     DivBarrierCert,
     _count_inside,
     _labelings,
@@ -18,15 +16,16 @@ from kmatch.barriers import (
     verify_divisibility_barrier,
     verify_space_barrier,
 )
-from kmatch.core import VertexUniverse, build_complex
+from kmatch.core import VertexUniverse, build_complex, plain_allocation
 from kmatch.errors import MalformedCert
+from kmatch.fractional import build_lp, solve_feasible
 from kmatch.oracle import (
     complete_complex,
     gen_divisibility_barrier,
     gen_random_dense,
     gen_space_barrier,
 )
-from kmatch.pipeline import host_view
+from kmatch.pipeline import PipelineConfig, host_view, space_barrier_stage
 
 
 def oracle_space_exhaustion(system, beta, p):
@@ -66,14 +65,9 @@ def test_search_agrees_with_exhaustion_oracle():
         assert found == oracle
 
 
-def test_space_budget_zero():
-    js = gen_space_barrier(6, 3, 1, 2)
-    assert space_barrier_search(js, Fraction(1, 100), budget=0) is None
-
-
 def test_space_local_search_on_larger_instance():
     js = gen_space_barrier(24, 3, 1, 10)
-    cert = space_barrier_search(js, Fraction(1, 1000), seed=3)
+    cert = space_barrier_search(js, Fraction(1, 1000))
     assert cert is not None and not cert.exhaustive
     assert verify_space_barrier(js, cert)
 
@@ -101,8 +95,8 @@ def test_space_malformed_certs():
 
 def test_space_search_reproducible():
     js = gen_space_barrier(24, 3, 1, 10)
-    a = space_barrier_search(js, Fraction(1, 1000), seed=5)
-    b = space_barrier_search(js, Fraction(1, 1000), seed=5)
+    a = space_barrier_search(js, Fraction(1, 1000))
+    b = space_barrier_search(js, Fraction(1, 1000))
     assert a.part_sets == b.part_sets
 
 
@@ -177,7 +171,7 @@ def test_divisibility_candidates_path():
 def test_every_returned_cert_passes_its_verifier():
     for seed in range(4):
         cx = gen_random_dense(9, 3, p=0.35 + 0.1 * seed, seed=20 + seed)
-        sc = space_barrier_search(cx, Fraction(1, 40), seed=seed)
+        sc = space_barrier_search(cx, Fraction(1, 40))
         if sc is not None:
             assert verify_space_barrier(cx, sc)
         dc = divisibility_barrier_search(cx, Fraction(1, 200), 2)
@@ -187,12 +181,12 @@ def test_every_returned_cert_passes_its_verifier():
 
 def test_certificates_round_trip_through_json():
     space = space_barrier_search(gen_space_barrier(9, 3, 1, 4), Fraction(1, 100))
-    local = space_barrier_search(gen_space_barrier(18, 3, 1, 7), Fraction(1, 1000), seed=3)
+    large = space_barrier_search(gen_space_barrier(18, 3, 1, 7), Fraction(1, 1000))
     div = divisibility_barrier_search(
         gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]), Fraction(1, 100), 2
     )
-    assert space.exhaustive and not local.exhaustive
-    for cert in (space, local):
+    assert space.exhaustive and not large.exhaustive
+    for cert in (space, large):
         assert SpaceBarrierCert.from_json(cert.to_json()) == cert
     assert DivBarrierCert.from_json(div.to_json()) == div
     # the partite grouping survives the round trip too
@@ -239,28 +233,6 @@ def test_exhaustive_divisibility_matches_candidates_in_order(n, k, p, seed):
                 assert fast.robust_vectors == slow.robust_vectors
 
 
-def test_space_budget_counts_planted_sets():
-    # the first planted set under the threshold is the 155th one tried: 84
-    # sets of size 3 at p=1 (none sparse enough), then 71 of size 6 at p=2
-    cx = gen_random_dense(9, 3, p=0.5, seed=7)
-    beta = Fraction(1, 100)
-    tried = 0
-    hit = None
-    for p in (1, 2):
-        threshold = beta * Fraction(9) ** (p + 1)
-        for s in combinations(sorted(cx.vertex_pool), 3 * p):
-            tried += 1
-            if sum(1 for e in cx.level(p + 1) if set(s).issuperset(e)) <= threshold:
-                hit = (p, s)
-                break
-        if hit:
-            break
-    assert hit is not None and tried == 155
-    cert = space_barrier_search(cx, beta, budget=tried)
-    assert (cert.p, cert.part_sets) == (hit[0], (hit[1],))
-    assert space_barrier_search(cx, beta, budget=tried - 1) is None
-
-
 def first_sparse_by_count_inside(system, beta):
     """Reference: the first planted set the exhaustive space search should
     return, by a plain loop over _count_inside in product-of-combinations
@@ -300,100 +272,69 @@ def test_exhaustive_space_search_matches_count_inside_loop():
             ref = first_sparse_by_count_inside(cx, beta)
             if isinstance(ref, int):
                 assert space_barrier_search(cx, beta) is None
-                assert space_barrier_search(cx, beta, budget=ref) is None
                 continue
             p, chosen, count, index = ref
-            cert = space_barrier_search(cx, beta, budget=index + 1)
+            cert = space_barrier_search(cx, beta)
             assert cert.exhaustive and cert.p == p and cert.edge_count == count
             assert cert.part_sets == tuple(tuple(sorted(s)) for s in chosen)
-            assert space_barrier_search(cx, beta, budget=index) is None
             seen.add((cx.universe.r, p))
             hits.add(index)
     assert seen == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert {15, 16, 47, 48} <= hits
 
 
-def count_inside_until(system, level, inside, stop_after=None):
-    """Rescan the level for edges inside; stop once the count passes
-    stop_after."""
-    count = 0
-    for e in system.level(level):
-        if inside.issuperset(e):
-            count += 1
-            if stop_after is not None and count > stop_after:
-                return count
-    return count
+def lp_infeasible(system):
+    """Independent of the search: the exact LP has no perfect fractional
+    matching (no top edge at all counts as infeasible)."""
+    if not system.top_count():
+        return True
+    return solve_feasible(build_lp(system, plain_allocation(system.k))) is None
 
 
-def local_space_search_by_rescans(system, beta, budget, seed):
-    """Reference: the randomized local search above SPACE_EXHAUSTIVE_LIMIT,
-    counting each swap candidate by a rescan of the (p+1)-level that stops
-    once it passes the current count. Same draws, same acceptance; the
-    certificate, or None when none is found within budget evaluations."""
-    uni = system.universe
-    rng = random.Random(seed)
-    evaluations = 0
-    per_part = [[v for v in uni.part_vertices(j) if v in system.vertex_pool]
-                for j in range(uni.r)]
-    for p in range(1, system.k):
-        n = uni.part_sizes[0]
-        want = p * n // system.k
-        threshold = beta * Fraction(n) ** (p + 1)
-        if want == 0 or any(len(avail) < want for avail in per_part):
-            continue
-        for _ in range(SPACE_RESTARTS):
-            chosen = [rng.sample(avail, want) for avail in per_part]
-            inside = frozenset(v for s in chosen for v in s)
-            cnt = count_inside_until(system, p + 1, inside)
-            for _ in range(200 * n):
-                evaluations += 1
-                if evaluations > budget:
-                    return None
-                if cnt <= threshold:
-                    break
-                j = rng.randrange(uni.r)
-                outside = [v for v in per_part[j] if v not in inside]
-                if not outside:
-                    continue
-                drop = chosen[j][rng.randrange(len(chosen[j]))]
-                add = outside[rng.randrange(len(outside))]
-                cand = [list(s) for s in chosen]
-                cand[j] = [v for v in cand[j] if v != drop] + [add]
-                cand_inside = frozenset(v for s in cand for v in s)
-                cand_cnt = count_inside_until(system, p + 1, cand_inside, stop_after=cnt)
-                if cand_cnt <= cnt:
-                    chosen, inside, cnt = cand, cand_inside, cand_cnt
-            if cnt <= threshold:
-                return SpaceBarrierCert(
-                    p=p, part_sets=tuple(tuple(sorted(s)) for s in chosen),
-                    edge_count=cnt, beta=beta, part_size=n, exhaustive=False,
-                    top_overflow_count=sum(
-                        1 for e in system.iter_top() if len(inside.intersection(e)) > p),
-                )
-    return None
+def test_lp_space_search_plants_inside_the_planted_set():
+    # pools of 15-24 vertices: every barrier is read off the Farkas support.
+    # |S| > j n / 3 blocks a perfect matching; s >= n - 1 at j = 1 and s = n
+    # at j = 2 leave no top edge at all
+    shapes = [(n, j, s) for n in (15, 18, 24) for j in (1, 2)
+              for s in range(j * n // 3 + 1, n + 1)]
+    assert {(15, 1, 14), (15, 2, 15), (18, 1, 17), (24, 1, 23)} <= set(shapes)
+    for n, j, s in shapes:
+        planted = gen_space_barrier(n, 3, j, s)
+        cx = host_view(planted)
+        cert = space_barrier_stage(cx, PipelineConfig())
+        assert cert is not None, (n, j, s)
+        assert verify_space_barrier(cx, cert)
+        assert cert.vertex_set() <= planted.planted_set, (n, j, s)
+        assert cert.edge_count == 0 and cert.top_overflow_count == 0
+        assert cert.exhaustive is False
 
 
-def test_local_space_search_matches_rescan_reference():
-    # pools of 15-24 vertices: every search here is the local one
-    hosts = [gen_space_barrier(n, 3, j, s)
-             for n, j, s in ((15, 1, 6), (18, 2, 13), (21, 1, 8), (24, 1, 9))]
-    hosts += [gen_random_dense(n, 3, p=0.85, seed=n) for n in (15, 21)]
+def test_lp_space_search_none_on_matchable_hosts():
+    hosts = [gen_random_dense(n, 3, p=0.85, seed=seed) for n in (15, 18, 21, 24) for seed in (0, 1)]
     hosts += [gen_divisibility_barrier(shape, 3, [(1, 2), (3, 0)]) for shape in ([9, 6], [10, 6])]
-    cases = [(cx, beta, seed, 2000) for cx in map(host_view, hosts)
-             for beta, seed in ((Fraction(1, 100), 0), (Fraction(1, 40), 90),
-                                (Fraction(1, 200), 7153))]
-    # p = 1 spends its 20 * 200 * 15 steps, then p = 2 finds the planted set
-    cases.append((host_view(gen_space_barrier(15, 3, 2, 11)), Fraction(1, 100), 0, 61000))
-    found = set()
-    for cx, beta, seed, budget in cases:
-        ref = local_space_search_by_rescans(cx, beta, budget, seed)
-        cert = space_barrier_search(cx, beta, budget=budget, seed=seed)
-        if ref is None:
-            assert cert is None
-            continue
-        assert cert.to_json() == ref.to_json()
-        found.add((cert.p, cert.edge_count > 0))
-    assert found == {(1, False), (1, True), (2, False)}
+    for cx in map(host_view, hosts):
+        assert len(cx.vertex_pool) > 14
+        assert space_barrier_stage(cx, PipelineConfig()) is None
+
+
+def test_lp_space_search_reports_only_infeasible_lps():
+    # the planted (n, 1, n/3 + 2) barrier with missing 3-edges added at random:
+    # a near barrier whose LP is feasible blocks nothing and is not reported
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for n in (15, 18):
+        planted = gen_space_barrier(n, 3, 1, n // 3 + 2)
+        kept = set(planted.level(3))
+        for q in (0.0, 0.03, 0.1, 0.3):
+            edges = [e for e in combinations(range(n), 3) if e in kept or rng.random() < q]
+            cx = host_view(build_complex({3: edges}, VertexUniverse.single(n), k=3, close=True))
+            cert = space_barrier_search(cx, Fraction(1, 100))
+            infeasible = lp_infeasible(cx)
+            if cert is not None:
+                assert infeasible and verify_space_barrier(cx, cert)
+                assert cert.top_overflow_count == 0
+            outcomes.add((cert is not None, infeasible))
+    assert (True, True) in outcomes and (False, False) in outcomes
 
 
 def filtered_labelings(n, k, min_size):

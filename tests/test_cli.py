@@ -222,6 +222,7 @@ GOOD_KHG = "khg 1\nk 3\nparts 1\npart A 6: a b c d e f\nedge a b c\nedge d e f\n
         (GOOD_KHG, {"gama": "abc", "verify": False}, [], "BadParams: unknown config keys: gama, verify"),
         (GOOD_KHG, {"nibble_attempts": 8, "nibble_rounds": None, "absorber_tries": 400}, [],
          "BadParams: unknown config keys: absorber_tries, nibble_attempts, nibble_rounds"),
+        (GOOD_KHG, {"space_budget": 100}, [], "BadParams: unknown config keys: space_budget"),
     ],
 )
 def test_malformed_input_exits_3(tmp_path, capsys, khg, config, extra, message):

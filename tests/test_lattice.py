@@ -198,7 +198,7 @@ def test_transfer_constant():
 
 def test_transfer_constant_full_generator_set_needs_one():
     vecs = sum_vectors(3, 2)
-    assert all(minimal_decomposition_bound(v, vecs) == 1 for v in vecs)
+    assert all(minimal_decomposition_bound(v, vecs).bound == 1 for v in vecs)
 
 
 def test_robust_edge_vectors():
