@@ -32,7 +32,6 @@ from .lattice import (
     generate_lattice,
     is_complete,
     minimal_decomposition_bound,
-    robust_edge_vectors,
     sum_vectors,
 )
 from .oracle import brute_force_pm
@@ -47,42 +46,14 @@ AUDIT_MIN_RATE = 0.95               # pass rate the coverage audit needs per vec
 BUILD_TRIES = 400                   # absorber member attempts before the build gives up
 
 
-@dataclass
-class ReachabilityParams:
-    beta: Fraction = Fraction(1, 100)
-
-    def __post_init__(self):
-        self.beta = as_fraction(self.beta)
-
-
-@dataclass
-class NeighborhoodReport:
-    """Set-like view of the vertices reachable from a target vertex."""
-
-    vertices: frozenset
-    threshold: Fraction
-
-    def __contains__(self, v):
-        return v in self.vertices
-
-    def __iter__(self):
-        return iter(sorted(self.vertices))
-
-    def __len__(self):
-        return len(self.vertices)
-
-
-def reachable_neighborhood(system, v, params: ReachabilityParams) -> NeighborhoodReport:
-    """Vertices u whose link shares at least beta * n^(k-1) (k-1)-sets with
-    the link of v: reach length 1, counted exactly on common links."""
-    pool = sorted(system.vertex_pool)
-    links = system.link_map()
-    threshold = params.beta * Fraction(len(pool)) ** (system.k - 1)
-    mine = links.get(v, set())
-    # membership in either link set already excludes both endpoints
-    out = frozenset(u for u in pool
-                    if u != v and len(mine & links.get(u, set())) >= threshold)
-    return NeighborhoodReport(vertices=out, threshold=threshold)
+def reachable_neighborhood(system, v, beta) -> frozenset:
+    """Vertices u != v whose link shares at least beta * |V|^(k-1) (k-1)-sets
+    with the link of v: reach length 1, counted exactly on common links."""
+    pool = system.vertex_pool
+    # the counts are integers, so comparing with the ceiling is exact
+    need = math.ceil(as_fraction(beta) * Fraction(len(pool)) ** (system.k - 1))
+    common = _common_links(system)
+    return frozenset(u for u in pool if u != v and common[v, u] >= need)
 
 
 def _induced_top(system, vertices):
@@ -505,8 +476,13 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         for v in p:
             part_lookup[v] = idx
 
-    robust = robust_edge_vectors(system.iter_top(), [frozenset(p) for p in parts], config.mu)
-    vectors = robust.vectors()
+    top_by_comp = {}              # composition -> its top edges, in top-level order
+    for e in system.iter_top():
+        top_by_comp.setdefault(_composition_of(e, part_lookup, dim), []).append(e)
+    pool = sorted(system.vertex_pool)
+    nv = len(pool)
+    threshold = config.mu * Fraction(nv) ** k
+    vectors = sorted(v for v, es in top_by_comp.items() if len(es) >= threshold)
     lat = generate_lattice(vectors, dim)
     groups = ambient_groups
     if not is_complete(lat, k, groups=groups):
@@ -529,8 +505,6 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     if needed < derived:
         flags.append(f"partition audit supports t={needed}, using it over t={derived}")
 
-    pool = sorted(system.vertex_pool)
-    nv = len(pool)
     leftover_sets = max(1, math.ceil(float(config.phi) * nv / k))
     family_target = config.family_target or (leftover_sets + 1)
     reserve_need = {}
@@ -552,18 +526,13 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     used = set()
     members = []
     member_pms = []
-    top_by_comp = {}              # composition -> its top edges, in top-level order
-    for e in system.iter_top():
-        top_by_comp.setdefault(_composition_of(e, part_lookup, dim), []).append(e)
-
-    target_comps = list(vectors)
     tries = 0
     comp_cycle = 0
     while len(members) < family_target and tries < BUILD_TRIES:
         tries += 1
-        comp = target_comps[comp_cycle % len(target_comps)]
+        comp = vectors[comp_cycle % len(vectors)]
         comp_cycle += 1
-        member = _build_absorber_member(system, top_by_comp.get(comp, ()), t, used, rng)
+        member = _build_absorber_member(system, top_by_comp[comp], t, used, rng)
         if member is None:
             continue
         verts, pm = member
@@ -667,7 +636,7 @@ def _build_absorber_member(system, comp_edges, t, used, rng):
     order. Returns (vertex set, internal perfect matching) or None.
     """
     k = system.k
-    links = system.link_map()
+    incidence = system.incidence()
     cands = [e for e in comp_edges if not (set(e) & used)]
     if not cands:
         return None
@@ -683,7 +652,8 @@ def _build_absorber_member(system, comp_edges, t, used, rng):
             # same-part vertex at absorb time, which the audit samples
             if t == 1:
                 if u not in sorted_links:
-                    sorted_links[u] = sorted(links.get(u, ()))
+                    sorted_links[u] = sorted(tuple(w for w in f if w != u)
+                                             for f in incidence.get(u, ()))
                 cand_sets = [s for s in sorted_links[u] if taken.isdisjoint(s)]
                 if not cand_sets:
                     ok = False

@@ -186,23 +186,18 @@ def space_barrier_search(system, beta):
     so absence of a certificate is then a proof. Larger pools read one set
     off the exact LP: when the fractional perfect-matching LP is infeasible,
     S is the support of its Farkas certificate's positive part, and each p
-    that no top edge exceeds in S plants the first vertices of S in each
-    part, in id order. A barrier is then only reported where no perfect
-    matching, not even a fractional one, exists; absence proves nothing.
+    plants the first vertices of S in each part, in id order. A barrier is
+    then only reported where no perfect matching, not even a fractional one,
+    exists; absence proves nothing.
     """
     beta = as_fraction(beta)
     uni = system.universe
     exhaustive = len(system.vertex_pool) <= SPACE_EXHAUSTIVE_LIMIT
-    if exhaustive:
-        pool, least_p = system.vertex_pool, 1
-    else:
-        pool = _farkas_support(system)
-        if pool is None:
-            return None
-        # only a p that no top edge exceeds inside S
-        least_p = max([1] + [len(pool.intersection(e)) for e in system.iter_top()])
+    pool = system.vertex_pool if exhaustive else _farkas_support(system)
+    if pool is None:
+        return None
     per_part = [[v for v in uni.part_vertices(j) if v in pool] for j in range(uni.r)]
-    for p in range(least_p, system.k):
+    for p in range(1, system.k):
         n, want = _space_target_sizes(system, p)
         allowed = math.floor(beta * Fraction(n) ** (p + 1))  # edge counts are integers
         if want == 0 or any(len(avail) < want for avail in per_part):

@@ -21,6 +21,7 @@ from .fractional import extract_weight_disjoint, verify_fractional
 from .khg import dump_khg, load_khg
 from .oracle import GenSpec, brute_force_fractional, brute_force_pm
 from .pipeline import (
+    MU,
     Certificate,
     PipelineConfig,
     _effective_mu,
@@ -140,7 +141,7 @@ def cmd_barriers(args) -> int:
     config, alloc = _load_config(args)
     view = host_view(load_khg(args.file), alloc)
     found = {}
-    space = space_barrier_stage(view, config)
+    space = space_barrier_stage(view)
     if space is not None:
         found["space"] = space.to_json()
     div = divisibility_barrier_stage(view, config, alloc)
@@ -170,7 +171,7 @@ def cmd_absorb_demo(args) -> int:
     config, alloc = _load_config(args)
     system = load_khg(args.file)
     alloc = alloc or plain_allocation(system.k)
-    cfg = AbsorberConfig(seed=config.seed, mu=_effective_mu(system, config.mu))
+    cfg = AbsorberConfig(seed=config.seed, mu=_effective_mu(system, MU))
     state = build_absorber(system, alloc, cfg)
     rng = random.Random(config.seed)
     avail = sorted(set(system.vertex_pool) - state.w_vertices)
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Perfect matchings in dense k-complexes: decide, match, and inspect.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (hierarchy constants, allocation)")
+    common.add_argument("--config", help="JSON config file (ell, seed, allocation_index_multiset)")
     common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(

@@ -104,15 +104,6 @@ def index_vector(vertex_set, universe: VertexUniverse) -> tuple:
     return tuple(counts)
 
 
-def _link_map(top_edges) -> dict:
-    """vertex -> set of (k-1)-tuples completing it to a top edge."""
-    links = {}
-    for e in top_edges:
-        for v, rest in zip(reversed(e), combinations(e, len(e) - 1)):
-            links.setdefault(v, set()).add(rest)
-    return links
-
-
 def _check_edges(edges, i, universe, pool):
     """BadVertex unless every edge is an i-set of pool vertices. Decided in
     bulk; the loop only names the first culprit."""
@@ -156,7 +147,6 @@ class KSystem:
         self.k = k
         self._pool = pool
         self.levels = levels
-        self._links = None
         self._incidence = None
         self._vectors = None
 
@@ -193,13 +183,6 @@ class KSystem:
 
     def iter_top(self):
         return iter(self.levels[self.k])
-
-    def link_map(self) -> dict:
-        """vertex -> set of (k-1)-tuples completing it to a top edge; built
-        once, callers must not mutate it."""
-        if self._links is None:
-            self._links = _link_map(self.levels[self.k])
-        return self._links
 
     def incidence(self) -> dict:
         """vertex -> list of its top edges in top-level order; built once,
@@ -298,7 +281,7 @@ class CompleteComplex:
     """Implicit complete k-complex: every i-set is an edge.
 
     Duck-compatible with KComplex for the operations the pipeline needs
-    (membership, top counts, links, induced restriction); levels are never
+    (membership, top counts, induced restriction); levels are never
     materialized, which keeps n in the hundreds tractable, and nothing is
     cached.
     """
@@ -333,9 +316,6 @@ class CompleteComplex:
 
     def iter_top(self):
         return combinations(sorted(self._pool), self.k)
-
-    def link_map(self) -> dict:
-        return _link_map(self.iter_top())
 
     def induced(self, vertex_set):
         return CompleteComplex(self.universe, self.k, self._pool & frozenset(vertex_set))

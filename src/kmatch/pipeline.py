@@ -6,16 +6,17 @@ asymptotic, and at desk scale a heuristic stage can fail without disproving
 matchability. Every emitted certificate passes its verifier before it leaves
 this module; failure paths carry stage diagnostics instead of guesses.
 
-The hierarchy constants in PipelineConfig keep the documented ordering
-phi < epsilon < alpha < gamma < min(mu, beta); individual stages derive
-effective desk-scale thresholds from them (recorded in the diagnostics),
-because the nominal constants are asymptotic and would otherwise make every
-small instance look like a barrier or starve the absorber of capacity.
+The hierarchy constants PHI < EPSILON < ALPHA < GAMMA < min(MU, BETA) are
+module constants, not settings: each stage derives its effective desk-scale
+threshold from the instance (recorded in the diagnostics) and uses the
+constant only as a cap or a floor, because the nominal constants are
+asymptotic and would otherwise make every small instance look like a barrier
+or starve the absorber of capacity. PipelineConfig holds only the seed and
+the extraction count ell.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,7 +53,6 @@ from .errors import (
     TooLarge,
 )
 from .fractional import extract_weight_disjoint
-from .lattice import as_fraction
 from .oracle import brute_force_pm
 from .rounding import (
     NibbleParams,
@@ -65,44 +65,29 @@ from .rounding import (
 
 NIBBLE_ATTEMPTS = 8  # sample-and-nibble rounds tried before the best one is kept
 
+# the proofs' hierarchy 1/n << PHI << EPSILON << ALPHA << GAMMA << MU, BETA;
+# stages read these only as caps or floors, and GAMMA sets the default ell
+PHI = Fraction(1, 100)
+EPSILON = Fraction(5, 100)
+ALPHA = Fraction(10, 100)
+GAMMA = Fraction(15, 100)
+MU = Fraction(20, 100)
+BETA = Fraction(20, 100)
+
 
 @dataclass
 class PipelineConfig:
-    """Hierarchy constants, the seed, and the extraction count ell.
+    """The seed and the extraction count ell (derived from GAMMA when unset)."""
 
-    The strict ordering phi < epsilon < alpha < gamma < min(mu, beta) is
-    enforced on construction; zeta is the plain degree floor used by the
-    general mode.
-    """
-
-    phi: Fraction = Fraction(1, 100)
-    epsilon: Fraction = Fraction(5, 100)
-    alpha: Fraction = Fraction(10, 100)
-    gamma: Fraction = Fraction(15, 100)
-    mu: Fraction = Fraction(20, 100)
-    beta: Fraction = Fraction(20, 100)
-    zeta: Fraction = Fraction(30, 100)
     ell: int = None
     seed: int = 0
-    mode: str = "pipeline"
 
     def __post_init__(self):
-        for name in ("phi", "epsilon", "alpha", "gamma", "mu", "beta", "zeta"):
-            value = getattr(self, name)
-            try:
-                setattr(self, name, as_fraction(value))
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise BadParams(f"{name}={value!r} is not a number") from None
         if type(self.seed) is not int:
             raise BadParams(f"seed must be an integer, got {self.seed!r}")
         # ell is derived by the stage that reads it when unset
         if self.ell is not None and (type(self.ell) is not int or self.ell < 0):
             raise BadParams(f"ell must be a nonnegative integer, got {self.ell!r}")
-        chain = [self.phi, self.epsilon, self.alpha, self.gamma]
-        if not all(a < b for a, b in zip(chain, chain[1:])):
-            raise BadParams("hierarchy must satisfy phi < epsilon < alpha < gamma")
-        if not self.gamma < min(self.mu, self.beta):
-            raise BadParams("hierarchy must satisfy gamma < min(mu, beta)")
 
     @classmethod
     def from_json(cls, data, **overrides):
@@ -116,18 +101,7 @@ class PipelineConfig:
         return cls(**merged)
 
     def echo(self) -> dict:
-        return {
-            "phi": str(self.phi),
-            "epsilon": str(self.epsilon),
-            "alpha": str(self.alpha),
-            "gamma": str(self.gamma),
-            "mu": str(self.mu),
-            "beta": str(self.beta),
-            "zeta": str(self.zeta),
-            "ell": self.ell,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
+        return {"ell": self.ell, "seed": self.seed}
 
 
 @dataclass
@@ -160,10 +134,10 @@ def _effective_mu(system, cap) -> Fraction:
     nv = len(system.vertex_pool)
     want = max(Fraction(2), Fraction(m, 20))
     derived = want / Fraction(nv) ** system.k
-    return min(as_fraction(cap), derived)
+    return min(cap, derived)
 
 
-def _effective_beta(system, cap) -> Fraction:
+def _effective_beta(system) -> Fraction:
     """Space threshold scaled to the instance: a quarter of the sparsest level
     density a complete complex would show at the planted-set sizes."""
     uni = system.universe
@@ -176,7 +150,7 @@ def _effective_beta(system, cap) -> Fraction:
             best = dens
     if best is None or best == 0:
         best = Fraction(1, 100)
-    return min(as_fraction(cap), best)
+    return min(BETA, best)
 
 
 def _min_part_size(system, alloc, mu_eff) -> int:
@@ -221,11 +195,11 @@ def host_view(system, alloc=None):
     return system
 
 
-def space_barrier_stage(system, config: PipelineConfig):
+def space_barrier_stage(system):
     """The space-barrier search on the host view, as decide and `kmatch
     barriers` run it first and run_matching_pipeline runs it when extraction
     fails; a verified SpaceBarrierCert or None."""
-    cert = space_barrier_search(system, _effective_beta(system, config.beta))
+    cert = space_barrier_search(system, _effective_beta(system))
     if cert is not None and verify_space_barrier(system, cert):
         return cert
     return None
@@ -243,7 +217,7 @@ def divisibility_barrier_stage(system, config: PipelineConfig, alloc=None,
     whether it verified.
     """
     k = system.k
-    mu_eff = _effective_mu(system, config.mu)
+    mu_eff = _effective_mu(system, MU)
     min_part = _min_part_size(system, alloc or plain_allocation(k), mu_eff)
     if partition is None and len(system.vertex_pool) <= DIV_EXHAUSTIVE_LIMIT:
         cert = divisibility_barrier_search(system, mu_eff, min_part)
@@ -252,7 +226,7 @@ def divisibility_barrier_stage(system, config: PipelineConfig, alloc=None,
             try:
                 partition = closed_partition(
                     system, delta=Fraction(1, 2 * k),
-                    alpha=_effective_mu(system, config.alpha) / 2,
+                    alpha=_effective_mu(system, ALPHA) / 2,
                     seed=_stage_seed(config, 91),
                 )
             except PreconditionFailed:
@@ -284,23 +258,23 @@ def verify_certificate(system, cert: Certificate) -> bool:
     raise MalformedCert(f"unknown certificate tag {cert.tag!r}")
 
 
-def _absorber_plan(system, config: PipelineConfig):
+def _absorber_plan(system):
     """Derive desk-scale absorber knobs from the hierarchy constants."""
     nv = len(system.vertex_pool)
     k = system.k
-    phi_eff = max(config.phi, Fraction(k, nv))
+    phi_eff = max(PHI, Fraction(k, nv))
     leftover_sets = max(1, math.ceil(phi_eff * nv / k))
     family_target = leftover_sets + 1
     # shrink the family until the plan plausibly fits alongside a usable pool
     while family_target > 1 and (family_target * k * k) > nv // 2:
         family_target -= 1
     w_plan = family_target * k * k
-    epsilon_eff = max(config.epsilon, Fraction(w_plan + 2 * k, max(nv, 1)))
+    epsilon_eff = max(EPSILON, Fraction(w_plan + 2 * k, max(nv, 1)))
     flags = []
-    if epsilon_eff > config.epsilon:
+    if epsilon_eff > EPSILON:
         flags.append(
             f"W budget raised to {str(epsilon_eff)} of the pool; the asymptotic "
-            f"epsilon={str(config.epsilon)} cannot host any absorber at n={nv}"
+            f"epsilon={str(EPSILON)} cannot host any absorber at n={nv}"
         )
     return phi_eff, family_target, epsilon_eff, flags
 
@@ -327,9 +301,9 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
         "f_degree": list(deg.f_degree) if deg.f_degree else None,
     }
 
-    mu_eff = _effective_mu(system, config.mu)
+    mu_eff = _effective_mu(system, MU)
     diagnostics["effective_mu"] = str(mu_eff)
-    phi_eff, family_target, epsilon_eff, flags = _absorber_plan(system, config)
+    phi_eff, family_target, epsilon_eff, flags = _absorber_plan(system)
     diagnostics["absorber_plan"] = {
         "phi_eff": str(phi_eff),
         "family_target": family_target,
@@ -346,7 +320,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
         partition = closed_partition(
             system,
             delta=Fraction(1, 2 * k),
-            alpha=_effective_mu(system, config.alpha) / 2,
+            alpha=_effective_mu(system, ALPHA) / 2,
             seed=_stage_seed(config, 1),
         )
     except PreconditionFailed as exc:
@@ -417,7 +391,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
     n_prime = len(sub.vertex_pool) // uni.r
 
     # stage 2: weight-disjoint fractional family
-    ell = config.ell if config.ell is not None else max(2, math.ceil(config.gamma * n_prime))
+    ell = config.ell if config.ell is not None else max(2, math.ceil(GAMMA * n_prime))
     pool_size = len(sub.vertex_pool)
     if pool_size > 1:
         # each vertex carries pair budget 2(n'-1) and a matching spends k-1
@@ -449,7 +423,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
         "extracted": got,
     })
     if not extraction or not extraction.completed:
-        cert = space_barrier_stage(system, config)
+        cert = space_barrier_stage(system)
         if cert is not None:
             diagnostics["stages"].append({"stage": "space-barrier", "status": "verified"})
             return Certificate(tag="SpaceBarrier", payload=cert.to_json(), diagnostics=diagnostics)
@@ -536,31 +510,6 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
     return Certificate(tag="PerfectMatching", payload=payload, diagnostics=diagnostics)
 
 
-def run_general(system, config: PipelineConfig = None) -> Certificate:
-    """General mode: the matching pipeline under the plain allocation.
-
-    The plain degree floor (n, zeta n, ..., zeta n) is checked and reported;
-    lattice completeness is audited on the partitions actually built, not on
-    all partitions.
-    """
-    config = config or PipelineConfig()
-    system = host_view(system)
-    k = system.k
-    deg = degree_sequences(system)
-    nv = len(system.vertex_pool)
-    floor = [nv] + [math.ceil(config.zeta * nv)] * (k - 1)
-    floor_ok = all(d >= f for d, f in zip(deg.plain, floor))
-    cfg = dataclasses.replace(config, mode="general")
-    cert = run_matching_pipeline(system, plain_allocation(k), cfg)
-    cert.diagnostics["mode"] = "general"
-    cert.diagnostics["degree_floor"] = {
-        "floor": [int(f) for f in floor],
-        "plain": list(deg.plain),
-        "ok": floor_ok,
-    }
-    return cert
-
-
 def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
     """Cheap barrier searches first, then the matching pipeline; the first
     verified certificate wins. Small instances carry a brute-force
@@ -574,11 +523,11 @@ def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
     nv = len(system.vertex_pool)
     diagnostics = {"config": config.echo(), "mode": "decide"}
 
-    beta_eff = _effective_beta(system, config.beta)
+    beta_eff = _effective_beta(system)
     diagnostics["effective_beta"] = str(beta_eff)
-    tag, barrier = "SpaceBarrier", space_barrier_stage(system, config)
+    tag, barrier = "SpaceBarrier", space_barrier_stage(system)
     if barrier is None:
-        diagnostics["effective_mu"] = str(_effective_mu(system, config.mu))
+        diagnostics["effective_mu"] = str(_effective_mu(system, MU))
         tag, barrier = "DivisibilityBarrier", divisibility_barrier_stage(system, config, alloc)
 
     if barrier is not None:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import kmatch.absorbing
 from kmatch.absorbing import (
     AbsorberConfig,
-    ReachabilityParams,
     absorb,
     build_absorber,
     closed_partition,
@@ -50,7 +49,7 @@ def close_graph(H):
 
 def test_reachable_complete():
     cc = complete_complex(6, 3)
-    rep = reachable_neighborhood(cc, 0, ReachabilityParams(beta=Fraction(1, 100)))
+    rep = reachable_neighborhood(cc, 0, Fraction(1, 100))
     assert set(rep) == {1, 2, 3, 4, 5}
 
 
@@ -58,16 +57,16 @@ def test_reachable_divisibility_cross_pair_empty():
     # u in A, v in B: a common witness pair would need both even and odd
     # B-intersection, so the count is exactly zero at any positive threshold
     H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
-    rep = reachable_neighborhood(H, 0, ReachabilityParams(beta=Fraction(1, 10 ** 6)))
+    rep = reachable_neighborhood(H, 0, Fraction(1, 10 ** 6))
     assert all(v <= 4 for v in rep)  # nothing from B = {5, 6, 7}
-    rep_b = reachable_neighborhood(H, 5, ReachabilityParams(beta=Fraction(1, 10 ** 6)))
+    rep_b = reachable_neighborhood(H, 5, Fraction(1, 10 ** 6))
     assert all(v >= 5 for v in rep_b)
 
 
 def test_reachable_isolated_vertex():
     uni = VertexUniverse.single(6)
     cx = build_complex({3: [(0, 1, 2)]}, uni, k=3, close=True)
-    rep = reachable_neighborhood(cx, 5, ReachabilityParams(beta=Fraction(1, 1000)))
+    rep = reachable_neighborhood(cx, 5, Fraction(1, 1000))
     assert len(rep) == 0
 
 
@@ -233,9 +232,8 @@ def test_proposition_neighborhood_floor_statistical():
         cx = gen_random_dense(18, 3, p=0.95, seed=seed)
         rep = degree_sequences(cx, ALLOC3)
         floor = rep.f_degree[-1] - float(eta) ** 0.5 * 18
-        params = ReachabilityParams(beta=eta)
         for v in (0, 7, 17):
-            nb = reachable_neighborhood(cx, v, params)
+            nb = reachable_neighborhood(cx, v, eta)
             assert len(nb) >= floor
 
 
@@ -260,17 +258,16 @@ def test_absorber_state_json_roundtrip_replays():
     assert absorb(replayed, leftover).edges == absorb(state, leftover).edges
 
 
-def test_link_map_built_once_per_host(monkeypatch):
-    import kmatch.core as core
-
+def test_incidence_built_once_per_host(monkeypatch):
     builds = []
-    original = core._link_map
+    original = KSystem.incidence
 
-    def counting(top_edges):
-        builds.append(1)
-        return original(top_edges)
+    def counting(self):
+        if self._incidence is None:
+            builds.append(1)
+        return original(self)
 
-    monkeypatch.setattr(core, "_link_map", counting)
+    monkeypatch.setattr(KSystem, "incidence", counting)
     cx = gen_random_dense(30, 3, p=0.9, seed=5)
     cp = closed_partition(cx, delta=Fraction(1, 6), alpha=Fraction(1, 1000), seed=1)
     cfg = AbsorberConfig(seed=1, phi=Fraction(1, 5), epsilon=Fraction(7, 10),
@@ -279,15 +276,8 @@ def test_link_map_built_once_per_host(monkeypatch):
     assert state.family.t == 1  # t=1 members draw their witnesses from the links
     assert len(builds) == 1
     # a new host builds its own
-    reachable_neighborhood(cx.induced(range(27)), 0, ReachabilityParams())
+    cx.induced(range(27)).incidence()
     assert len(builds) == 2
-
-
-def test_complete_host_links_match_explicit():
-    small = complete_complex(300, 3).induced(range(6))  # implicit, never cached
-    explicit = complete_complex(6, 3)
-    assert small.implicit and not explicit.implicit
-    assert small.link_map() == explicit.link_map()
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,7 +291,10 @@ def test_common_links_equal_pairwise_link_intersections(k, n, picks):
     cands = list(combinations(range(n), k))
     top = [cands[i % len(cands)] for i in picks] if cands else []
     system = KSystem(VertexUniverse.single(n), k, {k: top})
-    links = system.link_map()
+    links = {}
+    for e in set(top):
+        for v in e:
+            links.setdefault(v, set()).add(tuple(w for w in e if w != v))
     common = kmatch.absorbing._common_links(system)
     assert common.shape == (n, n)
     for u in range(n):

@@ -48,6 +48,7 @@ from kmatch.oracle import (
     gen_space_barrier,
 )
 from kmatch.pipeline import (
+    GAMMA,
     PipelineConfig,
     decide,
     host_view,
@@ -165,7 +166,6 @@ def test_criterion_04_fractional_cross_check():
 
 def test_criterion_05_extraction_pair_loads():
     """Pair loads never exceed 2 (exact residuals >= 0), 50 dense instances."""
-    gamma = PipelineConfig().gamma
     sizes = [12, 24, 36, 48, 60]
     all_ok = True
     completed = 0
@@ -173,7 +173,7 @@ def test_criterion_05_extraction_pair_loads():
         n = sizes[trial % len(sizes)]
         p = 0.85 + 0.03 * (trial % 4)
         cx = gen_random_dense(n, 3, p=p, seed=300 + trial)
-        ell = max(2, math.ceil(gamma * n))
+        ell = max(2, math.ceil(GAMMA * n))
         res = extract_weight_disjoint(cx, ALLOC3, ell, seed=trial)
         all_ok &= res.pair_weights.min_weight() >= 0
         completed += res.completed

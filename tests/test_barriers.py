@@ -1,5 +1,6 @@
 """Barrier search and verification against independent exhaustion oracles."""
 
+import random
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -20,12 +21,19 @@ from kmatch.core import VertexUniverse, build_complex, plain_allocation
 from kmatch.errors import MalformedCert
 from kmatch.fractional import build_lp, solve_feasible
 from kmatch.oracle import (
+    brute_force_pm,
     complete_complex,
     gen_divisibility_barrier,
     gen_random_dense,
     gen_space_barrier,
 )
-from kmatch.pipeline import PipelineConfig, host_view, space_barrier_stage
+from kmatch.pipeline import (
+    PipelineConfig,
+    decide,
+    host_view,
+    space_barrier_stage,
+    verify_certificate,
+)
 
 
 def oracle_space_exhaustion(system, beta, p):
@@ -301,7 +309,7 @@ def test_lp_space_search_plants_inside_the_planted_set():
     for n, j, s in shapes:
         planted = gen_space_barrier(n, 3, j, s)
         cx = host_view(planted)
-        cert = space_barrier_stage(cx, PipelineConfig())
+        cert = space_barrier_stage(cx)
         assert cert is not None, (n, j, s)
         assert verify_space_barrier(cx, cert)
         assert cert.vertex_set() <= planted.planted_set, (n, j, s)
@@ -314,7 +322,7 @@ def test_lp_space_search_none_on_matchable_hosts():
     hosts += [gen_divisibility_barrier(shape, 3, [(1, 2), (3, 0)]) for shape in ([9, 6], [10, 6])]
     for cx in map(host_view, hosts):
         assert len(cx.vertex_pool) > 14
-        assert space_barrier_stage(cx, PipelineConfig()) is None
+        assert space_barrier_stage(cx) is None
 
 
 def test_lp_space_search_reports_only_infeasible_lps():
@@ -335,6 +343,31 @@ def test_lp_space_search_reports_only_infeasible_lps():
                 assert cert.top_overflow_count == 0
             outcomes.add((cert is not None, infeasible))
     assert (True, True) in outcomes and (False, False) in outcomes
+
+
+def perturbed_space_barrier(n, j, s, q, seed):
+    """The planted (n, j, s) barrier plus each missing 3-edge, in combinations
+    order, with probability q, closed into a complex."""
+    planted = gen_space_barrier(n, 3, j, s)
+    top = set(planted.iter_top())
+    rng = random.Random(seed)
+    added = [e for e in combinations(range(n), 3) if e not in top and rng.random() < q]
+    return build_complex({3: sorted(top) + added}, planted.universe, k=3, close=True)
+
+
+@pytest.mark.parametrize("n, j, s, q, seed", [
+    (15, 1, 7, 0.01, 2), (15, 1, 7, 0.01, 4), (18, 1, 8, 0.003, 7), (21, 1, 9, 0.003, 3),
+])
+def test_lp_space_search_tries_p_below_a_stray_edge(n, j, s, q, seed):
+    # each host has an LP-infeasible planted set S that some added top edge
+    # meets in 2 vertices; p = 1 still plants a set with at most beta n^2
+    # 2-edges inside, so decide reports the barrier instead of Inconclusive
+    cx = perturbed_space_barrier(n, j, s, q, seed)
+    cert = decide(cx, PipelineConfig(seed=1))
+    assert cert.tag == "SpaceBarrier" and cert.payload["p"] == 1
+    assert verify_certificate(host_view(cx), cert)
+    if n == 15:
+        assert brute_force_pm(cx, cap=15) is None
 
 
 def filtered_labelings(n, k, min_size):

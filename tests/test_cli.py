@@ -186,14 +186,13 @@ def test_human_output(instances, capsys):
 
 def test_config_file(instances, capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": "0.12", "seed": 4, "ell": 2}))
+    cfg.write_text(json.dumps({"seed": 4, "ell": 2}))
     code, out = run_cli(
         capsys, "decide", instances["dense"], "--config", str(cfg), "--json"
     )
     assert code == 0
     blob = json.loads(out)
-    assert blob["diagnostics"]["config"]["gamma"] == "3/25"
-    assert blob["diagnostics"]["config"]["seed"] == 4
+    assert blob["diagnostics"]["config"] == {"ell": 2, "seed": 4}
     # the --seed flag overrides the config file
     code, out = run_cli(
         capsys, "decide", instances["dense"], "--config", str(cfg), "--json",
@@ -216,13 +215,16 @@ GOOD_KHG = "khg 1\nk 3\nparts 1\npart A 6: a b c d e f\nedge a b c\nedge d e f\n
         (GOOD_KHG.replace("k 3", "k 0"), None, [], "line 2: k must be at least 1, got 0"),
         (GOOD_KHG.replace("edge a b c", "edge a a b"), None, [], "line 5: edge repeats a vertex"),
         (GOOD_KHG.replace("edge a b c", "edge a b"), None, [], "line 5: edge lists 2 vertices"),
-        (GOOD_KHG, {"gamma": "abc"}, [], "BadParams: gamma='abc' is not a number"),
+        (GOOD_KHG, {"seed": "x"}, [], "BadParams: seed must be an integer, got 'x'"),
         (GOOD_KHG, {"ell": "2"}, [], "BadParams: ell must be a nonnegative integer"),
         (GOOD_KHG, [1, 2], [], "BadParams: the config file must hold a JSON object"),
         (GOOD_KHG, {"gama": "abc", "verify": False}, [], "BadParams: unknown config keys: gama, verify"),
         (GOOD_KHG, {"nibble_attempts": 8, "nibble_rounds": None, "absorber_tries": 400}, [],
          "BadParams: unknown config keys: absorber_tries, nibble_attempts, nibble_rounds"),
         (GOOD_KHG, {"space_budget": 100}, [], "BadParams: unknown config keys: space_budget"),
+        (GOOD_KHG, {"phi": "1/100", "epsilon": "1/20", "alpha": "1/10", "gamma": "3/20",
+                    "mu": "1/5", "beta": "1/5", "zeta": "3/10", "mode": "general"}, [],
+         "BadParams: unknown config keys: alpha, beta, epsilon, gamma, mode, mu, phi, zeta"),
     ],
 )
 def test_malformed_input_exits_3(tmp_path, capsys, khg, config, extra, message):
@@ -257,7 +259,7 @@ def test_unreadable_input_exits_3(tmp_path, capsys):
 _ARGV_FILE_TEXT = {
     "tiny.khg": GOOD_KHG.replace("edge d e f", "edge d e f\nedge a d e\nedge b c f"),
     "spec.json": json.dumps({"kind": "space-barrier", "n": 6, "k": 3, "params": {"j": 1, "s_size": 2}}),
-    "cfg.json": json.dumps({"ell": 2, "gamma": "0.12"}),
+    "cfg.json": json.dumps({"ell": 2}),
     "badkey.json": json.dumps({"gama": "abc"}),
     "list.json": "[1, 2]",
 }

@@ -25,64 +25,64 @@ CORPUS = {
     "match-dense30-a": (
         lambda: _dense30(1001),
         ["match", "--seed", "1"], {"ell": 10},
-        "0fc74892f17299ac317c6523135f56d5213dfc6a9807ed66d96014d0cd97c334",
+        "1e3e24278f91eaba683508a38979cffb08ab2ff2a7f954ad80e834b9b9640152",
     ),
     "match-dense30-b": (
         lambda: _dense30(1002),
         ["match", "--seed", "2"], {"ell": 10},
-        "feb591b1cfb0569f123c4ea5aef0f1046b7d0a7091ea8803287495afab0d4d97",
+        "53a8173710389ca71a2328ca532152e4e7481ae956e436aec44da3fe7b59e1e8",
     ),
     "match-dense30-c": (
         lambda: _dense30(1003),
         ["match", "--seed", "3"], {"ell": 10},
-        "0c10f70245992eec54a98099440733ed97a0452bc5599c8d4de7158d9d36ffcd",
+        "4db38f957d969e4659135c8ffb18de9dc4bbbaa8c2878d94f042828710a5d83c",
     ),
     # greedy extraction misses here and the exact LP fallback runs
     "match-lp-fallback": (
         lambda: _dense30(178118052),
         ["match", "--seed", "324388370"], {"ell": 15},
-        "e2eb938d8acce566df7328735d680df51498b4fbc393edf3b35190ab6813c94d",
+        "b8c369e6f9d56d6259cadc674063815fdeda4540859bc764d92749dc2475b5a0",
     ),
     "match-div9": (
         lambda: gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)]),
         ["match", "--seed", "3"], None,
-        "bc216e67fab1a4d08c6f27449a6569439e5d213f1631e409064069645ba1873c",
+        "88f1a9aeb2de4ee693dcab888b74fb4bcc5de4966191f22f2d10151adbc162b4",
     ),
     "decide-dense9": (
         lambda: gen_random_dense(9, 3, p=0.9, seed=905),
         ["decide", "--seed", "5"], None,
-        "3dd8be7215aa00d549268a2d144ad6c7e7896681d05e3a682e4497b9de0baa4a",
+        "18ab918dce143554d19a31bdc744903598df9da000dafb85f91b8db460ac9d0a",
     ),
     "decide-dense12": (
         lambda: gen_random_dense(12, 3, p=0.8, seed=906),
         ["decide", "--seed", "6"], None,
-        "77a3b4ec25c8273ed15d4f4749297bb31bb2f3dfde72150601e44007a80b6dde",
+        "28689179c767f9ac66fac4d0544c1d7bf8a2da4a9496827e10f0298a73e570f8",
     ),
     # n > 12: decide builds the closed partition instead of exhausting partitions
     "decide-dense15": (
         lambda: gen_random_dense(15, 3, p=0.85, seed=915),
         ["decide", "--seed", "12"], None,
-        "7d9fd83cb35da633ac1f5c9d597f1fe23d6b8eb26918dee810fa95662ccd8781",
+        "8a3d304da9506637fee7c61b6de66f1e933c56b35ec06be8c30f2c790ef1848e",
     ),
     "decide-space9": (
         lambda: gen_space_barrier(9, 3, 1, 4),
         ["decide", "--seed", "7"], None,
-        "88a6ef39be9dd8bfbcf29e0c22f29d06926d35112b836d7bdb187d6eec0724a9",
+        "d69599383accabc2f9f89464c33821000833cd3c90943729a69f74a3d6a2a71c",
     ),
     "decide-space12": (
         lambda: gen_space_barrier(12, 3, 2, 9),
         ["decide", "--seed", "8"], None,
-        "8f06f68c2ef9143243c075c7b394c93a1ee53a27c1ea3229e484a334e4e52f93",
+        "669d31a30ab03136478a98160215189a19e18e06731e282c280af93ba75953f7",
     ),
     "decide-div8": (
         lambda: gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]),
         ["decide", "--seed", "9"], None,
-        "7f6e20ca4732ffb587add36a80c3e77a066288445d87c957da550381b3f29e6a",
+        "45dbd74cefa678cac97634fa315838b7d7e447074ec18698c8bd21e08966abae",
     ),
     "decide-div10": (
         lambda: gen_divisibility_barrier([6, 4], 3, [(2, 1), (0, 3)]),
         ["decide", "--seed", "10"], None,
-        "01cdd52b49c3b9ae2638c6b0fd84b4b6bee1adbf97f349d625f100eb8881ee51",
+        "1dba0e74f4f97c00c2e2ea2d6c40b92358234da32f7c5d08194243e500c4b7e8",
     ),
     "barriers-div8": (
         lambda: gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]),

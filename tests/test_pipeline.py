@@ -16,11 +16,16 @@ from kmatch.oracle import (
     gen_space_barrier,
 )
 from kmatch.pipeline import (
+    ALPHA,
+    BETA,
+    EPSILON,
+    GAMMA,
+    MU,
+    PHI,
     Certificate,
     PipelineConfig,
     decide,
     host_view,
-    run_general,
     run_matching_pipeline,
     space_barrier_stage,
 )
@@ -28,12 +33,8 @@ from kmatch.pipeline import (
 ALLOC3 = plain_allocation(3)
 
 
-def test_config_ordering_enforced():
-    PipelineConfig()  # defaults satisfy the ordering
-    with pytest.raises(BadParams):
-        PipelineConfig(phi=Fraction(1, 2), epsilon=Fraction(1, 4))
-    with pytest.raises(BadParams):
-        PipelineConfig(gamma=Fraction(1, 4), mu=Fraction(1, 5), beta=Fraction(1, 5))
+def test_hierarchy_constants_ordered():
+    assert PHI < EPSILON < ALPHA < GAMMA < min(MU, BETA)
 
 
 def test_pipeline_complete():
@@ -57,9 +58,8 @@ def test_pipeline_reports_the_space_barrier_of_decides_stage(n, j, s):
     # extraction fails on a planted space barrier, and the fallback is the
     # stage decide runs, on the whole host
     H = gen_space_barrier(n, 3, j, s)
-    cfg = PipelineConfig(seed=1)
-    cert = run_matching_pipeline(H, None, cfg)
-    stage = space_barrier_stage(host_view(H), cfg)
+    cert = run_matching_pipeline(H, None, PipelineConfig(seed=1))
+    stage = space_barrier_stage(host_view(H))
     assert cert.tag == "SpaceBarrier"
     assert cert.payload == stage.to_json()
     assert cert.diagnostics["stages"][-1] == {"stage": "space-barrier", "status": "verified"}
@@ -111,19 +111,6 @@ def test_reproducible_certificates():
     c = run_matching_pipeline(complete_complex(30, 3), None, PipelineConfig(seed=9)).dumps()
     d = run_matching_pipeline(complete_complex(30, 3), None, PipelineConfig(seed=9)).dumps()
     assert c == d
-
-
-def test_general_mode_delegated():
-    cx = gen_random_dense(30, 3, p=0.9, seed=21)
-    cert = run_general(cx, config=PipelineConfig(seed=4))
-    assert cert.tag == "PerfectMatching"
-    assert cert.diagnostics["degree_floor"]["ok"]
-
-
-def test_general_mode_reports_degree_floor_violation():
-    cx = gen_random_dense(12, 3, p=0.4, seed=2)
-    cert = run_general(cx, config=PipelineConfig(seed=2))
-    assert cert.diagnostics["degree_floor"]["ok"] is False
 
 
 def test_certificate_shape():
