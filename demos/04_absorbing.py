@@ -26,7 +26,7 @@ from kmatch import (
 cx = gen_random_dense(30, 3, p=0.9, seed=3)
 cp = closed_partition(cx, delta=Fraction(1, 8), alpha=Fraction(1, 100))
 print("closed partition parts:", [len(p) for p in cp.parts],
-      "| audit passed:", cp.audit["passed"])
+      "| closure t per part:", [t for _, t in cp.witness])
 
 cfg = AbsorberConfig(seed=5, phi=Fraction(1, 5), epsilon=Fraction(7, 10),
                      mu=Fraction(1, 500), family_target=2)

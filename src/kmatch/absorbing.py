@@ -1,9 +1,12 @@
 """Reachability, closed partitions, absorbing families, and the absorption
 routine that upgrades an almost-perfect matching to a perfect one.
 
-Absorbers are t*k^2-sets built around reachability witnesses: for a target
-k-set pattern, one host edge plus per-coordinate witness sets whose unions
-with either endpoint of a reachable pair are perfectly matchable. Every
+The closed partition is exact and draws no random numbers: the components,
+inside each input part, of the graph joining two vertices whose links share
+at least alpha * |V|^(k-1) (k-1)-sets, read off the host's common-link
+counts. Absorbers are t*k^2-sets built around reachability witnesses: for a
+target k-set pattern, one host edge plus per-coordinate witness sets whose
+unions with either endpoint of a reachable pair are perfectly matchable. Every
 membership and absorption claim is checked exactly before it is trusted (a
 bitmask search, or brute force where the matching itself is recorded).
 """
@@ -15,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from operator import itemgetter
 
 import numpy as np
@@ -36,7 +39,6 @@ from .lattice import (
 )
 from .oracle import brute_force_pm
 
-MERGE_ROUNDS = 2  # passes that merge components by sampled 2-step reach
 PARTITION_DELTA = Fraction(1, 8)    # closed-partition density floor; sets the derived scale t
 PARTITION_ALPHA = Fraction(1, 200)  # reachability threshold for that partition
 T_CAP = 4                           # largest absorber scale t
@@ -52,7 +54,7 @@ def reachable_neighborhood(system, v, beta) -> frozenset:
     pool = system.vertex_pool
     # the counts are integers, so comparing with the ceiling is exact
     need = math.ceil(as_fraction(beta) * Fraction(len(pool)) ** (system.k - 1))
-    common = _common_links(system)
+    common = system.common_links()
     return frozenset(u for u in pool if u != v and common[v, u] >= need)
 
 
@@ -102,17 +104,6 @@ def _set_matchable(system, vertices) -> bool:
     return cover((1 << nv) - 1)
 
 
-def _shared_witness(system, pool, u, v, size, rng, tries):
-    """Is one of `tries` sampled size-sets of the pool without u and v a
-    witness for both, its union with either matchable? None when the pool
-    is too small."""
-    others = [w for w in pool if w not in (u, v)]
-    if len(others) < size:
-        return None
-    return any(_set_matchable(system, s + [u]) and _set_matchable(system, s + [v])
-               for s in (rng.sample(others, size) for _ in range(tries)))
-
-
 @dataclass
 class ClosedPartition:
     """Refinement of the input parts into reachability-closed classes."""
@@ -121,7 +112,6 @@ class ClosedPartition:
     witness: tuple                # per part: (beta_prime, t)
     delta: Fraction
     alpha: Fraction
-    audit: dict = field(default_factory=dict)
 
     def groups(self, universe) -> tuple:
         """Ambient part id of each refined part."""
@@ -142,7 +132,6 @@ class ClosedPartition:
             "witness": [[str(b), t] for b, t in self.witness],
             "delta": str(self.delta),
             "alpha": str(self.alpha),
-            "audit": self.audit,
         }
 
 
@@ -160,38 +149,15 @@ def _merges(blocks):
             yield merged
 
 
-def _common_links(system) -> np.ndarray:
-    """|L(u) & L(w)| for every pair of vertex ids, as the product A A^T of
-    the vertex x (k-1)-set incidence matrix A of the top level. float64 is
-    exact here: every entry is at most C(n-1, k-1) < 2**53."""
-    k, total = system.k, system.universe.total
-    top = np.fromiter(chain.from_iterable(system.iter_top()), dtype=np.int64).reshape(-1, k)
-    # row block t of `rest` is every top edge without its t-th vertex; its
-    # columns fold into dense (k-1)-set ids, each fold below m*k*total
-    rest = np.concatenate([np.delete(top, t, axis=1) for t in range(k)])
-    col = np.zeros(len(rest), dtype=np.int64)
-    for c in rest.T:
-        col = np.unique(col * total + c, return_inverse=True)[1].ravel()
-    incidence = np.zeros((total, col.max(initial=-1) + 1))
-    incidence[top.T.ravel(), col] = 1
-    return (incidence @ incidence.T).astype(np.int64)
-
-
-def closed_partition(
-    system,
-    delta,
-    alpha,
-    seed: int = 0,
-    audit_samples: int = 40,
-) -> ClosedPartition:
+def closed_partition(system, delta, alpha) -> ClosedPartition:
     """Partition each input part into reachability-closed classes.
 
     Builds the exact 1-step reachability graph at threshold alpha from all
-    common-link counts at once (_common_links), takes its components inside
-    each input part, then merges components whose sampled longer-reach
-    connectivity is high. Every vertex must see at least delta * |V|
-    reachable vertices in its own part, or PreconditionFailed. The (beta',
-    t) closure witness of each final part is audited by sampling and attached.
+    common-link counts at once (the host's common_links), and returns its
+    components inside each input part, sorted by least vertex. Every vertex
+    must see at least delta * |V| reachable vertices in its own part, or
+    PreconditionFailed. The closure witness of a part is (alpha, 1) when it
+    is a clique of the reachability graph, else (alpha, 2).
     """
     delta = as_fraction(delta)
     alpha = as_fraction(alpha)
@@ -200,7 +166,7 @@ def closed_partition(
     uni = system.universe
     pool = sorted(system.vertex_pool)
     nv = len(pool)
-    common = _common_links(system)
+    common = system.common_links()
     # the counts are integers, so comparing with the ceiling is exact
     need = math.ceil(alpha * Fraction(nv) ** (system.k - 1))
     part = np.array([uni.part_of(v) for v in pool], dtype=np.int64)
@@ -214,97 +180,24 @@ def closed_partition(
                 f"needs {float(delta * nv):.1f}"
             )
 
+    # reach never crosses input parts, so its components refine them
     parts = []
-    rng = random.Random(seed)
-    for j in range(uni.r):
-        members = [v for v in pool if uni.part_of(v) == j]
-        if not members:
+    unvisited = set(pool)
+    for start in pool:
+        if start not in unvisited:
             continue
-        unvisited = set(members)
-        comps = []
-        while unvisited:
-            start = min(unvisited)
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for y in reach[x]:
-                    if y in unvisited and y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-            unvisited -= comp
-            comps.append(sorted(comp))
-        # merge components with high sampled 2-step connectivity
-        for _ in range(MERGE_ROUNDS):
-            if len(comps) <= 1:
-                break
-            merged = False
-            for a in range(len(comps)):
-                for b in range(a + 1, len(comps)):
-                    if _sampled_cross_reach(system, comps[a], comps[b], rng):
-                        comps[a] = sorted(comps[a] + comps[b])
-                        del comps[b]
-                        merged = True
-                        break
-                if merged:
-                    break
-            if not merged:
-                break
-        parts.extend(comps)
-
-    parts.sort(key=lambda p: p[0])
-    witness = []
-    audit = {"pairs": []}
-    for p in parts:
-        clique = all(u in reach[v] for v in p for u in p if u != v)
-        t = 1 if clique else 2
-        witness.append((alpha, t))
-        ok = _audit_part(system, p, t, rng, audit_samples, common)
-        audit["pairs"].append({"part_head": p[0], "t": t, "pass_rate": ok})
-    audit["passed"] = all(x["pass_rate"] >= 0.9 for x in audit["pairs"])
-    return ClosedPartition(
-        parts=tuple(tuple(p) for p in parts),
-        witness=tuple(witness),
-        delta=delta,
-        alpha=alpha,
-        audit=audit,
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            for y in reach[frontier.pop()] - comp:
+                comp.add(y)
+                frontier.append(y)
+        unvisited -= comp
+        parts.append(tuple(sorted(comp)))
+    witness = tuple(
+        (alpha, 1 if all(len(reach[v]) == len(p) - 1 for v in p) else 2) for p in parts
     )
-
-
-def _sampled_cross_reach(system, comp_a, comp_b, rng, samples=6, witnesses=30) -> bool:
-    """Do sampled cross pairs share 2-step witnesses? (2k-1 sets whose union
-    with either vertex is matchable)."""
-    pool = sorted(system.vertex_pool)
-    found = []
-    for _ in range(samples):
-        u = comp_a[rng.randrange(len(comp_a))]
-        v = comp_b[rng.randrange(len(comp_b))]
-        found.append(_shared_witness(system, pool, u, v, 2 * system.k - 1, rng, witnesses))
-        if found[-1] is None:
-            return False
-    return bool(found) and all(found)
-
-
-def _audit_part(system, part, t, rng, samples, common) -> float:
-    """Sampled (beta', t)-closure check: fraction of sampled in-part pairs
-    with a witness set of size t*k-1 (for t=1, a common link in `common`)."""
-    if len(part) < 2:
-        return 1.0
-    pool = sorted(system.vertex_pool)
-    hits = 0
-    trials = min(samples, len(part) * (len(part) - 1) // 2)
-    if t == 1:
-        for _ in range(trials):
-            u, v = rng.sample(part, 2)
-            hits += bool(common[u, v])
-        return hits / trials if trials else 1.0
-    for _ in range(trials):
-        u, v = rng.sample(part, 2)
-        found = _shared_witness(system, pool, u, v, t * system.k - 1, rng, 40)
-        if found is None:
-            return 0.0
-        hits += found
-    return hits / trials if trials else 1.0
+    return ClosedPartition(parts=tuple(parts), witness=witness, delta=delta, alpha=alpha)
 
 
 @dataclass
@@ -394,7 +287,6 @@ class AbsorberState:
             witness=tuple((Fraction(b), t) for b, t in part_blob["witness"]),
             delta=Fraction(part_blob["delta"]),
             alpha=Fraction(part_blob["alpha"]),
-            audit=part_blob["audit"],
         )
         family = AbsorbingFamily(
             sets=tuple(tuple(s) for s in data["family"]["sets"]),
@@ -465,10 +357,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     rng = random.Random(config.seed)
     flags = []
     if partition is None:
-        partition = closed_partition(
-            system, PARTITION_DELTA, PARTITION_ALPHA, seed=config.seed,
-            audit_samples=AUDIT_SAMPLES,
-        )
+        partition = closed_partition(system, PARTITION_DELTA, PARTITION_ALPHA)
     parts = partition.parts
     dim = len(parts)
     part_lookup = {}

@@ -138,13 +138,13 @@ def cmd_frac(args) -> int:
 
 
 def cmd_barriers(args) -> int:
-    config, alloc = _load_config(args)
+    _, alloc = _load_config(args)
     view = host_view(load_khg(args.file), alloc)
     found = {}
     space = space_barrier_stage(view)
     if space is not None:
         found["space"] = space.to_json()
-    div = divisibility_barrier_stage(view, config, alloc)
+    div = divisibility_barrier_stage(view, alloc)
     if div is not None:
         found["divisibility"] = div.to_json()
     _emit({"found": found}, args.json)

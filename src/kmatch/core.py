@@ -4,7 +4,7 @@ Vertices are dense integer ids 0..total-1 grouped by part (part order is
 significant everywhere). Edges are sorted tuples of vertex ids, sorted and
 validated once where outside input enters (KSystem(), build_complex);
 the downward closure and every restriction reuse those canonical tuples.
-An explicit system caches its top-level link map, incidence and top_vectors
+An explicit system caches its incidence, top_vectors and common-link counts
 on first use, and degree_sequences counts each level's extensions in one
 pass.
 """
@@ -16,6 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations, repeat
+
+import numpy as np
 
 from .errors import (
     BadVertex,
@@ -149,6 +151,7 @@ class KSystem:
         self.levels = levels
         self._incidence = None
         self._vectors = None
+        self._common = None
 
     @classmethod
     def _of_levels(cls, universe, k, levels, pool):
@@ -200,6 +203,13 @@ class KSystem:
         if self._vectors is None:
             self._vectors = {e: index_vector(e, self.universe) for e in self.levels[self.k]}
         return self._vectors
+
+    def common_links(self) -> np.ndarray:
+        """|L(u) & L(w)| for every pair of vertex ids; built once, callers
+        must not mutate it."""
+        if self._common is None:
+            self._common = _common_links(self)
+        return self._common
 
     def induced(self, vertex_set):
         """Subsystem on a vertex subset (all levels restricted)."""
@@ -317,8 +327,29 @@ class CompleteComplex:
     def iter_top(self):
         return combinations(sorted(self._pool), self.k)
 
+    def common_links(self) -> np.ndarray:
+        """|L(u) & L(w)| for every pair of vertex ids, computed on each call."""
+        return _common_links(self)
+
     def induced(self, vertex_set):
         return CompleteComplex(self.universe, self.k, self._pool & frozenset(vertex_set))
+
+
+def _common_links(system) -> np.ndarray:
+    """|L(u) & L(w)| for every pair of vertex ids, as the product A A^T of
+    the vertex x (k-1)-set incidence matrix A of the top level. float64 is
+    exact here: every entry is at most C(n-1, k-1) < 2**53."""
+    k, total = system.k, system.universe.total
+    top = np.fromiter(chain.from_iterable(system.iter_top()), dtype=np.int64).reshape(-1, k)
+    # row block t of `rest` is every top edge without its t-th vertex; its
+    # columns fold into dense (k-1)-set ids, each fold below m*k*total
+    rest = np.concatenate([np.delete(top, t, axis=1) for t in range(k)])
+    col = np.zeros(len(rest), dtype=np.int64)
+    for c in rest.T:
+        col = np.unique(col * total + c, return_inverse=True)[1].ravel()
+    incidence = np.zeros((total, col.max(initial=-1) + 1))
+    incidence[top.T.ravel(), col] = 1
+    return (incidence @ incidence.T).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,7 @@ def space_barrier_stage(system):
     return None
 
 
-def divisibility_barrier_stage(system, config: PipelineConfig, alloc=None,
-                               partition=None, diagnostics=None):
+def divisibility_barrier_stage(system, alloc=None, partition=None, diagnostics=None):
     """decide's divisibility-barrier search on the host view; a verified
     DivBarrierCert or None.
 
@@ -225,9 +224,7 @@ def divisibility_barrier_stage(system, config: PipelineConfig, alloc=None,
         if partition is None:
             try:
                 partition = closed_partition(
-                    system, delta=Fraction(1, 2 * k),
-                    alpha=_effective_mu(system, ALPHA) / 2,
-                    seed=_stage_seed(config, 91),
+                    system, delta=Fraction(1, 2 * k), alpha=_effective_mu(system, ALPHA) / 2
                 )
             except PreconditionFailed:
                 return None
@@ -318,10 +315,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
     sub = None
     try:
         partition = closed_partition(
-            system,
-            delta=Fraction(1, 2 * k),
-            alpha=_effective_mu(system, ALPHA) / 2,
-            seed=_stage_seed(config, 1),
+            system, delta=Fraction(1, 2 * k), alpha=_effective_mu(system, ALPHA) / 2
         )
     except PreconditionFailed as exc:
         diagnostics["stages"].append({
@@ -347,7 +341,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
                     {"stage": "absorber", "status": "lattice-incomplete"}
                 )
                 cert = divisibility_barrier_stage(
-                    system, config, alloc, partition=exc.partition, diagnostics=diagnostics
+                    system, alloc, partition=exc.partition, diagnostics=diagnostics
                 )
                 if cert is not None:
                     return Certificate(
@@ -438,21 +432,21 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
         int(phi_eff * nv),
         capacity_sets * k,
     )
-    nibble_result = None
-    regularity = None
+    # the kept attempt's sample regularity is reported with its matching
+    nibble_result = regularity = None
     for attempt in range(NIBBLE_ATTEMPTS):
         seed = _stage_seed(config, 10 + attempt)
         sampled = sample_subgraph(sub, g, seed=seed)
         sampled = color_classes(sampled, alloc, seed=seed)
-        regularity = check_regularity(sampled, tau=0.2)
+        sample_regularity = check_regularity(sampled, tau=0.2)
         params = NibbleParams(epsilon=max(float(phi_eff), 1e-9), seed=seed)
         candidate = nibble_match(sampled, params)
         uncovered = len(candidate.uncovered)
         if uncovered <= max_leftover and uncovered % k == 0:
-            nibble_result = candidate
+            nibble_result, regularity = candidate, sample_regularity
             break
         if nibble_result is None or uncovered < len(nibble_result.uncovered):
-            nibble_result = candidate
+            nibble_result, regularity = candidate, sample_regularity
     diagnostics["stages"].append({
         "stage": "rounding",
         "status": "ok",
@@ -528,7 +522,7 @@ def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
     tag, barrier = "SpaceBarrier", space_barrier_stage(system)
     if barrier is None:
         diagnostics["effective_mu"] = str(_effective_mu(system, MU))
-        tag, barrier = "DivisibilityBarrier", divisibility_barrier_stage(system, config, alloc)
+        tag, barrier = "DivisibilityBarrier", divisibility_barrier_stage(system, alloc)
 
     if barrier is not None:
         cert = Certificate(tag=tag, payload=barrier.to_json(), diagnostics=diagnostics)

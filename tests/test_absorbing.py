@@ -75,13 +75,59 @@ def test_closed_partition_complete_single_part():
     cp = closed_partition(cc, delta=Fraction(1, 6), alpha=Fraction(1, 100))
     assert len(cp.parts) == 1
     assert cp.witness[0][1] == 1
-    assert cp.audit["passed"]
 
 
 def test_closed_partition_divisibility_splits():
     H = close_graph(gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]))
     cp = closed_partition(H, delta=Fraction(1, 8), alpha=Fraction(1, 1000))
     assert [len(p) for p in cp.parts] == [5, 3]
+
+
+def _reference_partition(system, alpha):
+    """Components of u ~ v <=> |L(u) & L(v)| >= ceil(alpha |V|^(k-1)) inside
+    each input part, from explicit link sets, and which of them are cliques."""
+    links = {v: set() for v in system.vertex_pool}
+    for e in system.iter_top():
+        for v in e:
+            links[v].add(tuple(w for w in e if w != v))
+    need = math.ceil(alpha * len(links) ** (system.k - 1))
+    part_of = system.universe.part_of
+    adj = {v: {u for u in links if u != v and part_of(u) == part_of(v)
+               and len(links[u] & links[v]) >= need} for v in links}
+    comps, seen = [], set()
+    for v in sorted(links):
+        if v in seen:
+            continue
+        comp, frontier = {v}, [v]
+        while frontier:
+            new = adj[frontier.pop()] - comp
+            comp |= new
+            frontier.extend(new)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    cliques = [all(adj[u] >= set(c) - {u} for u in c) for c in comps]
+    return comps, cliques
+
+
+@pytest.mark.parametrize("host, delta, alpha, sizes, ts", [
+    (gen_random_dense(15, 3, p=0.6, seed=2), Fraction(1, 6), Fraction(1, 100), [15], [1]),
+    (close_graph(gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])),
+     Fraction(1, 8), Fraction(1, 1000), [5, 3], [1, 1]),
+    (gen_random_dense(9, 3, r=2, p=0.7, seed=4,
+                      allocation=allocation_from_index_multiset([(1, 2), (2, 1)])),
+     Fraction(1, 6), Fraction(1, 200), [9, 9], [1, 1]),
+    # sparse hosts at a large alpha: parts that are not reach cliques get t = 2
+    (gen_random_dense(8, 3, p=0.2, seed=1, max_tries=1), Fraction(1, 100), Fraction(1, 100),
+     [4, 4], [2, 2]),
+    (gen_random_dense(8, 3, p=0.2, seed=5, max_tries=1), Fraction(1, 100), Fraction(1, 100),
+     [6, 2], [2, 1]),
+])
+def test_closed_partition_is_the_exact_reach_components(host, delta, alpha, sizes, ts):
+    cp = closed_partition(host, delta, alpha)
+    comps, cliques = _reference_partition(host, alpha)
+    assert list(cp.parts) == comps and [len(p) for p in comps] == sizes
+    assert [t for _, t in cp.witness] == [1 if c else 2 for c in cliques] == ts
+    assert closed_partition(host, delta, alpha) == cp  # nothing is sampled
 
 
 def test_closed_partition_delta_too_big():
@@ -269,7 +315,7 @@ def test_incidence_built_once_per_host(monkeypatch):
 
     monkeypatch.setattr(KSystem, "incidence", counting)
     cx = gen_random_dense(30, 3, p=0.9, seed=5)
-    cp = closed_partition(cx, delta=Fraction(1, 6), alpha=Fraction(1, 1000), seed=1)
+    cp = closed_partition(cx, delta=Fraction(1, 6), alpha=Fraction(1, 1000))
     cfg = AbsorberConfig(seed=1, phi=Fraction(1, 5), epsilon=Fraction(7, 10),
                          mu=Fraction(1, 500), family_target=2)
     state = build_absorber(cx, ALLOC3, cfg, partition=cp)
@@ -295,7 +341,7 @@ def test_common_links_equal_pairwise_link_intersections(k, n, picks):
     for e in set(top):
         for v in e:
             links.setdefault(v, set()).add(tuple(w for w in e if w != v))
-    common = kmatch.absorbing._common_links(system)
+    common = system.common_links()
     assert common.shape == (n, n)
     for u in range(n):
         for w in range(n):
@@ -305,7 +351,7 @@ def test_common_links_equal_pairwise_link_intersections(k, n, picks):
 def test_common_links_on_an_implicit_complete_host():
     host = complete_complex(300, 3).induced(range(8))
     assert host.implicit
-    common = kmatch.absorbing._common_links(host)
+    common = host.common_links()
     assert common[0, 1] == common[6, 7] == math.comb(6, 2)
     assert common[3, 3] == math.comb(7, 2) and common[8, 9] == 0
     assert len(closed_partition(host, delta=Fraction(1, 6), alpha=Fraction(1, 100)).parts) == 1

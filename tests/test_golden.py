@@ -98,7 +98,7 @@ CORPUS = {
     "absorb-demo-dense30": (
         lambda: gen_random_dense(30, 3, p=0.9, seed=3),
         ["absorb-demo", "--state", "--seed", "11"], None,
-        "0026cbb175e776f52cd96e4fc35089d1a32990d2574a895c823b6b48a5042291",
+        "e189e5498cc20e52a22dfe81980ca4402ae21c972079493e7217cd5debbc56f9",
     ),
     "frac-weights": (
         lambda: gen_random_dense(12, 3, p=0.9, seed=5),

@@ -211,3 +211,54 @@ def test_matching_pipeline_rejects_an_implicit_host():
         run_matching_pipeline(host, None)
     # fractional extraction still runs on the implicit host
     assert extract_weight_disjoint(host, ALLOC3, 1, seed=0).completed
+
+
+@pytest.mark.parametrize("n", [15, 18, 30])
+def test_decide_computes_one_common_link_product_per_host(monkeypatch, n):
+    # the divisibility stage and the pipeline both build the closed
+    # partition above the exhaustive range; they share the host's product
+    import kmatch.core as core
+
+    hosts = []
+    original = core._common_links
+
+    def counting(system):
+        hosts.append(id(system))
+        return original(system)
+
+    monkeypatch.setattr(core, "_common_links", counting)
+    cert = decide(gen_random_dense(n, 3, p=0.85, seed=915), PipelineConfig(seed=12))
+    assert cert.tag == "PerfectMatching"
+    assert len(hosts) == len(set(hosts)) == 1
+
+
+@pytest.mark.parametrize("host_seed, seed, kept", [(1008521273, 25, 0), (158063559, 7, 1)])
+def test_rounding_reports_the_regularity_of_the_kept_sample(monkeypatch, host_seed, seed, kept):
+    # every attempt misses, so the first attempt with the fewest uncovered
+    # vertices is kept; its own sample's regularity is the one reported
+    import kmatch.pipeline as pipeline
+
+    checks, misses = [], []
+    check, nibble = pipeline.check_regularity, pipeline.nibble_match
+
+    def checking(*args, **kwargs):
+        checks.append(check(*args, **kwargs))
+        return checks[-1]
+
+    def nibbling(*args, **kwargs):
+        result = nibble(*args, **kwargs)
+        misses.append(len(result.uncovered))
+        return result
+
+    monkeypatch.setattr(pipeline, "check_regularity", checking)
+    monkeypatch.setattr(pipeline, "nibble_match", nibbling)
+    cert = decide(gen_random_dense(9, 3, p=0.8, seed=host_seed), PipelineConfig(seed=seed))
+    assert cert.payload["reason"].startswith("rounding left")
+    assert len(misses) == pipeline.NIBBLE_ATTEMPTS
+    assert misses.index(min(misses)) == kept
+    rounding = next(s for s in cert.diagnostics["stages"] if s["stage"] == "rounding")
+    assert rounding["uncovered"] == misses[kept]
+    want = {key: checks[kept][key] for key in ("degree_pass", "codegree_pass")}
+    assert rounding["regularity"] == want
+    # the last sample disagrees, so reporting it would fail the check above
+    assert want != {key: checks[-1][key] for key in want}
