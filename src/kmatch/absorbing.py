@@ -392,7 +392,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     if derived > T_CAP:
         flags.append(f"closure parameter t={derived} capped to {T_CAP}")
     if needed < derived:
-        flags.append(f"partition audit supports t={needed}, using it over t={derived}")
+        flags.append(f"closed partition witness t={needed} used over t={derived}")
 
     leftover_sets = max(1, math.ceil(float(config.phi) * nv / k))
     family_target = config.family_target or (leftover_sets + 1)

@@ -1,6 +1,6 @@
 """Text format for hypergraph instances.
 
-Layout (whitespace separated, `#` comments):
+Layout:
 
     khg 1
     k 3
@@ -10,14 +10,50 @@ Layout (whitespace separated, `#` comments):
     edge a1 a2 b1
     edge@2 a1 a2          # optional explicit lower-level edges
 
+Tokens are separated by any run of whitespace, tabs included, and `#`
+starts a comment that runs to the end of its line. Lines may end in LF,
+CRLF or CR; blank and comment-only lines are skipped. `khg 1` is the
+first line with a token, `k` precedes every edge line, and `parts` and
+`part` lines may come anywhere after `khg 1`. A part line may also be
+spaced `part A 5 : a1 ...`.
+
 Vertex tokens are opaque names mapped to dense integer ids in part order.
-Plain `edge` lines are top-level k-edges.
+Plain `edge` lines are top-level k-edges; an edge may list its vertices in
+any order and may be repeated.
+
+The edge lines of each level are read, mapped and checked in bulk. Only a
+failed bulk check reads the lines one by one, and that pass only raises:
+the BadVertex names the first malformed line, as a line-by-line reader
+would.
 """
 
 from __future__ import annotations
 
-from .core import KSystem, VertexUniverse, build_complex
+import re
+from itertools import chain
+
+import numpy as np
+
+from .core import KComplex, KSystem, VertexUniverse, close_down
 from .errors import BadVertex
+
+# on text that starts each line with "\n": a line whose key is `edge` or
+# `edge@...`, the key of each `edge@...` line, and every other line with a
+# token, up to any comment
+_EDGE_KEY = r"edge(?:@[^\s#]*)?(?![^\s#])"
+_EDGE_LINE = re.compile(r"\n[^\S\n]*" + _EDGE_KEY)
+_AT_KEY = re.compile(r"\n[^\S\n]*(edge@[^\s#]*)(?![^\s#])")
+_DIRECTIVE = re.compile(r"\n[^\S\n]*(?!" + _EDGE_KEY + r")([^\s#][^#\n]*)")
+
+
+def _edge_rows(keys, level):
+    """A pattern matching every line with one of the keys: it captures the
+    level's vertex names when the line lists exactly that many, else ''."""
+    return re.compile(
+        r"\n[^\S\n]*(?:" + "|".join(map(re.escape, keys)) + ")"
+        + r"(?:" + r"[^\S\n]+([^\s#]+)" * level + r"[^\S\n]*(?:#.*)?$|(?![^\s#]))",
+        re.M,
+    )
 
 
 def _positive_int(token: str, what: str, where: str) -> int:
@@ -30,35 +66,21 @@ def _positive_int(token: str, what: str, where: str) -> int:
     return value
 
 
-def parse_khg(text: str):
-    """Parse khg text into (universe, k, leveled edges, vertex name list).
+class _Header:
+    """The directives other than edges, read in file order."""
 
-    Every malformed directive raises BadVertex naming its line.
-    """
-    lines = [
-        (no, toks) for no, line in enumerate(text.splitlines(), 1)
-        if (toks := line.partition("#")[0].split())
-    ]
-    if not lines or lines[0][1][:2] != ["khg", "1"]:
-        raise BadVertex("missing 'khg 1' header")
-    declared = {}                 # "k" and "parts" -> value
-    labels, sizes, names = [], [], []
-    raw_edges = []                # (line, level, vertex names)
-    edge_tokens = None            # token count of a well-formed top edge line
-    for no, toks in lines[1:]:
-        key = toks[0]
-        if key == "edge" and len(toks) == edge_tokens == len(set(toks)):
-            raw_edges.append((no, edge_tokens - 1, toks[1:]))
-            continue
-        where = f"line {no}"
+    def __init__(self):
+        self.declared = {}        # "k" and "parts" -> value
+        self.labels, self.sizes, self.names = [], [], []
+
+    def read(self, no, toks):
+        key, where = toks[0], f"line {no}"
         if key in ("k", "parts"):
             if len(toks) != 2:
                 raise BadVertex(f"{where}: '{key}' takes one value")
-            if key in declared:
+            if key in self.declared:
                 raise BadVertex(f"{where}: '{key}' declared twice")
-            declared[key] = _positive_int(toks[1], key, where)
-            if key == "k":
-                edge_tokens = declared[key] + 1
+            self.declared[key] = _positive_int(toks[1], key, where)
         elif key == "part":
             if len(toks) < 2:
                 raise BadVertex(f"{where}: part line without a label")
@@ -75,54 +97,136 @@ def parse_khg(text: str):
                 raise BadVertex(
                     f"{where}: part {label} declares {size} vertices, lists {len(verts)}"
                 )
-            labels.append(label)
-            sizes.append(size)
-            names.extend(verts)
-        elif key == "edge" or key.startswith("edge@"):
-            k = declared.get("k")
-            if k is None:
-                raise BadVertex(f"{where}: edge before k declaration")
-            level = _positive_int(key[5:], "edge level", where) if key != "edge" else k
-            if level > k:
-                raise BadVertex(f"{where}: edge level {level} exceeds k={k}")
-            verts = toks[1:]
-            if len(verts) != level:
-                raise BadVertex(f"{where}: edge lists {len(verts)} vertices, needs {level}")
-            if len(set(verts)) != level:
-                raise BadVertex(f"{where}: edge repeats a vertex")
-            raw_edges.append((no, level, verts))
+            self.labels.append(label)
+            self.sizes.append(size)
+            self.names.extend(verts)
         else:
             raise BadVertex(f"{where}: unknown khg directive {key!r}")
-    k = declared.get("k")
-    if k is None or declared.get("parts") != len(labels):
-        raise BadVertex("incomplete khg header (k/parts/part lines)")
-    if len(set(names)) != len(names):
-        raise BadVertex("duplicate vertex name")
-    if k > len(names):
-        raise BadVertex(f"k={k} exceeds the {len(names)} declared vertices")
-    uni = VertexUniverse(tuple(labels), tuple(sizes))
-    ids = {name: i for i, name in enumerate(names)}
+
+    def universe(self):
+        """(universe, k, vertex id of each name) once every line is read."""
+        k = self.declared.get("k")
+        if k is None or self.declared.get("parts") != len(self.labels):
+            raise BadVertex("incomplete khg header (k/parts/part lines)")
+        if len(set(self.names)) != len(self.names):
+            raise BadVertex("duplicate vertex name")
+        if k > len(self.names):
+            raise BadVertex(f"k={k} exceeds the {len(self.names)} declared vertices")
+        ids = {name: i for i, name in enumerate(self.names)}
+        return VertexUniverse(tuple(self.labels), tuple(self.sizes)), k, ids
+
+
+def _edge_level(key, k, where):
+    """The level an edge key declares, at most k."""
+    level = _positive_int(key[5:], "edge level", where) if key != "edge" else k
+    if level > k:
+        raise BadVertex(f"{where}: edge level {level} exceeds k={k}")
+    return level
+
+
+def _parse_bulk(text):
+    """parse_khg's result, or None when a check fails. The directive lines
+    are read one by one, the edge lines one level at a time; a malformed
+    edge line yields the name '', which no vertex has."""
+    header = _Header()
+    directives = _DIRECTIVE.finditer(text)
+    first = next(directives, None)
+    if first is None or first[1].split()[:2] != ["khg", "1"]:
+        return None
+    k_at = None
+    for m in directives:
+        toks = m[1].split()
+        header.read(text.count("\n", 0, m.start()) + 1, toks)
+        if toks[0] == "k":
+            k_at = m.start()
+    uni, k, ids = header.universe()
+    if _EDGE_LINE.search(text, 0, k_at):
+        return None
+    keys = {k: ["edge"]}          # level -> its keys, e.g. "edge" and "edge@3"
+    for key in set(_AT_KEY.findall(text)):
+        keys.setdefault(_edge_level(key, k, ""), []).append(key)
     edges = {}
-    for no, level, verts in raw_edges:
-        try:
-            edges.setdefault(level, []).append(tuple(map(ids.__getitem__, verts)))
-        except KeyError as exc:
-            raise BadVertex(f"line {no}: unknown vertex {exc.args[0]!r}") from None
-    return uni, k, edges, names
+    for level, level_keys in sorted(keys.items()):
+        rows = _edge_rows(level_keys, level).findall(text)
+        flat = chain.from_iterable(rows) if level > 1 else rows
+        verts = np.fromiter(map(ids.__getitem__, flat), np.int64, len(rows) * level)
+        verts = verts.reshape(-1, level)
+        verts.sort(axis=1)
+        if (verts[:, 1:] == verts[:, :-1]).any():
+            return None
+        if rows:
+            edges[level] = list(zip(*verts.T.tolist()))
+    return uni, k, edges, header.names
+
+
+def _raise_first_error(lines):
+    """The line-by-line checks, run once a bulk check has failed: raise the
+    BadVertex of the first malformed line, else of the header, else of the
+    first unknown vertex."""
+    content = [
+        (no, toks) for no, line in enumerate(lines, 1)
+        if (toks := line.partition("#")[0].split())
+    ]
+    if not content or content[0][1][:2] != ["khg", "1"]:
+        raise BadVertex("missing 'khg 1' header")
+    header = _Header()
+    listed = []                   # (line, vertex names) of each edge line
+    for no, toks in content[1:]:
+        key, where = toks[0], f"line {no}"
+        if key != "edge" and not key.startswith("edge@"):
+            header.read(no, toks)
+            continue
+        k = header.declared.get("k")
+        if k is None:
+            raise BadVertex(f"{where}: edge before k declaration")
+        level = _edge_level(key, k, where)
+        verts = toks[1:]
+        if len(verts) != level:
+            raise BadVertex(f"{where}: edge lists {len(verts)} vertices, needs {level}")
+        if len(set(verts)) != level:
+            raise BadVertex(f"{where}: edge repeats a vertex")
+        listed.append((no, verts))
+    _, _, ids = header.universe()
+    for no, verts in listed:
+        for name in verts:
+            if name not in ids:
+                raise BadVertex(f"line {no}: unknown vertex {name!r}")
+    raise AssertionError("the bulk checks rejected a file the line checks accept")
+
+
+def parse_khg(text: str):
+    """Parse khg text into (universe, k, leveled edges, vertex name list).
+
+    Each level's edges are sorted id tuples in file order. Every malformed
+    directive raises BadVertex naming its line.
+    """
+    lines = text.splitlines()
+    try:
+        parsed = _parse_bulk("\n" + "\n".join(lines))
+    except (BadVertex, KeyError):
+        parsed = None
+    if parsed is None:
+        _raise_first_error(lines)
+    return parsed
+
+
+def _read(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        uni, k, edges, _ = parse_khg(fh.read())
+    return uni, k, edges
 
 
 def load_khg(path, close=True):
     """Load a KComplex (close=True) or validated-closed complex from a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        uni, k, edges, _ = parse_khg(fh.read())
-    return build_complex(edges, uni, k=k, close=close)
+    uni, k, edges = _read(path)
+    if not close:
+        return KComplex(uni, k, edges)
+    return KComplex._of_levels(uni, k, close_down(edges, k), frozenset(uni.vertices()))
 
 
 def load_khg_system(path) -> KSystem:
     """Load the file as a bare k-system (no closure computed or required)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        uni, k, edges, _ = parse_khg(fh.read())
-    return KSystem(uni, k, edges)
+    return KSystem(*_read(path))
 
 
 def dump_khg(system, include_lower=False) -> str:

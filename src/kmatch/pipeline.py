@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .absorbing import AbsorberConfig, absorb, build_absorber, closed_partition
 from .barriers import (
@@ -153,10 +154,35 @@ def _effective_beta(system) -> Fraction:
     return min(BETA, best)
 
 
-def _min_part_size(system, alloc, mu_eff) -> int:
-    rep = degree_sequences(system, alloc)
+class _Facts:
+    """A host view and its allocation, with the degree sequences and the
+    closed partition that decide's divisibility stage and its matching
+    pipeline both read, each built on first use."""
+
+    def __init__(self, system, alloc):
+        self.system = system
+        self.alloc = alloc
+
+    @cached_property
+    def degrees(self):
+        return degree_sequences(self.system, self.alloc)
+
+    @cached_property
+    def partition(self):
+        """The closed partition, or the PreconditionFailed that refused it."""
+        system = self.system
+        try:
+            return closed_partition(
+                system, delta=Fraction(1, 2 * system.k), alpha=_effective_mu(system, ALPHA) / 2
+            )
+        except PreconditionFailed as exc:
+            return exc
+
+
+def _min_part_size(facts, mu_eff) -> int:
+    rep = facts.degrees
     dk1 = rep.f_degree[-1] if rep.f_degree else rep.plain[-1]
-    nv = len(system.vertex_pool)
+    nv = len(facts.system.vertex_pool)
     return max(1, math.ceil(dk1 - float(mu_eff) * nv))
 
 
@@ -215,18 +241,20 @@ def divisibility_barrier_stage(system, alloc=None, partition=None, diagnostics=N
     When diagnostics is given, records whether a candidate was found and
     whether it verified.
     """
-    k = system.k
+    facts = _Facts(system, alloc or plain_allocation(system.k))
+    return _divisibility_stage(facts, partition, diagnostics)
+
+
+def _divisibility_stage(facts, partition=None, diagnostics=None):
+    system = facts.system
     mu_eff = _effective_mu(system, MU)
-    min_part = _min_part_size(system, alloc or plain_allocation(k), mu_eff)
+    min_part = _min_part_size(facts, mu_eff)
     if partition is None and len(system.vertex_pool) <= DIV_EXHAUSTIVE_LIMIT:
         cert = divisibility_barrier_search(system, mu_eff, min_part)
     else:
         if partition is None:
-            try:
-                partition = closed_partition(
-                    system, delta=Fraction(1, 2 * k), alpha=_effective_mu(system, ALPHA) / 2
-                )
-            except PreconditionFailed:
+            partition = facts.partition
+            if isinstance(partition, PreconditionFailed):
                 return None
         cert = divisibility_barrier_search(
             system, mu_eff, min_part, candidates=partition.coarsenings()
@@ -279,12 +307,15 @@ def _absorber_plan(system):
 def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certificate:
     """Full pipeline: absorber, restriction, weight-disjoint family, rounding,
     absorption; emits the first verified certificate or Inconclusive."""
-    config = config or PipelineConfig()
-    diagnostics = {"config": config.echo(), "stages": []}
     system = host_view(system, alloc)
+    facts = _Facts(system, alloc or plain_allocation(system.k))
+    return _matching_pipeline(facts, config or PipelineConfig())
+
+
+def _matching_pipeline(facts, config) -> Certificate:
+    diagnostics = {"config": config.echo(), "stages": []}
+    system, alloc = facts.system, facts.alloc
     k = system.k
-    if alloc is None:
-        alloc = plain_allocation(k)
     uni = system.universe
     pool = sorted(system.vertex_pool)
     nv = len(pool)
@@ -292,7 +323,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
         raise BadParams(f"k={k} does not divide the vertex count {nv}")
     if not is_pf_partite(system, alloc):
         raise BadParams("system is not PF-partite for the given allocation")
-    deg = degree_sequences(system, alloc)
+    deg = facts.degrees
     diagnostics["degrees"] = {
         "plain": list(deg.plain),
         "f_degree": list(deg.f_degree) if deg.f_degree else None,
@@ -311,15 +342,11 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
     # stage 1: closed partition and absorber; retry seeds when the absorber
     # choice strands a pruned complex with no top edges (small pools only)
     state = None
-    partition = None
     sub = None
-    try:
-        partition = closed_partition(
-            system, delta=Fraction(1, 2 * k), alpha=_effective_mu(system, ALPHA) / 2
-        )
-    except PreconditionFailed as exc:
+    partition = facts.partition
+    if isinstance(partition, PreconditionFailed):
         diagnostics["stages"].append({
-            "stage": "closed-partition", "status": "precondition-failed", "why": str(exc),
+            "stage": "closed-partition", "status": "precondition-failed", "why": str(partition),
         })
         partition = None
 
@@ -340,9 +367,7 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
                 diagnostics["stages"].append(
                     {"stage": "absorber", "status": "lattice-incomplete"}
                 )
-                cert = divisibility_barrier_stage(
-                    system, alloc, partition=exc.partition, diagnostics=diagnostics
-                )
+                cert = _divisibility_stage(facts, exc.partition, diagnostics)
                 if cert is not None:
                     return Certificate(
                         tag="DivisibilityBarrier", payload=cert.to_json(),
@@ -512,8 +537,7 @@ def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
     config = config or PipelineConfig()
     system = host_view(system, alloc)
     k = system.k
-    if alloc is None:
-        alloc = plain_allocation(k)
+    facts = _Facts(system, alloc or plain_allocation(k))
     nv = len(system.vertex_pool)
     diagnostics = {"config": config.echo(), "mode": "decide"}
 
@@ -522,12 +546,12 @@ def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
     tag, barrier = "SpaceBarrier", space_barrier_stage(system)
     if barrier is None:
         diagnostics["effective_mu"] = str(_effective_mu(system, MU))
-        tag, barrier = "DivisibilityBarrier", divisibility_barrier_stage(system, alloc)
+        tag, barrier = "DivisibilityBarrier", _divisibility_stage(facts)
 
     if barrier is not None:
         cert = Certificate(tag=tag, payload=barrier.to_json(), diagnostics=diagnostics)
     elif nv % k == 0 and system.top_count() > 0:
-        cert = run_matching_pipeline(system, alloc, config)
+        cert = _matching_pipeline(facts, config)
         cert.diagnostics["mode"] = "decide"
         cert.diagnostics["effective_beta"] = str(beta_eff)
     else:

@@ -25,23 +25,23 @@ CORPUS = {
     "match-dense30-a": (
         lambda: _dense30(1001),
         ["match", "--seed", "1"], {"ell": 10},
-        "1e3e24278f91eaba683508a38979cffb08ab2ff2a7f954ad80e834b9b9640152",
+        "25c85dd8352d612852ca8ecfd32e3ff51bee838515022163550214b13a18457a",
     ),
     "match-dense30-b": (
         lambda: _dense30(1002),
         ["match", "--seed", "2"], {"ell": 10},
-        "53a8173710389ca71a2328ca532152e4e7481ae956e436aec44da3fe7b59e1e8",
+        "50784bbd337f89e3169ffecd29661a99681ee0a6dc1db435d1ae8a01fee203e8",
     ),
     "match-dense30-c": (
         lambda: _dense30(1003),
         ["match", "--seed", "3"], {"ell": 10},
-        "4db38f957d969e4659135c8ffb18de9dc4bbbaa8c2878d94f042828710a5d83c",
+        "b3eb62f66d245a529ba9cbdecb06ba8c3a7309e3c07a45d026e249cbdbbaa737",
     ),
     # greedy extraction misses here and the exact LP fallback runs
     "match-lp-fallback": (
         lambda: _dense30(178118052),
         ["match", "--seed", "324388370"], {"ell": 15},
-        "b8c369e6f9d56d6259cadc674063815fdeda4540859bc764d92749dc2475b5a0",
+        "001bed2d37d7263f04a7a0d3ac5907c728f9e9fa039c0674799b546061417940",
     ),
     "match-div9": (
         lambda: gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)]),
@@ -56,13 +56,13 @@ CORPUS = {
     "decide-dense12": (
         lambda: gen_random_dense(12, 3, p=0.8, seed=906),
         ["decide", "--seed", "6"], None,
-        "28689179c767f9ac66fac4d0544c1d7bf8a2da4a9496827e10f0298a73e570f8",
+        "757406d4100364bd08447674e0b1c07723f86f753a872e75d5e83cfa5d53a641",
     ),
     # n > 12: decide builds the closed partition instead of exhausting partitions
     "decide-dense15": (
         lambda: gen_random_dense(15, 3, p=0.85, seed=915),
         ["decide", "--seed", "12"], None,
-        "8a3d304da9506637fee7c61b6de66f1e933c56b35ec06be8c30f2c790ef1848e",
+        "406ff75b851c8c08ac15348a52837476a2150728c67380b521ad526af584dcfc",
     ),
     "decide-space9": (
         lambda: gen_space_barrier(9, 3, 1, 4),
@@ -98,7 +98,7 @@ CORPUS = {
     "absorb-demo-dense30": (
         lambda: gen_random_dense(30, 3, p=0.9, seed=3),
         ["absorb-demo", "--state", "--seed", "11"], None,
-        "e189e5498cc20e52a22dfe81980ca4402ae21c972079493e7217cd5debbc56f9",
+        "69ac225388df729be83d1d797351b96b3528d124542d058a790b66315e7bd181",
     ),
     "frac-weights": (
         lambda: gen_random_dense(12, 3, p=0.9, seed=5),

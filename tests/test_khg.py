@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kmatch.core import VertexUniverse, build_complex
 from kmatch.errors import BadVertex, KmatchError
 from kmatch.khg import load_khg, load_khg_system, parse_khg, save_khg
-from kmatch.oracle import gen_divisibility_barrier, gen_space_barrier
+from kmatch.oracle import gen_divisibility_barrier, gen_random_dense, gen_space_barrier
 
 
 def test_roundtrip(tmp_path):
@@ -72,31 +72,80 @@ def test_partite_roundtrip(tmp_path):
 )
 def test_messy_khg_loads_like_build_complex(picks, seed):
     # unsorted vertices inside lines, shuffled lines, comments, blank and
-    # repeated edges: the loaded levels equal build_complex on the same edges
+    # repeated edges: the loaded levels equal build_complex on the edges in
+    # the order the file lists them, and iterate in the same order
     rng = random.Random(seed)
     names = ["b2", "a1", "c3", "a0", "z9", "m5", "k7"]
     cands = list(combinations(range(7), 3))
     edges = [cands[i % len(cands)] for i in picks]
-    body = ["# a comment line", "", "edge@2 " + " ".join(names[5:3:-1])]
+    body = [("# a comment line", None), ("", None), ("edge@2 " + " ".join(names[5:3:-1]), (4, 5))]
     for e in edges + edges[: len(edges) // 2]:
         verts = [names[v] for v in e]
         rng.shuffle(verts)
-        body.append("edge " + " ".join(verts) + rng.choice(["", "  # note", "\t#"]))
-    body.append("parts 2")
+        body.append(("edge " + " ".join(verts) + rng.choice(["", "  # note", "\t#"]), e))
+    body.append(("parts 2", None))
     rng.shuffle(body)
+    listed = {3: [], 2: []}
+    for _, e in body:
+        if e is not None:
+            listed[len(e)].append(e)
+    lines = [line for line, _ in body]
     # part lines go anywhere after k, in part order
-    at_a, at_b = sorted(rng.randint(0, len(body)) for _ in range(2))
-    body.insert(at_b, "part B 3 : " + " ".join(names[4:]))
-    body.insert(at_a, "part A 4: " + " ".join(names[:4]))
+    at_a, at_b = sorted(rng.randint(0, len(lines)) for _ in range(2))
+    lines.insert(at_b, "part B 3 : " + " ".join(names[4:]))
+    lines.insert(at_a, "part A 4: " + " ".join(names[:4]))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "messy.khg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(["khg 1", "  # header comment", "k 3"] + body) + "\n")
+            fh.write("\n".join(["khg 1", "  # header comment", "k 3"] + lines) + "\n")
         loaded = load_khg(path)
     uni = VertexUniverse(("A", "B"), (4, 3))
-    expected = build_complex({3: edges, 2: [(4, 5)]}, uni, k=3)
+    expected = build_complex(listed, uni, k=3)
     assert loaded.universe == uni
-    assert all(loaded.level(i) == expected.level(i) for i in range(4))
+    assert all(list(loaded.level(i)) == list(expected.level(i)) for i in range(4))
+
+
+_HEAD = "khg 1\nk 3\nparts 1\npart A 4: a b c d\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HEAD + "edge a b c\nedge a b z\n", "line 6: unknown vertex 'z'"),
+    (_HEAD + "edge a b a\n", "line 5: edge repeats a vertex"),
+    (_HEAD + "edge a b c\nedge a b\n", "line 6: edge lists 2 vertices, needs 3"),
+    ("khg 1\nedge a b c\nk 3\nparts 1\npart A 4: a b c d\n",
+     "line 2: edge before k declaration"),
+    (_HEAD + "edge@4 a b c d\n", "line 5: edge level 4 exceeds k=3"),
+    (_HEAD + "vertex e\n", "line 5: unknown khg directive 'vertex'"),
+    ("khg 1\nk 3\nparts 1\npart A 4: a b c a\n", "duplicate vertex name"),
+    # the first malformed line is named, whatever follows it
+    (_HEAD + "edge a b c\nedge a b\nvertex e\nedge a a b\n",
+     "line 6: edge lists 2 vertices, needs 3"),
+    (_HEAD + "edge a b z\nedge@2 a a\n", "line 6: edge repeats a vertex"),
+    # blank and comment lines count, and so do CRLF line ends
+    ("khg 1\r\n# c\r\n\r\nk 3\r\nparts 1\r\npart A 4: a b c d\r\nedge\ta b\r\n",
+     "line 7: edge lists 2 vertices, needs 3"),
+])
+def test_malformed_khg_names_the_first_bad_line(text, message):
+    with pytest.raises(BadVertex) as caught:
+        parse_khg(text)
+    assert str(caught.value) == message
+
+
+def test_crlf_tabs_and_comments_load_like_the_clean_file(tmp_path):
+    # a dense n=30 file, rewritten with CRLF line ends, tabs between the
+    # tokens and a trailing comment on every line, loads to the same levels
+    # in the same order
+    cx = gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=1001)
+    clean = tmp_path / "clean.khg"
+    save_khg(cx, clean, include_lower=True)
+    messy = tmp_path / "messy.khg"
+    lines = clean.read_text(encoding="utf-8").splitlines()
+    with open(messy, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line.replace(" ", "\t") + "\t# note\r\n" for line in lines))
+    a, b = load_khg(clean), load_khg(messy)
+    assert b"\r\n" in messy.read_bytes()
+    assert a.universe == b.universe
+    assert all(list(a.level(i)) == list(b.level(i)) for i in range(4))
 
 
 _NAMES = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "x"]), max_size=5)

@@ -232,6 +232,29 @@ def test_decide_computes_one_common_link_product_per_host(monkeypatch, n):
     assert len(hosts) == len(set(hosts)) == 1
 
 
+@pytest.mark.parametrize("n", [12, 15, 30])
+def test_decide_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n):
+    # the divisibility stage and the matching pipeline read the same degree
+    # sequences and, above the exhaustive range, the same closed partition
+    import kmatch.pipeline as pipeline
+
+    calls = {"degree_sequences": 0, "closed_partition": 0}
+
+    def counting(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    cert = decide(gen_random_dense(n, 3, p=0.85, seed=915), PipelineConfig(seed=12))
+    assert cert.tag == "PerfectMatching"
+    assert calls == {"degree_sequences": 1, "closed_partition": 1}
+
+
 @pytest.mark.parametrize("host_seed, seed, kept", [(1008521273, 25, 0), (158063559, 7, 1)])
 def test_rounding_reports_the_regularity_of_the_kept_sample(monkeypatch, host_seed, seed, kept):
     # every attempt misses, so the first attempt with the fewest uncovered
