@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import Matching, edge_key, index_vector, validate_matching
+from .core import Matching, compositions, edge_key, index_vector, validate_matching
 from .errors import (
     AbsorberUnavailable,
     AbsorptionFailed,
@@ -360,14 +360,15 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         partition = closed_partition(system, PARTITION_DELTA, PARTITION_ALPHA)
     parts = partition.parts
     dim = len(parts)
-    part_lookup = {}
+    uni = system.universe
+    lookup = np.full(uni.total, -1, dtype=np.int64)
     for idx, p in enumerate(parts):
-        for v in p:
-            part_lookup[v] = idx
+        lookup[list(p)] = idx
 
-    top_by_comp = {}              # composition -> its top edges, in top-level order
-    for e in system.iter_top():
-        top_by_comp.setdefault(_composition_of(e, part_lookup, dim), []).append(e)
+    top_table = system.edge_table()
+    # composition -> ids of its top edges, in top-level order
+    comp_of, comps = compositions(top_table.E, lookup, dim)
+    top_by_comp = {c: np.flatnonzero(comp_of == g) for g, c in enumerate(comps)}
     pool = sorted(system.vertex_pool)
     nv = len(pool)
     threshold = config.mu * Fraction(nv) ** k
@@ -412,7 +413,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     if w_size_plan > nv:
         raise BudgetExhausted(f"absorber plan needs {w_size_plan} vertices, the pool has {nv}")
 
-    used = set()
+    used = np.zeros(uni.total, dtype=bool)
     members = []
     member_pms = []
     tries = 0
@@ -427,7 +428,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         verts, pm = member
         members.append(tuple(sorted(verts)))
         member_pms.append(tuple(sorted(edge_key(e) for e in pm)))
-        used |= set(verts)
+        used[verts] = True
     if len(members) < family_target:
         raise BudgetExhausted(
             f"built only {len(members)} of {family_target} absorbers in {tries} tries"
@@ -436,15 +437,16 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     reserves = {}
     for vec, want in sorted(reserve_sizes.items()):
         got = []
-        cand = [e for e in sorted(top_by_comp.get(vec, ())) if not set(e) & used]
+        ids = top_by_comp[vec]  # a robust vector: decompositions use no other
+        cand = sorted(map(top_table.tops.__getitem__, ids[~used[top_table.E[ids]].any(1)]))
         rng.shuffle(cand)
         for e in cand:
             if len(got) >= want:
                 break
-            if set(e) & used:
+            if used[list(e)].any():
                 continue
             got.append(e)
-            used |= set(e)
+            used[list(e)] = True
         if len(got) < want:
             raise BudgetExhausted(
                 f"reserve for index {vec} has {len(got)} of {want} edges"
@@ -453,7 +455,6 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
 
     # extend to an F-balanced configuration over the ambient allocation
     extension = []
-    uni = system.universe
     amb_counts = {}
     w_edges = [e for pm in member_pms for e in pm] + [e for es in reserves.values() for e in es]
     for e in w_edges:
@@ -464,39 +465,33 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         norm = {vec: Fraction(amb_counts.get(vec, 0), alloc.multiplicity(vec)) for vec in avectors}
         target = max(norm.values())
         for vec in avectors:
+            vi = top_table.vectors.index(vec) if vec in top_table.vectors else -1
             while norm[vec] < target:
-                if len(used) + k > budget:
+                if int(used.sum()) + k > budget:
                     flags.append("balancing extension truncated by the W budget")
                     break
-                cand = [
-                    e
-                    for e in system.iter_top()
-                    if index_vector(e, uni) == vec and not set(e) & used
-                ]
-                if not cand:
+                cand = np.flatnonzero((top_table.vid == vi) & ~used[top_table.E].any(1))
+                if not len(cand):
                     flags.append(f"balancing extension starved for index {vec}")
                     break
-                e = cand[rng.randrange(len(cand))]
+                e = top_table.tops[cand[rng.randrange(len(cand))]]
                 extension.append(e)
-                used |= set(e)
+                used[list(e)] = True
                 norm[vec] += Fraction(1, alloc.multiplicity(vec))
             else:
                 continue
             break
 
-    w_vertices = frozenset(used)
+    w_vertices = frozenset(np.flatnonzero(used).tolist())
     if len(w_vertices) > budget:
         raise BudgetExhausted(
             f"W has {len(w_vertices)} vertices, budget {float(budget):.1f}"
         )
-    w_match_edges = [e for pm in member_pms for e in pm]
-    w_match_edges += [e for es in reserves.values() for e in es]
-    w_match_edges += extension
-    w_matching = Matching.from_edges(w_match_edges)
+    w_matching = Matching.from_edges(w_edges + extension)
     if not validate_matching(system, w_matching, cover=w_vertices):
         raise BudgetExhausted("recorded W matching failed validation")
 
-    coverage = _audit_coverage(system, members, vectors, part_lookup, dim, used, rng)
+    coverage = _audit_coverage(system, members, vectors, lookup.tolist(), dim, used, rng)
     family = AbsorbingFamily(
         sets=tuple(members), internal_pms=tuple(member_pms), t=t, coverage=coverage
     )
@@ -517,22 +512,23 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     return state
 
 
-def _build_absorber_member(system, comp_edges, t, used, rng):
+def _build_absorber_member(system, comp_ids, t, used, rng):
     """One t*k^2 absorber for a target composition: an edge of that composition
-    plus per-coordinate reachability witness sets, all disjoint from `used`.
+    plus per-coordinate reachability witness sets, all off the vertex mask `used`.
 
-    comp_edges are the top edges of the target composition, in top-level
-    order. Returns (vertex set, internal perfect matching) or None.
+    comp_ids are the edge-table ids of the target composition's top edges,
+    in top-level order. Returns (vertex set, internal perfect matching) or None.
     """
     k = system.k
-    incidence = system.incidence()
-    cands = [e for e in comp_edges if not (set(e) & used)]
-    if not cands:
+    table = system.edge_table()
+    cands = comp_ids[~used[table.E[comp_ids]].any(1)]
+    if not len(cands):
         return None
-    sorted_links = {}  # anchor -> its link set in sorted order, for all tries
+    sorted_links = {}  # anchor -> its link rows in sorted order, for all tries
     for _ in range(30):
-        e = cands[rng.randrange(len(cands))]
-        taken = set(used) | set(e)
+        e = table.tops[cands[rng.randrange(len(cands))]]
+        taken = used.copy()
+        taken[list(e)] = True
         witness_sets = []
         ok = True
         for u in e:
@@ -541,18 +537,20 @@ def _build_absorber_member(system, comp_edges, t, used, rng):
             # same-part vertex at absorb time, which the audit samples
             if t == 1:
                 if u not in sorted_links:
-                    sorted_links[u] = sorted(tuple(w for w in f if w != u)
-                                             for f in incidence.get(u, ()))
-                cand_sets = [s for s in sorted_links[u] if taken.isdisjoint(s)]
-                if not cand_sets:
+                    rows = table.E[table.ids[table.ptr[u]:table.ptr[u + 1]]]
+                    links = rows[rows != u].reshape(len(rows), k - 1)
+                    sorted_links[u] = links[np.lexsort(links.T[::-1])]
+                links = sorted_links[u]
+                cand_sets = links[~taken[links].any(1)]
+                if not len(cand_sets):
                     ok = False
                     break
-                s = cand_sets[rng.randrange(len(cand_sets))]
-                witness_sets.append((u, tuple(s)))
-                taken |= set(s)
+                s = tuple(cand_sets[rng.randrange(len(cand_sets))].tolist())
+                witness_sets.append((u, s))
+                taken[list(s)] = True
             else:
                 found = None
-                pool = [w for w in sorted(system.vertex_pool) if w not in taken]
+                pool = [w for w in sorted(system.vertex_pool) if not taken[w]]
                 size = t * k - 1
                 for _ in range(60):
                     if len(pool) < size:
@@ -565,7 +563,7 @@ def _build_absorber_member(system, comp_edges, t, used, rng):
                     ok = False
                     break
                 witness_sets.append((u, found))
-                taken |= set(found)
+                taken[list(found)] = True
         if not ok:
             continue
         # internal PM pairs each witness set with its anchor; the central edge
@@ -600,7 +598,7 @@ def _audit_coverage(system, members, vectors, part_lookup, dim, used, rng):
     COVERAGE_MIN absorbing members (exact matchability tests)."""
     coverage = {"per_vector": {}, "samples": AUDIT_SAMPLES}
     all_pass = True
-    avail = [v for v in sorted(system.vertex_pool) if v not in used]
+    avail = [v for v in sorted(system.vertex_pool) if not used[v]]
     per_part_avail = {}
     for v in avail:
         per_part_avail.setdefault(part_lookup[v], []).append(v)

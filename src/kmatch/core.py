@@ -4,15 +4,15 @@ Vertices are dense integer ids 0..total-1 grouped by part (part order is
 significant everywhere). Edges are sorted tuples of vertex ids, sorted and
 validated once where outside input enters (KSystem(), build_complex);
 the downward closure and every restriction reuse those canonical tuples.
-An explicit system caches its incidence, top_vectors and common-link counts
-on first use, and degree_sequences counts each level's extensions in one
-pass.
+An explicit system caches its integer top-edge table (edge_table) and its
+common-link counts on first use, and degree_sequences counts each level's
+extensions in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations, repeat
@@ -149,8 +149,7 @@ class KSystem:
         self.k = k
         self._pool = pool
         self.levels = levels
-        self._incidence = None
-        self._vectors = None
+        self._table = None
         self._common = None
 
     @classmethod
@@ -187,22 +186,11 @@ class KSystem:
     def iter_top(self):
         return iter(self.levels[self.k])
 
-    def incidence(self) -> dict:
-        """vertex -> list of its top edges in top-level order; built once,
-        callers must not mutate it."""
-        if self._incidence is None:
-            incident = {}
-            for e in self.levels[self.k]:
-                for v in e:
-                    incident.setdefault(v, []).append(e)
-            self._incidence = incident
-        return self._incidence
-
-    def top_vectors(self) -> dict:
-        """top edge -> its index vector; built once, callers must not mutate it."""
-        if self._vectors is None:
-            self._vectors = {e: index_vector(e, self.universe) for e in self.levels[self.k]}
-        return self._vectors
+    def edge_table(self) -> EdgeTable:
+        """The top level as an EdgeTable; built once, callers must not mutate it."""
+        if self._table is None:
+            self._table = _edge_table(self)
+        return self._table
 
     def common_links(self) -> np.ndarray:
         """|L(u) & L(w)| for every pair of vertex ids; built once, callers
@@ -335,12 +323,43 @@ class CompleteComplex:
         return CompleteComplex(self.universe, self.k, self._pool & frozenset(vertex_set))
 
 
+# An explicit top level as integer arrays, in top-level (frozenset iteration)
+# order: edge i is tops[i] == tuple(E[i]) with index vector vectors[vid[i]],
+# and the edges of vertex v are ids[ptr[v]:ptr[v + 1]], in that order.
+EdgeTable = namedtuple("EdgeTable", "tops E ptr ids vid vectors")
+
+
+def _edge_table(system) -> EdgeTable:
+    uni, k = system.universe, system.k
+    tops = list(system.levels[k])
+    E = np.fromiter(chain.from_iterable(tops), np.int64, len(tops) * k).reshape(len(tops), k)
+    flat = E.ravel()
+    # stable, so each vertex keeps its edges in top-level order; radix on 16 bits
+    order = np.argsort(flat.astype(np.uint16) if uni.total <= 1 << 16 else flat, kind="stable")
+    ptr = np.searchsorted(flat[order], np.arange(uni.total + 1))
+    vid, vectors = compositions(E, np.array(uni._part_of, dtype=np.int64), uni.r)
+    return EdgeTable(tops, E, ptr, order // k, vid, vectors)
+
+
+def compositions(E, label, dim):
+    """Per row of the int array E, its count vector over labels 0..dim-1 of
+    its entries (label[v] for entry v), as a dense id in lexicographic order,
+    and the distinct count vectors; ids stay below len(E) for any dim."""
+    counts = (label[E][:, :, None] == np.arange(dim)).sum(1)
+    ids = np.zeros(len(E), dtype=np.int64)
+    for col in counts.T:
+        ids = np.unique(ids * (E.shape[1] + 1) + col, return_inverse=True)[1].ravel()
+    first = np.unique(ids, return_index=True)[1]
+    return ids, [tuple(row) for row in counts[first].tolist()]
+
+
 def _common_links(system) -> np.ndarray:
     """|L(u) & L(w)| for every pair of vertex ids, as the product A A^T of
     the vertex x (k-1)-set incidence matrix A of the top level. float64 is
     exact here: every entry is at most C(n-1, k-1) < 2**53."""
     k, total = system.k, system.universe.total
-    top = np.fromiter(chain.from_iterable(system.iter_top()), dtype=np.int64).reshape(-1, k)
+    top = (np.fromiter(chain.from_iterable(system.iter_top()), dtype=np.int64).reshape(-1, k)
+           if system.implicit else system.edge_table().E)
     # row block t of `rest` is every top edge without its t-th vertex; its
     # columns fold into dense (k-1)-set ids, each fold below m*k*total
     rest = np.concatenate([np.delete(top, t, axis=1) for t in range(k)])

@@ -8,11 +8,14 @@ solution would poison the downstream rounding and absorbing checks.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
-from .core import Allocation, edge_key, index_vector
+import numpy as np
+
+from .core import Allocation, KSystem, edge_key, index_vector
 from .errors import BadParams, EmptyTopLevel, UnknownEdge
 from .simplex import solve_equality_feasibility
 
@@ -193,88 +196,89 @@ class PairWeights:
 
     def dead_pairs_at(self) -> dict:
         """vertex -> number of incident pairs that fell below 1."""
-        out = {}
-        for (u, v), wt in self.w.items():
-            if wt < 1:
-                out[u] = out.get(u, 0) + 1
-                out[v] = out.get(v, 0) + 1
-        return out
+        return dict(Counter(chain.from_iterable(self.dead)))
+
+
+def _alive(E, pairs: PairWeights, total) -> np.ndarray:
+    """Per row of an edge array E: do all its pairs still have residual >= 1?"""
+    dead = np.array([u * total + v for u, v in pairs.dead], dtype=np.int64)
+    alive = np.ones(len(E), dtype=bool)
+    for a, b in combinations(range(E.shape[1]), 2):
+        alive &= ~np.isin(E[:, a] * total + E[:, b], dead)
+    return alive
 
 
 def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     """Random greedy F-balanced perfect matching on the pair-pruned system.
 
     A fast path past the LP: an indicator vector of a perfect matching with
-    exact per-index quotas is a feasible LP point.
+    exact per-index quotas is a feasible LP point. Each step draws a free
+    vertex, then one of its live edges that fits the free vertices and a quota.
     Returns a list of edges or None; failure here proves nothing.
     """
-    uni = system.universe
-    pool = system.vertex_pool
+    pool, k, mult = system.vertex_pool, system.k, dict(alloc.index_multiset)
     total = len(pool)
-    k = system.k
     if total % k or total == 0:
         return None
-    vectors = alloc.index_vectors()
-    msum = sum(alloc.multiplicity(v) for v in vectors)
-    quota_unit = Fraction(total, k * msum)
-    quotas = {}
-    for vec in vectors:
-        q = quota_unit * alloc.multiplicity(vec)
-        if q.denominator != 1:
-            return None  # exact balance unreachable by an integer matching
-        quotas[vec] = int(q)
+    quotas = {vec: Fraction(total * m, k * sum(mult.values())) for vec, m in mult.items()}
+    if any(q.denominator != 1 for q in quotas.values()):
+        return None  # exact balance unreachable by an integer matching
+    if system.implicit:
+        return _greedy_implicit(system, quotas, pairs, rng, tries)
 
-    explicit = not system.implicit
-    if explicit:
-        incident = system.incidence()
-        vec_of = system.top_vectors()
-
+    tops, E, ptr, ids, vid, vectors = system.edge_table()
+    alive = _alive(E, pairs, system.universe.total)
+    quota = np.array([int(quotas.get(vec, 0)) for vec in vectors], dtype=np.int64)
+    start = np.isin(np.arange(system.universe.total), list(pool))
     for _ in range(tries):
-        free = set(pool)
-        need = dict(quotas)
-        chosen = []
-        ok = True
+        free, need, chosen = start.copy(), quota.copy(), []
+        while len(chosen) < total // k:
+            v = rng.choice(np.flatnonzero(free))
+            inc = ids[ptr[v]:ptr[v + 1]]
+            cands = inc[alive[inc] & (need[vid[inc]] > 0) & free[E[inc]].all(1)]
+            if not len(cands):
+                break
+            e = cands[rng.randrange(len(cands))]
+            chosen.append(tops[e])
+            need[vid[e]] -= 1
+            free[E[e]] = False
+        else:
+            return chosen
+    return None
+
+
+def _greedy_implicit(system, quotas, pairs: PairWeights, rng, tries):
+    """The greedy on an implicit host, which has no edge table: up to 40 draws a step."""
+    uni, k = system.universe, system.k
+    for _ in range(tries):
+        free, need, chosen = set(system.vertex_pool), dict(quotas), []
         while free:
             v = rng.choice(sorted(free))
             cands = []
-            if explicit:
-                for e in incident.get(v, ()):
-                    if free.issuperset(e) and need.get(vec_of[e], 0) > 0 and pairs.edge_alive(e):
-                        cands.append(e)
-            else:
-                # implicit complete host: sample partners directly
-                others = sorted(free - {v})
-                for _ in range(40):
-                    if len(others) < k - 1:
-                        break
-                    e = edge_key([v] + rng.sample(others, k - 1))
-                    if (
-                        system.has_top(e)
-                        and need.get(index_vector(e, uni), 0) > 0
-                        and pairs.edge_alive(e)
-                    ):
-                        cands.append(e)
-                        break
+            others = sorted(free - {v})
+            for _ in range(40 if len(others) >= k - 1 else 0):
+                e = edge_key([v] + rng.sample(others, k - 1))
+                vec = index_vector(e, uni)
+                if system.has_top(e) and need.get(vec, 0) > 0 and pairs.edge_alive(e):
+                    cands.append(e)
+                    break
             if not cands:
-                ok = False
                 break
             e = cands[rng.randrange(len(cands))]
             chosen.append(e)
-            need[vec_of[e] if explicit else index_vector(e, uni)] -= 1
+            need[index_vector(e, uni)] -= 1
             free.difference_update(e)
-        if ok and not free:
+        else:
             return chosen
     return None
 
 
 def _pruned_system(system, pairs: PairWeights):
-    """Subsystem with top edges not supported on live pairs removed."""
-    from .core import KSystem
-
-    live = [e for e in system.iter_top() if pairs.edge_alive(e)]
-    return KSystem(
-        system.universe, system.k, {system.k: live}, vertex_pool=system.vertex_pool
-    )
+    """Subsystem of the top edges on live pairs, in top-level order."""
+    table, k = system.edge_table(), system.k
+    live = np.flatnonzero(_alive(table.E, pairs, system.universe.total))
+    levels = dict.fromkeys(range(k), frozenset()) | {k: frozenset({table.tops[i] for i in live})}
+    return KSystem._of_levels(system.universe, k, levels, system.vertex_pool)
 
 
 @dataclass
@@ -314,9 +318,7 @@ def extract_weight_disjoint(
         greedy = _greedy_integer_pm(system, alloc, pairs, rng)
         frac = None
         if greedy is not None:
-            frac = FractionalMatching(
-                host=system, weights={edge_key(e): ONE for e in greedy}
-            )
+            frac = FractionalMatching(host=system, weights=dict.fromkeys(greedy, ONE))
             diag["greedy_hits"] += 1
         else:
             if system.implicit:

@@ -304,16 +304,17 @@ def test_absorber_state_json_roundtrip_replays():
     assert absorb(replayed, leftover).edges == absorb(state, leftover).edges
 
 
-def test_incidence_built_once_per_host(monkeypatch):
+def test_edge_table_built_once_per_host(monkeypatch):
+    import kmatch.core as core
+
     builds = []
-    original = KSystem.incidence
+    original = core._edge_table
 
-    def counting(self):
-        if self._incidence is None:
-            builds.append(1)
-        return original(self)
+    def counting(system):
+        builds.append(1)
+        return original(system)
 
-    monkeypatch.setattr(KSystem, "incidence", counting)
+    monkeypatch.setattr(core, "_edge_table", counting)
     cx = gen_random_dense(30, 3, p=0.9, seed=5)
     cp = closed_partition(cx, delta=Fraction(1, 6), alpha=Fraction(1, 1000))
     cfg = AbsorberConfig(seed=1, phi=Fraction(1, 5), epsilon=Fraction(7, 10),
@@ -321,8 +322,17 @@ def test_incidence_built_once_per_host(monkeypatch):
     state = build_absorber(cx, ALLOC3, cfg, partition=cp)
     assert state.family.t == 1  # t=1 members draw their witnesses from the links
     assert len(builds) == 1
+    # the CSR lists each vertex's edges in top-level order; vectors decode
+    table = cx.edge_table()
+    incident = {}
+    for e in cx.top:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    for v in range(cx.universe.total):
+        assert [table.tops[i] for i in table.ids[table.ptr[v]:table.ptr[v + 1]]] == incident[v]
+    assert [table.vectors[i] for i in table.vid] == [(3,)] * cx.top_count()
     # a new host builds its own
-    cx.induced(range(27)).incidence()
+    cx.induced(range(27)).edge_table()
     assert len(builds) == 2
 
 

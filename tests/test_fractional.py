@@ -1,6 +1,7 @@
 """Exact LP feasibility and the weight-disjoint extraction loop."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmatch.core import (
+    KSystem,
     VertexUniverse,
     allocation_from_index_multiset,
     build_complex,
@@ -19,6 +21,7 @@ from kmatch.errors import EmptyTopLevel, UnknownEdge
 from kmatch.fractional import (
     FractionalMatching,
     PairWeights,
+    _greedy_integer_pm,
     build_lp,
     dump_lp,
     edge_pairs,
@@ -198,23 +201,125 @@ def test_edge_alive_is_exact_residual_at_least_one(k, data):
         for e in edges:
             exact = all(pairs.w.get(pr, 2) >= 1 for pr in combinations(e, 2))
             assert pairs.edge_alive(e) == exact
+        rescan = Counter()
+        for (u, v), wt in pairs.w.items():
+            if wt < 1:
+                rescan.update((u, v))
+        assert pairs.dead_pairs_at() == dict(rescan)
 
 
-def test_top_vectors_match_index_vector_and_are_built_once(monkeypatch):
+def _incidence(system) -> dict:
+    """vertex -> its top edges in top-level order, by a plain pass."""
+    incident = {}
+    for e in system.top:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    return incident
+
+
+def _assert_edge_table(system):
+    """The edge table equals the top level, its CSR the reference incidence,
+    and its vector ids decode to index_vector."""
+    table, uni = system.edge_table(), system.universe
+    assert table.tops == list(system.top)
+    assert table.E.tolist() == [list(e) for e in table.tops]
+    incident = _incidence(system)
+    for v in range(uni.total):
+        got = [table.tops[i] for i in table.ids[table.ptr[v]:table.ptr[v + 1]]]
+        assert got == incident.get(v, [])
+    assert [table.vectors[i] for i in table.vid] == [index_vector(e, uni) for e in table.tops]
+
+
+def test_edge_table_matches_reference_and_is_built_once(monkeypatch):
     import kmatch.core as core
 
-    H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
-    assert H.top_vectors() == {e: index_vector(e, H.universe) for e in H.top}
-    calls = []
-    original = core.index_vector
+    _assert_edge_table(gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]))
+    # 40 parts: index vectors too long to pack into one int64 code
+    many = VertexUniverse.equipartition(40, 1)
+    _assert_edge_table(KSystem(many, 3, {3: [(0, 1, 2), (5, 17, 39), (1, 2, 38)]}))
+    builds = []
+    original = core._edge_table
 
-    def counting(vertex_set, universe):
-        calls.append(1)
-        return original(vertex_set, universe)
+    def counting(system):
+        builds.append(1)
+        return original(system)
 
-    monkeypatch.setattr(core, "index_vector", counting)
+    monkeypatch.setattr(core, "_edge_table", counting)
     cx = gen_random_dense(12, 3, p=0.9, seed=5)
     assert extract_weight_disjoint(cx, ALLOC3, 3, seed=1).diagnostics["greedy_hits"] == 3
-    assert len(calls) == cx.top_count()
-    assert cx.top_vectors() is cx.top_vectors()
-    assert len(calls) == cx.top_count()
+    assert len(builds) == 1
+    assert cx.edge_table() is cx.edge_table()
+    _assert_edge_table(cx)
+    assert len(builds) == 1
+
+
+def _set_greedy(system, alloc, pairs, rng, tries=60):
+    """Reference for the explicit branch of _greedy_integer_pm: the same
+    draws, made over sets, with incidence lists and index vectors built here."""
+    pool = system.vertex_pool
+    total, k = len(pool), system.k
+    if total % k or total == 0:
+        return None
+    vectors = alloc.index_vectors()
+    msum = sum(alloc.multiplicity(v) for v in vectors)
+    quotas = {}
+    for vec in vectors:
+        q = Fraction(total, k * msum) * alloc.multiplicity(vec)
+        if q.denominator != 1:
+            return None
+        quotas[vec] = int(q)
+    incident = _incidence(system)
+    vec_of = {e: index_vector(e, system.universe) for e in system.top}
+    for _ in range(tries):
+        free = set(pool)
+        need = dict(quotas)
+        chosen = []
+        while free:
+            v = rng.choice(sorted(free))
+            cands = [
+                e for e in incident.get(v, ())
+                if free.issuperset(e) and need.get(vec_of[e], 0) > 0 and pairs.edge_alive(e)
+            ]
+            if not cands:
+                break
+            e = cands[rng.randrange(len(cands))]
+            chosen.append(e)
+            need[vec_of[e]] -= 1
+            free.difference_update(e)
+        else:
+            return chosen
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    r=st.integers(1, 2),
+    data=st.data(),
+)
+def test_array_greedy_equals_set_greedy(k, r, data):
+    # parts of k * m vertices, at most 12 in all, so that most quotas are whole
+    uni = VertexUniverse.equipartition(r, k * data.draw(st.integers(1, max(1, 12 // (k * r)))))
+    host_rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    density = data.draw(st.sampled_from([0.5, 0.8, 1.0]))
+    top = [e for e in combinations(range(uni.total), k) if host_rng.random() < density]
+    system = KSystem(uni, k, {k: top})
+    drop = data.draw(st.integers(0, uni.total // k - 1)) * k
+    if drop:  # a restricted pool, k vertices at a time
+        system = system.induced(host_rng.sample(range(uni.total), uni.total - drop))
+    # vectors of (a, k - a) over two parts, some with multiplicity; the
+    # edges of every other vector have no quota
+    splits = [(a, k - a) for a in range(k + 1)] if r == 2 else [(k,)]
+    alloc = allocation_from_index_multiset(
+        data.draw(st.lists(st.sampled_from(splits), min_size=r, max_size=2))
+    )
+    pairs = PairWeights()
+    for pr in data.draw(st.lists(st.sampled_from(list(combinations(range(uni.total), 2))),
+                                 max_size=6)):
+        pairs.charge(pr, data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(3, 2)])))
+    tries = data.draw(st.integers(1, 8))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    rng_set, rng_array = random.Random(seed), random.Random(seed)
+    want = _set_greedy(system, alloc, pairs, rng_set, tries)
+    assert _greedy_integer_pm(system, alloc, pairs, rng_array, tries) == want
+    assert rng_array.getstate() == rng_set.getstate()
