@@ -32,8 +32,7 @@ cfg = AbsorberConfig(seed=5, phi=Fraction(1, 5), epsilon=Fraction(7, 10),
                      mu=Fraction(1, 500), family_target=2)
 state = build_absorber(cx, plain_allocation(3), cfg, partition=cp)
 print("absorber: W =", len(state.w_vertices), "vertices,",
-      len(state.family.sets), "members | coverage audit:",
-      state.family.coverage["passed"])
+      len(state.family.sets), "members of", len(state.family.sets[0]), "vertices each")
 
 rng = random.Random(9)
 outside = sorted(set(cx.vertex_pool) - state.w_vertices)

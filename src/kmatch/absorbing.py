@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from operator import itemgetter
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .lattice import (
+    Decomposition,
     as_fraction,
     generate_lattice,
     is_complete,
@@ -42,9 +43,6 @@ from .oracle import brute_force_pm
 PARTITION_DELTA = Fraction(1, 8)    # closed-partition density floor; sets the derived scale t
 PARTITION_ALPHA = Fraction(1, 200)  # reachability threshold for that partition
 T_CAP = 4                           # largest absorber scale t
-AUDIT_SAMPLES = 30                  # sampled k-sets per robust vector in the coverage audit
-COVERAGE_MIN = 1                    # absorbing members each sampled k-set needs
-AUDIT_MIN_RATE = 0.95               # pass rate the coverage audit needs per vector
 BUILD_TRIES = 400                   # absorber member attempts before the build gives up
 
 
@@ -221,10 +219,6 @@ class AbsorbingFamily:
     sets: tuple                   # disjoint absorber vertex tuples
     internal_pms: tuple           # recorded perfect matching of each set
     t: int
-    coverage: dict = field(default_factory=dict)
-
-    def vertices(self) -> frozenset:
-        return frozenset(v for s in self.sets for v in s)
 
 
 @dataclass
@@ -256,7 +250,6 @@ class AbsorberState:
                 "sets": [list(s) for s in self.family.sets],
                 "internal_pms": [[list(e) for e in pm] for pm in self.family.internal_pms],
                 "t": self.family.t,
-                "coverage": self.family.coverage,
             },
             "reserves": {
                 "_".join(map(str, vec)): [list(e) for e in edges]
@@ -288,24 +281,16 @@ class AbsorberState:
             delta=Fraction(part_blob["delta"]),
             alpha=Fraction(part_blob["alpha"]),
         )
+        fam = data["family"]  # the "coverage" key older states carry is ignored
         family = AbsorbingFamily(
-            sets=tuple(tuple(s) for s in data["family"]["sets"]),
-            internal_pms=tuple(
-                tuple(tuple(e) for e in pm) for pm in data["family"]["internal_pms"]
-            ),
-            t=data["family"]["t"],
-            coverage=data["family"]["coverage"],
+            sets=tuple(tuple(s) for s in fam["sets"]), t=fam["t"],
+            internal_pms=tuple(tuple(tuple(e) for e in pm) for pm in fam["internal_pms"]),
         )
-        from .lattice import Decomposition
-
-        table = {}
-        for key, pairs in data["decompositions"].items():
-            w = vec_of(key)
-            table[w] = Decomposition(
-                target=w,
-                coefficients=tuple((tuple(v), c) for v, c in pairs),
-                bound=data["transfer_bound"],
-            )
+        table = {
+            vec_of(key): Decomposition(target=vec_of(key), bound=data["transfer_bound"],
+                                       coefficients=tuple((tuple(v), c) for v, c in pairs))
+            for key, pairs in data["decompositions"].items()
+        }
         return cls(
             host=host,
             partition=partition,
@@ -491,11 +476,8 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     if not validate_matching(system, w_matching, cover=w_vertices):
         raise BudgetExhausted("recorded W matching failed validation")
 
-    coverage = _audit_coverage(system, members, vectors, lookup.tolist(), dim, used, rng)
-    family = AbsorbingFamily(
-        sets=tuple(members), internal_pms=tuple(member_pms), t=t, coverage=coverage
-    )
-    state = AbsorberState(
+    family = AbsorbingFamily(sets=tuple(members), internal_pms=tuple(member_pms), t=t)
+    return AbsorberState(
         host=system,
         partition=partition,
         family=family,
@@ -509,7 +491,6 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         config=config,
         flags=flags,
     )
-    return state
 
 
 def _build_absorber_member(system, comp_ids, t, used, rng):
@@ -534,7 +515,7 @@ def _build_absorber_member(system, comp_ids, t, used, rng):
         for u in e:
             # pick a fake "target" partner in the same refined part to anchor
             # the witness: the witness set must pair with u and with any
-            # same-part vertex at absorb time, which the audit samples
+            # same-part vertex at absorb time; absorb checks each use exactly
             if t == 1:
                 if u not in sorted_links:
                     rows = table.E[table.ids[table.ptr[u]:table.ptr[u + 1]]]
@@ -591,39 +572,6 @@ def _build_absorber_member(system, comp_ids, t, used, rng):
             continue
         return verts_sorted, pm_edges
     return None
-
-
-def _audit_coverage(system, members, vectors, part_lookup, dim, used, rng):
-    """Sampled check: random k-sets of each robust composition find at least
-    COVERAGE_MIN absorbing members (exact matchability tests)."""
-    coverage = {"per_vector": {}, "samples": AUDIT_SAMPLES}
-    all_pass = True
-    avail = [v for v in sorted(system.vertex_pool) if not used[v]]
-    per_part_avail = {}
-    for v in avail:
-        per_part_avail.setdefault(part_lookup[v], []).append(v)
-    for vec in vectors:
-        hits = 0
-        trials = 0
-        for _ in range(AUDIT_SAMPLES):
-            pools = {pid: set(vs) for pid, vs in per_part_avail.items()}
-            target = _draw_by_composition(
-                [pools.get(pid, set()) for pid in range(dim)], vec, rng
-            )
-            if target is None:
-                continue
-            trials += 1
-            absorbing = (s for s in members if _set_matchable(system, s + tuple(target)))
-            hits += len(list(islice(absorbing, COVERAGE_MIN))) >= COVERAGE_MIN
-        rate = hits / trials if trials else 0.0
-        coverage["per_vector"]["_".join(map(str, vec))] = {
-            "trials": trials,
-            "pass_rate": rate,
-        }
-        if rate < AUDIT_MIN_RATE:
-            all_pass = False
-    coverage["passed"] = all_pass
-    return coverage
 
 
 def _absorbs(system, absorber_set, target):

@@ -182,7 +182,6 @@ def cmd_absorb_demo(args) -> int:
     out = {
         "w_size": len(state.w_vertices),
         "family": len(state.family.sets),
-        "coverage_passed": state.family.coverage["passed"],
         "leftover": leftover,
         "matching_size": len(matching),
         "covers_w_and_leftover": matching.vertex_set()

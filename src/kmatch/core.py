@@ -5,8 +5,9 @@ significant everywhere). Edges are sorted tuples of vertex ids, sorted and
 validated once where outside input enters (KSystem(), build_complex);
 the downward closure and every restriction reuse those canonical tuples.
 An explicit system caches its integer top-edge table (edge_table) and its
-common-link counts on first use, and degree_sequences counts each level's
-extensions in one pass.
+common-link counts on first use. Once the table is built, degree_sequences
+counts the top level's extensions with np.unique over its integer face codes;
+with one part and a one-part allocation the F-degrees are the plain ones.
 """
 
 from __future__ import annotations
@@ -237,11 +238,12 @@ class KComplex(KSystem):
                         )
 
 
-def close_down(levels: dict, k: int) -> dict:
+def close_down(levels: dict, k: int, closed=False) -> dict:
     """Downward closure of leveled canonical edges: every subset of every
-    edge, as the level frozensets KSystem() would build from it."""
+    edge, as the level frozensets KSystem() would build from it. closed=True
+    skips the update, for levels known to hold every face of the level above."""
     out = {i: set(levels.get(i, ())) for i in range(k + 1)}
-    for i in range(k, 0, -1):
+    for i in range(k, 0, -1) if not closed else ():
         out[i - 1].update(chain.from_iterable(map(combinations, out[i], repeat(i - 1))))
     out[0].add(())
     # re-inserted in iteration order, as KSystem() would (see _of_levels)
@@ -353,19 +355,35 @@ def compositions(E, label, dim):
     return ids, [tuple(row) for row in counts[first].tolist()]
 
 
+def _rows(edges, width) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, width)
+
+
+def faces(E) -> np.ndarray:
+    """Every row of the int array E with one entry left out, block t without
+    column t: the (k-1)-faces of row-sorted k-edges, sorted in turn."""
+    return np.concatenate([E[:, np.arange(E.shape[1]) != t] for t in range(E.shape[1])])
+
+
+def row_codes(rows, total) -> np.ndarray:
+    """Each row of an int array with entries below total as one integer in
+    base total, in lexicographic row order: int64 when every code fits,
+    else Python ints."""
+    width = rows.shape[1]
+    dtype = np.int64 if total ** width <= 1 << 63 else object
+    base = np.array([total ** i for i in reversed(range(width))], dtype)
+    return rows.astype(dtype, copy=False) @ base
+
+
 def _common_links(system) -> np.ndarray:
     """|L(u) & L(w)| for every pair of vertex ids, as the product A A^T of
     the vertex x (k-1)-set incidence matrix A of the top level. float64 is
     exact here: every entry is at most C(n-1, k-1) < 2**53."""
     k, total = system.k, system.universe.total
-    top = (np.fromiter(chain.from_iterable(system.iter_top()), dtype=np.int64).reshape(-1, k)
-           if system.implicit else system.edge_table().E)
-    # row block t of `rest` is every top edge without its t-th vertex; its
-    # columns fold into dense (k-1)-set ids, each fold below m*k*total
-    rest = np.concatenate([np.delete(top, t, axis=1) for t in range(k)])
-    col = np.zeros(len(rest), dtype=np.int64)
-    for c in rest.T:
-        col = np.unique(col * total + c, return_inverse=True)[1].ravel()
+    top = _rows(system.iter_top(), k) if system.implicit else system.edge_table().E
+    # row block t of faces(top) is every top edge without its t-th vertex;
+    # col is the dense id of each of those (k-1)-sets
+    col = np.unique(row_codes(faces(top), total), return_inverse=True)[1].ravel()
     incidence = np.zeros((total, col.max(initial=-1) + 1))
     incidence[top.T.ravel(), col] = 1
     return (incidence @ incidence.T).astype(np.int64)
@@ -618,6 +636,24 @@ def _extension_counts(upper, j, part_of=None) -> Counter:
     return Counter(zip(subs, added))
 
 
+def _min_extensions(system, j, lower) -> int:
+    """Least number of (j+1)-edges of the system extending a j-edge of
+    `lower`, 0 when `lower` is empty. Once the host has built its edge table,
+    the top level counts the codes of the table's faces with np.unique; other
+    levels, and hosts without a table, count in one pass over the edges."""
+    if not lower:
+        return 0
+    if not 0 < j == system.k - 1 or system._table is None:
+        counts = _extension_counts(system.level(j + 1), j)
+        return min(map(counts.__getitem__, lower))
+    total = system.universe.total
+    codes, counts = np.unique(row_codes(faces(system._table.E), total), return_counts=True)
+    want = row_codes(_rows(lower, j), total)
+    if not np.isin(want, codes).all():
+        return 0
+    return int(counts[np.searchsorted(codes, want)].min())
+
+
 def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSequenceReport:
     """Exact minimum degree sequences of a system, from one counting pass
     per level.
@@ -634,19 +670,16 @@ def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSe
         partite = uni.r >= 2 and is_p_partite(system)
     elif partite and (uni.r < 2 or not is_p_partite(system)):
         raise NotPartite("partite degrees need a P-partite system with r >= 2")
-    by_part = uni.r >= 2 and (partite or alloc is not None)
+    # one part on both sides: every step of F adds a part-0 vertex to any
+    # lower edge, so the F-degrees are the plain degrees
+    one_part = alloc is not None and uni.r == alloc.r == 1 and alloc.k >= system.k
     plain, part, fdeg = [], [], []
     for j in range(system.k):
         lower = system.level(j) if j > 0 else frozenset({()})
-        counts = _extension_counts(system.level(j + 1), j, uni._part_of if by_part else None)
-        total = counts
-        if by_part:
-            total = Counter()
-            for (e, _), c in counts.items():
-                total[e] += c
-        elif alloc is not None:  # one part: every extension adds a part-0 vertex
-            counts = Counter({(e, 0): c for e, c in counts.items()})
-        plain.append(min(map(total.__getitem__, lower)) if lower else 0)
+        plain.append(_min_extensions(system, j, lower))
+        if not partite and (alloc is None or one_part):
+            continue
+        counts = _extension_counts(system.level(j + 1), j, uni._part_of)
         if partite:
             part.append(min(
                 (counts[e, p] for e in lower
@@ -665,6 +698,8 @@ def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSe
                 (counts[e, p] for prefix, p in steps for e in by_index.get(prefix, ())),
                 default=0,
             ))
+    if one_part:
+        fdeg = plain
     return DegreeSequenceReport(
         plain=tuple(plain),
         partite=tuple(part) if partite else None,

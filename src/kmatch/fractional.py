@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -175,37 +175,40 @@ def edge_pairs(e):
 class PairWeights:
     """Residual pair capacities for the extraction loop; everything starts at 2.
 
-    `w` holds the exact residuals. A pair joins `dead` when its residual drops
-    below 1 and never leaves, since residuals only fall."""
+    `w` holds the exact residuals: ints until an LP round charges Fractions.
+    A pair joins `dead` when its residual drops below 1 and never leaves, since
+    residuals only fall; `at` counts the dead pairs at each vertex."""
 
     def __init__(self):
         self.w = {}
         self.dead = set()
+        self.at = Counter()
 
     def charge(self, pair, amount):
-        left = self.w[pair] = self.w.get(pair, Fraction(2)) - amount
-        if left < 1:
+        left = self.w[pair] = self.w.get(pair, 2) - amount
+        if left < 1 and pair not in self.dead:
             self.dead.add(pair)
+            self.at.update(pair)
 
     def edge_alive(self, e) -> bool:
         """Every pair of the sorted edge e still has residual at least 1."""
         return self.dead.isdisjoint(combinations(e, 2))
 
-    def min_weight(self) -> Fraction:
-        return min(self.w.values(), default=Fraction(2))
+    def min_weight(self):
+        return min(self.w.values(), default=2)
 
     def dead_pairs_at(self) -> dict:
         """vertex -> number of incident pairs that fell below 1."""
-        return dict(Counter(chain.from_iterable(self.dead)))
+        return dict(self.at)
 
 
 def _alive(E, pairs: PairWeights, total) -> np.ndarray:
-    """Per row of an edge array E: do all its pairs still have residual >= 1?"""
-    dead = np.array([u * total + v for u, v in pairs.dead], dtype=np.int64)
-    alive = np.ones(len(E), dtype=bool)
-    for a, b in combinations(range(E.shape[1]), 2):
-        alive &= ~np.isin(E[:, a] * total + E[:, b], dead)
-    return alive
+    """Per row of a row-sorted edge array E: do all its pairs still have
+    residual >= 1? Read off a dead-pair matrix."""
+    dead = np.zeros((total, total), dtype=bool)
+    dead[tuple(np.array(list(pairs.dead), dtype=np.int64).reshape(-1, 2).T)] = True
+    a, b = np.triu_indices(E.shape[1], 1)  # the column pairs, as combinations gives them
+    return ~dead[E[:, a], E[:, b]].any(1)
 
 
 def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
@@ -339,13 +342,13 @@ def extract_weight_disjoint(
             diag["rounds"].append({"round": rnd, "status": "infeasible"})
             break
         for e, w in frac.weights.items():
+            w = 1 if greedy is not None else w  # integral rounds stay in ints
             for pr in edge_pairs(e):
                 pairs.charge(pr, w)
         # erosion accounting: every round is a perfect fractional matching, so
         # after r rounds the pairs at a vertex carry load exactly (k-1)r; a
         # dead pair carries load > 1, so if any sit there, fewer than (k-1)r do
-        dead = pairs.dead_pairs_at()
-        worst = max(dead.values(), default=0)
+        worst = max(pairs.dead_pairs_at().values(), default=0)
         load = (system.k - 1) * (rnd + 1)
         assert worst == 0 or worst < load, f"pair erosion {worst} reaches pair load {load}"
         diag["rounds"].append({"round": rnd, "status": "ok", "max_dead_pairs": worst})

@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import KComplex, KSystem, VertexUniverse, close_down
+from .core import KComplex, KSystem, VertexUniverse, close_down, faces, row_codes
 from .errors import BadVertex
 
 # on text that starts each line with "\n": a line whose key is `edge` or
@@ -125,9 +125,10 @@ def _edge_level(key, k, where):
 
 
 def _parse_bulk(text):
-    """parse_khg's result, or None when a check fails. The directive lines
-    are read one by one, the edge lines one level at a time; a malformed
-    edge line yields the name '', which no vertex has."""
+    """parse_khg's result with each level as an int array of sorted rows,
+    or None when a check fails. The directive lines are read one by one,
+    the edge lines one level at a time; a malformed edge line yields the
+    name '', which no vertex has."""
     header = _Header()
     directives = _DIRECTIVE.finditer(text)
     first = next(directives, None)
@@ -155,7 +156,7 @@ def _parse_bulk(text):
         if (verts[:, 1:] == verts[:, :-1]).any():
             return None
         if rows:
-            edges[level] = list(zip(*verts.T.tolist()))
+            edges[level] = verts
     return uni, k, edges, header.names
 
 
@@ -194,12 +195,8 @@ def _raise_first_error(lines):
     raise AssertionError("the bulk checks rejected a file the line checks accept")
 
 
-def parse_khg(text: str):
-    """Parse khg text into (universe, k, leveled edges, vertex name list).
-
-    Each level's edges are sorted id tuples in file order. Every malformed
-    directive raises BadVertex naming its line.
-    """
+def _parse(text):
+    """parse_khg's result with each level as an int array of sorted rows."""
     lines = text.splitlines()
     try:
         parsed = _parse_bulk("\n" + "\n".join(lines))
@@ -210,23 +207,42 @@ def parse_khg(text: str):
     return parsed
 
 
-def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        uni, k, edges, _ = parse_khg(fh.read())
-    return uni, k, edges
+def _tuples(arrays):
+    return {level: list(zip(*rows.T.tolist())) for level, rows in arrays.items()}
+
+
+def parse_khg(text: str):
+    """Parse khg text into (universe, k, leveled edges, vertex name list).
+
+    Each level's edges are sorted id tuples in file order. Every malformed
+    directive raises BadVertex naming its line.
+    """
+    uni, k, arrays, names = _parse(text)
+    return uni, k, _tuples(arrays), names
 
 
 def load_khg(path, close=True):
     """Load a KComplex (close=True) or validated-closed complex from a file."""
-    uni, k, edges = _read(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        uni, k, arrays, _ = _parse(fh.read())
+    edges = _tuples(arrays)
     if not close:
         return KComplex(uni, k, edges)
-    return KComplex._of_levels(uni, k, close_down(edges, k), frozenset(uni.vertices()))
+    # does every level the file lists hold all faces of the level above it?
+    n = uni.total
+    closed = all(
+        i not in arrays or i - 1 in arrays
+        and np.isin(row_codes(faces(arrays[i]), n), row_codes(arrays[i - 1], n)).all()
+        for i in range(2, k + 1)
+    )
+    levels = close_down(edges, k, closed=closed)
+    return KComplex._of_levels(uni, k, levels, frozenset(uni.vertices()))
 
 
 def load_khg_system(path) -> KSystem:
     """Load the file as a bare k-system (no closure computed or required)."""
-    return KSystem(*_read(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        return KSystem(*parse_khg(fh.read())[:3])
 
 
 def dump_khg(system, include_lower=False) -> str:

@@ -23,6 +23,7 @@ from .core import (
     Matching,
     VertexUniverse,
     build_complex,
+    degree_sequences,
     edge_key,
     index_vector,
 )
@@ -275,8 +276,6 @@ def gen_random_dense(
     """Random dense complex: sample top k-edges, close downward, and retry
     until the requested plain degree floor holds. Reports the achieved
     degrees on the returned complex (attribute `achieved_degrees`)."""
-    from .core import degree_sequences  # local import to avoid cycle noise
-
     if p is None and degree_floor is None:
         raise BadParams("need a density p or a degree floor")
     if p is not None and not (0 <= p <= 1):

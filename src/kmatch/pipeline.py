@@ -323,6 +323,7 @@ def _matching_pipeline(facts, config) -> Certificate:
         raise BadParams(f"k={k} does not divide the vertex count {nv}")
     if not is_pf_partite(system, alloc):
         raise BadParams("system is not PF-partite for the given allocation")
+    system.edge_table()  # the closed partition and the absorber read it, and so does the count
     deg = facts.degrees
     diagnostics["degrees"] = {
         "plain": list(deg.plain),
@@ -393,7 +394,6 @@ def _matching_pipeline(facts, config) -> Certificate:
                     "attempt": attempt,
                     "w_size": len(state.w_vertices),
                     "family": len(state.family.sets),
-                    "coverage_passed": state.family.coverage["passed"],
                     "flags": state.flags,
                 })
                 break

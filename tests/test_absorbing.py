@@ -152,7 +152,13 @@ def test_absorber_dense_r1():
     state = build_absorber(cx, ALLOC3, cfg)
     assert len(state.family.sets) == 2
     assert all(len(s) == 9 for s in state.family.sets)
-    assert state.family.coverage["passed"]
+    # each member absorbs a k-set: random leftovers of capacity() k-sets are
+    # absorbed, and the matchings validate exactly
+    avail = sorted(set(cx.vertex_pool) - state.w_vertices)
+    for seed in range(5):
+        leftover = random.Random(seed).sample(avail, state.capacity() * cx.k)
+        m = absorb(state, leftover)
+        assert validate_matching(cx, m, cover=state.w_vertices | set(leftover))
     # recorded matching of W validates, and brute force confirms J[W] matchable
     assert validate_matching(cx, state.w_matching, cover=state.w_vertices)
     induced = cx.induced(state.w_vertices)
@@ -283,7 +289,14 @@ def test_proposition_neighborhood_floor_statistical():
             assert len(nb) >= floor
 
 
-def test_absorber_state_json_roundtrip_replays():
+# the report of the sampled coverage audit, which states saved before its
+# removal carry under family.coverage
+_OLD_COVERAGE = {"per_vector": {"3": {"trials": 30, "pass_rate": 1.0}}, "samples": 30,
+                 "passed": True}
+
+
+@pytest.mark.parametrize("old_coverage_key", [False, True])
+def test_absorber_state_json_roundtrip_replays(old_coverage_key):
     import json
 
     from kmatch.absorbing import AbsorberState
@@ -296,12 +309,18 @@ def test_absorber_state_json_roundtrip_replays():
     state = build_absorber(cx, ALLOC3, cfg)
     blob = json.loads(json.dumps(state.to_json()))  # through real serialization
     assert blob["w_vertices"] == sorted(state.w_vertices)
-    assert len(blob["family"]["sets"]) == 2
+    assert sorted(blob["family"]) == ["internal_pms", "sets", "t"]
+    if old_coverage_key:
+        blob["family"]["coverage"] = _OLD_COVERAGE
     replayed = AbsorberState.from_json(cx, blob)
+    assert replayed.to_json() == state.to_json()  # the old key is ignored
     rng = random.Random(8)
     avail = sorted(set(cx.vertex_pool) - state.w_vertices)
-    leftover = rng.sample(avail, 3)
-    assert absorb(replayed, leftover).edges == absorb(state, leftover).edges
+    for size in range(state.capacity() + 1):
+        leftover = rng.sample(avail, size * cx.k)
+        m = absorb(replayed, leftover)
+        assert m.edges == absorb(state, leftover).edges
+        assert validate_matching(cx, m, cover=state.w_vertices | set(leftover))
 
 
 def test_edge_table_built_once_per_host(monkeypatch):

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from kmatch.core import (
     is_pf_partite,
     matching_stats,
     plain_allocation,
+    row_codes,
 )
 from kmatch.errors import (
     BadVertex,
@@ -169,6 +171,19 @@ def _plain_degrees(system) -> tuple:
     return tuple(out)
 
 
+def test_degree_sequences_past_int64_codes():
+    # 61 ** 11 > 2 ** 63: the face codes of the top level fall back to Python
+    # ints and must count exactly what enumeration counts
+    uni = VertexUniverse.single(61)
+    top = [tuple(range(12)), tuple(range(6, 18)), tuple(range(49, 61))]
+    bare = KSystem(uni, 12, {12: top, 11: [top[0][1:]]})
+    for system in (build_complex({12: top}, uni, k=12), bare):
+        system.edge_table()  # the top level is then counted on the table
+        assert degree_sequences(system).plain == _plain_degrees(system)
+    rows = np.array([[60] * 11, [60] * 10 + [59], [0] * 10 + [1]])
+    assert row_codes(rows, 61).tolist() == [61 ** 11 - 1, 61 ** 11 - 2, 1]
+
+
 def _partite_degrees(system) -> tuple:
     uni = system.universe
     out = []
@@ -255,6 +270,17 @@ def test_degree_sequences_match_enumeration(case):
         assert rep.partite == _partite_degrees(system)
     else:
         assert rep.partite is None
+    assert rep.f_degree == (None if alloc is None else _f_degrees(system, alloc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems_and_allocations())
+def test_degree_sequences_on_the_edge_table_match_enumeration(case):
+    # once the host has built its edge table, the top level is counted on it
+    system, alloc = case
+    system.edge_table()
+    rep = degree_sequences(system, alloc)
+    assert rep.plain == _plain_degrees(system)
     assert rep.f_degree == (None if alloc is None else _f_degrees(system, alloc))
 
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmatch.core import VertexUniverse, build_complex
+import kmatch.khg
+from kmatch.core import VertexUniverse, build_complex, close_down
 from kmatch.errors import BadVertex, KmatchError
-from kmatch.khg import load_khg, load_khg_system, parse_khg, save_khg
+from kmatch.khg import dump_khg, load_khg, load_khg_system, parse_khg, save_khg
 from kmatch.oracle import gen_divisibility_barrier, gen_random_dense, gen_space_barrier
 
 
@@ -103,6 +104,31 @@ def test_messy_khg_loads_like_build_complex(picks, seed):
     expected = build_complex(listed, uni, k=3)
     assert loaded.universe == uni
     assert all(list(loaded.level(i)) == list(expected.level(i)) for i in range(4))
+
+
+@pytest.mark.parametrize("lower, drop_face, k", [
+    (False, False, 3), (True, False, 3), (True, True, 3),
+    (False, False, 4), (True, False, 4), (True, True, 4),
+])
+def test_load_khg_levels_iterate_as_close_down_builds(tmp_path, monkeypatch, lower, drop_face, k):
+    # a file that lists every face of each level skips close_down's update;
+    # any other file runs it. Either way each level iterates in its order
+    cx = gen_random_dense(16, k, p=0.7, seed=11)
+    lines = dump_khg(cx, include_lower=lower).splitlines()
+    if drop_face:  # one lower face deleted by hand
+        lines.remove(next(line for line in lines if line.startswith(f"edge@{k - 1} ")))
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "host.khg"
+    path.write_text(text)
+    _, _, edges, _ = parse_khg(text)
+    want = close_down(edges, k)
+    skipped = []
+    monkeypatch.setattr(kmatch.khg, "close_down",
+                        lambda edges, k, closed: skipped.append(closed) or close_down(edges, k, closed))
+    loaded = load_khg(path)
+    assert skipped == [lower and not drop_face]
+    assert [list(loaded.level(i)) for i in range(k + 1)] == [list(want[i]) for i in range(k + 1)]
+    assert loaded.levels == cx.levels
 
 
 _HEAD = "khg 1\nk 3\nparts 1\npart A 4: a b c d\n"
