@@ -16,7 +16,7 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -426,20 +426,21 @@ class Allocation:
         return out
 
 
-def _pattern_for(vector) -> tuple:
-    """Some function pattern realizing an index vector: part j repeated v_j times."""
-    pat = []
-    for j, c in enumerate(vector):
-        pat.extend([j] * c)
-    return tuple(pat)
+def _arrangements(counts) -> list:
+    """The distinct function patterns realizing an index vector (part j at
+    counts[j] coordinates), in lexicographic order."""
+    if not any(counts):
+        return [()]
+    return [(j,) + tail for j, c in enumerate(counts) if c
+            for tail in _arrangements(counts[:j] + (c - 1,) + counts[j + 1:])]
 
 
 def allocation_from_index_multiset(index_multiset, r=None, size_bound=0) -> Allocation:
     """Build the allocation F from a multiset of k-vectors.
 
-    For each vector in I (with repetition) the full k! permutation closure of
-    a realizing function is included, so |F| = k! * |I| counted with
-    multiplicity.
+    For each vector v in I (with repetition) the full k! permutation closure
+    of a realizing function is included: each distinct arrangement of v with
+    multiplicity prod_j v_j!, so |F| = k! * |I| counted with multiplicity.
     """
     vectors = [tuple(v) for v in index_multiset]
     if not vectors:
@@ -455,10 +456,8 @@ def allocation_from_index_multiset(index_multiset, r=None, size_bound=0) -> Allo
         if any(c < 0 for c in v) or sum(v) != k:
             raise NotAKVector(f"{v} is not a {k}-vector")
         idx[v] += 1
-        base = _pattern_for(v)
-        orbit = set(permutations(base))
-        per_pattern = math.factorial(k) // len(orbit)
-        for pat in orbit:
+        per_pattern = math.prod(map(math.factorial, v))
+        for pat in _arrangements(v):
             funcs[pat] += per_pattern
     total = sum(funcs.values())
     if size_bound and total > size_bound:

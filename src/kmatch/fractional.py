@@ -38,7 +38,7 @@ class LPModel:
 
     host: object
     edges: list                      # column order
-    columns: list                    # sparse columns [(row, Fraction), ...]
+    columns: list                    # sparse columns [(row, int or Fraction), ...]
     b: list
     row_names: list
     balance_pairs: list              # [(index_vec, index_vec'), ...] in row order
@@ -69,7 +69,7 @@ def build_lp(system, alloc: Allocation) -> LPModel:
     balance_pairs = [(vectors[t], vectors[t + 1]) for t in range(len(vectors) - 1)]
     columns = []
     for e in edges:
-        col = [(vertex_rows[v], ONE) for v in e]
+        col = [(vertex_rows[v], 1) for v in e]
         vec = index_vector(e, uni) if balance_pairs else None
         for t, (va, vb) in enumerate(balance_pairs):
             if vec == va:
@@ -77,7 +77,7 @@ def build_lp(system, alloc: Allocation) -> LPModel:
             elif vec == vb:
                 col.append((nrows + t, -Fraction(1, alloc.multiplicity(vb))))
         columns.append(col)
-    b = [ONE] * nrows + [ZERO] * len(balance_pairs)
+    b = [1] * nrows + [0] * len(balance_pairs)
     row_names = [f"v{v}" for v in vertex_rows] + [
         f"bal_{'_'.join(map(str, va))}__{'_'.join(map(str, vb))}"
         for va, vb in balance_pairs

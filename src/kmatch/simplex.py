@@ -1,31 +1,27 @@
-"""Exact phase-1 simplex for LP feasibility, fraction-free in integers and
-warm-started from a float basis.
+"""Exact phase-1 simplex for LP feasibility, fraction-free on one integer
+numpy tableau and warm-started from a float basis.
 
-Equality constraints Ax = b with x >= 0 only; that is all the
-fractional-matching models need. Rows with negative b are negated first, and
-phase 1 starts from one artificial per row. Each column is scaled by the lcm
-of its own denominators and b by one lcm, which changes no pivot choice.
+Equality constraints Ax = b with x >= 0 only. Rows with negative b are
+negated first, and phase 1 starts from one artificial per row. The columns
+become integer CSC arrays once; a column with Fraction entries is scaled by
+the lcm of its own denominators and b by one lcm: no pivot choice changes.
 
-1. Float guide. The same phase 1 runs in float64 on a dense numpy tableau
-   (Dantzig pricing, min-ratio test, at most FLOAT_PIVOTS_PER_ROW pivots per
-   row) on the unscaled coefficients. Its only output is a basis: which
-   column is basic in which row.
+1. Float guide. The same phase 1 in float64 on a dense numpy tableau (Dantzig
+   pricing, min-ratio test, at most FLOAT_PIVOTS_PER_ROW pivots per row) on
+   the unscaled coefficients. Its only output is a basis.
 2. Exact install. Each real column of that basis enters by an exact pivot,
    replacing an artificial that the float basis does not keep. The basis is
-   kept only if every exact basic value is >= 0; on a float failure, a
-   singular column or a negative value the solver restarts cold from the
-   all-artificial basis. Install pivots count in `pivots`.
-3. Exact finish. Revised simplex with Bland's rule (ascending variable order)
-   on an integer basis inverse and basic values over one denominator, the
-   basis determinant. A pivot rewrites the rows fraction-free
-   (Edmonds-Bareiss); ratios are compared cross-multiplied. From an optimal
-   float basis it stops at once with a feasible point, or prices once and
-   returns the phase-1 multipliers. Float values never reach an answer.
-4. Exact checks. A feasible point is checked (Ax = b, x >= 0), and the
-   multipliers of an infeasible model are mapped back to the original row
-   signs and checked as a Farkas certificate (y.A_j <= 0 for every column,
-   y.b > 0). An inexact division or a failed check is a bug and raises
-   ArithmeticError.
+   kept only if every exact basic value is >= 0; else the solver restarts
+   cold from the all-artificial basis. Install pivots count in `pivots`.
+3. Exact finish. Revised simplex with Bland's rule (ascending variable order,
+   every y.A_j priced at once) on one (m, m+1) integer tableau, D * B^-1 next
+   to D * x_B over D = |det B|, in int64 or Python ints (`_tableau_dtype`).
+   A pivot rewrites it fraction-free (Edmonds-Bareiss). From an optimal float
+   basis it stops at once with a feasible point, or prices once and returns
+   the phase-1 multipliers.
+4. Exact checks, in Python ints: a feasible point (Ax = b, x >= 0), or the
+   multipliers as a Farkas certificate (y.A_j <= 0 for every column, y.b > 0).
+   An inexact division or a failed check is a bug and raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -49,18 +45,15 @@ class FeasibilityResult:
 
 
 def _float_basis(cols, rhs):
-    """Phase-1 basis found in float64, as a list of variables by row
-    (artificials are len(cols)..len(cols)+m-1), or None on a failure.
-
-    Only a guide: nothing it computes is used beyond the basis itself.
-    """
-    m, ncols = len(rhs), len(cols)
+    """Phase-1 basis for the float CSC columns cols = (ptr, rows, vals), as a
+    list of variables by row (artificials are ncols..ncols+m-1), or None. Only
+    a guide: nothing it computes is used beyond the basis itself."""
+    ptr, rows, vals = cols
+    m, ncols = len(rhs), len(ptr) - 1
     tab = np.zeros((m, ncols + m))
-    for j, col in enumerate(cols):
-        for i, a in col:
-            tab[i, j] = float(a)
+    tab[rows, np.repeat(np.arange(ncols), np.diff(ptr))] = vals
     tab[:, ncols:] = np.eye(m)
-    x = np.array([float(v) for v in rhs])
+    x = np.array(rhs, dtype=float)
     # reduced phase-1 costs: 1 on artificials minus the column sums
     cost = np.concatenate([-tab[:, :ncols].sum(axis=0), np.zeros(m)])
     basis = list(range(ncols, ncols + m))
@@ -79,7 +72,7 @@ def _float_basis(cols, rhs):
         rows = np.flatnonzero(tab[:, enter])
         rows = rows[rows != leave]
         f = tab[rows, enter]
-        tab[rows] -= np.outer(f, tab[leave])
+        tab[rows] -= f[:, None] * tab[leave]
         x[rows] -= f * x[leave]
         cost -= cost[enter] * tab[leave]
         basis[leave] = enter
@@ -94,138 +87,144 @@ def solve_equality_feasibility(columns, b) -> FeasibilityResult:
     certificate y (y.A_j <= 0 for all j, y.b > 0) when none exists.
     """
     m, ncols = len(b), len(columns)
-    # each column is scaled by the lcm c_j of its own denominators and b by
-    # one lcm; the phase-1 multipliers and every pivot choice stay the same
-    lb, rhs = _scaled(b)
-    sign = [-1 if v < 0 else 1 for v in rhs]
-    rhs = [abs(v) for v in rhs]
-    cols, scale, fcols = [], [], []
-    for col in columns:
-        c, ints = _scaled([a for _, a in col])
-        col = [(i, n * sign[i]) for (i, _), n in zip(col, ints) if n]
-        cols.append(col)
-        scale.append(c)
-        # (c * a) / c rounds exactly as float(a) does
-        fcols.append([(i, n / c) for i, n in col])
+    lb = math.lcm(*(v.denominator for v in b))
+    rhs = [abs(v.numerator) * (lb // v.denominator) for v in b]
+    sign = np.array([-1 if v < 0 else 1 for v in b], dtype=np.int64)
+    lens = [len(col) for col in columns]
+    ptr = np.cumsum([0] + lens)
+    rows = np.array([i for col in columns for i, _ in col], dtype=np.intp)
+    nums = [a.numerator for col in columns for _, a in col]
+    dens = [a.denominator for col in columns for _, a in col]
+    scale, floats = [1] * ncols, nums
+    if dens.count(1) < len(dens):
+        scale = [math.lcm(*dens[s:e]) for s, e in zip(ptr.tolist(), ptr[1:].tolist())]
+        nums = [a * (c // q) for a, q, c in zip(nums, dens, np.repeat(scale, lens).tolist())]
+        floats = [float(a) for col in columns for _, a in col]
+    big = max(map(abs, nums), default=0) >> 62  # the dtype rule then picks object; no int64 wraps
+    vals = np.array(nums, dtype=object if big else np.int64) * sign[rows]
+    fvals = np.array(floats, dtype=float) * sign[rows]
+    vals = vals.astype(_tableau_dtype((ptr, rows, vals), rhs))
+    a = (ptr, rows, vals)
 
-    # basis[i] is the variable basic in row i; artificials are ncols..ncols+m-1.
-    # tab[i] holds row i of D * B^-1 followed by D * x_B[i], over the one
-    # denominator D = |det B|.
-    basis, tab = [], []
-    den, pivots = 1, 0
+    # basis[i] is the variable basic in row i; artificials are ncols..ncols+m-1
+    tab = np.zeros((m, m + 1), dtype=vals.dtype)
+    basis, den, pivots = np.arange(ncols, ncols + m), 1, 0
 
     def cold_start():
         nonlocal den
-        basis[:] = [ncols + i for i in range(m)]
-        tab[:] = [[int(t == i) for t in range(m)] + [rhs[i]] for i in range(m)]
-        den = 1
+        tab[:], basis[:], den = np.eye(m, m + 1, dtype=vals.dtype), np.arange(ncols, ncols + m), 1
+        tab[:, m] = rhs
 
-    def direction(enter_col):
-        # D * B^-1 A_enter
-        return [sum(row[i] * a for i, a in enter_col) for row in tab]
+    def direction(var):  # D * B^-1 A_var of a real column
+        at = slice(ptr[var], ptr[var + 1])
+        return tab[:, rows[at]] @ vals[at]
 
-    def pivot(enter_var, d, leave):
+    def pivot(var, d, leave):
         nonlocal den, pivots
         den = _pivot_rows(tab, d, leave, den)
-        basis[leave] = enter_var
+        basis[leave] = var
         pivots += 1
 
     def install(guide):
-        # each real column replaces an artificial the guide does not keep;
-        # d[t] != 0 keeps the exact basis nonsingular
-        kept = set(guide)
-        for var in guide:
-            if var < ncols:
-                d = direction(cols[var])
-                leave = next((t for t in range(m)
-                              if basis[t] >= ncols and basis[t] not in kept and d[t] != 0), None)
-                if leave is None:
-                    return False  # singular float basis
-                pivot(var, d, leave)
-        return all(row[m] >= 0 for row in tab)
+        # a real column replaces an artificial the guide does not keep; d[t] != 0
+        # keeps the exact basis nonsingular
+        kept = np.zeros(m, dtype=bool)  # the rows whose artificial the guide keeps
+        kept[[v - ncols for v in guide if v >= ncols]] = True
+        for var in (v for v in guide if v < ncols):
+            d = direction(var)
+            open_ = np.flatnonzero((basis >= ncols) & ~kept & (d != 0))
+            if not open_.size:
+                return False  # singular float basis
+            pivot(var, d, open_[0])
+        return (tab[:, m] >= 0).all()
 
     cold_start()
-    guide = _float_basis(fcols, [v / lb for v in rhs])
+    guide = _float_basis((ptr, rows, fvals), [v / lb for v in rhs])
     if guide is not None and not install(guide):
         cold_start()
 
     while True:
-        if all(var < ncols or row[m] == 0 for var, row in zip(basis, tab)):
+        art = basis >= ncols
+        if not tab[art, m].any():
             break  # objective already zero
         # D * y, y = c_B B^-1 with phase-1 costs (1 on artificial basics),
         # and last D times the phase-1 objective
-        y = [sum(v) for v in zip(*(row for var, row in zip(basis, tab) if var >= ncols))]
-        # Bland: the first real column with negative reduced cost -y.A_j
-        enter = next((j for j, col in enumerate(cols) if sum(y[i] * a for i, a in col) > 0), None)
-        if enter is None:
-            # no improving real column; artificial i improves if 1 - y_i < 0
-            enter = next((ncols + i for i in range(m) if y[i] > den), None)
-            if enter is None:
-                if y[m] > 0:
-                    cert = _farkas(columns, b, [Fraction(yi, den) for yi in y[:m]], sign)
-                    return FeasibilityResult(feasible=False, certificate=cert, pivots=pivots)
-                break
-        d = direction(cols[enter] if enter < ncols else ((enter - ncols, 1),))
-        rows = [t for t in range(m) if d[t] > 0]
-        if not rows:
+        y = tab[art].sum(axis=0)
+        # Bland: the first real column with negative reduced cost -y.A_j,
+        # else the first artificial i with 1 - y_i < 0
+        enter = np.flatnonzero(np.concatenate([_dots(y, a) > 0, y[:m] > den]))
+        if not enter.size:
+            if y[m] > 0:
+                _farkas(a, rhs, y[:m].tolist())
+                cert = [Fraction(yi * s, den) for yi, s in zip(y[:m].tolist(), sign.tolist())]
+                return FeasibilityResult(feasible=False, certificate=cert, pivots=pivots)
+            break
+        d = direction(enter[0]) if enter[0] < ncols else tab[:, enter[0] - ncols].copy()
+        ds, xs, order = d.tolist(), tab[:, m].tolist(), basis.tolist()
+        rows_in = [t for t in range(m) if ds[t] > 0]
+        if not rows_in:
             # phase 1 cannot be unbounded below: the tableau is corrupt
             raise ArithmeticError("phase-1 ratio test failed on an improving column")
-        leave = rows[0]
-        for t in rows[1:]:
-            # x_t / d_t against the best ratio so far, cross-multiplied
-            mine, best = tab[t][m] * d[leave], tab[leave][m] * d[t]
-            if mine < best or (mine == best and basis[t] < basis[leave]):
-                leave = t
-        pivot(enter, d, leave)
+        # the least ratio x_t / d_t, ties to the least basic variable
+        pivot(enter[0], d, min(rows_in, key=lambda t: (Fraction(xs[t], ds[t]), order[t])))
 
     # the point is checked exactly, as the certificate is: A x = b, x >= 0
-    lhs = [0] * m
-    for var, row in zip(basis, tab):
-        for i, a in cols[var] if var < ncols else ():
-            lhs[i] += a * row[m]
-    if lhs != [den * v for v in rhs] or any(row[m] < 0 for row in tab):
+    real, x, lhs = basis < ncols, np.zeros(ncols, dtype=object), np.zeros(m, dtype=object)
+    x[basis[real]] = tab[real, m].tolist()
+    np.add.at(lhs, rows, vals * x[np.repeat(np.arange(ncols), np.diff(ptr))])
+    if lhs.tolist() != [den * v for v in rhs] or (tab[:, m] < 0).any():
         raise ArithmeticError("the basic point fails A x = b, x >= 0")
-    sol = {var: Fraction(row[m] * scale[var], den * lb)
-           for var, row in zip(basis, tab) if var < ncols and row[m] != 0}
+    sol = {var: Fraction(xv * scale[var], den * lb)
+           for var, xv in zip(basis.tolist(), tab[:, m].tolist()) if var < ncols and xv != 0}
     return FeasibilityResult(feasible=True, solution=sol, pivots=pivots)
+
+
+def _tableau_dtype(a, rhs):
+    """int64 when 2*m*H^2 < 2^63 for the integer model (a, rhs), else object
+    (Python ints). H^2 is the exact product of the m largest squared column
+    norms of [A | b | I]; by Hadamard's bound every tableau and direction
+    entry (a minor of that matrix) is at most H, a Bareiss p*a - f*q at most
+    2*H^2, and a sum of m such entries times entries of A at most m*H^2."""
+    ptr, rows, vals = a
+    m, sq = len(rhs), _dots(None, (ptr, rows, vals.astype(object)))
+    top = sorted(np.sort(sq)[::-1][:m].tolist() + [sum(v * v for v in rhs)], reverse=True)
+    h2 = math.prod(max(v, 1) for v in top[:m])
+    return np.int64 if 2 * m * h2 < 2**63 else object
+
+
+def _dots(y, a):
+    """y.A_j for every column j of the CSC matrix a = (ptr, rows, vals), or
+    |A_j|^2 when y is None."""
+    ptr, rows, vals = a
+    # reduceat reads one entry, not 0, for an empty column: a trailing 0 keeps
+    # that read in range and the mask zeroes it
+    terms = np.append(vals * (vals if y is None else y[rows]), 0)
+    return np.add.reduceat(terms, ptr[:-1]) * (ptr[:-1] < ptr[1:])
 
 
 def _pivot_rows(tab, d, leave, den):
     """Fraction-free (Edmonds-Bareiss) pivot on d[leave] of the rows of tab and
-    the entering column d, all over den; returns the new denominator
-    |d[leave]|. An inexact division raises ArithmeticError."""
-    p, prow = d[leave], tab[leave]
-    for t, f in enumerate(d):
-        if t == leave or (not f and p == den):
-            continue
-        new = [p * a - f * q for a, q in zip(tab[t], prow)]
-        out = [x // den for x in new]
-        # floor remainders lie in [0, den): their sum is 0 only if all are
-        if sum(new) != den * sum(out):
-            raise ArithmeticError("inexact fraction-free division")
-        tab[t] = out
+    the entering column d, all over den, in place; returns the new
+    denominator |d[leave]|. An inexact division raises ArithmeticError."""
+    p, prow = int(d[leave]), tab[leave].copy()
+    # with p == den a row with f == 0 keeps its values
+    t = np.flatnonzero(((d != 0) | (p != den)) & (np.arange(len(d)) != leave))
+    new = p * tab[t] - d[t, None] * prow
+    out = new // den
+    if (out * den != new).any():
+        raise ArithmeticError("inexact fraction-free division")
+    tab[t] = out
     if p < 0:
-        tab[:] = [[-a for a in row] for row in tab]
+        tab *= -1
     return abs(p)
 
 
-def _scaled(values):
-    """The lcm c of the denominators of int or Fraction values, and the
-    integers c * v."""
-    ratios = [v.as_integer_ratio() for v in values]
-    c = math.lcm(*(q for _, q in ratios))
-    return c, [n * (c // q) for n, q in ratios]
-
-
-def _farkas(columns, b, y, sign) -> list:
-    """Phase-1 multipliers in the original row signs, checked exactly (on
-    integer multiples) as a Farkas certificate: y.A_j <= 0 for all j, y.b > 0."""
-    y = [yi * s for yi, s in zip(y, sign)]
-    _, z = _scaled(y)
-    for j, col in enumerate(columns):
-        _, ints = _scaled([a for _, a in col])
-        if sum(z[i] * n for (i, _), n in zip(col, ints)) > 0:
-            raise ArithmeticError(f"Farkas check failed: y.A_{j} > 0")
-    if sum(zi * n for zi, n in zip(z, _scaled(b)[1])) <= 0:
+def _farkas(a, rhs, y):
+    """Check in Python ints that the multipliers y, a list of ints, are a
+    Farkas certificate for the integer model A x = rhs, A the CSC matrix
+    a = (ptr, rows, vals): y.A_j <= 0 for all j, y.rhs > 0."""
+    bad = np.flatnonzero(_dots(np.array(y, dtype=object), a) > 0)
+    if bad.size:
+        raise ArithmeticError(f"Farkas check failed: y.A_{bad[0]} > 0")
+    if sum(v * r for v, r in zip(y, rhs)) <= 0:
         raise ArithmeticError("Farkas check failed: y.b <= 0")
-    return y

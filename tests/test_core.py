@@ -1,8 +1,10 @@
 """Core data model: complexes, index vectors, degrees, allocations, balance."""
 
+import math
+import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -299,6 +301,45 @@ def test_allocation_from_index_multiset_mixed():
     assert all(c == 2 for c in funcs.values())
 
 
+def _allocation_by_permutations(index_multiset):
+    """The allocation's functions as first built: every one of the k!
+    orderings of a realizing pattern, each distinct one counted k!/|orbit| times."""
+    funcs = Counter()
+    for v in index_multiset:
+        base = tuple(j for j, c in enumerate(v) for _ in range(c))
+        orbit = set(permutations(base))
+        for pat in orbit:
+            funcs[pat] += math.factorial(len(base)) // len(orbit)
+    return tuple(sorted(funcs.items()))
+
+
+# the index multisets with k <= 6 that the tests build allocations from
+TEST_INDEX_MULTISETS = [
+    [(1,)], [(3,)], [(1, 2)], [(1, 2)] * 3, [(2, 1), (1, 2)], [(1, 2), (2, 1)],
+    [(1, 1, 1)], [(3, 0)], [(3, 0), (1, 2)], [(1, 2), (3, 0)],
+    [(1, 2), (1, 2), (2, 1)], [(1, 2), (2, 1), (2, 1), (2, 1)], [(0, 3), (1, 2), (1, 2), (3, 0)],
+] + [
+    # every k-vector over up to 3 parts for k <= 6: the hypothesis strategies
+    # of test_core and test_fractional draw their multisets from these
+    [v] for k in range(1, 7) for r in range(1, 4)
+    for v in product(range(k + 1), repeat=r) if sum(v) == k
+]
+
+
+def test_allocation_arrangements_match_the_permutation_closure():
+    for index_multiset in TEST_INDEX_MULTISETS:
+        alloc = allocation_from_index_multiset(index_multiset)
+        assert alloc.functions == _allocation_by_permutations(index_multiset), index_multiset
+
+
+def test_plain_allocation_of_twelve_is_fast():
+    # the permutation closure had 12! orderings to collapse into one function
+    start = time.perf_counter()
+    alloc = plain_allocation(12)
+    assert time.perf_counter() - start < 1
+    assert alloc.functions == (((0,) * 12, math.factorial(12)),)
+
+
 def test_allocation_empty():
     alloc = allocation_from_index_multiset([], r=2)
     assert alloc.size == 0
@@ -323,8 +364,6 @@ def test_allocation_properties_r1():
 
 def test_allocation_properties_injections():
     # all injections [3] -> [3]: uniform by symmetry, complete part graph
-    from itertools import permutations
-
     vectors = [(1, 1, 1)] * 1
     alloc = allocation_from_index_multiset(vectors)
     # derived count: injections with f(i) = j must be |F| / r

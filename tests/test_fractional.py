@@ -1,5 +1,6 @@
 """Exact LP feasibility and the weight-disjoint extraction loop."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -65,6 +66,13 @@ def test_build_lp_balance_row_for_two_indices():
     assert len(model.balance_pairs) == 1
     text = dump_lp(model)
     assert "Minimize" in text and "Bounds" in text and "= 1" in text
+    # ints on the vertex rows, exact Fractions on the balance row only
+    nrows = 8
+    assert all(type(a) is int and a == 1 for col in model.columns for i, a in col if i < nrows)
+    assert all(type(a) is Fraction for col in model.columns for i, a in col if i >= nrows)
+    # the same text as when every coefficient was a Fraction
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "27546055d8f31f57ba0c8e86d3d8556305ffae0dd14f0c302a8bb1051b491b1e"
 
 
 def test_build_lp_empty_top():

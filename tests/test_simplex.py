@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from kmatch.core import (
     plain_allocation,
 )
 from kmatch.fractional import build_lp
-from kmatch.oracle import brute_force_fractional, gen_random_dense
+from kmatch.oracle import brute_force_fractional, gen_random_dense, gen_space_barrier
 from kmatch.simplex import solve_equality_feasibility
 
 ALLOC3 = plain_allocation(3)
@@ -85,8 +86,17 @@ def test_infeasible_certificate_passes_check():
 @pytest.mark.parametrize("y", [[1], [-1]])
 def test_farkas_check_rejects_a_bad_certificate(y):
     # x0 + x1 = 1 is feasible, so no y passes: [1] fails y.A_j <= 0, [-1] fails y.b > 0
+    csc = (np.array([0, 1, 2]), np.array([0, 0]), np.array([1, 1]))
     with pytest.raises(ArithmeticError):
-        simplex._farkas([[(0, 1)], [(0, 1)]], [1], [Fraction(v) for v in y], [Fraction(1)])
+        simplex._farkas(csc, [1], y)
+
+
+def test_column_dots_read_zero_on_empty_columns():
+    # columns [], [(0, 2)], [], [(0, 1), (1, 3)], []: reduceat alone would
+    # give an empty column the entry its segment starts at
+    csc = (np.array([0, 0, 1, 1, 3, 3]), np.array([0, 0, 1]), np.array([2, 1, 3]))
+    assert simplex._dots(np.array([5, 7]), csc).tolist() == [0, 10, 0, 26, 0]
+    assert simplex._dots(None, csc).tolist() == [0, 4, 0, 10, 0]
 
 
 @pytest.mark.parametrize(
@@ -201,10 +211,8 @@ def _corpus(count=200, seed=8):
         yield columns, b, rng.random() < 0.25
 
 
-def test_pivot_path_digest(monkeypatch):
-    # pins (feasible, solution, certificate, pivots) of every corpus model, so
-    # a change of the entering or leaving rule, of the basis the install
-    # keeps, or of the column scaling shows here
+def _corpus_digest(monkeypatch):
+    """sha256 of (feasible, solution, certificate, pivots) over the corpus."""
     real = simplex._float_basis
     digest = hashlib.sha256()
     for columns, b, cold in _corpus():
@@ -213,4 +221,37 @@ def test_pivot_path_digest(monkeypatch):
         sol = sorted((j, str(v)) for j, v in res.solution.items())
         cert = None if res.certificate is None else [str(y) for y in res.certificate]
         digest.update(repr((res.feasible, sol, cert, res.pivots)).encode())
-    assert digest.hexdigest() == "7418bb89c4f0c56872e4b22041be68cf61ed3bc80f651d20ff2c6297ad8c81a1"
+    return digest.hexdigest()
+
+
+PIVOT_PATH_DIGEST = "7418bb89c4f0c56872e4b22041be68cf61ed3bc80f651d20ff2c6297ad8c81a1"
+
+
+def test_pivot_path_digest(monkeypatch):
+    # pins (feasible, solution, certificate, pivots) of every corpus model, so
+    # a change of the entering or leaving rule, of the basis the install
+    # keeps, or of the column scaling shows here
+    assert _corpus_digest(monkeypatch) == PIVOT_PATH_DIGEST
+
+
+def test_pivot_path_digest_on_python_ints(monkeypatch):
+    # the object-dtype tableau takes the same pivots to the same answers
+    monkeypatch.setattr(simplex, "_tableau_dtype", lambda a, rhs: object)
+    assert _corpus_digest(monkeypatch) == PIVOT_PATH_DIGEST
+
+
+def test_tableau_dtype_follows_the_hadamard_bound(monkeypatch):
+    real, seen = simplex._tableau_dtype, []
+
+    def spy(a, rhs):
+        seen.append(real(a, rhs))
+        return seen[-1]
+
+    monkeypatch.setattr(simplex, "_tableau_dtype", spy)
+    # a frac-lp model at n = 24: H^2 = 24 * 3^23
+    model = build_lp(gen_random_dense(24, 3, p=0.3, seed=1, max_tries=1), ALLOC3)
+    _assert_point(model.columns, model.b, solve_equality_feasibility(model.columns, model.b))
+    # at n = 45, 45 * 3^44 is past the int64 bound
+    model = build_lp(gen_space_barrier(45, 3, 1, 16), ALLOC3)
+    _assert_farkas(model.columns, model.b, solve_equality_feasibility(model.columns, model.b))
+    assert seen == [np.int64, object]
