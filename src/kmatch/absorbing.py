@@ -7,19 +7,17 @@ at least alpha * |V|^(k-1) (k-1)-sets, read off the host's common-link
 counts. Absorbers are t*k^2-sets built around reachability witnesses: for a
 target k-set pattern, one host edge plus per-coordinate witness sets whose
 unions with either endpoint of a reachable pair are perfectly matchable. Every
-membership and absorption claim is checked exactly before it is trusted (a
-bitmask search, or brute force where the matching itself is recorded).
+witness set and absorption is checked by one exact search, the oracle's
+brute_force_pm, whose matching is the one recorded.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
 
 import numpy as np
 
@@ -35,8 +33,8 @@ from .lattice import (
     as_fraction,
     generate_lattice,
     is_complete,
+    k_vectors,
     minimal_decomposition_bound,
-    sum_vectors,
 )
 from .oracle import brute_force_pm
 
@@ -56,50 +54,13 @@ def reachable_neighborhood(system, v, beta) -> frozenset:
     return frozenset(u for u in pool if u != v and common[v, u] >= need)
 
 
-def _induced_top(system, vertices):
-    """Top edges inside a small vertex set, by hashed membership tests; the
-    combinations of a sorted list are canonical edges already."""
-    has = system.has_top if system.implicit else system.top.__contains__
-    return list(filter(has, combinations(sorted(vertices), system.k)))
-
-
-@functools.cache
-def _subset_table(nv, k):
-    """(getter, bitmask, least position) of each k-subset of positions
-    0..nv-1; the getter picks the subset out of a sorted vertex list as a
-    canonical edge."""
-    return tuple((itemgetter(*c) if k > 1 else lambda verts, i=c[0]: (verts[i],),
-                  sum(1 << i for i in c), c[0]) for c in combinations(range(nv), k))
-
-
-def _set_matchable(system, vertices) -> bool:
-    """Does the induced subgraph on these vertices have a perfect matching?
-
-    Exact: a bitmask depth-first search covers the least uncovered vertex
-    first and memoizes the uncovered sets that failed. The edges are the
-    k-subsets of the sorted vertices in the top level (has_top when implicit).
-    """
+def _matching_inside(system, vertices):
+    """Exact: a perfect matching of the top edges inside a small vertex set, or
+    None when there is none. The edges are found by hashed membership tests;
+    the combinations of a sorted list are canonical edges already."""
     verts = sorted(vertices)
-    nv, k = len(verts), system.k
-    if nv % k:
-        return False
-    has = system.has_top if system.implicit else system.top.__contains__
-    starting = [[] for _ in range(nv)]  # position -> masks of the edges it is least in
-    for get, mask, low in _subset_table(nv, k):
-        if has(get(verts)):
-            starting[low].append(mask)
-    failed = set()
-
-    def cover(left):
-        if not left or left in failed:
-            return not left
-        low = (left & -left).bit_length() - 1
-        if any(m & left == m and cover(left ^ m) for m in starting[low]):
-            return True
-        failed.add(left)
-        return False
-
-    return cover((1 << nv) - 1)
+    edges = list(filter(system.top.__contains__, combinations(verts, system.k)))
+    return brute_force_pm(edges, vertices=verts, cap=len(verts))
 
 
 @dataclass
@@ -236,7 +197,7 @@ class AbsorberState:
     decomposition_table: dict     # k-vector -> Decomposition
     transfer_bound: int
     lattice_json: dict
-    config: AbsorberConfig
+    seed: int                     # the build's seed; absorb draws from seed + 1
     flags: list = field(default_factory=list)
 
     def capacity(self) -> int:
@@ -264,7 +225,7 @@ class AbsorberState:
             },
             "transfer_bound": self.transfer_bound,
             "lattice": self.lattice_json,
-            "seed": self.config.seed,
+            "seed": self.seed,
             "flags": list(self.flags),
         }
 
@@ -302,7 +263,7 @@ class AbsorberState:
             decomposition_table=table,
             transfer_bound=data["transfer_bound"],
             lattice_json=data["lattice"],
-            config=AbsorberConfig(seed=data.get("seed", 0)),
+            seed=data.get("seed", 0),
             flags=list(data["flags"]),
         )
 
@@ -365,10 +326,10 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
             "robust-vector lattice is incomplete", partition=partition, lattice=lat
         )
 
-    # decomposition table for every k-vector over the refined parts
+    # decomposition table for every k-vector that completeness covers
     table = {}
     max_bound = 0
-    for w in sum_vectors(k, dim):
+    for w in k_vectors(k, dim, groups):
         table[w] = minimal_decomposition_bound(w, vectors)
         max_bound = max(max_bound, table[w].bound)
 
@@ -488,7 +449,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         decomposition_table=table,
         transfer_bound=max_bound,
         lattice_json=lat.to_json(),
-        config=config,
+        seed=config.seed,
         flags=flags,
     )
 
@@ -510,8 +471,9 @@ def _build_absorber_member(system, comp_ids, t, used, rng):
         e = table.tops[cands[rng.randrange(len(cands))]]
         taken = used.copy()
         taken[list(e)] = True
-        witness_sets = []
-        ok = True
+        # the internal PM pairs each witness set with its anchor; the central
+        # edge e stays free so it can match the incoming k-set at absorb time
+        pm_edges = []
         for u in e:
             # pick a fake "target" partner in the same refined part to anchor
             # the witness: the witness set must pair with u and with any
@@ -524,64 +486,39 @@ def _build_absorber_member(system, comp_ids, t, used, rng):
                 links = sorted_links[u]
                 cand_sets = links[~taken[links].any(1)]
                 if not len(cand_sets):
-                    ok = False
                     break
                 s = tuple(cand_sets[rng.randrange(len(cand_sets))].tolist())
-                witness_sets.append((u, s))
-                taken[list(s)] = True
+                pm_edges.append(edge_key(s + (u,)))
             else:
-                found = None
+                sub = None
                 pool = [w for w in sorted(system.vertex_pool) if not taken[w]]
                 size = t * k - 1
                 for _ in range(60):
                     if len(pool) < size:
                         break
                     s = rng.sample(pool, size)
-                    if _set_matchable(system, s + [u]):
-                        found = tuple(sorted(s))
+                    sub = _matching_inside(system, s + [u])
+                    if sub is not None:
                         break
-                if found is None:
-                    ok = False
+                if sub is None:
                     break
-                witness_sets.append((u, found))
-                taken[list(found)] = True
-        if not ok:
-            continue
-        # internal PM pairs each witness set with its anchor; the central edge
-        # e stays free so it can match the incoming k-set at absorb time
-        verts = set(e)
-        pm_edges = []
-        for u, s in witness_sets:
-            verts |= set(s)
-            if t == 1:
-                pm_edges.append(edge_key(s + (u,)))
-                continue
-            union = sorted(set(s) | {u})
-            sub = brute_force_pm(_induced_top(system, union), vertices=union, cap=t * k)
-            if sub is None:
-                ok = False
-                break
-            pm_edges.extend(sub.edges)
-        if not ok:
-            continue
-        verts_sorted = sorted(verts)
-        if len(verts_sorted) != t * k * k:
-            continue
-        m = Matching.from_edges(pm_edges)
-        if not validate_matching(system, m, cover=verts_sorted):
-            continue
-        return verts_sorted, pm_edges
+                pm_edges.extend(sub.edges)
+            taken[list(s)] = True
+        else:
+            verts = np.flatnonzero(taken & ~used).tolist()
+            m = Matching.from_edges(pm_edges)
+            if len(verts) == t * k * k and validate_matching(system, m, cover=verts):
+                return verts, pm_edges
     return None
 
 
 def _absorbs(system, absorber_set, target):
     """Exact: a perfect matching of J[T u S], or None when there is none or
     the sets overlap (J[S] alone was matched at build)."""
-    joint = sorted(set(absorber_set) | set(target))
+    joint = set(absorber_set) | set(target)
     if len(joint) != len(absorber_set) + len(target):
         return None
-    edges = _induced_top(system, joint)
-    return brute_force_pm(edges, vertices=joint, cap=len(joint))
+    return _matching_inside(system, joint)
 
 
 def absorb(state: AbsorberState, leftover) -> Matching:
@@ -599,7 +536,7 @@ def absorb(state: AbsorberState, leftover) -> Matching:
         raise AbsorptionFailed("leftover intersects the absorbing set")
     if len(U) % k:
         raise AbsorptionFailed(f"leftover size {len(U)} not divisible by k={k}")
-    rng = random.Random(state.config.seed + 1)
+    rng = random.Random(state.seed + 1)
     parts = state.partition.parts
     dim = len(parts)
     part_lookup = {}
@@ -607,7 +544,14 @@ def absorb(state: AbsorberState, leftover) -> Matching:
         for v in p:
             part_lookup[v] = idx
 
-    k_sets = [U[i:i + k] for i in range(0, len(U), k)]
+    if k > 1 and (k,) + (0,) * (dim - 1) not in state.decomposition_table:
+        # a partite table (it lacks (k, 0, ..., 0)) takes k-sets with one vertex
+        # in each of k ambient parts: the stride cut of U sorted by part gives
+        # them whenever any cut can
+        U.sort(key=lambda v: (system.universe.part_of(v), v))
+        k_sets = [U[i::len(U) // k] for i in range(len(U) // k)]
+    else:
+        k_sets = [U[i:i + k] for i in range(0, len(U), k)]
     reserves = {vec: list(edges) for vec, edges in state.reserves.items()}
     used_members = set()
     final_edges = []

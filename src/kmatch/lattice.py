@@ -141,31 +141,26 @@ def lattice_contains(lattice: IndexLattice, vector) -> bool:
     return not any(v)
 
 
-def is_complete(lattice: IndexLattice, k: int, groups=None) -> bool:
-    """Completeness of a lattice with respect to k-vectors.
+def k_vectors(k: int, dim: int, groups=None) -> list:
+    """The k-vectors a lattice must contain to be complete.
 
-    Plain mode (groups None): the lattice must contain every nonnegative
-    k-vector of its dimension. Partite mode: groups[j] names the ambient part
-    containing refined part j, and the test runs over 0/1 k-vectors with at
-    most one unit per ambient part (the refinement-compatible partite
-    k-vectors).
+    Plain mode (groups None): every nonnegative k-vector of the dimension.
+    Partite mode: groups[j] names the ambient part containing refined part j,
+    and the k-vectors are the 0/1 ones whose k units lie in distinct ambient
+    parts (the refinement-compatible partite k-vectors).
     """
-    dim = lattice.dimension
     if groups is None:
-        targets = sum_vectors(k, dim)
-    else:
-        if len(groups) != dim:
-            raise DimensionMismatch("groups length != lattice dimension")
-        targets = []
-        for support in combinations(range(dim), k):
-            touched = [groups[j] for j in support]
-            if len(set(touched)) != k:
-                continue
-            vec = [0] * dim
-            for j in support:
-                vec[j] = 1
-            targets.append(tuple(vec))
-    return all(lattice_contains(lattice, t) for t in targets)
+        return sum_vectors(k, dim)
+    if len(groups) != dim:
+        raise DimensionMismatch("groups length != lattice dimension")
+    return [tuple(int(j in support) for j in range(dim))
+            for support in combinations(range(dim), k)
+            if len({groups[j] for j in support}) == k]
+
+
+def is_complete(lattice: IndexLattice, k: int, groups=None) -> bool:
+    """Does the lattice contain every k-vector of k_vectors(k, dim, groups)?"""
+    return all(lattice_contains(lattice, t) for t in k_vectors(k, lattice.dimension, groups))
 
 
 def find_transferral(lattice: IndexLattice, groups=None):

@@ -231,21 +231,21 @@ def space_barrier_stage(system):
     return None
 
 
-def divisibility_barrier_stage(system, alloc=None, partition=None, diagnostics=None):
+def divisibility_barrier_stage(system, alloc=None):
     """decide's divisibility-barrier search on the host view; a verified
     DivBarrierCert or None.
 
-    Exhaustive over set partitions when the pool is small and no partition is
-    given; otherwise the candidates are the given closed partition (the one
-    an AbsorberUnavailable carries) or decide's own, and its coarsenings.
-    When diagnostics is given, records whether a candidate was found and
-    whether it verified.
+    Exhaustive over set partitions when the pool is small; otherwise the
+    candidates are decide's closed partition and its coarsenings.
     """
-    facts = _Facts(system, alloc or plain_allocation(system.k))
-    return _divisibility_stage(facts, partition, diagnostics)
+    return _divisibility_stage(_Facts(system, alloc or plain_allocation(system.k)))
 
 
 def _divisibility_stage(facts, partition=None, diagnostics=None):
+    """The divisibility stage on prepared facts. The candidates are the given
+    closed partition (the one an AbsorberUnavailable carries) and its
+    coarsenings when there is one; diagnostics, when given, records whether a
+    candidate was found and whether it verified."""
     system = facts.system
     mu_eff = _effective_mu(system, MU)
     min_part = _min_part_size(facts, mu_eff)

@@ -18,7 +18,6 @@ from kmatch.absorbing import (
     reachable_neighborhood,
 )
 from kmatch.core import (
-    CompleteComplex,
     KSystem,
     VertexUniverse,
     allocation_from_index_multiset,
@@ -386,34 +385,27 @@ def test_common_links_on_an_implicit_complete_host():
     assert len(closed_partition(host, delta=Fraction(1, 6), alpha=Fraction(1, 100)).parts) == 1
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    k=st.integers(1, 4),
-    implicit=st.booleans(),
-    density=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
-    seed=st.integers(0, 10 ** 6),
-    vertices=st.lists(st.integers(0, 13), max_size=12, unique=True),
-)
-def test_set_matchable_agrees_with_brute_force(k, implicit, density, seed, vertices):
-    # the empty set and sizes that k does not divide are drawn too
-    uni = VertexUniverse.single(14)
-    if implicit:
-        host = CompleteComplex(uni, k)
-    else:
-        rng = random.Random(seed)
-        top = [e for e in combinations(range(14), k) if rng.random() < density]
-        host = KSystem(uni, k, {k: top})
-    verts = sorted(vertices)
-    edges = [e for e in combinations(verts, k) if host.has_top(e)]
-    want = brute_force_pm(edges, vertices=verts, cap=15) is not None
-    assert kmatch.absorbing._set_matchable(host, vertices) == want
+def test_t2_member_keeps_its_witness_matchings():
+    # a closed partition whose one part is not a reach clique, so members are
+    # built at t = 2 from sampled witness sets that the exact search matches
+    import hashlib
+    import json
 
-
-def test_set_matchable_edge_cases():
-    host = complete_complex(9, 3)
-    assert kmatch.absorbing._set_matchable(host, [])
-    assert not kmatch.absorbing._set_matchable(host, [0, 1, 2, 3])
-    assert kmatch.absorbing._set_matchable(host, range(9))
-    singles = KSystem(VertexUniverse.single(4), 1, {1: [(0,), (2,), (3,)]})
-    assert kmatch.absorbing._set_matchable(singles, [0, 2, 3])
-    assert not kmatch.absorbing._set_matchable(singles, [0, 1])
+    cx = gen_random_dense(24, 3, p=0.5, seed=0, max_tries=1)
+    cp = closed_partition(cx, delta=Fraction(1, 8), alpha=Fraction(1, 15))
+    assert [t for _, t in cp.witness] == [2]
+    cfg = AbsorberConfig(seed=0, mu=Fraction(1, 500), phi=Fraction(1, 10),
+                         epsilon=Fraction(9, 10), family_target=1)
+    state = build_absorber(cx, ALLOC3, cfg, partition=cp)
+    assert state.family.t == 2
+    assert [len(s) for s in state.family.sets] == [18]
+    blob = json.dumps(state.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "4b748ddd2d7f569f2ba78571e12d77f699dc4ac4e7af6d8bb02b1c957a73a114"
+    )
+    rng = random.Random(0)
+    outside = sorted(set(cx.vertex_pool) - state.w_vertices)
+    for _ in range(3):
+        leftover = rng.sample(outside, cx.k)
+        m = absorb(state, leftover)
+        assert validate_matching(cx, m, cover=state.w_vertices | set(leftover))

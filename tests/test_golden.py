@@ -11,6 +11,7 @@ import json
 import pytest
 
 from kmatch.cli import main
+from kmatch.core import allocation_from_index_multiset
 from kmatch.khg import save_khg
 from kmatch.oracle import gen_divisibility_barrier, gen_random_dense, gen_space_barrier
 
@@ -47,6 +48,13 @@ CORPUS = {
         lambda: gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)]),
         ["match", "--seed", "3"], None,
         "88f1a9aeb2de4ee693dcab888b74fb4bcc5de4966191f22f2d10151adbc162b4",
+    ),
+    # a partite allocation: the absorber decomposes and cuts partite k-sets
+    "match-partite8": (
+        lambda: gen_random_dense(8, 3, r=3, p=0.9, seed=1,
+                                 allocation=allocation_from_index_multiset([(1, 1, 1)])),
+        ["match", "--seed", "1"], {"allocation_index_multiset": [[1, 1, 1]]},
+        "29dc5eb92ca85936be2da5cf415d60a7e05c532295ae2459d62fdc74a79d14aa",
     ),
     "decide-dense9": (
         lambda: gen_random_dense(9, 3, p=0.9, seed=905),

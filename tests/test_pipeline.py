@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from kmatch.core import Matching, plain_allocation, validate_matching
+from kmatch.core import (
+    Matching,
+    allocation_from_index_multiset,
+    plain_allocation,
+    validate_matching,
+)
 from kmatch.errors import BadParams, TooLarge
 from kmatch.fractional import extract_weight_disjoint
 from kmatch.oracle import (
@@ -28,6 +33,7 @@ from kmatch.pipeline import (
     host_view,
     run_matching_pipeline,
     space_barrier_stage,
+    verify_certificate,
 )
 
 ALLOC3 = plain_allocation(3)
@@ -72,6 +78,18 @@ def test_pipeline_divisibility_via_absorber():
     cert = run_matching_pipeline(H, None, PipelineConfig(seed=3))
     assert cert.tag == "DivisibilityBarrier"
     assert sorted(map(len, cert.payload["parts"])) == [3, 6]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("seed", range(4))
+def test_pipeline_partite_allocation(n, seed):
+    # the absorber decomposes and cuts only partite k-sets under an
+    # allocation with one vertex per part, so no valid host is rejected
+    alloc = allocation_from_index_multiset([(1, 1, 1)])
+    host = gen_random_dense(n, 3, r=3, p=0.9, seed=seed, allocation=alloc)
+    cert = run_matching_pipeline(host, alloc, PipelineConfig(seed=seed))
+    assert cert.tag == "PerfectMatching"
+    assert verify_certificate(host, cert)
 
 
 def test_pipeline_bad_inputs():
