@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The full decision pipeline on the three kinds of instances.
 
-decide() runs the cheap barrier searches first and falls through to the
-matching pipeline: absorber, restriction, weight-disjoint fractional family,
-randomized rounding, absorption. Every certificate is verified before it is
-returned, and small instances carry a brute-force cross-check.
+decide() tries one greedy perfect matching first, then the barrier
+searches, and falls through to the matching pipeline: absorber, restriction,
+weight-disjoint fractional family, randomized rounding, absorption. Every
+certificate is verified before it is returned, and small instances carry a
+brute-force cross-check.
 """
 
 from kmatch import (

@@ -232,7 +232,8 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     tops, E, ptr, ids, vid, vectors = system.edge_table()
     alive = _alive(E, pairs, system.universe.total)
     quota = np.array([int(quotas.get(vec, 0)) for vec in vectors], dtype=np.int64)
-    start = np.isin(np.arange(system.universe.total), list(pool))
+    start = np.zeros(system.universe.total, dtype=bool)
+    start[list(pool)] = True
     for _ in range(tries):
         free, need, chosen = start.copy(), quota.copy(), []
         while len(chosen) < total // k:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -53,7 +54,7 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .fractional import extract_weight_disjoint
+from .fractional import PairWeights, _greedy_integer_pm, extract_weight_disjoint
 from .oracle import brute_force_pm
 from .rounding import (
     NibbleParams,
@@ -513,7 +514,14 @@ def _matching_pipeline(facts, config) -> Certificate:
         return Certificate(tag="Inconclusive", payload={
             "reason": "assembled matching failed exact validation",
         }, diagnostics=diagnostics)
-    stats = matching_stats(matching, alloc, uni)
+    diagnostics["stages"].append({"stage": "assemble", "status": "ok"})
+    return _perfect_matching(matching, facts, diagnostics, len(w_vertices), len(leftover))
+
+
+def _perfect_matching(matching, facts, diagnostics, absorber_size=0, leftover_size=0):
+    """The PerfectMatching certificate of a validated matching, with its
+    balance under the allocation and the absorber and leftover sizes."""
+    stats = matching_stats(matching, facts.alloc, facts.system.universe)
     payload = {
         "kind": "perfect-matching",
         "edges": [list(e) for e in matching.edges],
@@ -522,17 +530,16 @@ def _matching_pipeline(facts, config) -> Certificate:
             "_".join(map(str, vec)): str(val) for vec, val in sorted(stats["n_tilde"].items())
         },
         "size": len(matching),
-        "absorber_size": len(w_vertices),
-        "leftover_size": len(leftover),
+        "absorber_size": absorber_size,
+        "leftover_size": leftover_size,
     }
-    diagnostics["stages"].append({"stage": "assemble", "status": "ok"})
     return Certificate(tag="PerfectMatching", payload=payload, diagnostics=diagnostics)
 
 
 def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
-    """Cheap barrier searches first, then the matching pipeline; the first
-    verified certificate wins. Small instances carry a brute-force
-    cross-check in the diagnostics. The barrier searches read explicit
+    """A greedy perfect matching, then the barrier searches, then the matching
+    pipeline: the first verified certificate wins. Small instances carry a
+    brute-force cross-check in the diagnostics. The stages read explicit
     levels, so an implicit host raises TooLarge."""
     config = config or PipelineConfig()
     system = host_view(system, alloc)
@@ -540,6 +547,15 @@ def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
     facts = _Facts(system, alloc or plain_allocation(k))
     nv = len(system.vertex_pool)
     diagnostics = {"config": config.echo(), "mode": "decide"}
+
+    # a host that is not PF-partite for the allocation keeps the pipeline's BadParams
+    if nv % k == 0 and system.top_count() > 0 and is_pf_partite(system, facts.alloc):
+        rng = random.Random(_stage_seed(config, 1))
+        edges = _greedy_integer_pm(system, facts.alloc, PairWeights(), rng) or ()
+        witness = Matching.from_edges(edges)
+        if edges and validate_matching(system, witness, cover=system.vertex_pool):
+            diagnostics["stages"] = [{"stage": "greedy-witness", "status": "ok"}]
+            return _attach_oracle(system, _perfect_matching(witness, facts, diagnostics))
 
     beta_eff = _effective_beta(system)
     diagnostics["effective_beta"] = str(beta_eff)
@@ -558,19 +574,15 @@ def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
         cert = Certificate(tag="Inconclusive", payload={
             "reason": "vertex count not divisible by k or empty top level",
         }, diagnostics=diagnostics)
-    _attach_oracle(system, cert)
-    return cert
+    return _attach_oracle(system, cert)
 
 
-def _attach_oracle(system, cert: Certificate, cap: int = 12):
+def _attach_oracle(system, cert: Certificate, cap: int = 12) -> Certificate:
     """Brute-force cross-check on small instances, reported in diagnostics."""
-    nv = len(system.vertex_pool)
-    if nv > cap:
-        return
-    pm = brute_force_pm(system, cap=cap)
-    exists = pm is not None
-    contradiction = cert.tag == "PerfectMatching" and not exists
-    cert.diagnostics["oracle"] = {
-        "pm_exists": exists,
-        "contradicts": contradiction,
-    }
+    if len(system.vertex_pool) <= cap:
+        exists = brute_force_pm(system, cap=cap) is not None
+        cert.diagnostics["oracle"] = {
+            "pm_exists": exists,
+            "contradicts": cert.tag == "PerfectMatching" and not exists,
+        }
+    return cert

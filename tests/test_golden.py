@@ -56,21 +56,28 @@ CORPUS = {
         ["match", "--seed", "1"], {"allocation_index_multiset": [[1, 1, 1]]},
         "29dc5eb92ca85936be2da5cf415d60a7e05c532295ae2459d62fdc74a79d14aa",
     ),
+    # decide's greedy witness fills the allocation's quotas
+    "decide-partite8": (
+        lambda: gen_random_dense(8, 3, r=3, p=0.9, seed=1,
+                                 allocation=allocation_from_index_multiset([(1, 1, 1)])),
+        ["decide", "--seed", "1"], {"allocation_index_multiset": [[1, 1, 1]]},
+        "604ed46189c83f944b249c25f6c76ebbbfe5963e4ca69e5bb6afdca552cd5cd9",
+    ),
     "decide-dense9": (
         lambda: gen_random_dense(9, 3, p=0.9, seed=905),
         ["decide", "--seed", "5"], None,
-        "18ab918dce143554d19a31bdc744903598df9da000dafb85f91b8db460ac9d0a",
+        "be4af764c9ed503627be0770444c41ebd1d0a7732db4f90b480658e961cfddef",
     ),
     "decide-dense12": (
         lambda: gen_random_dense(12, 3, p=0.8, seed=906),
         ["decide", "--seed", "6"], None,
-        "51ad3459ed3e7c6c1e9626512a1dc04982ba9eb30410a7f109e526406f2c7adf",
+        "dd6355a414f55d3838fddda4f5262585b82fdcd5683d634858a7bc78ca9b2a77",
     ),
-    # n > 12: decide builds the closed partition instead of exhausting partitions
+    # n > 12: past the brute-force cap, so no oracle cross-check is attached
     "decide-dense15": (
         lambda: gen_random_dense(15, 3, p=0.85, seed=915),
         ["decide", "--seed", "12"], None,
-        "18bf1ff0b3a24d8616622ffa2266bc3b48c627d192199736f360d2d1e4f2be1c",
+        "5c589f8a10c2f39b0068d9e2086ea3887427978caffe6848466a682a49e68e10",
     ),
     "decide-space9": (
         lambda: gen_space_barrier(9, 3, 1, 4),

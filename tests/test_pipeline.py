@@ -92,6 +92,28 @@ def test_pipeline_partite_allocation(n, seed):
     assert verify_certificate(host, cert)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("seed", range(4))
+def test_decide_partite_allocation(n, seed):
+    # the greedy witness fills the allocation's quotas, so decide returns a
+    # balanced matching where the plain divisibility notions see a barrier
+    alloc = allocation_from_index_multiset([(1, 1, 1)])
+    host = gen_random_dense(n, 3, r=3, p=0.9, seed=seed, allocation=alloc)
+    cert = decide(host, PipelineConfig(seed=seed), alloc)
+    assert cert.tag == "PerfectMatching"
+    assert cert.payload["alpha"] == "0"
+    assert verify_certificate(host_view(host, alloc), cert)
+
+
+def test_decide_rejects_a_host_outside_the_allocation():
+    # edges of every index vector are not PF-partite for one vertex per part;
+    # the greedy witness, which would match the (1, 1, 1) edges, does not run
+    alloc = allocation_from_index_multiset([(1, 1, 1)])
+    host = gen_random_dense(4, 3, r=3, p=0.9, seed=0)
+    with pytest.raises(BadParams, match="not PF-partite"):
+        decide(host, PipelineConfig(seed=0), alloc)
+
+
 def test_pipeline_bad_inputs():
     with pytest.raises(BadParams):
         run_matching_pipeline(complete_complex(7, 3), None, PipelineConfig())
@@ -234,9 +256,12 @@ def test_matching_pipeline_rejects_an_implicit_host():
 @pytest.mark.parametrize("n", [15, 18, 30])
 def test_decide_computes_one_common_link_product_per_host(monkeypatch, n):
     # the divisibility stage and the pipeline both build the closed
-    # partition above the exhaustive range; they share the host's product
+    # partition above the exhaustive range; they share the host's product.
+    # The greedy witness is switched off so that decide runs both of them
     import kmatch.core as core
+    import kmatch.pipeline as pipeline
 
+    monkeypatch.setattr(pipeline, "_greedy_integer_pm", lambda *args, **kwargs: None)
     hosts = []
     original = core._common_links
 
@@ -253,9 +278,11 @@ def test_decide_computes_one_common_link_product_per_host(monkeypatch, n):
 @pytest.mark.parametrize("n", [12, 15, 30])
 def test_decide_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n):
     # the divisibility stage and the matching pipeline read the same degree
-    # sequences and, above the exhaustive range, the same closed partition
+    # sequences and, above the exhaustive range, the same closed partition;
+    # the greedy witness is switched off so that decide runs both of them
     import kmatch.pipeline as pipeline
 
+    monkeypatch.setattr(pipeline, "_greedy_integer_pm", lambda *args, **kwargs: None)
     calls = {"degree_sequences": 0, "closed_partition": 0}
 
     def counting(name):
@@ -276,9 +303,11 @@ def test_decide_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n
 @pytest.mark.parametrize("host_seed, seed, kept", [(1008521273, 25, 0), (158063559, 7, 1)])
 def test_rounding_reports_the_regularity_of_the_kept_sample(monkeypatch, host_seed, seed, kept):
     # every attempt misses, so the first attempt with the fewest uncovered
-    # vertices is kept; its own sample's regularity is the one reported
+    # vertices is kept; its own sample's regularity is the one reported. The
+    # greedy witness is switched off so that decide reaches the rounding
     import kmatch.pipeline as pipeline
 
+    monkeypatch.setattr(pipeline, "_greedy_integer_pm", lambda *args, **kwargs: None)
     checks, misses = [], []
     check, nibble = pipeline.check_regularity, pipeline.nibble_match
 
