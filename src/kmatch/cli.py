@@ -16,7 +16,7 @@ import sys
 
 from .absorbing import AbsorberConfig, absorb, build_absorber
 from .core import allocation_from_index_multiset, plain_allocation
-from .errors import BadParams, KmatchError
+from .errors import AbsorberUnavailable, AbsorptionFailed, BadParams, BudgetExhausted, KmatchError
 from .fractional import extract_weight_disjoint, verify_fractional
 from .khg import dump_khg, load_khg
 from .oracle import GenSpec, brute_force_fractional, brute_force_pm
@@ -172,13 +172,18 @@ def cmd_absorb_demo(args) -> int:
     system = load_khg(args.file)
     alloc = alloc or plain_allocation(system.k)
     cfg = AbsorberConfig(seed=config.seed, mu=_effective_mu(system, MU))
-    state = build_absorber(system, alloc, cfg)
-    rng = random.Random(config.seed)
-    avail = sorted(set(system.vertex_pool) - state.w_vertices)
-    take = min(len(state.family.sets) * system.k, len(avail))
-    take -= take % system.k
-    leftover = sorted(rng.sample(avail, take)) if take else []
-    matching = absorb(state, leftover)
+    try:
+        state = build_absorber(system, alloc, cfg)
+        rng = random.Random(config.seed)
+        avail = sorted(set(system.vertex_pool) - state.w_vertices)
+        take = min(len(state.family.sets) * system.k, len(avail))
+        take -= take % system.k
+        leftover = sorted(rng.sample(avail, take)) if take else []
+        matching = absorb(state, leftover)
+    except (AbsorberUnavailable, BudgetExhausted, AbsorptionFailed) as exc:
+        # a valid host on which this absorber cannot be built or cannot absorb
+        _emit({"reason": f"{type(exc).__name__}: {exc}"}, args.json)
+        return EXIT_INCONCLUSIVE
     out = {
         "w_size": len(state.w_vertices),
         "family": len(state.family.sets),

@@ -5,9 +5,10 @@ significant everywhere). Edges are sorted tuples of vertex ids, sorted and
 validated once where outside input enters (KSystem(), build_complex);
 the downward closure and every restriction reuse those canonical tuples.
 An explicit system caches its integer top-edge table (edge_table) and its
-common-link counts on first use. Once the table is built, degree_sequences
-counts the top level's extensions with np.unique over its integer face codes;
-with one part and a one-part allocation the F-degrees are the plain ones.
+common-link counts on first use. Degrees and partite checks count each level
+as sorted integer rows (the table's, once the host has built it): one
+np.unique over face codes per level gives every extension count by part, and
+compositions gives every index vector.
 """
 
 from __future__ import annotations
@@ -590,14 +591,27 @@ def matching_stats(matching: Matching, alloc: Allocation, universe: VertexUniver
     return {"n_tilde": n_tilde, "alpha": alpha}
 
 
+def _level_rows(system, i) -> np.ndarray:
+    """Level i as sorted integer rows: the edge table's E for the top level
+    of a host that has built it, one empty row for level 0."""
+    if i == 0:
+        return np.zeros((1, 0), np.int64)
+    if i == system.k and system._table is not None:
+        return system._table.E
+    return _rows(system.level(i), i)
+
+
+def _level_vectors(system, i) -> list:
+    """The distinct index vectors of level i."""
+    uni = system.universe
+    return compositions(_level_rows(system, i), np.array(uni._part_of, np.int64), uni.r)[1]
+
+
 def is_p_partite(system) -> bool:
     """True iff every edge has at most one vertex in any part."""
-    uni = system.universe
-    for i in range(1, system.k + 1):
-        for e in system.level(i):
-            if any(c > 1 for c in index_vector(e, uni)):
-                return False
-    return True
+    return all(
+        max(v) <= 1 for i in range(1, system.k + 1) for v in _level_vectors(system, i)
+    )
 
 
 def is_pf_partite(system, alloc: Allocation) -> bool:
@@ -607,12 +621,10 @@ def is_pf_partite(system, alloc: Allocation) -> bool:
         return all(not system.level(i) for i in range(1, system.k + 1))
     if alloc.r == uni.r == 1 and alloc.k >= system.k:
         return True  # every j-edge has index (j,), a prefix of (0, ..., 0)
-    for j in range(1, system.k + 1):
-        allowed = alloc.prefix_indices(j)
-        for e in system.level(j):
-            if index_vector(e, uni) not in allowed:
-                return False
-    return True
+    return all(
+        alloc.prefix_indices(j).issuperset(_level_vectors(system, j))
+        for j in range(1, system.k + 1)
+    )
 
 
 @dataclass
@@ -624,33 +636,23 @@ class DegreeSequenceReport:
     f_degree: tuple = None
 
 
-def _extension_counts(upper, j, part_of=None) -> Counter:
-    """How many (j+1)-edges of `upper` extend each j-edge: keyed by (j-edge,
-    part of the added vertex) when part_of is given, else by the j-edge."""
-    subs = chain.from_iterable(map(combinations, upper, repeat(j)))
-    if part_of is None:
-        return Counter(subs)
-    # the combinations of a sorted (j+1)-tuple drop its vertices last to first
-    added = map(part_of.__getitem__, chain.from_iterable(map(reversed, upper)))
-    return Counter(zip(subs, added))
+def _extensions(system, j, lower, label) -> np.ndarray:
+    """count[e, p]: how many (j+1)-edges of the system extend row e of
+    `lower` (sorted j-edges) by a vertex of part p. Row block t of
+    faces(upper) leaves out column t, so the left-out vertices are the
+    columns of upper in turn."""
+    r = system.universe.r
+    upper = _level_rows(system, j + 1)
+    codes = row_codes(np.concatenate([faces(upper), lower]), system.universe.total)
+    distinct, ids = np.unique(codes, return_inverse=True)
+    ids = ids.ravel()
+    added = label[upper.T.ravel()]
+    count = np.bincount(ids[: len(added)] * r + added, minlength=len(distinct) * r)
+    return count.reshape(-1, r)[ids[len(added):]]
 
 
-def _min_extensions(system, j, lower) -> int:
-    """Least number of (j+1)-edges of the system extending a j-edge of
-    `lower`, 0 when `lower` is empty. Once the host has built its edge table,
-    the top level counts the codes of the table's faces with np.unique; other
-    levels, and hosts without a table, count in one pass over the edges."""
-    if not lower:
-        return 0
-    if not 0 < j == system.k - 1 or system._table is None:
-        counts = _extension_counts(system.level(j + 1), j)
-        return min(map(counts.__getitem__, lower))
-    total = system.universe.total
-    codes, counts = np.unique(row_codes(faces(system._table.E), total), return_counts=True)
-    want = row_codes(_rows(lower, j), total)
-    if not np.isin(want, codes).all():
-        return 0
-    return int(counts[np.searchsorted(codes, want)].min())
+def _least(counts) -> int:
+    return int(counts.min()) if counts.size else 0
 
 
 def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSequenceReport:
@@ -672,31 +674,27 @@ def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSe
     # one part on both sides: every step of F adds a part-0 vertex to any
     # lower edge, so the F-degrees are the plain degrees
     one_part = alloc is not None and uni.r == alloc.r == 1 and alloc.k >= system.k
+    label = np.array(uni._part_of, np.int64)
     plain, part, fdeg = [], [], []
     for j in range(system.k):
-        lower = system.level(j) if j > 0 else frozenset({()})
-        plain.append(_min_extensions(system, j, lower))
+        lower = _level_rows(system, j)
+        count = _extensions(system, j, lower, label)
+        plain.append(_least(count.sum(1)))
         if not partite and (alloc is None or one_part):
             continue
-        counts = _extension_counts(system.level(j + 1), j, uni._part_of)
+        vid, vectors = compositions(lower, label, uni.r)
         if partite:
-            part.append(min(
-                (counts[e, p] for e in lower
-                 for p in set(range(uni.r)).difference(map(uni.part_of, e))),
-                default=0,
-            ))
+            # count only the parts that each lower edge misses
+            part.append(_least(count[np.array(vectors).reshape(-1, uni.r)[vid] == 0]))
         if alloc is not None:
-            by_index = {}
-            for e in lower:
-                by_index.setdefault(index_vector(e, uni), []).append(e)
             # (prefix index vector, part of the next coordinate) over F
             steps = {
                 (tuple(f[:j].count(p) for p in range(uni.r)), f[j]) for f, _ in alloc.functions
             }
-            fdeg.append(min(
-                (counts[e, p] for prefix, p in steps for e in by_index.get(prefix, ())),
-                default=0,
-            ))
+            allowed = np.array([[(v, p) in steps for p in range(uni.r)] for v in vectors], bool)
+            # a step into a part outside the universe extends nothing
+            stray = any(p >= uni.r and v in vectors for v, p in steps)
+            fdeg.append(0 if stray else _least(count[allowed.reshape(-1, uni.r)[vid]]))
     if one_part:
         fdeg = plain
     return DegreeSequenceReport(

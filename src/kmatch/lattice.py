@@ -11,7 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
+from .core import VertexUniverse, compositions
 from .errors import (
+    BadVertex,
     BoundTooSmall,
     DimensionMismatch,
     NotInLattice,
@@ -313,16 +317,6 @@ class RobustVectorSet:
     def vectors(self) -> list:
         return [v for v, _ in self.counts]
 
-    def __contains__(self, vector) -> bool:
-        return tuple(vector) in dict(self.counts)
-
-    def to_json(self) -> dict:
-        return {
-            "mu": str(self.mu),
-            "threshold": str(self.threshold),
-            "vectors": [{"vector": list(v), "count": c} for v, c in self.counts],
-        }
-
 
 def as_fraction(x) -> Fraction:
     """Exact threshold arithmetic; floats go through their decimal repr."""
@@ -337,33 +331,19 @@ def robust_edge_vectors(edges, partition, mu) -> RobustVectorSet:
     `partition` is either a VertexUniverse or an ordered sequence of vertex
     sets; counts are exact and the threshold comparison is exact rational.
     """
-    if hasattr(partition, "part_of"):
-        uni = partition
-        part_of = uni.part_of
-        dim = uni.r
-        nv = uni.total
-    else:
-        parts = [frozenset(p) for p in partition]
-        lookup = {}
-        for j, p in enumerate(parts):
-            for v in p:
-                lookup[v] = j
-        part_of = lookup.__getitem__
-        dim = len(parts)
-        nv = sum(len(p) for p in parts)
-    counts = {}
-    k = None
-    for e in edges:
-        k = len(e) if k is None else k
-        vec = [0] * dim
-        for v in e:
-            vec[part_of(v)] += 1
-        vec = tuple(vec)
-        counts[vec] = counts.get(vec, 0) + 1
-    if k is None:
-        k = 0
+    parts = partition.parts() if isinstance(partition, VertexUniverse) else list(partition)
+    edges = list(edges)
+    k = len(edges[0]) if edges else 0
+    rows = np.array(edges, np.int64).reshape(len(edges), k)
+    # label[v] is the part of vertex v, -1 when v lies in no part
+    label = np.full(1 + max([rows.max(initial=0), *map(max, filter(None, parts))]), -1)
+    for j, p in enumerate(parts):
+        label[list(p)] = j
+    if rows.min(initial=0) < 0 or (label[rows] < 0).any():
+        raise BadVertex("an edge vertex lies in no part")
+    vid, vectors = compositions(rows, label, len(parts))
     mu = as_fraction(mu)
-    threshold = mu * Fraction(nv) ** k
-    robust = tuple(sorted((v, c) for v, c in counts.items() if c >= threshold))
-    return RobustVectorSet(mu=mu, threshold=threshold, counts=robust)
-
+    threshold = mu * Fraction(sum(map(len, parts))) ** k
+    counts = zip(vectors, np.bincount(vid, minlength=len(vectors)).tolist())
+    return RobustVectorSet(mu=mu, threshold=threshold,
+                           counts=tuple((v, c) for v, c in counts if c >= threshold))

@@ -453,11 +453,9 @@ def _matching_pipeline(facts, config) -> Certificate:
 
     # stage 3: rounding with retries
     g = combine_weights(extraction.matchings)
-    capacity_sets = state.capacity() if state is not None else 0
-    max_leftover = min(
-        int(phi_eff * nv),
-        capacity_sets * k,
-    )
+    phi_cap = int(phi_eff * nv)
+    absorber_cap = (state.capacity() if state is not None else 0) * k
+    max_leftover = min(phi_cap, absorber_cap)
     # the kept attempt's sample regularity is reported with its matching
     nibble_result = regularity = None
     for attempt in range(NIBBLE_ATTEMPTS):
@@ -487,7 +485,8 @@ def _matching_pipeline(facts, config) -> Certificate:
     leftover = list(nibble_result.uncovered)
     if len(leftover) > max_leftover or len(leftover) % k:
         return Certificate(tag="Inconclusive", payload={
-            "reason": f"rounding left {len(leftover)} vertices, capacity {max_leftover}",
+            "reason": f"rounding left {len(leftover)} vertices, at most "
+                      f"min(phi*|V| = {phi_cap}, absorber capacity {absorber_cap})",
         }, diagnostics=diagnostics)
 
     # stage 4: absorb the leftover

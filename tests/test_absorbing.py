@@ -246,6 +246,23 @@ def test_absorb_two_part_worked_example():
     assert validate_matching(cx, m, cover=m.vertex_set())
 
 
+def test_absorber_balancing_extension_adds_edges():
+    # members and reserves leave W with five (1,2) edges and three (2,1)
+    # edges; a W budget of 30 vertices leaves room for two more (2,1) edges
+    alloc = allocation_from_index_multiset([(1, 2), (2, 1)])
+    cx = gen_random_dense(18, 3, r=2, p=1.0, seed=0, allocation=alloc)
+    cfg = AbsorberConfig(
+        seed=0, phi=Fraction(1, 12), epsilon=Fraction(5, 6), mu=Fraction(1, 400),
+        family_target=2,
+    )
+    state = build_absorber(cx, alloc, cfg)
+    assert state.extension == ((2, 6, 28), (11, 14, 29))
+    assert not any(f.startswith("balancing extension") for f in state.flags)
+    counts = state.w_matching.per_index_counts(cx.universe)
+    assert counts == {(1, 2): 5, (2, 1): 5}
+    assert validate_matching(cx, state.w_matching, cover=state.w_vertices)
+
+
 def test_absorb_rejects_overlap_and_bad_size():
     cx = gen_random_dense(30, 3, p=0.9, seed=3)
     cfg = AbsorberConfig(

@@ -11,6 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kmatch.cli import build_parser, main
+from kmatch.core import allocation_from_index_multiset
 from kmatch.khg import save_khg
 from kmatch.oracle import (
     GenSpec,
@@ -155,6 +156,24 @@ def test_absorb_demo(instances, capsys, tmp_path):
     assert code == 0
     blob = json.loads(out)
     assert blob["covers_w_and_leftover"] is True
+
+
+def test_absorb_demo_without_an_absorber_exits_2(capsys, tmp_path):
+    # the match-partite8 host is valid, but the demo's absorber cannot be
+    # built on it: the reason is printed and the exit is 2, not 3
+    alloc = allocation_from_index_multiset([(1, 1, 1)])
+    save_khg(gen_random_dense(8, 3, r=3, p=0.9, seed=1, allocation=alloc), tmp_path / "pt.khg")
+    (tmp_path / "alloc.json").write_text('{"allocation_index_multiset": [[1, 1, 1]]}')
+    khg = str(tmp_path / "pt.khg")
+    for extra in ([], ["--config", str(tmp_path / "alloc.json")]):
+        code, out = run_cli(capsys, "absorb-demo", khg, "--json", "--seed", "1", *extra)
+        assert code == 2
+        assert json.loads(out) == {
+            "reason": "AbsorberUnavailable: robust-vector lattice is incomplete"
+        }
+    # malformed input still exits 3
+    (tmp_path / "bad.khg").write_text("not a khg file\n")
+    assert main(["absorb-demo", str(tmp_path / "bad.khg"), "--json"]) == 3
 
 
 def test_input_errors(capsys):

@@ -425,6 +425,28 @@ def test_is_pf_partite():
     assert not is_pf_partite(cx, bad)
 
 
+def test_f_degree_of_a_step_into_a_missing_part_is_zero():
+    # an allocation over three parts on a two-part host: every level has a
+    # lower edge whose next step needs a vertex of part 2, which no edge has
+    H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
+    cx = build_complex({3: list(H.iter_top())}, H.universe, k=3)
+    rep = degree_sequences(cx, allocation_from_index_multiset([(1, 1, 1)]))
+    assert rep.plain == (8, 7, 2)
+    assert rep.f_degree == (0, 0, 0)
+
+
+def test_degree_and_partite_checks_build_no_edge_table():
+    # a host that has not built its edge table is counted on its levels and
+    # keeps no table: hosts kept alive in bulk would otherwise grow
+    H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
+    alloc = allocation_from_index_multiset([(3, 0), (1, 2)])
+    for host in (build_complex({3: list(H.iter_top())}, H.universe, k=3), complete_complex(6, 3)):
+        degree_sequences(host, alloc if host.universe.r == 2 else None)
+        is_p_partite(host)
+        is_pf_partite(host, alloc if host.universe.r == 2 else plain_allocation(3))
+        assert host._table is None
+
+
 def test_plain_degree_invariants():
     cx = gen_space_barrier(8, 3, 1, 3)
     rep = degree_sequences(cx)

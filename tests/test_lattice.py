@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmatch.errors import BoundTooSmall, DimensionMismatch, NotInLattice
+from kmatch.errors import BadVertex, BoundTooSmall, DimensionMismatch, NotInLattice
 from kmatch.lattice import (
     bounded_decompose,
     find_transferral,
@@ -213,6 +213,22 @@ def test_robust_edge_vectors():
     assert rv2b.vectors() == [(1, 2)]
     rv3 = robust_edge_vectors(cc.iter_top(), cc.universe, 1)
     assert rv3.vectors() == []  # mu = 1 exceeds any possible count
+
+
+def test_robust_edge_vectors_on_parts_and_vertices_outside_them():
+    H = gen_divisibility_barrier([4, 4], 3, [(1, 2), (3, 0)])
+    parts = [frozenset(range(4)), frozenset(range(4, 8))]
+    rv = robust_edge_vectors(H.iter_top(), parts, Fraction(1, 200))
+    assert rv.counts == (((1, 2), 24), ((3, 0), 4))
+    assert rv == robust_edge_vectors(H.iter_top(), H.universe, Fraction(1, 200))
+    # vertex 0 lies in no part, and neither does vertex 9 or -1
+    for edges, cover in (
+        (H.iter_top(), [frozenset(range(1, 4)), parts[1]]),
+        ([(1, 2, 9)], parts),
+        ([(-1, 1, 2)], parts),
+    ):
+        with pytest.raises(BadVertex):
+            robust_edge_vectors(edges, cover, 0)
 
 
 def test_lattice_json_roundtrip():

@@ -11,7 +11,7 @@ from kmatch.core import (
     plain_allocation,
     validate_matching,
 )
-from kmatch.errors import BadParams, TooLarge
+from kmatch.errors import AbsorptionFailed, BadParams, TooLarge
 from kmatch.fractional import extract_weight_disjoint
 from kmatch.oracle import (
     brute_force_pm,
@@ -231,6 +231,22 @@ def test_absorb_programming_error_propagates(monkeypatch):
     monkeypatch.setattr(pipeline, "absorb", broken)
     with pytest.raises(RuntimeError, match="bug inside absorb"):
         run_matching_pipeline(complete_complex(30, 3), None, PipelineConfig(seed=1))
+
+
+def test_absorption_failure_ends_inconclusive(monkeypatch):
+    # a typed absorption failure is reported, with its stage, as Inconclusive
+    import kmatch.pipeline as pipeline
+
+    def failing(state, leftover):
+        raise AbsorptionFailed("no unused absorber for a leftover k-set")
+
+    monkeypatch.setattr(pipeline, "absorb", failing)
+    cert = run_matching_pipeline(complete_complex(30, 3), None, PipelineConfig(seed=1))
+    assert cert.tag == "Inconclusive"
+    assert cert.payload == {"reason": "absorption failed: no unused absorber for a leftover k-set"}
+    assert cert.diagnostics["stages"][-1] == {
+        "stage": "absorb", "status": "failed", "why": "no unused absorber for a leftover k-set",
+    }
 
 
 def test_decide_rejects_an_implicit_host():

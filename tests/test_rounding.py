@@ -136,6 +136,25 @@ def test_nibble_single_family():
     )
 
 
+def test_nibble_rejects_every_overlapping_tuple():
+    # the two color classes' only edges share vertex a0, so every drawn tuple
+    # is rejected and the nibble ends with nothing matched
+    uni = VertexUniverse.equipartition(2, 9)
+    alloc = allocation_from_index_multiset([(1, 2), (2, 1)])
+    a = list(uni.part_vertices(0))
+    b = list(uni.part_vertices(1))
+    cx = build_complex({3: [(a[0], b[0], b[1]), (a[0], a[1], b[2])]}, uni, k=3, close=True)
+    H = sample_subgraph(cx, {e: Fraction(1) for e in cx.iter_top()}, seed=0)
+    H = color_classes(H, alloc, seed=0)
+    assert H.num_classes == 2
+    result = nibble_match(H, NibbleParams(epsilon=0.1, seed=0))
+    assert result.matching.edges == ()
+    assert result.uncovered == tuple(range(18))
+    assert result.flag == "round-limit"
+    assert result.covered_fraction == 0.0
+    assert result.best_trace == ()
+
+
 def test_nibble_empty():
     cc = complete_complex(6, 3)
     H = sample_subgraph(cc, {}, seed=0)
