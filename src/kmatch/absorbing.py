@@ -35,6 +35,7 @@ from .lattice import (
     is_complete,
     k_vectors,
     minimal_decomposition_bound,
+    robust_threshold,
 )
 from .oracle import brute_force_pm
 
@@ -317,7 +318,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     top_by_comp = {c: np.flatnonzero(comp_of == g) for g, c in enumerate(comps)}
     pool = sorted(system.vertex_pool)
     nv = len(pool)
-    threshold = config.mu * Fraction(nv) ** k
+    threshold = robust_threshold(config.mu, nv, k)
     vectors = sorted(v for v, es in top_by_comp.items() if len(es) >= threshold)
     lat = generate_lattice(vectors, dim)
     groups = ambient_groups

@@ -173,7 +173,7 @@ def _farkas_support(system):
     if system.implicit or system.top_count() > LP_COLUMN_CAP:
         return None
     model = build_lp(system, plain_allocation(system.k))
-    res = solve_equality_feasibility(model.columns, model.b)
+    res = solve_equality_feasibility(model.csc, model.b)
     if res.feasible:
         return None
     return frozenset(v for v, y in zip(sorted(system.vertex_pool), res.certificate) if y > 0)

@@ -38,7 +38,7 @@ class LPModel:
 
     host: object
     edges: list                      # column order
-    columns: list                    # sparse columns [(row, int or Fraction), ...]
+    csc: tuple                       # integer CSC (ptr, rows, vals, scale), see simplex
     b: list
     row_names: list
     balance_pairs: list              # [(index_vec, index_vec'), ...] in row order
@@ -51,6 +51,15 @@ class LPModel:
     def num_cols(self) -> int:
         return len(self.edges)
 
+    @property
+    def columns(self) -> list:
+        """The sparse columns [(row, coef), ...], read off csc: ints on vertex
+        rows, Fractions on balance rows."""
+        ptr, rows, vals, scale = (x.tolist() for x in self.csc)
+        nv = self.num_rows - len(self.balance_pairs)
+        return [[(i, a // s if i < nv else Fraction(a, s)) for i, a in zip(rows[p:q], vals[p:q])]
+                for p, q, s in zip(ptr, ptr[1:], scale)]
+
 
 def build_lp(system, alloc: Allocation) -> LPModel:
     """LP for an F-balanced perfect fractional matching.
@@ -58,34 +67,44 @@ def build_lp(system, alloc: Allocation) -> LPModel:
     Rows: one vertex-sum equality per vertex; one balance equality per
     consecutive pair of distinct index vectors of I(F) (the common normalized
     value is left free rather than pinned, since pinning it is ambiguous).
+    Column j, the j-th top edge in sorted order, reads 1 on its vertex rows
+    and +-1/m on balance rows (m the multiplicity of its index vector), and
+    is stored times scale[j] = m.
     """
-    edges = sorted(system.iter_top())
-    if not edges:
+    if system.top_count() == 0:
         raise EmptyTopLevel("system has no top-level edges")
-    uni = system.universe
-    vertex_rows = {v: i for i, v in enumerate(sorted(system.vertex_pool))}
-    nrows = len(vertex_rows)
+    host, k = system, system.k
+    if system.implicit:  # an explicit copy of the top level, for its edge table
+        levels = dict.fromkeys(range(k), frozenset()) | {k: frozenset(system.iter_top())}
+        system = KSystem._of_levels(system.universe, k, levels, system.vertex_pool)
+    tops, E, _, _, vid, host_vectors = system.edge_table()
+    order = np.lexsort(E.T[::-1])
+    edges, E, vid = [tops[i] for i in order.tolist()], E[order], vid[order]
+    pool = sorted(system.vertex_pool)
+    nrows = len(pool)
     vectors = alloc.index_vectors()
-    balance_pairs = [(vectors[t], vectors[t + 1]) for t in range(len(vectors) - 1)]
-    columns = []
-    for e in edges:
-        col = [(vertex_rows[v], 1) for v in e]
-        vec = index_vector(e, uni) if balance_pairs else None
-        for t, (va, vb) in enumerate(balance_pairs):
-            if vec == va:
-                col.append((nrows + t, Fraction(1, alloc.multiplicity(va))))
-            elif vec == vb:
-                col.append((nrows + t, -Fraction(1, alloc.multiplicity(vb))))
-        columns.append(col)
+    balance_pairs = list(zip(vectors, vectors[1:]))
+    # per column: its k vertex rows, then balance rows t - 1 (-1/m) and t
+    # (+1/m) where they exist, t the position of its index vector in I(F)
+    t_of = {vec: t for t, vec in enumerate(vectors)}
+    pos = np.array([t_of.get(vec, -1) for vec in host_vectors], dtype=np.int64)[vid]
+    mult = np.array([alloc.multiplicity(vec) for vec in host_vectors], dtype=np.int64)[vid]
+    vertex_row = np.zeros(system.universe.total, dtype=np.int64)
+    vertex_row[pool] = np.arange(nrows, dtype=np.int64)
+    R = np.column_stack([vertex_row[E], nrows + pos - 1, nrows + pos])
+    keep = np.column_stack([np.ones_like(E, bool), pos >= 1, (pos >= 0) & (pos + 1 < len(vectors))])
+    scale = np.where(keep[:, k:].any(1), mult, 1)
+    V = np.column_stack([np.repeat(scale[:, None], k, 1), np.full((len(E), 2), [-1, 1], np.int64)])
+    ptr = np.concatenate([[0], np.cumsum(keep.sum(1))]).astype(np.int64)
     b = [1] * nrows + [0] * len(balance_pairs)
-    row_names = [f"v{v}" for v in vertex_rows] + [
+    row_names = [f"v{v}" for v in pool] + [
         f"bal_{'_'.join(map(str, va))}__{'_'.join(map(str, vb))}"
         for va, vb in balance_pairs
     ]
     return LPModel(
-        host=system,
+        host=host,
         edges=edges,
-        columns=columns,
+        csc=(ptr, R[keep].astype(np.intp), V[keep].astype(np.int64), scale.astype(np.int64)),
         b=b,
         row_names=row_names,
         balance_pairs=balance_pairs,
@@ -122,7 +141,7 @@ def dump_lp(model: LPModel) -> str:
 def solve_feasible(model: LPModel):
     """Exact feasible point of the model, or None when infeasible (the solver
     has then checked a Farkas certificate exactly)."""
-    res = solve_equality_feasibility(model.columns, model.b)
+    res = solve_equality_feasibility(model.csc, model.b)
     if not res.feasible:
         return None
     weights = {model.edges[j]: val for j, val in res.solution.items()}

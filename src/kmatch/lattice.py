@@ -325,6 +325,12 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def robust_threshold(mu, n, k) -> Fraction:
+    """mu * n^k, exact: the least edge count of a robust index vector of
+    k-edges on n vertices."""
+    return as_fraction(mu) * Fraction(n) ** k
+
+
 def robust_edge_vectors(edges, partition, mu) -> RobustVectorSet:
     """Index vectors realized by at least mu * |V|^k edges.
 
@@ -342,8 +348,7 @@ def robust_edge_vectors(edges, partition, mu) -> RobustVectorSet:
     if rows.min(initial=0) < 0 or (label[rows] < 0).any():
         raise BadVertex("an edge vertex lies in no part")
     vid, vectors = compositions(rows, label, len(parts))
-    mu = as_fraction(mu)
-    threshold = mu * Fraction(sum(map(len, parts))) ** k
+    threshold = robust_threshold(mu, sum(map(len, parts)), k)
     counts = zip(vectors, np.bincount(vid, minlength=len(vectors)).tolist())
-    return RobustVectorSet(mu=mu, threshold=threshold,
+    return RobustVectorSet(mu=as_fraction(mu), threshold=threshold,
                            counts=tuple((v, c) for v, c in counts if c >= threshold))

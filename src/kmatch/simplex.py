@@ -3,8 +3,8 @@ numpy tableau and warm-started from a float basis.
 
 Equality constraints Ax = b with x >= 0 only. Rows with negative b are
 negated first, and phase 1 starts from one artificial per row. The columns
-become integer CSC arrays once; a column with Fraction entries is scaled by
-the lcm of its own denominators and b by one lcm: no pivot choice changes.
+arrive as integer CSC arrays, each scaled by the lcm of its own denominators,
+and b is scaled by one lcm: no pivot choice changes.
 
 1. Float guide. The same phase 1 in float64 on a dense numpy tableau (Dantzig
    pricing, min-ratio test, at most FLOAT_PIVOTS_PER_ROW pivots per row) on
@@ -79,31 +79,21 @@ def _float_basis(cols, rhs):
     return None
 
 
-def solve_equality_feasibility(columns, b) -> FeasibilityResult:
-    """Find x >= 0 with Ax = b, columns given sparsely as [(row, coef), ...]
-    with int or Fraction coefficients.
+def solve_equality_feasibility(csc, b) -> FeasibilityResult:
+    """Find x >= 0 with Ax = b, A given as integer CSC arrays
+    csc = (ptr, rows, vals, scale): column j holds vals[ptr[j]:ptr[j+1]] /
+    scale[j] on rows rows[ptr[j]:ptr[j+1]]; b holds ints or Fractions.
 
     Returns an exact basic feasible point, or an exactly checked Farkas
     certificate y (y.A_j <= 0 for all j, y.b > 0) when none exists.
     """
-    m, ncols = len(b), len(columns)
+    ptr, rows, vals, scale = csc
+    m, ncols = len(b), len(ptr) - 1
     lb = math.lcm(*(v.denominator for v in b))
     rhs = [abs(v.numerator) * (lb // v.denominator) for v in b]
     sign = np.array([-1 if v < 0 else 1 for v in b], dtype=np.int64)
-    lens = [len(col) for col in columns]
-    ptr = np.cumsum([0] + lens)
-    rows = np.array([i for col in columns for i, _ in col], dtype=np.intp)
-    nums = [a.numerator for col in columns for _, a in col]
-    dens = [a.denominator for col in columns for _, a in col]
-    scale, floats = [1] * ncols, nums
-    if dens.count(1) < len(dens):
-        scale = [math.lcm(*dens[s:e]) for s, e in zip(ptr.tolist(), ptr[1:].tolist())]
-        nums = [a * (c // q) for a, q, c in zip(nums, dens, np.repeat(scale, lens).tolist())]
-        floats = [float(a) for col in columns for _, a in col]
-    big = max(map(abs, nums), default=0) >> 62  # the dtype rule then picks object; no int64 wraps
-    vals = np.array(nums, dtype=object if big else np.int64) * sign[rows]
-    fvals = np.array(floats, dtype=float) * sign[rows]
-    vals = vals.astype(_tableau_dtype((ptr, rows, vals), rhs))
+    fvals = np.asarray(vals / np.repeat(scale, np.diff(ptr)), dtype=float) * sign[rows]
+    vals = (vals * sign[rows]).astype(_tableau_dtype((ptr, rows, vals), rhs))
     a = (ptr, rows, vals)
 
     # basis[i] is the variable basic in row i; artificials are ncols..ncols+m-1
@@ -171,10 +161,12 @@ def solve_equality_feasibility(columns, b) -> FeasibilityResult:
     # the point is checked exactly, as the certificate is: A x = b, x >= 0
     real, x, lhs = basis < ncols, np.zeros(ncols, dtype=object), np.zeros(m, dtype=object)
     x[basis[real]] = tab[real, m].tolist()
-    np.add.at(lhs, rows, vals * x[np.repeat(np.arange(ncols), np.diff(ptr))])
+    owner = np.repeat(np.arange(ncols), np.diff(ptr))
+    on = np.isin(owner, basis[real])  # the entries of basic columns; x is 0 elsewhere
+    np.add.at(lhs, rows[on], vals[on] * x[owner[on]])
     if lhs.tolist() != [den * v for v in rhs] or (tab[:, m] < 0).any():
         raise ArithmeticError("the basic point fails A x = b, x >= 0")
-    sol = {var: Fraction(xv * scale[var], den * lb)
+    sol = {var: Fraction(xv * int(scale[var]), den * lb)
            for var, xv in zip(basis.tolist(), tab[:, m].tolist()) if var < ncols and xv != 0}
     return FeasibilityResult(feasible=True, solution=sol, pivots=pivots)
 
@@ -185,8 +177,7 @@ def _tableau_dtype(a, rhs):
     norms of [A | b | I]; by Hadamard's bound every tableau and direction
     entry (a minor of that matrix) is at most H, a Bareiss p*a - f*q at most
     2*H^2, and a sum of m such entries times entries of A at most m*H^2."""
-    ptr, rows, vals = a
-    m, sq = len(rhs), _dots(None, (ptr, rows, vals.astype(object)))
+    m, sq = len(rhs), _dots(None, a)
     top = sorted(np.sort(sq)[::-1][:m].tolist() + [sum(v * v for v in rhs)], reverse=True)
     h2 = math.prod(max(v, 1) for v in top[:m])
     return np.int64 if 2 * m * h2 < 2**63 else object
@@ -194,8 +185,10 @@ def _tableau_dtype(a, rhs):
 
 def _dots(y, a):
     """y.A_j for every column j of the CSC matrix a = (ptr, rows, vals), or
-    |A_j|^2 when y is None."""
+    |A_j|^2 when y is None, in Python ints when a column's could reach 2^63."""
     ptr, rows, vals = a
+    if y is None and int(np.abs(vals).max(initial=0)) ** 2 * int(np.diff(ptr).max(initial=0)) >> 63:
+        vals = vals.astype(object)
     # reduceat reads one entry, not 0, for an empty column: a trailing 0 keeps
     # that read in range and the mask zeroes it
     terms = np.append(vals * (vals if y is None else y[rows]), 0)

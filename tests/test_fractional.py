@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmatch.core import (
+    CompleteComplex,
     KSystem,
     VertexUniverse,
     allocation_from_index_multiset,
@@ -73,6 +74,30 @@ def test_build_lp_balance_row_for_two_indices():
     # the same text as when every coefficient was a Fraction
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "27546055d8f31f57ba0c8e86d3d8556305ffae0dd14f0c302a8bb1051b491b1e"
+
+
+def test_dump_lp_bytes_are_pinned():
+    # a one-part host, and a two-part host whose balance row reads 1/2 and
+    # -1/3: the same text as when build_lp wrote lists of (row, coef) tuples
+    one = build_lp(gen_random_dense(15, 3, p=0.5, seed=4, max_tries=1), ALLOC3)
+    rng = random.Random(5)
+    uni = VertexUniverse(("A", "B"), (6, 5))
+    top = [e for e in combinations(range(uni.total), 3) if rng.random() < 0.5]
+    alloc = allocation_from_index_multiset([(1, 2), (1, 2), (2, 1), (2, 1), (2, 1)])
+    two = build_lp(build_complex(top, uni, close=True), alloc)
+    assert {str(a) for col in two.columns for i, a in col if i >= 11} == {"1/2", "-1/3"}
+    assert [hashlib.sha256(dump_lp(m).encode()).hexdigest() for m in (one, two)] == [
+        "5eaceaef6298814a1f34972c878a0fe8bc4d02df8ca172acc09bfedcb385eb93",
+        "468a441f79d8d2f12b616596312515a2d64b31e4ab5dbc34d51556011abc41f8",
+    ]
+
+
+def test_build_lp_reads_an_implicit_host_as_its_explicit_copy():
+    implicit = CompleteComplex(VertexUniverse.single(6), 3)
+    explicit, model = build_lp(complete_complex(6, 3), ALLOC3), build_lp(implicit, ALLOC3)
+    assert model.host is implicit and model.edges == explicit.edges
+    assert all((a == b).all() for a, b in zip(model.csc, explicit.csc))
+    assert dump_lp(model) == dump_lp(explicit)
 
 
 def test_build_lp_empty_top():

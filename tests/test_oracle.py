@@ -195,7 +195,7 @@ def test_dense_oracle_agrees_with_the_checked_simplex(data):
     cx = build_complex(sorted(top), VertexUniverse.single(n), k=k, close=True)
     model = build_lp(cx, plain_allocation(k))
     rows = model.num_rows
-    res = solve_equality_feasibility(model.columns, model.b)
+    res = solve_equality_feasibility(model.csc, model.b)
     feasible, weights = brute_force_fractional(cx, with_solution=True)
     event(f"feasible={feasible}")
     assert feasible == res.feasible

@@ -2,6 +2,7 @@
 restarts, exact points and exactly checked Farkas certificates."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from kmatch.core import (
     VertexUniverse,
     allocation_from_index_multiset,
     build_complex,
+    index_vector,
     plain_allocation,
 )
 from kmatch.fractional import build_lp
@@ -23,6 +25,23 @@ from kmatch.oracle import brute_force_fractional, gen_random_dense, gen_space_ba
 from kmatch.simplex import solve_equality_feasibility
 
 ALLOC3 = plain_allocation(3)
+
+
+def csc_from_columns(columns):
+    """The solver's integer CSC arrays (ptr, rows, vals, scale) of hand-written
+    sparse columns [(row, int or Fraction), ...]: column j is scaled by
+    scale[j], the lcm of its own denominators; vals and scale are int64, or
+    Python ints when an entry reaches 2^62."""
+    ptr = np.cumsum([0] + [len(col) for col in columns], dtype=np.int64)
+    rows = np.array([i for col in columns for i, _ in col], dtype=np.intp)
+    dens = [a.denominator for col in columns for _, a in col]
+    scale = [math.lcm(*dens[s:e]) for s, e in zip(ptr.tolist(), ptr[1:].tolist())]
+    nums = [int(a * c) for col, c in zip(columns, scale) for _, a in col]
+    return ptr, rows, _ints(nums), _ints(scale)
+
+
+def _ints(values):
+    return np.array(values, dtype=object if max(map(abs, values), default=0) >> 62 else np.int64)
 
 
 def _assert_point(columns, b, res):
@@ -46,7 +65,7 @@ def test_negative_rhs_rows():
     # x0 - x1 = -2, x0 + x1 = 4  ->  x0 = 1, x1 = 3
     columns = [[(0, 1), (1, 1)], [(0, -1), (1, 1)]]
     b = [-2, 4]
-    res = solve_equality_feasibility(columns, b)
+    res = solve_equality_feasibility(csc_from_columns(columns), b)
     _assert_point(columns, b, res)
     assert res.solution == {0: 1, 1: 3}
 
@@ -54,7 +73,7 @@ def test_negative_rhs_rows():
 def test_negative_rhs_infeasible_certificate_in_original_signs():
     # x0 + x1 = -1 has no nonnegative solution
     columns = [[(0, 1)], [(0, 1)]]
-    res = solve_equality_feasibility(columns, [-1])
+    res = solve_equality_feasibility(csc_from_columns(columns), [-1])
     _assert_farkas(columns, [-1], res)
     assert res.certificate[0] < 0
 
@@ -64,13 +83,13 @@ def test_degenerate_model():
     # artificial at level zero, which the extracted point leaves out
     columns = [[(0, 1), (1, 1)], [(0, 1), (1, 1), (2, 1)], []]
     b = [1, 1, 0]
-    res = solve_equality_feasibility(columns, b)
+    res = solve_equality_feasibility(csc_from_columns(columns), b)
     _assert_point(columns, b, res)
     assert res.solution == {0: 1}
 
 
 def test_empty_model_is_feasible():
-    res = solve_equality_feasibility([], [])
+    res = solve_equality_feasibility(csc_from_columns([]), [])
     assert res.feasible and res.solution == {} and res.pivots == 0
 
 
@@ -79,7 +98,7 @@ def test_infeasible_certificate_passes_check():
     edges = [(0, 1, v) for v in range(2, 6)]
     cx = build_complex(edges, VertexUniverse.single(6), close=True)
     model = build_lp(cx, ALLOC3)
-    res = solve_equality_feasibility(model.columns, model.b)
+    res = solve_equality_feasibility(model.csc, model.b)
     _assert_farkas(model.columns, model.b, res)
 
 
@@ -112,9 +131,9 @@ def test_cold_restart_paths(monkeypatch, guide, wasted):
     columns = [[(0, 1), (1, 1)], [(0, 1), (1, 2)], [(0, 2), (1, 1)]]
     b = [2, 1]
     monkeypatch.setattr(simplex, "_float_basis", lambda cols, rhs: None)
-    cold = solve_equality_feasibility(columns, b)
+    cold = solve_equality_feasibility(csc_from_columns(columns), b)
     monkeypatch.setattr(simplex, "_float_basis", lambda cols, rhs: guide)
-    res = solve_equality_feasibility(columns, b)
+    res = solve_equality_feasibility(csc_from_columns(columns), b)
     _assert_point(columns, b, res)
     assert res.solution == {2: 1}
     # install pivots are real exact pivots and count even when discarded
@@ -123,9 +142,9 @@ def test_cold_restart_paths(monkeypatch, guide, wasted):
 
 def test_warm_start_saves_exact_pivots(monkeypatch):
     model = build_lp(gen_random_dense(15, 3, p=0.5, seed=4, max_tries=1), ALLOC3)
-    warm = solve_equality_feasibility(model.columns, model.b)
+    warm = solve_equality_feasibility(model.csc, model.b)
     monkeypatch.setattr(simplex, "_float_basis", lambda cols, rhs: None)
-    cold = solve_equality_feasibility(model.columns, model.b)
+    cold = solve_equality_feasibility(model.csc, model.b)
     _assert_point(model.columns, model.b, warm)
     _assert_point(model.columns, model.b, cold)
     assert warm.pivots <= model.num_rows < cold.pivots
@@ -146,7 +165,7 @@ def test_verdict_agrees_with_dense_oracle(data):
               * (-1 if f else 1) for f in flips]
     columns = [[(i, a * scales[i]) for i, a in col] for col in model.columns]
     b = [bi * c for bi, c in zip(model.b, scales)]
-    res = solve_equality_feasibility(columns, b)
+    res = solve_equality_feasibility(csc_from_columns(columns), b)
     assert res.feasible == brute_force_fractional(cx)
     if res.feasible:
         _assert_point(columns, b, res)
@@ -177,7 +196,7 @@ def test_corrupted_basis_inverse_raises(monkeypatch, min_den, message):
 
     monkeypatch.setattr(simplex, "_pivot_rows", corrupt)
     with pytest.raises(ArithmeticError, match=message):
-        solve_equality_feasibility(model.columns, model.b)
+        solve_equality_feasibility(model.csc, model.b)
 
 
 TWO_PART_ALLOCS = [
@@ -208,16 +227,16 @@ def _corpus(count=200, seed=8):
         flips = [rng.random() < 0.3 for _ in model.b]
         columns = [[(i, -a if flips[i] else a) for i, a in col] for col in model.columns]
         b = [-bi if f else bi for bi, f in zip(model.b, flips)]
-        yield columns, b, rng.random() < 0.25
+        yield model, alloc, columns, b, rng.random() < 0.25
 
 
 def _corpus_digest(monkeypatch):
     """sha256 of (feasible, solution, certificate, pivots) over the corpus."""
     real = simplex._float_basis
     digest = hashlib.sha256()
-    for columns, b, cold in _corpus():
+    for _, _, columns, b, cold in _corpus():
         monkeypatch.setattr(simplex, "_float_basis", (lambda cols, rhs: None) if cold else real)
-        res = solve_equality_feasibility(columns, b)
+        res = solve_equality_feasibility(csc_from_columns(columns), b)
         sol = sorted((j, str(v)) for j, v in res.solution.items())
         cert = None if res.certificate is None else [str(y) for y in res.certificate]
         digest.update(repr((res.feasible, sol, cert, res.pivots)).encode())
@@ -240,6 +259,51 @@ def test_pivot_path_digest_on_python_ints(monkeypatch):
     assert _corpus_digest(monkeypatch) == PIVOT_PATH_DIGEST
 
 
+def test_build_lp_csc_matches_a_reference_edge_by_edge(monkeypatch):
+    # vertex rows read 1 and balance rows +-1/m, each column scaled by the lcm
+    # of its own denominators; the float guide reads the unscaled values
+    real, guided = simplex._float_basis, []
+    monkeypatch.setattr(simplex, "_float_basis",
+                        lambda cols, rhs: guided.append(cols[2]) or real(cols, rhs))
+    for model, alloc, _, _, _ in _corpus():
+        host = model.host
+        assert model.edges == sorted(host.iter_top())
+        row = {v: i for i, v in enumerate(sorted(host.vertex_pool))}
+        vectors = alloc.index_vectors()
+        pairs = list(zip(vectors, vectors[1:]))
+        assert model.balance_pairs == pairs
+        reference = []
+        for e in model.edges:
+            vec = index_vector(e, host.universe)
+            col = [(row[v], 1) for v in e]
+            for t, (va, vb) in enumerate(pairs):
+                if vec in (va, vb):
+                    coef = Fraction(1 if vec == va else -1, alloc.multiplicity(vec))
+                    col.append((len(row) + t, coef))
+            reference.append(col)
+        assert model.columns == reference
+        for got, want in zip(model.csc, csc_from_columns(reference)):
+            assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+        solve_equality_feasibility(model.csc, model.b)
+        floats = np.array([float(a) for col in reference for _, a in col])
+        assert guided[-1].tobytes() == floats.tobytes()
+
+
+def test_tableau_dtype_keeps_big_entries_exact():
+    # (3 * 2^31)^2, and a sum of three squares near 2^62, each wrap in int64
+    near = 2**31 - 1
+    for columns, norms in [([[(0, 3 * 2**31), (1, 1)], [(0, 1)]], [9 * 2**62 + 1, 1]),
+                           ([[(0, near), (1, near), (2, near)]], [3 * near**2])]:
+        a = csc_from_columns(columns)[:3]
+        assert a[2].dtype == np.int64
+        assert simplex._tableau_dtype(a, [1, 1, 1]) is object
+        assert simplex._dots(None, a).tolist() == norms
+    # small entries square in int64, and to the same values
+    small = build_lp(gen_random_dense(12, 3, p=0.5, seed=2, max_tries=1), ALLOC3).csc[:3]
+    assert simplex._dots(None, small).dtype == np.int64
+    assert simplex._dots(None, small).tolist() == [3] * len(small[0][1:])
+
+
 def test_tableau_dtype_follows_the_hadamard_bound(monkeypatch):
     real, seen = simplex._tableau_dtype, []
 
@@ -250,8 +314,8 @@ def test_tableau_dtype_follows_the_hadamard_bound(monkeypatch):
     monkeypatch.setattr(simplex, "_tableau_dtype", spy)
     # a frac-lp model at n = 24: H^2 = 24 * 3^23
     model = build_lp(gen_random_dense(24, 3, p=0.3, seed=1, max_tries=1), ALLOC3)
-    _assert_point(model.columns, model.b, solve_equality_feasibility(model.columns, model.b))
+    _assert_point(model.columns, model.b, solve_equality_feasibility(model.csc, model.b))
     # at n = 45, 45 * 3^44 is past the int64 bound
     model = build_lp(gen_space_barrier(45, 3, 1, 16), ALLOC3)
-    _assert_farkas(model.columns, model.b, solve_equality_feasibility(model.columns, model.b))
+    _assert_farkas(model.columns, model.b, solve_equality_feasibility(model.csc, model.b))
     assert seen == [np.int64, object]
