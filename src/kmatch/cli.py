@@ -116,7 +116,7 @@ def cmd_match(args) -> int:
 
 def cmd_frac(args) -> int:
     config, alloc = _load_config(args)
-    system = load_khg(args.file)
+    system = host_view(load_khg(args.file), alloc)
     alloc = alloc or plain_allocation(system.k)
     res = extract_weight_disjoint(system, alloc, args.ell, seed=config.seed)
     reports = [verify_fractional(system, g, alloc) for g in res.matchings]

@@ -7,6 +7,7 @@ solution would poison the downstream rounding and absorbing checks.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -149,25 +150,26 @@ def solve_feasible(model: LPModel):
 
 
 def verify_fractional(system, frac: FractionalMatching, alloc: Allocation = None) -> dict:
-    """Exact residual report: vertex sums, balance residuals, support size."""
+    """Exact residual report: vertex sums, balance residuals, support size.
+    The sums are taken in ints over the weights' common denominator."""
     uni = system.universe
     for e in frac.weights:
         if not system.has_top(e):
             raise UnknownEdge(f"edge {e} not in the host top level")
-    sums = {v: ZERO for v in sorted(system.vertex_pool)}
-    per_index = {}
+    den = math.lcm(*(w.denominator for w in frac.weights.values()))
+    sums = dict.fromkeys(sorted(system.vertex_pool), 0)
+    per_index = Counter()
     for e, w in frac.weights.items():
+        num = w.numerator * (den // w.denominator)
         for v in e:
-            sums[v] += w
-        vec = index_vector(e, uni)
-        per_index[vec] = per_index.get(vec, ZERO) + w
-    vertex_residuals = {v: s - ONE for v, s in sums.items()}
+            sums[v] += num
+        if alloc is not None:
+            per_index[index_vector(e, uni)] += num
+    vertex_residuals = {v: Fraction(s - den, den) for v, s in sums.items()}
     balance_residuals = {}
     if alloc is not None:
         vectors = alloc.index_vectors()
-        normalized = {
-            vec: per_index.get(vec, ZERO) / alloc.multiplicity(vec) for vec in vectors
-        }
+        normalized = {vec: Fraction(per_index[vec], den * alloc.multiplicity(vec)) for vec in vectors}
         for t in range(len(vectors) - 1):
             a, bvec = vectors[t], vectors[t + 1]
             balance_residuals[(a, bvec)] = normalized[a] - normalized[bvec]
@@ -223,7 +225,9 @@ class PairWeights:
 
 def _alive(E, pairs: PairWeights, total) -> np.ndarray:
     """Per row of a row-sorted edge array E: do all its pairs still have
-    residual >= 1? Read off a dead-pair matrix."""
+    residual >= 1? Read off a dead-pair matrix, built only when a pair is dead."""
+    if not pairs.dead:
+        return np.ones(len(E), dtype=bool)
     dead = np.zeros((total, total), dtype=bool)
     dead[tuple(np.array(list(pairs.dead), dtype=np.int64).reshape(-1, 2).T)] = True
     a, b = np.triu_indices(E.shape[1], 1)  # the column pairs, as combinations gives them
@@ -236,6 +240,10 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     A fast path past the LP: an indicator vector of a perfect matching with
     exact per-index quotas is a feasible LP point. Each step draws a free
     vertex, then one of its live edges that fits the free vertices and a quota.
+    On an explicit host one candidate mask per try holds the live, in-pool
+    edges with quota left and no covered vertex: a step reads the drawn
+    vertex's incidence through it and clears the incidences of the k vertices
+    it covers, and the edges of a vector whose quota runs out.
     Returns a list of edges or None; failure here proves nothing.
     """
     pool, k, mult = system.vertex_pool, system.k, dict(alloc.index_multiset)
@@ -249,22 +257,27 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
         return _greedy_implicit(system, quotas, pairs, rng, tries)
 
     tops, E, ptr, ids, vid, vectors = system.edge_table()
-    alive = _alive(E, pairs, system.universe.total)
-    quota = np.array([int(quotas.get(vec, 0)) for vec in vectors], dtype=np.int64)
-    start = np.zeros(system.universe.total, dtype=bool)
-    start[list(pool)] = True
+    quota = [int(quotas.get(vec, 0)) for vec in vectors]
+    base = _alive(E, pairs, system.universe.total) & (np.array(quota, dtype=np.int64)[vid] > 0)
+    span = [ids[p:q] for p, q in zip(ptr.tolist(), ptr[1:].tolist())]
+    for v in set(range(len(span))).difference(pool):
+        base[span[v]] = False
     for _ in range(tries):
-        free, need, chosen = start.copy(), quota.copy(), []
-        while len(chosen) < total // k:
-            v = rng.choice(np.flatnonzero(free))
-            inc = ids[ptr[v]:ptr[v + 1]]
-            cands = inc[alive[inc] & (need[vid[inc]] > 0) & free[E[inc]].all(1)]
+        ok, need, free, chosen = base.copy(), list(quota), sorted(pool), []
+        while free:
+            inc = span[rng.choice(free)]
+            cands = inc[ok[inc]]
             if not len(cands):
                 break
-            e = cands[rng.randrange(len(cands))]
+            e = int(cands[rng.randrange(len(cands))])
             chosen.append(tops[e])
-            need[vid[e]] -= 1
-            free[E[e]] = False
+            c = vid[e]
+            need[c] -= 1
+            if not need[c]:
+                ok &= vid != c
+            for u in E[e].tolist():
+                ok[span[u]] = False
+                free.remove(u)
         else:
             return chosen
     return None

@@ -70,6 +70,17 @@ def test_frac_command(instances, capsys):
     assert blob["completed"] and blob["extracted"] == 3 and blob["all_exact"]
 
 
+def test_frac_flattens_a_two_part_host_under_the_plain_allocation(tmp_path, capsys):
+    # through the host view the greedy's quota is keyed by the edges' own
+    # one-part index vector, so every round is a perfect matching of n/k
+    # edges; the host has two parts of 12 vertices
+    save_khg(gen_random_dense(12, 3, r=2, p=0.9, seed=1), tmp_path / "two.khg")
+    code, out = run_cli(capsys, "frac", str(tmp_path / "two.khg"), "--ell", "4", "--json")
+    blob = json.loads(out)
+    assert code == 0 and blob["all_exact"]
+    assert blob["supports"] == [24 // 3] * 4
+
+
 def test_one_parser_leaks_no_options_between_calls(instances, capsys):
     # main reuses one parser per process; flags of one call must not stay set
     # for the next

@@ -356,3 +356,47 @@ def test_array_greedy_equals_set_greedy(k, r, data):
     want = _set_greedy(system, alloc, pairs, rng_set, tries)
     assert _greedy_integer_pm(system, alloc, pairs, rng_array, tries) == want
     assert rng_array.getstate() == rng_set.getstate()
+
+
+def _greedy_as_set_greedy(system, alloc, pairs, rng, tries=60):
+    """_greedy_integer_pm, asserted to return what _set_greedy returns and to
+    leave rng in the same state."""
+    rng_set = random.Random()
+    rng_set.setstate(rng.getstate())
+    want = _set_greedy(system, alloc, pairs, rng_set, tries)
+    assert _greedy_integer_pm(system, alloc, pairs, rng, tries) == want
+    assert rng.getstate() == rng_set.getstate()
+    return want
+
+
+def test_greedy_equals_set_greedy_on_fixed_hosts(monkeypatch):
+    import kmatch.fractional as fractional
+
+    # the match-dense30-a golden host over 10 extraction rounds, each round's
+    # greedy on the pairs that the rounds before it killed
+    host = gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=1001)
+    dead = []
+
+    def checked(system, alloc, pairs, rng):
+        dead.append(len(pairs.dead))
+        return _greedy_as_set_greedy(system, alloc, pairs, rng)
+
+    monkeypatch.setattr(fractional, "_greedy_integer_pm", checked)
+    res = extract_weight_disjoint(host, ALLOC3, 10, seed=1)
+    assert res.completed and len(dead) == 10 and dead[0] == 0 < dead[-1]
+    # two vectors with two edges of quota each: every hit exhausts one quota
+    # before its last step
+    alloc = allocation_from_index_multiset([(2, 1), (1, 2)])
+    two = gen_random_dense(6, 3, r=2, p=0.9, seed=0, allocation=alloc)
+    hits = [_greedy_as_set_greedy(two, alloc, PairWeights(), random.Random(s)) for s in range(8)]
+    for hit in hits:
+        assert Counter(index_vector(e, two.universe) for e in hit) == {(2, 1): 2, (1, 2): 2}
+    # a restricted pool, with dead pairs
+    induced = gen_random_dense(15, 3, p=0.7, seed=3).induced(range(3, 15))
+    pairs = PairWeights()
+    for pr in [(3, 4), (5, 9), (6, 14), (10, 11)]:
+        pairs.charge(pr, Fraction(3, 2))
+    hits = [_greedy_as_set_greedy(induced, ALLOC3, pairs, random.Random(s)) for s in range(8)]
+    for hit in hits:
+        assert sorted(v for e in hit for v in e) == list(range(3, 15))
+        assert all(map(pairs.edge_alive, hit))

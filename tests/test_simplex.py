@@ -20,7 +20,7 @@ from kmatch.core import (
     index_vector,
     plain_allocation,
 )
-from kmatch.fractional import build_lp
+from kmatch.fractional import FractionalMatching, build_lp, solve_feasible, verify_fractional
 from kmatch.oracle import brute_force_fractional, gen_random_dense, gen_space_barrier
 from kmatch.simplex import solve_equality_feasibility
 
@@ -287,6 +287,53 @@ def test_build_lp_csc_matches_a_reference_edge_by_edge(monkeypatch):
         solve_equality_feasibility(model.csc, model.b)
         floats = np.array([float(a) for col in reference for _, a in col])
         assert guided[-1].tobytes() == floats.tobytes()
+
+
+def _fraction_report(system, weights, alloc):
+    """Reference for verify_fractional: every sum taken in Fractions."""
+    sums = {v: Fraction(0) for v in sorted(system.vertex_pool)}
+    per_index = {}
+    for e, w in weights.items():
+        for v in e:
+            sums[v] += w
+        vec = index_vector(e, system.universe)
+        per_index[vec] = per_index.get(vec, Fraction(0)) + w
+    vertex = {v: s - 1 for v, s in sums.items()}
+    balance = {}
+    if alloc is not None:
+        vectors = alloc.index_vectors()
+        norm = {vec: per_index.get(vec, Fraction(0)) / alloc.multiplicity(vec) for vec in vectors}
+        balance = {(a, b): norm[a] - norm[b] for a, b in zip(vectors, vectors[1:])}
+    return {
+        "ok": all(r == 0 for r in vertex.values()) and all(r == 0 for r in balance.values()),
+        "vertex_residuals": vertex,
+        "max_vertex_residual": max((abs(r) for r in vertex.values()), default=Fraction(0)),
+        "balance_residuals": balance,
+        "support": len(weights),
+    }
+
+
+def test_verify_fractional_int_sums_give_the_fraction_report():
+    # on every feasible corpus point, two-part balance rows included, and on
+    # the same point with one weight thirded, with and without the allocation
+    checked = 0
+    for model, alloc, _, _, _ in _corpus():
+        frac = solve_feasible(model)
+        if frac is None:
+            continue
+        edge = next(iter(frac.weights))
+        off = dict(frac.weights)
+        off[edge] /= 3
+        for weights in (frac.weights, off):
+            for al in (alloc, None):
+                got = verify_fractional(model.host, FractionalMatching(model.host, weights), al)
+                want = _fraction_report(model.host, weights, al)
+                assert got == want
+                residuals = [*got["vertex_residuals"].values(), *got["balance_residuals"].values()]
+                assert all(type(r) is Fraction for r in residuals)
+        assert verify_fractional(model.host, frac, alloc)["ok"]
+        checked += 1
+    assert checked >= 50
 
 
 def test_tableau_dtype_keeps_big_entries_exact():
