@@ -39,9 +39,8 @@ from .lattice import (
 )
 from .oracle import brute_force_pm
 
-PARTITION_DELTA = Fraction(1, 8)    # closed-partition density floor; sets the derived scale t
+PARTITION_DELTA = Fraction(1, 8)    # closed-partition density floor when no partition is given
 PARTITION_ALPHA = Fraction(1, 200)  # reachability threshold for that partition
-T_CAP = 4                           # largest absorber scale t
 BUILD_TRIES = 400                   # absorber member attempts before the build gives up
 
 
@@ -323,9 +322,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     lat = generate_lattice(vectors, dim)
     groups = ambient_groups
     if not is_complete(lat, k, groups=groups):
-        raise AbsorberUnavailable(
-            "robust-vector lattice is incomplete", partition=partition, lattice=lat
-        )
+        raise AbsorberUnavailable("robust-vector lattice is incomplete", partition=partition)
 
     # decomposition table for every k-vector that completeness covers
     table = {}
@@ -334,13 +331,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         table[w] = minimal_decomposition_bound(w, vectors)
         max_bound = max(max_bound, table[w].bound)
 
-    derived = 2 ** max(math.floor(1 / float(PARTITION_DELTA)) - 1, 0)
-    needed = max(tt for _, tt in partition.witness)
-    t = min(max(needed, 1), T_CAP)
-    if derived > T_CAP:
-        flags.append(f"closure parameter t={derived} capped to {T_CAP}")
-    if needed < derived:
-        flags.append(f"closed partition witness t={needed} used over t={derived}")
+    t = max(tt for _, tt in partition.witness)
 
     leftover_sets = max(1, math.ceil(float(config.phi) * nv / k))
     family_target = config.family_target or (leftover_sets + 1)
@@ -483,7 +474,8 @@ def _build_absorber_member(system, comp_ids, t, used, rng):
                 if u not in sorted_links:
                     rows = table.E[table.ids[table.ptr[u]:table.ptr[u + 1]]]
                     links = rows[rows != u].reshape(len(rows), k - 1)
-                    sorted_links[u] = links[np.lexsort(links.T[::-1])]
+                    # k = 1 leaves empty links, which need no sort
+                    sorted_links[u] = links[np.lexsort(links.T[::-1])] if k > 1 else links
                 links = sorted_links[u]
                 cand_sets = links[~taken[links].any(1)]
                 if not len(cand_sets):

@@ -16,7 +16,14 @@ import sys
 
 from .absorbing import AbsorberConfig, absorb, build_absorber
 from .core import allocation_from_index_multiset, plain_allocation
-from .errors import AbsorberUnavailable, AbsorptionFailed, BadParams, BudgetExhausted, KmatchError
+from .errors import (
+    AbsorberUnavailable,
+    AbsorptionFailed,
+    BadParams,
+    BudgetExhausted,
+    KmatchError,
+    PreconditionFailed,
+)
 from .fractional import extract_weight_disjoint, verify_fractional
 from .khg import dump_khg, load_khg
 from .oracle import GenSpec, brute_force_fractional, brute_force_pm
@@ -180,8 +187,9 @@ def cmd_absorb_demo(args) -> int:
         take -= take % system.k
         leftover = sorted(rng.sample(avail, take)) if take else []
         matching = absorb(state, leftover)
-    except (AbsorberUnavailable, BudgetExhausted, AbsorptionFailed) as exc:
-        # a valid host on which this absorber cannot be built or cannot absorb
+    except (PreconditionFailed, AbsorberUnavailable, BudgetExhausted, AbsorptionFailed) as exc:
+        # a valid host with no closed partition, or on which this absorber
+        # cannot be built or cannot absorb
         _emit({"reason": f"{type(exc).__name__}: {exc}"}, args.json)
         return EXIT_INCONCLUSIVE
     out = {

@@ -69,10 +69,9 @@ class AbsorberUnavailable(KmatchError):
     divisibility-barrier candidate.
     """
 
-    def __init__(self, message, partition=None, lattice=None):
+    def __init__(self, message, partition=None):
         super().__init__(message)
         self.partition = partition
-        self.lattice = lattice
 
 
 class BudgetExhausted(KmatchError):

@@ -57,7 +57,6 @@ from .errors import (
 from .fractional import PairWeights, _greedy_integer_pm, extract_weight_disjoint
 from .oracle import brute_force_pm
 from .rounding import (
-    NibbleParams,
     check_regularity,
     color_classes,
     combine_weights,
@@ -413,7 +412,7 @@ def _matching_pipeline(facts, config) -> Certificate:
     # stage 2: weight-disjoint fractional family
     ell = config.ell if config.ell is not None else max(2, math.ceil(GAMMA * n_prime))
     pool_size = len(sub.vertex_pool)
-    if pool_size > 1:
+    if pool_size > 1 and k > 1:
         # each vertex carries pair budget 2(n'-1) and a matching spends k-1
         pair_cap = max(2, 2 * (pool_size - 1) // (k - 1))
         if ell > pair_cap:
@@ -463,14 +462,11 @@ def _matching_pipeline(facts, config) -> Certificate:
         sampled = sample_subgraph(sub, g, seed=seed)
         sampled = color_classes(sampled, alloc, seed=seed)
         sample_regularity = check_regularity(sampled, tau=0.2)
-        params = NibbleParams(epsilon=max(float(phi_eff), 1e-9), seed=seed)
-        candidate = nibble_match(sampled, params)
-        uncovered = len(candidate.uncovered)
-        if uncovered <= max_leftover and uncovered % k == 0:
+        candidate = nibble_match(sampled, max_leftover, seed)
+        if nibble_result is None or len(candidate.uncovered) < len(nibble_result.uncovered):
             nibble_result, regularity = candidate, sample_regularity
+        if candidate.flag == "ok":
             break
-        if nibble_result is None or uncovered < len(nibble_result.uncovered):
-            nibble_result, regularity = candidate, sample_regularity
     diagnostics["stages"].append({
         "stage": "rounding",
         "status": "ok",
@@ -483,20 +479,15 @@ def _matching_pipeline(facts, config) -> Certificate:
         },
     })
     leftover = list(nibble_result.uncovered)
-    if len(leftover) > max_leftover or len(leftover) % k:
+    if nibble_result.flag != "ok":
         return Certificate(tag="Inconclusive", payload={
             "reason": f"rounding left {len(leftover)} vertices, at most "
                       f"min(phi*|V| = {phi_cap}, absorber capacity {absorber_cap})",
         }, diagnostics=diagnostics)
 
-    # stage 4: absorb the leftover
-    if state is None:
-        if leftover:
-            return Certificate(tag="Inconclusive", payload={
-                "reason": "no absorber and the rounding left vertices uncovered",
-            }, diagnostics=diagnostics)
-        final_edges = list(nibble_result.matching.edges)
-    else:
+    # stage 4: absorb the leftover; without an absorber max_leftover is 0
+    final_edges = list(nibble_result.matching.edges)
+    if state is not None:
         try:
             wu_matching = absorb(state, leftover)
         except KmatchError as exc:  # AbsorptionFailed and kin: surfaced, never hidden
@@ -506,7 +497,7 @@ def _matching_pipeline(facts, config) -> Certificate:
             return Certificate(tag="Inconclusive", payload={
                 "reason": f"absorption failed: {exc}",
             }, diagnostics=diagnostics)
-        final_edges = list(nibble_result.matching.edges) + list(wu_matching.edges)
+        final_edges += list(wu_matching.edges)
 
     matching = Matching.from_edges(final_edges)
     if not validate_matching(system, matching, cover=pool):

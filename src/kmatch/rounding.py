@@ -180,18 +180,6 @@ def check_regularity(sampled: SampledGraph, tau: float = 0.2, ell=None) -> dict:
 
 
 @dataclass
-class NibbleParams:
-    """Knobs for the rounding loop; defaults are desk-scale, not asymptotic."""
-
-    epsilon: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-
-
-@dataclass
 class NibbleResult:
     matching: Matching
     uncovered: tuple
@@ -262,9 +250,9 @@ def _collapsed_rounds(edges, pool, rng, budget, stop_at):
     return best, rounds, trace
 
 
-def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
-    """Round the sampled graph to a balanced matching covering all but a small
-    vertex fraction.
+def nibble_match(sampled: SampledGraph, max_uncovered: int, seed: int = 0) -> NibbleResult:
+    """Round the sampled graph to a balanced matching, stopping at the first
+    one that leaves at most max_uncovered vertices uncovered.
 
     Collapsed mode (a single color class) runs augmented random greedy on the
     sampled edges. Otherwise rounds draw one random edge per color class and
@@ -272,40 +260,32 @@ def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
     each accepted tuple contributes m_i edges of every index vector, so the
     output is balanced tuple by tuple.
 
-    An empty sample returns an empty matching flagged "round-limit" rather
-    than raising.
+    The result is flagged "ok" when it meets max_uncovered and "round-limit"
+    when the draw budget ran out first; an empty sample returns an empty
+    matching rather than raising.
     """
     pool = sampled.vertices()
     nv = len(pool)
-    rng = random.Random(params.seed)
+    rng = random.Random(seed)
     budget = NIBBLE_DRAWS_PER_VERTEX * max(nv, 1)
-
-    if not sampled.edges:
-        return NibbleResult(
-            matching=Matching.from_edges([]),
-            uncovered=tuple(pool),
-            flag="round-limit",
-            covered_fraction=0.0,
-        )
-
-    target_uncovered = params.epsilon * nv
-    k = len(sampled.edges[0])
     best = []
     rounds_used = 0
     trace = []
 
     if sampled.num_classes <= 1:
-        stop_at = nv // k
-        while rounds_used < budget:
-            got, used_rounds, t = _collapsed_rounds(
-                sampled.edges, pool, rng, budget - rounds_used, stop_at
-            )
-            rounds_used += used_rounds
-            if len(got) > len(best):
-                best = sorted(got)
-            trace.extend(t)
-            if nv - k * len(best) <= target_uncovered:
-                break
+        if sampled.edges:
+            k = len(sampled.edges[0])
+            stop_at = -(-(nv - max_uncovered) // k)  # fewest edges that meet the cap
+            while rounds_used < budget:
+                got, used_rounds, t = _collapsed_rounds(
+                    sampled.edges, pool, rng, budget - rounds_used, stop_at
+                )
+                rounds_used += used_rounds
+                if len(got) > len(best):
+                    best = sorted(got)
+                trace.extend(t)
+                if len(best) >= stop_at:
+                    break
     else:
         classes = [[] for _ in range(sampled.num_classes)]
         for e, c in sampled.color_class.items():
@@ -314,6 +294,7 @@ def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
             cl.sort()
         if all(cl for cl in classes):
             attempts_per_restart = max(budget // 10, 1)
+            best_covered = 0
             while rounds_used < budget:
                 matching, used = [], set()
                 stall = 0
@@ -335,19 +316,19 @@ def nibble_match(sampled: SampledGraph, params: NibbleParams) -> NibbleResult:
                         matching.extend(tup)
                         used.update(seen)
                         stall = 0
-                        if nv - len(used) <= target_uncovered:
+                        if nv - len(used) <= max_uncovered:
                             break
                 if len(matching) > len(best):
-                    best = list(matching)
+                    best, best_covered = list(matching), len(used)
                     trace.append(len(best))
-                if nv - len({v for e in best for v in e}) <= target_uncovered:
+                if nv - best_covered <= max_uncovered:
                     break
 
     matching = Matching.from_edges(best)
     covered = matching.vertex_set()
     uncovered = tuple(v for v in pool if v not in covered)
     frac = (nv - len(uncovered)) / nv if nv else 1.0
-    flag = "ok" if len(uncovered) <= target_uncovered else "round-limit"
+    flag = "ok" if len(uncovered) <= max_uncovered else "round-limit"
     return NibbleResult(
         matching=matching,
         uncovered=uncovered,

@@ -418,7 +418,7 @@ def test_t2_member_keeps_its_witness_matchings():
     assert [len(s) for s in state.family.sets] == [18]
     blob = json.dumps(state.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
-        "4b748ddd2d7f569f2ba78571e12d77f699dc4ac4e7af6d8bb02b1c957a73a114"
+        "243264c2e6c38fbcf5eaeeeef3d1347edbe0e118e69a9d54a178b5f52d392f8a"
     )
     rng = random.Random(0)
     outside = sorted(set(cx.vertex_pool) - state.w_vertices)

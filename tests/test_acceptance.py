@@ -56,7 +56,6 @@ from kmatch.pipeline import (
     verify_certificate,
 )
 from kmatch.rounding import (
-    NibbleParams,
     check_regularity,
     color_classes,
     combine_weights,
@@ -195,7 +194,7 @@ def test_criterion_06_rounding_coverage():
         H = color_classes(H, ALLOC3, seed=seed)
         rep = check_regularity(H, tau=0.2, ell=15)
         reg_passes += rep["degree_pass"] and rep["codegree_pass"]
-        nr = nibble_match(H, NibbleParams(epsilon=0.02, seed=seed))
+        nr = nibble_match(H, 6, seed=seed)
         covers.append(nr.covered_fraction)
         worst = max(worst, time.time() - start)
     med = statistics.median(covers)

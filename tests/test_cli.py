@@ -5,13 +5,14 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kmatch.cli import build_parser, main
-from kmatch.core import allocation_from_index_multiset
+from kmatch.core import KSystem, VertexUniverse, allocation_from_index_multiset
 from kmatch.khg import save_khg
 from kmatch.oracle import (
     GenSpec,
@@ -185,6 +186,47 @@ def test_absorb_demo_without_an_absorber_exits_2(capsys, tmp_path):
     # malformed input still exits 3
     (tmp_path / "bad.khg").write_text("not a khg file\n")
     assert main(["absorb-demo", str(tmp_path / "bad.khg"), "--json"]) == 3
+
+
+def test_absorb_demo_without_a_closed_partition_exits_2(capsys, tmp_path):
+    # vertex 14 lies in no edge, so no closed partition exists; the host is
+    # valid, and every command prints its outcome and exits 2, not 3
+    host = KSystem(VertexUniverse.single(15), 3,
+                   {3: [e for e in combinations(range(15), 3) if 14 not in e]})
+    save_khg(host, tmp_path / "iso.khg")
+    khg = str(tmp_path / "iso.khg")
+    code, out = run_cli(capsys, "absorb-demo", khg, "--json")
+    assert code == 2
+    assert json.loads(out) == {
+        "reason": "PreconditionFailed: vertex 14 reaches only 0 of its part, needs 1.9"
+    }
+    for command in ("decide", "match"):
+        code, out = run_cli(capsys, command, khg, "--json")
+        assert (code, json.loads(out)["tag"]) == (2, "Inconclusive")
+
+
+K1_HEAD = "khg 1\nk 1\nparts 1\npart A 4: a b c d\n"
+
+
+@pytest.mark.parametrize("edges, code, tag", [
+    ("abcd", 0, "PerfectMatching"),
+    ("abc", 2, "Inconclusive"),
+])
+def test_k1_hosts_exit_0_or_2(capsys, tmp_path, edges, code, tag):
+    # at k = 1 the absorber's links are empty rows and the extraction has no
+    # pair budget to cap; no command ends in a traceback
+    path = tmp_path / "k1.khg"
+    path.write_text(K1_HEAD + "".join(f"edge {v}\n" for v in edges))
+    for command in ("decide", "match"):
+        got, out = run_cli(capsys, command, str(path), "--json")
+        assert (got, json.loads(out)["tag"]) == (code, tag), command
+    got, out = run_cli(capsys, "absorb-demo", str(path), "--json")
+    blob = json.loads(out)
+    assert got == code
+    if code == 0:
+        assert blob["covers_w_and_leftover"] is True
+    else:  # vertex d lies in no edge, so no closed partition exists
+        assert blob == {"reason": "PreconditionFailed: vertex 3 reaches only 0 of its part, needs 0.5"}
 
 
 def test_input_errors(capsys):

@@ -348,3 +348,24 @@ def test_rounding_reports_the_regularity_of_the_kept_sample(monkeypatch, host_se
     assert rounding["regularity"] == want
     # the last sample disagrees, so reporting it would fail the check above
     assert want != {key: checks[-1][key] for key in want}
+
+
+def test_rounding_passes_its_leftover_budget_to_the_nibble(monkeypatch):
+    # the nibble stops where the pipeline accepts: each call receives the
+    # rounding stage's max_leftover, and here the kept result leaves exactly
+    # that many vertices for the absorber
+    import kmatch.pipeline as pipeline
+
+    caps, nibble = [], pipeline.nibble_match
+
+    def spying(sampled, max_uncovered, seed):
+        caps.append(max_uncovered)
+        return nibble(sampled, max_uncovered, seed)
+
+    monkeypatch.setattr(pipeline, "nibble_match", spying)
+    cx = gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=1003)
+    cert = run_matching_pipeline(cx, None, PipelineConfig(ell=10, seed=3))
+    assert cert.tag == "PerfectMatching"
+    rounding = next(s for s in cert.diagnostics["stages"] if s["stage"] == "rounding")
+    assert caps == [rounding["max_leftover"]] == [3]
+    assert rounding["uncovered"] == cert.payload["leftover_size"] == 3

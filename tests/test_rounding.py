@@ -1,22 +1,26 @@
 """Rounding: weight combination, sampling, coloring, nibble, regularity."""
 
 import math
+import random
 import statistics
 from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from kmatch import rounding
 from kmatch.core import (
     VertexUniverse,
     allocation_from_index_multiset,
     build_complex,
+    index_vector,
     plain_allocation,
 )
 from kmatch.errors import IndexNotInAllocation, MixedHost
 from kmatch.fractional import FractionalMatching, extract_weight_disjoint
 from kmatch.oracle import complete_complex
 from kmatch.rounding import (
-    NibbleParams,
     check_regularity,
     color_classes,
     combine_weights,
@@ -130,7 +134,7 @@ def test_nibble_single_family():
     cx = build_complex({3: edges}, uni, k=3, close=True)
     H = sample_subgraph(cx, {e: Fraction(1) for e in cx.iter_top()}, seed=0)
     H = color_classes(H, alloc, seed=0)
-    result = nibble_match(H, NibbleParams(epsilon=0.9, seed=0))
+    result = nibble_match(H, 16, seed=0)
     assert sorted(result.matching.edges) == sorted(
         tuple(sorted(e)) for e in edges
     )
@@ -147,7 +151,7 @@ def test_nibble_rejects_every_overlapping_tuple():
     H = sample_subgraph(cx, {e: Fraction(1) for e in cx.iter_top()}, seed=0)
     H = color_classes(H, alloc, seed=0)
     assert H.num_classes == 2
-    result = nibble_match(H, NibbleParams(epsilon=0.1, seed=0))
+    result = nibble_match(H, 1, seed=0)
     assert result.matching.edges == ()
     assert result.uncovered == tuple(range(18))
     assert result.flag == "round-limit"
@@ -158,7 +162,7 @@ def test_nibble_rejects_every_overlapping_tuple():
 def test_nibble_empty():
     cc = complete_complex(6, 3)
     H = sample_subgraph(cc, {}, seed=0)
-    result = nibble_match(H, NibbleParams(seed=0))
+    result = nibble_match(H, 0, seed=0)
     assert len(result.matching) == 0
     assert result.flag == "round-limit"
     assert len(result.uncovered) == 6
@@ -172,11 +176,77 @@ def test_nibble_reproducible_and_monotone():
     for _ in range(2):
         H = sample_subgraph(cc, g, seed=17)
         H = color_classes(H, ALLOC3, seed=17)
-        runs.append(nibble_match(H, NibbleParams(seed=17)))
+        runs.append(nibble_match(H, 3, seed=17))
     assert runs[0].matching.edges == runs[1].matching.edges
     assert runs[0].uncovered == runs[1].uncovered
     trace = runs[0].best_trace
     assert list(trace) == sorted(trace)
+
+
+def _sample60():
+    cc = complete_complex(60, 3)
+    res = extract_weight_disjoint(cc, ALLOC3, 10, seed=3)
+    H = sample_subgraph(cc, combine_weights(res.matchings), seed=17)
+    return color_classes(H, ALLOC3, seed=17)
+
+
+def test_nibble_stops_at_the_cap_in_collapsed_mode():
+    # greedy starts at 15 edges; the walk then stops at the first matching
+    # that leaves at most the cap, ceil((60 - cap) / 3) edges
+    H = _sample60()
+    assert H.num_classes == 1
+    for cap, size in ((12, 16), (9, 17)):
+        result = nibble_match(H, cap, seed=17)
+        assert result.flag == "ok"
+        assert result.best_trace[0] < len(result.matching) == size
+        assert len(result.uncovered) == cap
+    # short of the cap the walk spends its budget and says so
+    result = nibble_match(H, 3, seed=17)
+    assert result.flag == "round-limit" and len(result.uncovered) > 3
+
+
+def test_nibble_stops_at_the_cap_in_two_class_mode():
+    # each accepted tuple covers 6 of the 18 vertices; the rounds stop at the
+    # first tuple that brings the uncovered count to the cap
+    uni = VertexUniverse.equipartition(2, 9)
+    alloc = allocation_from_index_multiset([(1, 2), (2, 1)])
+    edges = [e for e in combinations(range(18), 3)
+             if index_vector(e, uni) in ((1, 2), (2, 1))]
+    cx = build_complex({3: edges}, uni, k=3, close=True)
+    H = sample_subgraph(cx, {e: Fraction(1) for e in cx.iter_top()}, seed=0)
+    H = color_classes(H, alloc, seed=0)
+    assert H.num_classes == 2
+    for cap in (12, 6):
+        result = nibble_match(H, cap, seed=0)
+        assert result.flag == "ok"
+        assert len(result.uncovered) == cap
+        assert len(result.matching) == (18 - cap) // 3
+    result = nibble_match(H, 0, seed=0)
+    assert result.flag == "round-limit" and len(result.uncovered) > 0
+
+
+def test_nibble_walk_stops_short_of_its_budget_without_a_perfect_matching(monkeypatch):
+    # vertex 20 lies in no edge, so the sample has no perfect matching; at a
+    # cap of k the walk stops at 6 edges instead of drawing its whole budget
+    rng = random.Random(0)
+    edges = [e for e in combinations(range(20), 3) if rng.random() < 0.05]
+    cx = build_complex({3: edges}, VertexUniverse.single(21), k=3, close=True)
+    H = sample_subgraph(cx, {e: Fraction(1) for e in cx.iter_top()}, seed=0)
+    H = color_classes(H, ALLOC3, seed=0)
+    assert H.stats["degrees"][20] == 0
+
+    class CountingRandom(random.Random):
+        draws = 0
+
+        def randrange(self, *args):
+            CountingRandom.draws += 1
+            return super().randrange(*args)
+
+    monkeypatch.setattr(rounding, "random", SimpleNamespace(Random=CountingRandom))
+    result = nibble_match(H, 3, seed=0)
+    assert result.flag == "ok" and len(result.uncovered) == 3
+    assert result.best_trace == (5, 6)
+    assert 0 < CountingRandom.draws < rounding.NIBBLE_DRAWS_PER_VERTEX * 21
 
 
 def test_check_regularity_complete_sample_fails_small_ell():
