@@ -198,17 +198,21 @@ class PairWeights:
 
     `w` holds the exact residuals: ints until an LP round charges Fractions.
     A pair joins `dead` when its residual drops below 1 and never leaves, since
-    residuals only fall; `at` counts the dead pairs at each vertex."""
+    residuals only fall; `died` lists the dead pairs in that order, and `at`
+    counts the dead pairs at each vertex."""
 
     def __init__(self):
         self.w = {}
         self.dead = set()
+        self.died = []
         self.at = Counter()
+        self._masks = {}  # id(edge table) -> [table, alive mask, pairs applied, pair index]
 
     def charge(self, pair, amount):
         left = self.w[pair] = self.w.get(pair, 2) - amount
         if left < 1 and pair not in self.dead:
             self.dead.add(pair)
+            self.died.append(pair)
             self.at.update(pair)
 
     def edge_alive(self, e) -> bool:
@@ -223,15 +227,29 @@ class PairWeights:
         return dict(self.at)
 
 
-def _alive(E, pairs: PairWeights, total) -> np.ndarray:
-    """Per row of a row-sorted edge array E: do all its pairs still have
-    residual >= 1? Read off a dead-pair matrix, built only when a pair is dead."""
-    if not pairs.dead:
-        return np.ones(len(E), dtype=bool)
-    dead = np.zeros((total, total), dtype=bool)
-    dead[tuple(np.array(list(pairs.dead), dtype=np.int64).reshape(-1, 2).T)] = True
-    a, b = np.triu_indices(E.shape[1], 1)  # the column pairs, as combinations gives them
-    return ~dead[E[:, a], E[:, b]].any(1)
+def _alive(table, pairs: PairWeights, total) -> np.ndarray:
+    """Per row of the table's row-sorted edge array E: do all its pairs still
+    have residual >= 1? One mask per table, kept on `pairs`, which clears
+    the rows of each pair that died since the last call; callers must not
+    mutate it."""
+    entry = pairs._masks.get(id(table))
+    if entry is None:
+        entry = pairs._masks[id(table)] = [table, np.ones(len(table.E), dtype=bool), 0, None]
+    _, alive, applied, index = entry
+    if applied < len(pairs.died):
+        E = table.E
+        if index is None:  # the pair codes u * total + v of all rows, sorted
+            a, b = np.triu_indices(E.shape[1], 1)  # the column pairs, as combinations gives them
+            codes = (E[:, a] * total + E[:, b]).ravel()
+            order = np.argsort(codes.astype(np.uint16) if total * total <= 1 << 16 else codes, kind="stable")
+            index = entry[3] = codes[order], order // len(a)
+        codes, rows = index
+        new = np.array(pairs.died[applied:], dtype=np.int64).reshape(-1, 2) @ [total, 1]
+        lo, hi = np.searchsorted(codes, new), np.searchsorted(codes, new, side="right")
+        span = hi - lo
+        alive[rows[np.repeat(lo - np.cumsum(span) + span, span) + np.arange(span.sum())]] = False
+        entry[2] = len(pairs.died)
+    return alive
 
 
 def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
@@ -256,9 +274,10 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     if system.implicit:
         return _greedy_implicit(system, quotas, pairs, rng, tries)
 
-    tops, E, ptr, ids, vid, vectors = system.edge_table()
+    table = system.edge_table()
+    tops, E, ptr, ids, vid, vectors = table
     quota = [int(quotas.get(vec, 0)) for vec in vectors]
-    base = _alive(E, pairs, system.universe.total) & (np.array(quota, dtype=np.int64)[vid] > 0)
+    base = _alive(table, pairs, system.universe.total) & (np.array(quota, dtype=np.int64)[vid] > 0)
     span = [ids[p:q] for p, q in zip(ptr.tolist(), ptr[1:].tolist())]
     for v in set(range(len(span))).difference(pool):
         base[span[v]] = False
@@ -312,7 +331,7 @@ def _greedy_implicit(system, quotas, pairs: PairWeights, rng, tries):
 def _pruned_system(system, pairs: PairWeights):
     """Subsystem of the top edges on live pairs, in top-level order."""
     table, k = system.edge_table(), system.k
-    live = np.flatnonzero(_alive(table.E, pairs, system.universe.total))
+    live = np.flatnonzero(_alive(table, pairs, system.universe.total))
     levels = dict.fromkeys(range(k), frozenset()) | {k: frozenset({table.tops[i] for i in live})}
     return KSystem._of_levels(system.universe, k, levels, system.vertex_pool)
 

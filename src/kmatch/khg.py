@@ -1,4 +1,4 @@
-"""Text format for hypergraph instances.
+r"""Text format for hypergraph instances.
 
 Layout:
 
@@ -10,50 +10,108 @@ Layout:
     edge a1 a2 b1
     edge@2 a1 a2          # optional explicit lower-level edges
 
-Tokens are separated by any run of whitespace, tabs included, and `#`
-starts a comment that runs to the end of its line. Lines may end in LF,
-CRLF or CR; blank and comment-only lines are skipped. `khg 1` is the
-first line with a token, `k` precedes every edge line, and `parts` and
-`part` lines may come anywhere after `khg 1`. A part line may also be
-spaced `part A 5 : a1 ...`.
+The text is read as `line.partition("#")[0].split()` over
+`text.splitlines()`: tokens are separated by any run of whitespace, ASCII
+or not, `#` starts a comment that runs to the end of its line, and a line
+ends at LF, CRLF, a lone CR or any other break str.splitlines knows
+(\x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029). Blank and comment-only
+lines are skipped. `khg 1` is the first line with a token, `k` precedes
+every edge line, and `parts` and `part` lines may come anywhere after
+`khg 1`. A part line may also be spaced `part A 5 : a1 ...`.
 
-Vertex tokens are opaque names mapped to dense integer ids in part order.
-Plain `edge` lines are top-level k-edges; an edge may list its vertices in
-any order and may be repeated.
+Vertex tokens are opaque names of any length, NUL bytes included, mapped
+to dense integer ids in part order. Plain `edge` lines are top-level
+k-edges; an edge may list its vertices in any order and may be repeated.
 
-The edge lines of each level are read, mapped and checked in bulk. Only a
-failed bulk check reads the lines one by one, and that pass only raises:
-the BadVertex names the first malformed line, as a line-by-line reader
-would.
+The reader is one numpy pass over the UTF-8 bytes (non-ASCII whitespace
+mapped onto ASCII first): a byte-class table finds the tokens, the line
+breaks and the `#`s, and a token starts its line when a line break comes
+right before it. Each token is packed, with its length, into little-endian
+uint64 words read through a stride-1 view of the padded bytes, and one
+searchsorted against the header names, packed the same way, maps every
+vertex token to its id. Only the directive lines and the distinct `edge@`
+keys become Python strings. When a bulk check fails, the lines are read
+one by one, and that pass only raises: the BadVertex names the first
+malformed line, as a line-by-line reader would.
 """
 
 from __future__ import annotations
-
-import re
-from itertools import chain
 
 import numpy as np
 
 from .core import KComplex, KSystem, VertexUniverse, close_down, faces, row_codes
 from .errors import BadVertex
 
-# on text that starts each line with "\n": a line whose key is `edge` or
-# `edge@...`, the key of each `edge@...` line, and every other line with a
-# token, up to any comment
-_EDGE_KEY = r"edge(?:@[^\s#]*)?(?![^\s#])"
-_EDGE_LINE = re.compile(r"\n[^\S\n]*" + _EDGE_KEY)
-_AT_KEY = re.compile(r"\n[^\S\n]*(edge@[^\s#]*)(?![^\s#])")
-_DIRECTIVE = re.compile(r"\n[^\S\n]*(?!" + _EDGE_KEY + r")([^\s#][^#\n]*)")
+# the non-ASCII characters str.split splits at, as ASCII: the ones
+# str.splitlines also splits at become "\n", the others " "
+_TO_ASCII = str.maketrans(
+    dict.fromkeys("\x85\u2028\u2029", "\n")
+    | dict.fromkeys("\xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200B))), " ")
+)
+# the class of each UTF-8 byte: part of a token, a separator, a line break
+# or the "#" that opens a comment
+_TOKEN, _SPACE, _BREAK, _HASH = range(4)
+_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS[list(b"\t\x1f ")] = _SPACE
+_CLASS[list(b"\n\x0b\x0c\r\x1c\x1d\x1e")] = _BREAK
+_CLASS[ord("#")] = _HASH
+_LOW = np.array([(1 << 8 * i) - 1 for i in range(9)], dtype=np.uint64)  # the low i bytes
+# a one-word key's top byte: its length, or 0xFF from 8 bytes on
+_TOP = np.array([n << 56 for n in range(8)] + [0xFF << 56], dtype=np.uint64)
+_EDGE, _EDGE_AT = (np.uint64(int.from_bytes(key, "little")) for key in (b"edge", b"edge@"))
 
 
-def _edge_rows(keys, level):
-    """A pattern matching every line with one of the keys: it captures the
-    level's vertex names when the line lists exactly that many, else ''."""
-    return re.compile(
-        r"\n[^\S\n]*(?:" + "|".join(map(re.escape, keys)) + ")"
-        + r"(?:" + r"[^\S\n]+([^\s#]+)" * level + r"[^\S\n]*(?:#.*)?$|(?![^\s#]))",
-        re.M,
-    )
+def _tokenize(text):
+    """The tokens of `line.partition("#")[0].split()` over
+    `text.splitlines()`, as arrays: (the UTF-8 bytes of a line break, the
+    text and a line break, padded with 8 zeros; the little-endian uint64
+    word at each byte offset; each token's start and end; whether it is the
+    first token of its line)."""
+    if not text.isascii():
+        text = text.translate(_TO_ASCII)
+    raw = b"".join((b"\n", text.encode("utf-8", "surrogatepass"), b"\n", bytes(8)))
+    cls = _CLASS.take(np.frombuffer(raw, dtype=np.uint8)[:-8])
+    # index it, never take(): take copies the whole strided view first
+    words = np.ndarray((len(cls) + 1,), "<u8", raw, 0, (1,))
+    in_token = cls == _TOKEN
+    bounds = (in_token[1:] != in_token[:-1]).nonzero()[0] + 1
+    start, end = bounds[0::2], bounds[1::2]
+    event = cls >= _BREAK
+    event[start] = True
+    kind = cls.take(event.nonzero()[0])  # of each token start, line break and "#", in byte order
+    is_break = kind == _BREAK
+    # a kept token starts its line exactly when a line break comes right before it
+    first = is_break[:-1][kind[1:] == _TOKEN]
+    if b"#" in raw:  # drop each token after a "#" on its line
+        seen = np.cumsum(kind == _HASH)
+        kept = (seen == np.maximum.accumulate(np.where(is_break, seen, 0)))[kind == _TOKEN]
+        start, end, first = start[kept], end[kept], first[kept]
+    return raw, words, start, end, first
+
+
+def _keys(words, start, length, width):
+    """One key per token, equal for two tokens shorter than 8 * width bytes
+    exactly when the tokens are; a longer token's key is no shorter token's.
+    Width 1 gives uint64 codes, the bytes with the length in the top byte
+    (0xFF from 8 bytes on); a larger width gives void items of width + 1
+    uint64s, the length and then the bytes, zero past the token's end."""
+    if width == 1:
+        n = np.minimum(length, 8)
+        return words[start] & _LOW.take(np.minimum(n, 7)) | _TOP.take(n)
+    rows = np.empty((len(start), width + 1), dtype=np.uint64)
+    rows[:, 0] = length
+    for j in range(width):
+        at = np.minimum(start + 8 * j, len(words) - 1)
+        rows[:, j + 1] = words[at] & _LOW.take(np.clip(length - 8 * j, 0, 8))
+    return rows.view(np.dtype((np.void, 8 * width + 8))).ravel()
+
+
+def _lookup(keys, queries):
+    """Per query, the index of the first key equal to it, else -1."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys.take(order)
+    at = np.searchsorted(keys, queries)
+    return np.where(keys.take(at, mode="clip") == queries, order.take(at, mode="clip"), -1)
 
 
 def _positive_int(token: str, what: str, where: str) -> int:
@@ -104,7 +162,7 @@ class _Header:
             raise BadVertex(f"{where}: unknown khg directive {key!r}")
 
     def universe(self):
-        """(universe, k, vertex id of each name) once every line is read."""
+        """(universe, k) once every line is read."""
         k = self.declared.get("k")
         if k is None or self.declared.get("parts") != len(self.labels):
             raise BadVertex("incomplete khg header (k/parts/part lines)")
@@ -112,8 +170,7 @@ class _Header:
             raise BadVertex("duplicate vertex name")
         if k > len(self.names):
             raise BadVertex(f"k={k} exceeds the {len(self.names)} declared vertices")
-        ids = {name: i for i, name in enumerate(self.names)}
-        return VertexUniverse(tuple(self.labels), tuple(self.sizes)), k, ids
+        return VertexUniverse(tuple(self.labels), tuple(self.sizes)), k
 
 
 def _edge_level(key, k, where):
@@ -127,36 +184,61 @@ def _edge_level(key, k, where):
 def _parse_bulk(text):
     """parse_khg's result with each level as an int array of sorted rows,
     or None when a check fails. The directive lines are read one by one,
-    the edge lines one level at a time; a malformed edge line yields the
-    name '', which no vertex has."""
-    header = _Header()
-    directives = _DIRECTIVE.finditer(text)
-    first = next(directives, None)
-    if first is None or first[1].split()[:2] != ["khg", "1"]:
+    the edge lines all at once."""
+    raw, words, start, end, is_key = _tokenize(text)
+    first = is_key.nonzero()[0]  # the key token of each line with a token
+    if not len(first):
         return None
-    k_at = None
-    for m in directives:
-        toks = m[1].split()
-        header.read(text.count("\n", 0, m.start()) + 1, toks)
+    stop = np.append(first[1:], len(start))
+    line_start, line_end, length = start.take(first), end.take(stop - 1), end - start
+
+    def tokens(i):
+        return raw[line_start[i]:line_end[i]].decode("utf-8", "surrogatepass").split()
+
+    if tokens(0)[:2] != ["khg", "1"]:
+        return None
+    key_length, key_word = length.take(first), words[line_start]
+    is_at = key_word & _LOW[5] == _EDGE_AT  # "@" is a token byte: such a key has 5 bytes or more
+    is_edge = is_at | (key_length == 4) & (key_word & _LOW[4] == _EDGE)
+    header, k_at, names = _Header(), None, []
+    for i in ((~is_edge[1:]).nonzero()[0] + 1).tolist():
+        toks = tokens(i)
+        header.read(i, toks)  # a failed check is raised again with its line
         if toks[0] == "k":
-            k_at = m.start()
-    uni, k, ids = header.universe()
-    if _EDGE_LINE.search(text, 0, k_at):
+            k_at = i
+        elif toks[0] == "part":  # its names are its last tokens
+            names.extend(range(int(stop[i]) - header.sizes[-1], int(stop[i])))
+    uni, k = header.universe()
+    if is_edge[:k_at].any():
         return None
-    keys = {k: ["edge"]}          # level -> its keys, e.g. "edge" and "edge@3"
-    for key in set(_AT_KEY.findall(text)):
-        keys.setdefault(_edge_level(key, k, ""), []).append(key)
+    level = np.where(is_edge, k, 0)  # of each line, 0 on directive lines
+    at = is_at.nonzero()[0]
+    if len(at):
+        keys = _keys(words, line_start.take(at), key_length.take(at), int(key_length.take(at).max()) // 8 + 1)
+        same = _lookup(keys, keys)
+        distinct = (same == np.arange(len(at))).nonzero()[0]
+        levels = np.zeros(len(at), dtype=np.int64)
+        levels[distinct] = [_edge_level(tokens(i)[0], k, "") for i in at.take(distinct).tolist()]
+        level[at] = levels.take(same)
+    if (is_edge & (stop - first - 1 != level)).any():
+        return None
+    per_token = level.take(np.cumsum(is_key) - 1)  # the level of each vertex token, else 0
+    per_token[first] = 0
+    verts = per_token.nonzero()[0]
+    names = np.array(names, dtype=np.int64)
+    mapped = np.concatenate((names, verts))  # the header names, then the vertex tokens
+    keys = _keys(words, start.take(mapped), length.take(mapped), int(length.take(names).max()) // 8 + 1)
+    ids = _lookup(keys[:len(names)], keys[len(names):])
+    if len(ids) and ids.min() < 0:
+        return None
+    per_vert = per_token.take(verts)
     edges = {}
-    for level, level_keys in sorted(keys.items()):
-        rows = _edge_rows(level_keys, level).findall(text)
-        flat = chain.from_iterable(rows) if level > 1 else rows
-        verts = np.fromiter(map(ids.__getitem__, flat), np.int64, len(rows) * level)
-        verts = verts.reshape(-1, level)
-        verts.sort(axis=1)
-        if (verts[:, 1:] == verts[:, :-1]).any():
+    for lv in np.bincount(per_vert).nonzero()[0].tolist():
+        rows = ids[per_vert == lv].reshape(-1, lv)
+        rows.sort(axis=1)
+        if (rows[:, 1:] == rows[:, :-1]).any():
             return None
-        if rows:
-            edges[level] = verts
+        edges[lv] = rows
     return uni, k, edges, header.names
 
 
@@ -187,23 +269,23 @@ def _raise_first_error(lines):
         if len(set(verts)) != level:
             raise BadVertex(f"{where}: edge repeats a vertex")
         listed.append((no, verts))
-    _, _, ids = header.universe()
+    header.universe()
+    known = set(header.names)
     for no, verts in listed:
         for name in verts:
-            if name not in ids:
+            if name not in known:
                 raise BadVertex(f"line {no}: unknown vertex {name!r}")
     raise AssertionError("the bulk checks rejected a file the line checks accept")
 
 
 def _parse(text):
     """parse_khg's result with each level as an int array of sorted rows."""
-    lines = text.splitlines()
     try:
-        parsed = _parse_bulk("\n" + "\n".join(lines))
-    except (BadVertex, KeyError):
+        parsed = _parse_bulk(text)
+    except BadVertex:
         parsed = None
     if parsed is None:
-        _raise_first_error(lines)
+        _raise_first_error(text.splitlines())
     return parsed
 
 

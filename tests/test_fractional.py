@@ -23,6 +23,7 @@ from kmatch.errors import EmptyTopLevel, UnknownEdge
 from kmatch.fractional import (
     FractionalMatching,
     PairWeights,
+    _alive,
     _greedy_integer_pm,
     build_lp,
     dump_lp,
@@ -239,6 +240,24 @@ def test_edge_alive_is_exact_residual_at_least_one(k, data):
             if wt < 1:
                 rescan.update((u, v))
         assert pairs.dead_pairs_at() == dict(rescan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 4), data=st.data())
+def test_alive_mask_follows_the_dead_pairs(k, data):
+    # one PairWeights over two hosts, its mask of each read between charges:
+    # each read equals edge_alive on every top edge
+    hosts = [KSystem(VertexUniverse.single(7), k, {k: data.draw(st.lists(
+        st.sampled_from(list(combinations(range(7), k))), min_size=1, unique=True))})
+        for _ in range(2)]
+    pairs = PairWeights()
+    for _ in range(data.draw(st.integers(1, 6))):
+        for charged in data.draw(st.lists(st.sampled_from(list(combinations(range(7), k))), max_size=3)):
+            for pr in edge_pairs(charged):
+                pairs.charge(pr, data.draw(_CHARGES))
+        host = data.draw(st.sampled_from(hosts))
+        table = host.edge_table()
+        assert _alive(table, pairs, 7).tolist() == [pairs.edge_alive(e) for e in table.tops]
 
 
 def _incidence(system) -> dict:

@@ -2,6 +2,7 @@
 
 import os
 import random
+import sys
 import tempfile
 from itertools import combinations
 
@@ -187,7 +188,10 @@ _LINES = st.one_of(
         lambda key, names: " ".join([key, *names]),
         st.sampled_from(["edge", "edge@1", "edge@2", "edge@0", "edge@x", "edgy"]), _NAMES,
     ),
-    st.text(alphabet="kpaedg @:#12x-\t", max_size=12),
+    # with the separators and line breaks, ASCII or not, that str.split and
+    # str.splitlines know, lone CR and NUL
+    st.text(alphabet="kpaedg @:#12x-\t\r\x0b\x0c\x1c\x1d\x1e\x1f\x00\x85\xa0\u2028\u2029\u3000é",
+            max_size=12),
 )
 
 
@@ -216,3 +220,161 @@ def test_load_khg_raises_only_kmatch_errors(header, drop, extra, close):
             load_khg(path, close=close)
         except KmatchError:
             pass
+
+
+def _reference_parse(text):
+    """parse_khg's levels and names, read line by line with str.splitlines
+    and str.split, or a BadVertex naming the first bad line, else the bad
+    header, else the first unknown vertex."""
+    content = [(no, toks) for no, line in enumerate(text.splitlines(), 1)
+               if (toks := line.partition("#")[0].split())]
+    if not content or content[0][1][:2] != ["khg", "1"]:
+        raise BadVertex("missing 'khg 1' header")
+
+    def positive(token, what, where):
+        try:
+            value = int(token)
+        except ValueError:
+            raise BadVertex(f"{where}: {what} {token!r} is not an integer") from None
+        if value < 1:
+            raise BadVertex(f"{where}: {what} must be at least 1, got {value}")
+        return value
+
+    declared, labels, names, listed = {}, [], [], []
+    for no, toks in content[1:]:
+        key, where = toks[0], f"line {no}"
+        if key == "edge" or key.startswith("edge@"):
+            if "k" not in declared:
+                raise BadVertex(f"{where}: edge before k declaration")
+            k = declared["k"]
+            level = k if key == "edge" else positive(key[5:], "edge level", where)
+            if level > k:
+                raise BadVertex(f"{where}: edge level {level} exceeds k={k}")
+            if len(toks) - 1 != level:
+                raise BadVertex(f"{where}: edge lists {len(toks) - 1} vertices, needs {level}")
+            if len(set(toks[1:])) != level:
+                raise BadVertex(f"{where}: edge repeats a vertex")
+            listed.append((no, toks[1:]))
+        elif key in ("k", "parts"):
+            if len(toks) != 2:
+                raise BadVertex(f"{where}: '{key}' takes one value")
+            if key in declared:
+                raise BadVertex(f"{where}: '{key}' declared twice")
+            declared[key] = positive(toks[1], key, where)
+        elif key == "part":
+            if len(toks) < 2:
+                raise BadVertex(f"{where}: part line without a label")
+            if len(toks) > 2 and toks[2].endswith(":"):
+                size, verts = toks[2][:-1], toks[3:]
+            elif len(toks) > 3 and toks[3] == ":":
+                size, verts = toks[2], toks[4:]
+            else:
+                raise BadVertex(f"{where}: malformed part line for {toks[1]!r}")
+            size = positive(size, "part size", where)
+            if len(verts) != size:
+                raise BadVertex(f"{where}: part {toks[1]} declares {size} vertices, lists {len(verts)}")
+            labels.append(toks[1])
+            names += verts
+        else:
+            raise BadVertex(f"{where}: unknown khg directive {key!r}")
+    if "k" not in declared or declared.get("parts") != len(labels):
+        raise BadVertex("incomplete khg header (k/parts/part lines)")
+    if len(set(names)) != len(names):
+        raise BadVertex("duplicate vertex name")
+    if declared["k"] > len(names):
+        raise BadVertex(f"k={declared['k']} exceeds the {len(names)} declared vertices")
+    ids = {name: i for i, name in enumerate(names)}
+    levels = {}
+    for no, verts in listed:
+        for name in verts:
+            if name not in ids:
+                raise BadVertex(f"line {no}: unknown vertex {name!r}")
+        levels.setdefault(len(verts), []).append(tuple(sorted(map(ids.__getitem__, verts))))
+    return dict(sorted(levels.items())), names
+
+
+# names past one and two 8-byte words, names that share their first 8 bytes
+# or differ only in trailing NULs, non-ASCII and key-like names
+_ODD_NAMES = ["a", "v1", "abcdefgh", "abcdefghij", "abcdefghXY", "x" * 16, "x" * 17,
+              "n", "n\x00", "n\x00\x00", "\x00", "é", "ünïé", "edge", "edge@2", "k", "part"]
+# names of at most 8 bytes, two of them exactly 8
+_SHORT_NAMES = ["a", "b", "v1", "abcdefgh", "abcdefgQ", "n", "n\x00", "k", "edge"]
+# what str.split and str.splitlines split at, ASCII or not
+_SEPARATORS = [" ", "\t", "\x1f", "\xa0", "\u2003", "\u3000", " \t "]
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029", "\n\r", "\r\r\n"]
+_ODD_KEYS = ["edge@3", "edge@0", "edge@", "edge@x", "edgy", "k", "part"]
+
+
+@st.composite
+def _odd_khg(draw):
+    """A khg text over odd names, separators and line ends: valid more
+    often than not, with some lines broken by hand."""
+    family = draw(st.sampled_from([_ODD_NAMES, _SHORT_NAMES]))
+    names = draw(st.lists(st.sampled_from(family), min_size=1, max_size=8, unique=True))
+    k = draw(st.integers(1, 3))
+    cut = draw(st.integers(0, len(names)))
+    parts = [p for p in (names[:cut], names[cut:]) if p]
+    lines = [["khg", "1"], ["k", str(k)], ["parts", str(len(parts))]]
+    for label, part in zip("AB", parts):
+        size = [f"{len(part)}:"] if draw(st.booleans()) else [str(len(part)), ":"]
+        lines.append(["part", label, *size, *part])
+    # tokens that differ from a name only past its end, in its last byte or
+    # past its first 8 bytes
+    near = [m for n in names for m in (n + "\x00", n[:-1], n + "x", n[:8] + "Q" + n[9:]) if m not in names]
+    for _ in range(draw(st.integers(0, 8))):
+        level = draw(st.integers(1, k))
+        key = draw(st.sampled_from(["edge" if level == k else f"edge@{level}",
+                                    f"edge@{level}", f"edge@0{level}"]))
+        if draw(st.integers(0, 9)) == 0:
+            key = draw(st.sampled_from(_ODD_KEYS))
+        count = level if draw(st.integers(0, 9)) else draw(st.integers(0, 4))
+        unique = count <= len(names) and draw(st.integers(0, 9)) > 0
+        verts = draw(st.lists(st.sampled_from(names), min_size=count, max_size=count, unique=unique))
+        if verts and near and draw(st.integers(0, 4)) == 0:
+            verts[draw(st.integers(0, count - 1))] = draw(st.sampled_from(near))
+        lines.append([key, *verts])
+    if draw(st.integers(0, 9)) == 0:  # one line moved
+        at, to = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        lines.insert(to, lines.pop(at))
+    out = []
+    for toks in lines:
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", "   ", "# note", "\t#", "#\x00x"])))
+        text = draw(st.sampled_from(["", " ", "\xa0"]))
+        for tok in toks:
+            text += tok + draw(st.sampled_from(_SEPARATORS))
+        if draw(st.booleans()):
+            text += draw(st.sampled_from(["#", "# a b", "#edge a\x1f", "##"]))
+        out.append(text)
+    ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(out), max_size=len(out)))
+    return "".join(line + end for line, end in zip(out, ends))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_odd_khg())
+def test_parse_khg_agrees_with_a_line_by_line_reader(text):
+    # the same levels in the same order and the same names, or the same
+    # BadVertex message
+    try:
+        want = _reference_parse(text)
+    except BadVertex as error:
+        with pytest.raises(BadVertex) as caught:
+            parse_khg(text)
+        assert str(caught.value) == str(error)
+        return
+    _, _, edges, names = parse_khg(text)
+    assert (edges, names) == want
+    assert list(edges) == list(want[0])
+
+
+def test_non_ascii_separators_are_the_ones_str_split_splits_at():
+    # every non-ASCII character str.split splits at becomes ASCII: "\n" if
+    # str.splitlines also splits at it, else " "; no other character changes
+    table = kmatch.khg._TO_ASCII
+    for c in range(0x80, sys.maxunicode + 1):
+        ch = chr(c)
+        if ch.isspace():
+            assert table[c] == ("\n" if len(f"a{ch}b".splitlines()) == 2 else " "), hex(c)
+        else:
+            assert c not in table, hex(c)
