@@ -37,6 +37,7 @@ from .lattice import (
     generate_lattice,
     is_complete,
     robust_edge_vectors,
+    robust_threshold,
 )
 from .simplex import solve_equality_feasibility
 
@@ -375,7 +376,7 @@ def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None)
     codes_per_row = base ** k
     weight = base ** np.arange(k, dtype=np.int64)
     digits = np.arange(codes_per_row)[:, None] // weight % base
-    thr_int = math.ceil(mu * Fraction(n) ** k)
+    thr_int = math.ceil(robust_threshold(mu, n, k))
     verdict_cache = {}
     for start in range(0, len(labels), DIV_CHUNK_ROWS):
         chunk = labels[start:start + DIV_CHUNK_ROWS]

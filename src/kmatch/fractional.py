@@ -16,13 +16,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Allocation, KSystem, edge_key, index_vector
+from .core import Allocation, _rows, compositions, edge_key, index_vector
 from .errors import BadParams, EmptyTopLevel, UnknownEdge
 from .simplex import solve_equality_feasibility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-LP_COLUMN_CAP = 250_000  # larger pruned systems end extraction instead of an LP
+LP_COLUMN_CAP = 250_000  # a round with more live edges ends extraction instead of an LP
 
 
 @dataclass
@@ -70,18 +70,27 @@ def build_lp(system, alloc: Allocation) -> LPModel:
     value is left free rather than pinned, since pinning it is ambiguous).
     Column j, the j-th top edge in sorted order, reads 1 on its vertex rows
     and +-1/m on balance rows (m the multiplicity of its index vector), and
-    is stored times scale[j] = m.
+    is stored times scale[j] = m. An explicit host's columns are read off its
+    edge table, an implicit host's off the rows of its iter_top().
     """
     if system.top_count() == 0:
         raise EmptyTopLevel("system has no top-level edges")
-    host, k = system, system.k
-    if system.implicit:  # an explicit copy of the top level, for its edge table
-        levels = dict.fromkeys(range(k), frozenset()) | {k: frozenset(system.iter_top())}
-        system = KSystem._of_levels(system.universe, k, levels, system.vertex_pool)
-    tops, E, _, _, vid, host_vectors = system.edge_table()
+    if not system.implicit:
+        tops, E, _, _, vid, vectors = system.edge_table()
+        return _lp_model(system, alloc, tops, E, vid, vectors)
+    uni, tops = system.universe, list(system.iter_top())
+    E = _rows(tops, system.k)
+    vid, vectors = compositions(E, np.array(uni._part_of, dtype=np.int64), uni.r)
+    return _lp_model(system, alloc, tops, E, vid, vectors)
+
+
+def _lp_model(host, alloc: Allocation, tops, E, vid, host_vectors) -> LPModel:
+    """The model of build_lp on the top edges of host given as table rows:
+    edge i is tops[i] == tuple(E[i]), with index vector host_vectors[vid[i]]."""
+    k = host.k
     order = np.lexsort(E.T[::-1])
     edges, E, vid = [tops[i] for i in order.tolist()], E[order], vid[order]
-    pool = sorted(system.vertex_pool)
+    pool = sorted(host.vertex_pool)
     nrows = len(pool)
     vectors = alloc.index_vectors()
     balance_pairs = list(zip(vectors, vectors[1:]))
@@ -90,7 +99,7 @@ def build_lp(system, alloc: Allocation) -> LPModel:
     t_of = {vec: t for t, vec in enumerate(vectors)}
     pos = np.array([t_of.get(vec, -1) for vec in host_vectors], dtype=np.int64)[vid]
     mult = np.array([alloc.multiplicity(vec) for vec in host_vectors], dtype=np.int64)[vid]
-    vertex_row = np.zeros(system.universe.total, dtype=np.int64)
+    vertex_row = np.zeros(host.universe.total, dtype=np.int64)
     vertex_row[pool] = np.arange(nrows, dtype=np.int64)
     R = np.column_stack([vertex_row[E], nrows + pos - 1, nrows + pos])
     keep = np.column_stack([np.ones_like(E, bool), pos >= 1, (pos >= 0) & (pos + 1 < len(vectors))])
@@ -258,10 +267,10 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     A fast path past the LP: an indicator vector of a perfect matching with
     exact per-index quotas is a feasible LP point. Each step draws a free
     vertex, then one of its live edges that fits the free vertices and a quota.
-    On an explicit host one candidate mask per try holds the live, in-pool
-    edges with quota left and no covered vertex: a step reads the drawn
-    vertex's incidence through it and clears the incidences of the k vertices
-    it covers, and the edges of a vector whose quota runs out.
+    On an explicit host one candidate mask per try holds the live edges with
+    quota left and no covered vertex: a step reads the drawn vertex's
+    incidence through it and clears the incidences of the k vertices it
+    covers, and the edges of a vector whose quota runs out.
     Returns a list of edges or None; failure here proves nothing.
     """
     pool, k, mult = system.vertex_pool, system.k, dict(alloc.index_multiset)
@@ -279,8 +288,6 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     quota = [int(quotas.get(vec, 0)) for vec in vectors]
     base = _alive(table, pairs, system.universe.total) & (np.array(quota, dtype=np.int64)[vid] > 0)
     span = [ids[p:q] for p, q in zip(ptr.tolist(), ptr[1:].tolist())]
-    for v in set(range(len(span))).difference(pool):
-        base[span[v]] = False
     for _ in range(tries):
         ok, need, free, chosen = base.copy(), list(quota), sorted(pool), []
         while free:
@@ -328,14 +335,6 @@ def _greedy_implicit(system, quotas, pairs: PairWeights, rng, tries):
     return None
 
 
-def _pruned_system(system, pairs: PairWeights):
-    """Subsystem of the top edges on live pairs, in top-level order."""
-    table, k = system.edge_table(), system.k
-    live = np.flatnonzero(_alive(table, pairs, system.universe.total))
-    levels = dict.fromkeys(range(k), frozenset()) | {k: frozenset({table.tops[i] for i in live})}
-    return KSystem._of_levels(system.universe, k, levels, system.vertex_pool)
-
-
 @dataclass
 class ExtractionResult:
     matchings: list
@@ -356,9 +355,9 @@ def extract_weight_disjoint(
 
     Each round first tries a random greedy F-balanced perfect matching on the
     live edges (edges supported on pairs with residual weight >= 1). When that
-    misses, an explicit host solves exact LP feasibility on the pruned system
-    (at most LP_COLUMN_CAP columns); an implicit host has no LP fallback and
-    stops. The chosen weights are then charged to the pairs. Residuals stay
+    misses, an explicit host solves exact LP feasibility on the live rows of
+    its edge table (at most LP_COLUMN_CAP columns); an implicit host has no
+    LP fallback and stops. The chosen weights are then charged to the pairs. Residuals stay
     >= 0 by construction: an edge is only usable while all its pairs have
     residual >= 1, and one round charges a pair at most 1. Stops early with
     the completed prefix when a round is infeasible.
@@ -379,17 +378,14 @@ def extract_weight_disjoint(
             if system.implicit:
                 diag["rounds"].append({"round": rnd, "status": "implicit-host-no-greedy"})
                 break
-            pruned = _pruned_system(system, pairs)
-            if pruned.top_count() == 0 or pruned.top_count() > LP_COLUMN_CAP:
-                diag["rounds"].append(
-                    {"round": rnd, "status": "empty-or-oversized", "columns": pruned.top_count()}
-                )
+            table = system.edge_table()
+            live = np.flatnonzero(_alive(table, pairs, system.universe.total))
+            if not 0 < len(live) <= LP_COLUMN_CAP:
+                diag["rounds"].append({"round": rnd, "status": "empty-or-oversized", "columns": len(live)})
                 break
-            model = build_lp(pruned, alloc)
+            tops = [table.tops[i] for i in live.tolist()]
             diag["lp_solves"] += 1
-            frac = solve_feasible(model)
-            if frac is not None:
-                frac = FractionalMatching(host=system, weights=frac.weights)
+            frac = solve_feasible(_lp_model(system, alloc, tops, table.E[live], table.vid[live], table.vectors))
         if frac is None:
             diag["rounds"].append({"round": rnd, "status": "infeasible"})
             break

@@ -48,12 +48,7 @@ def brute_force_pm(host, vertices=None, cap=BRUTE_PM_CAP):
     """
     edges = _top_edges(host)
     if vertices is None:
-        if hasattr(host, "vertex_pool"):
-            vertices = sorted(host.vertex_pool)
-        elif hasattr(host, "universe"):
-            vertices = list(host.universe.vertices())
-        else:
-            vertices = sorted({v for e in edges for v in e})
+        vertices = host.vertex_pool if hasattr(host, "vertex_pool") else {v for e in edges for v in e}
     vertices = sorted(vertices)
     nv = len(vertices)
     if nv > cap:
@@ -186,10 +181,7 @@ def brute_force_fractional(host, cap=BRUTE_FRACTIONAL_CAP, with_solution=False):
     dense simplex above; exists purely to cross-check the production solver.
     """
     edges = _top_edges(host)
-    if hasattr(host, "universe"):
-        vertices = list(host.universe.vertices())
-    else:
-        vertices = sorted({v for e in edges for v in e})
+    vertices = sorted(host.vertex_pool if hasattr(host, "vertex_pool") else {v for e in edges for v in e})
     if len(vertices) > cap:
         raise TooLarge(f"{len(vertices)} vertices exceeds fractional cap {cap}")
     if not edges:

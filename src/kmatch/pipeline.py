@@ -48,7 +48,6 @@ from .errors import (
     AbsorberUnavailable,
     BadParams,
     BudgetExhausted,
-    EmptyTopLevel,
     KmatchError,
     MalformedCert,
     PreconditionFailed,
@@ -421,27 +420,18 @@ def _matching_pipeline(facts, config) -> Certificate:
                 "requested": ell, "cap": pair_cap,
             })
             ell = pair_cap
-    extraction = None
     for attempt in range(2):
-        try:
-            extraction = extract_weight_disjoint(
-                sub, alloc, ell, seed=_stage_seed(config, 3 + attempt)
-            )
-        except EmptyTopLevel:
-            extraction = None
-        if extraction is not None and extraction.completed:
+        extraction = extract_weight_disjoint(sub, alloc, ell, seed=_stage_seed(config, 3 + attempt))
+        if extraction.completed or len(extraction.matchings) >= 2:
             break
-        if attempt == 0 and (extraction is None or len(extraction.matchings) < 2):
-            continue
-        break
-    got = len(extraction.matchings) if extraction else 0
+    got = len(extraction.matchings)
     diagnostics["stages"].append({
         "stage": "fractional",
-        "status": "ok" if extraction and extraction.completed else "short-prefix",
+        "status": "ok" if extraction.completed else "short-prefix",
         "requested": ell,
         "extracted": got,
     })
-    if not extraction or not extraction.completed:
+    if not extraction.completed:
         cert = space_barrier_stage(system)
         if cert is not None:
             diagnostics["stages"].append({"stage": "space-barrier", "status": "verified"})

@@ -305,6 +305,92 @@ def test_edge_table_matches_reference_and_is_built_once(monkeypatch):
     assert len(builds) == 1
 
 
+_LP_FALLBACK_HOST = dict(n=30, k=3, p=0.92, degree_floor=(30, 18, 10), seed=178118052)
+
+
+def test_lp_rounds_read_the_host_edge_table(monkeypatch):
+    # the match-lp-fallback golden host: at ell 25, seed 0 the greedy misses
+    # twice, and both LP rounds read the live rows of the host's one table
+    import kmatch.core as core
+
+    builds = []
+    original = core._edge_table
+    monkeypatch.setattr(core, "_edge_table", lambda system: builds.append(1) or original(system))
+    host = gen_random_dense(**_LP_FALLBACK_HOST)
+    res = extract_weight_disjoint(host, ALLOC3, 25, seed=0)
+    assert res.diagnostics["lp_solves"] == 2
+    assert len(builds) == 1
+
+
+def test_an_lp_round_past_the_column_cap_ends_extraction(monkeypatch):
+    # the round reports its live edge count; at exactly the cap it solves
+    import kmatch.fractional as fractional
+
+    host = gen_random_dense(**_LP_FALLBACK_HOST)
+    monkeypatch.setattr(fractional, "LP_COLUMN_CAP", 100)
+    res = extract_weight_disjoint(host, ALLOC3, 25, seed=0)
+    live = sum(map(res.pair_weights.edge_alive, host.top))
+    assert live > 100 and res.diagnostics["lp_solves"] == 0
+    assert res.diagnostics["rounds"][-1] == {"round": 23, "status": "empty-or-oversized", "columns": live}
+    monkeypatch.setattr(fractional, "LP_COLUMN_CAP", live)
+    assert extract_weight_disjoint(host, ALLOC3, 25, seed=0).diagnostics["lp_solves"] == 2
+
+
+def _pruned_system(system, pairs: PairWeights):
+    """Reference for an LP round's host: the live top edges as a KSystem of
+    their own, on the same pool."""
+    live = [e for e in system.top if pairs.edge_alive(e)]
+    return KSystem(system.universe, system.k, {system.k: live}, vertex_pool=system.vertex_pool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 4), r=st.integers(1, 2), data=st.data())
+def test_lp_round_model_equals_build_lp_of_the_pruned_system(k, r, data):
+    import kmatch.fractional as fractional
+
+    uni = VertexUniverse.equipartition(r, data.draw(st.integers(k, 10 // r)))
+    top = data.draw(st.lists(st.sampled_from(list(combinations(range(uni.total), k))),
+                             min_size=1, unique=True))
+    host = KSystem(uni, k, {k: top})
+    drop = data.draw(st.sets(st.sampled_from(range(uni.total)), max_size=3))
+    if drop:  # a restricted pool
+        host = host.induced(set(range(uni.total)) - drop)
+    splits = [(a, k - a) for a in range(k + 1)] if r == 2 else [(k,)]
+    alloc = allocation_from_index_multiset(
+        data.draw(st.lists(st.sampled_from(splits), min_size=r, max_size=3))
+    )
+    charges = data.draw(st.dictionaries(
+        st.sampled_from(list(combinations(range(uni.total), 2))),
+        st.sampled_from([1, Fraction(1, 2), Fraction(3, 2)]), max_size=8)).items()
+    pruned, models = [], []
+
+    def missing_greedy(system, alloc, pairs, rng):
+        for pr, amount in charges:
+            pairs.charge(pr, amount)
+        pruned.append(_pruned_system(system, pairs))
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractional, "_greedy_integer_pm", missing_greedy)
+        mp.setattr(fractional, "solve_feasible", lambda model: models.append(model))
+        res = extract_weight_disjoint(host, alloc, 1)
+    (reference,) = pruned
+    if reference.top_count() == 0:
+        assert models == []
+        assert res.diagnostics["rounds"] == [{"round": 0, "status": "empty-or-oversized", "columns": 0}]
+        return
+    (model,) = models
+    want = build_lp(reference, alloc)
+    assert model.host is host
+    assert (model.edges, model.b, model.row_names) == (want.edges, want.b, want.row_names)
+    assert model.balance_pairs == want.balance_pairs
+    for got, ref in zip(model.csc, want.csc):
+        assert got.dtype == ref.dtype and got.tolist() == ref.tolist()
+    # the columns are the host table's own tuples
+    tuples = {id(e) for e in host.edge_table().tops}
+    assert all(id(e) in tuples for e in model.edges)
+
+
 def _set_greedy(system, alloc, pairs, rng, tries=60):
     """Reference for the explicit branch of _greedy_integer_pm: the same
     draws, made over sets, with incidence lists and index vectors built here."""

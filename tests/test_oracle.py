@@ -147,6 +147,9 @@ def test_brute_fractional():
     uni = VertexUniverse.single(5)
     cx = build_complex([(0, 1, 2)], uni, k=3, close=True)
     assert not brute_force_fractional(cx)
+    # rows range over the pool, as brute_force_pm's vertices do
+    six = complete_complex(9, 3).induced(range(6))
+    assert brute_force_pm(six) is not None and brute_force_fractional(six)
     with pytest.raises(TooLarge):
         brute_force_fractional(complete_complex(40, 3))
 
@@ -193,6 +196,11 @@ def test_dense_oracle_agrees_with_the_checked_simplex(data):
     top = data.draw(st.sets(st.sampled_from(list(combinations(range(n), k))),
                             min_size=1, max_size=25))
     cx = build_complex(sorted(top), VertexUniverse.single(n), k=k, close=True)
+    # a restricted pool: drop vertices outside the least edge, so one edge stays
+    drop = data.draw(st.sets(st.sampled_from(range(n)), max_size=3)).difference(min(top))
+    if drop:
+        cx = cx.induced(set(range(n)) - drop)
+    event(f"dropped={len(drop)}")
     model = build_lp(cx, plain_allocation(k))
     rows = model.num_rows
     res = solve_equality_feasibility(model.csc, model.b)
