@@ -56,11 +56,12 @@ def reachable_neighborhood(system, v, beta) -> frozenset:
 
 def _matching_inside(system, vertices):
     """Exact: a perfect matching of the top edges inside a small vertex set, or
-    None when there is none. The edges are found by hashed membership tests;
-    the combinations of a sorted list are canonical edges already."""
+    None when there is none. The k-sets of the sorted vertices are sorted
+    rows already."""
     verts = sorted(vertices)
-    edges = list(filter(system.top.__contains__, combinations(verts, system.k)))
-    return brute_force_pm(edges, vertices=verts, cap=len(verts))
+    rows = np.array(list(combinations(verts, system.k)), np.int64).reshape(-1, system.k)
+    edges = rows[system.has_top_rows(rows)]
+    return brute_force_pm(edges.tolist(), vertices=verts, cap=len(verts))
 
 
 @dataclass
@@ -312,7 +313,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
         lookup[list(p)] = idx
 
     top_table = system.edge_table()
-    # composition -> ids of its top edges, in top-level order
+    # composition -> ids of its top edges, in row order
     comp_of, comps = compositions(top_table.E, lookup, dim)
     top_by_comp = {c: np.flatnonzero(comp_of == g) for g, c in enumerate(comps)}
     pool = sorted(system.vertex_pool)
@@ -376,7 +377,8 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     for vec, want in sorted(reserve_sizes.items()):
         got = []
         ids = top_by_comp[vec]  # a robust vector: decompositions use no other
-        cand = sorted(map(top_table.tops.__getitem__, ids[~used[top_table.E[ids]].any(1)]))
+        rows = top_table.E[ids]
+        cand = list(map(tuple, rows[~used[rows].any(1)].tolist()))
         rng.shuffle(cand)
         for e in cand:
             if len(got) >= want:
@@ -412,7 +414,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
                 if not len(cand):
                     flags.append(f"balancing extension starved for index {vec}")
                     break
-                e = top_table.tops[cand[rng.randrange(len(cand))]]
+                e = tuple(top_table.E[cand[rng.randrange(len(cand))]].tolist())
                 extension.append(e)
                 used[list(e)] = True
                 norm[vec] += Fraction(1, alloc.multiplicity(vec))
@@ -451,16 +453,16 @@ def _build_absorber_member(system, comp_ids, t, used, rng):
     plus per-coordinate reachability witness sets, all off the vertex mask `used`.
 
     comp_ids are the edge-table ids of the target composition's top edges,
-    in top-level order. Returns (vertex set, internal perfect matching) or None.
+    in row order. Returns (vertex set, internal perfect matching) or None.
     """
     k = system.k
     table = system.edge_table()
     cands = comp_ids[~used[table.E[comp_ids]].any(1)]
     if not len(cands):
         return None
-    sorted_links = {}  # anchor -> its link rows in sorted order, for all tries
+    links_of = {}  # anchor -> its link rows, for all tries
     for _ in range(30):
-        e = table.tops[cands[rng.randrange(len(cands))]]
+        e = tuple(table.E[cands[rng.randrange(len(cands))]].tolist())
         taken = used.copy()
         taken[list(e)] = True
         # the internal PM pairs each witness set with its anchor; the central
@@ -471,12 +473,11 @@ def _build_absorber_member(system, comp_ids, t, used, rng):
             # the witness: the witness set must pair with u and with any
             # same-part vertex at absorb time; absorb checks each use exactly
             if t == 1:
-                if u not in sorted_links:
+                if u not in links_of:
+                    # the rows through u without u: sorted, as the rows are
                     rows = table.E[table.ids[table.ptr[u]:table.ptr[u + 1]]]
-                    links = rows[rows != u].reshape(len(rows), k - 1)
-                    # k = 1 leaves empty links, which need no sort
-                    sorted_links[u] = links[np.lexsort(links.T[::-1])] if k > 1 else links
-                links = sorted_links[u]
+                    links_of[u] = rows[rows != u].reshape(len(rows), k - 1)
+                links = links_of[u]
                 cand_sets = links[~taken[links].any(1)]
                 if not len(cand_sets):
                     break

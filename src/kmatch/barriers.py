@@ -94,7 +94,7 @@ class SpaceBarrierCert:
 
 def _count_inside(system, level, inside: frozenset) -> int:
     """The verifier's recount, independent of the search kernels."""
-    return sum(1 for e in system.level(level) if inside.issuperset(e))
+    return sum(1 for e in system.level(level).tolist() if inside.issuperset(e))
 
 
 def _count_top_overflow(system, inside: frozenset, p: int) -> int:
@@ -203,8 +203,7 @@ def space_barrier_search(system, beta):
         allowed = math.floor(beta * Fraction(n) ** (p + 1))  # edge counts are integers
         if want == 0 or any(len(avail) < want for avail in per_part):
             continue
-        edges = np.fromiter(chain.from_iterable(system.level(p + 1)), dtype=np.intp)
-        edges = edges.reshape(-1, p + 1)
+        edges = system.level(p + 1)
         if exhaustive:
             found = _first_sparse_planted(edges, uni.total, per_part, want, allowed)
         else:
@@ -278,7 +277,7 @@ def _check_div_partition(system, parts, min_part_size):
 
 
 def _div_facts(system, parts, mu, ambient_groups=None):
-    rv = robust_edge_vectors(system.iter_top(), [frozenset(p) for p in parts], mu)
+    rv = robust_edge_vectors(system.level(system.k), [frozenset(p) for p in parts], mu)
     lat = generate_lattice(rv.vectors(), len(parts))
     complete = is_complete(lat, system.k, groups=ambient_groups)
     transferral = find_transferral(lat, groups=ambient_groups)
@@ -363,8 +362,7 @@ def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None)
     n = len(pool)
     if n > DIV_EXHAUSTIVE_LIMIT:
         return None
-    pos = {v: i for i, v in enumerate(pool)}
-    edges = np.array([[pos[v] for v in e] for e in system.iter_top()], dtype=np.intp)
+    edges = np.searchsorted(pool, system.level(k))  # the rows as positions in the pool
     if not len(edges):
         return None
     labels, classes = _labelings(n, k, min_part_size)

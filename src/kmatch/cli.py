@@ -92,10 +92,10 @@ def _load_config(args) -> tuple:
     return config, alloc
 
 
-def _certificate_exit(system, alloc, cert: Certificate, args) -> int:
+def _certificate_exit(view, cert: Certificate, args) -> int:
     """Recheck the certificate on the pipeline's view of the input, then emit it."""
     if args.verify and cert.conclusive:
-        ok = verify_certificate(host_view(system, alloc), cert)
+        ok = verify_certificate(view, cert)
         cert.diagnostics["reverified"] = ok
         if not ok:
             cert = Certificate(
@@ -109,16 +109,14 @@ def _certificate_exit(system, alloc, cert: Certificate, args) -> int:
 
 def cmd_decide(args) -> int:
     config, alloc = _load_config(args)
-    system = load_khg(args.file)
-    cert = decide(system, config, alloc=alloc)
-    return _certificate_exit(system, alloc, cert, args)
+    view = host_view(load_khg(args.file), alloc)
+    return _certificate_exit(view, decide(view, config, alloc=alloc), args)
 
 
 def cmd_match(args) -> int:
     config, alloc = _load_config(args)
-    system = load_khg(args.file)
-    cert = run_matching_pipeline(system, alloc, config)
-    return _certificate_exit(system, alloc, cert, args)
+    view = host_view(load_khg(args.file), alloc)
+    return _certificate_exit(view, run_matching_pipeline(view, alloc, config), args)
 
 
 def cmd_frac(args) -> int:

@@ -1,23 +1,27 @@
 """Partitioned k-complexes and k-systems, allocations, degrees, balance accounting.
 
 Vertices are dense integer ids 0..total-1 grouped by part (part order is
-significant everywhere). Edges are sorted tuples of vertex ids, sorted and
-validated once where outside input enters (KSystem(), build_complex);
-the downward closure and every restriction reuse those canonical tuples.
-An explicit system caches its integer top-edge table (edge_table) and its
-common-link counts on first use. Degrees and partite checks count each level
-as sorted integer rows (the table's, once the host has built it): one
-np.unique over face codes per level gives every extension count by part, and
-compositions gives every index vector.
+significant everywhere). An explicit system holds each level as one
+read-only int64 array of rows, the edges as sorted vertex ids in
+lexicographic order, which KSystem() sorts, de-duplicates and checks for
+every input: tuples, the loader's rows, the downward closure and every
+restriction. Tuples are made only where edges leave: iter_top(), Matching
+and the callers' certificates. An explicit system keeps each level's
+sorted row codes, for membership, and caches its integer top-edge table
+(edge_table) and common-link counts on first use. Degrees and partite
+checks count each level's rows: one np.unique over face codes per level
+gives every extension count by part, and compositions gives every index
+vector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -108,85 +112,147 @@ def index_vector(vertex_set, universe: VertexUniverse) -> tuple:
     return tuple(counts)
 
 
-def _check_edges(edges, i, universe, pool):
-    """BadVertex unless every edge is an i-set of pool vertices. Decided in
-    bulk; the loop only names the first culprit."""
-    if all(len(e) == i == len(set(e)) for e in edges) and pool.issuperset(
-        chain.from_iterable(edges)
-    ):
-        return
-    for e in edges:
-        if len(e) != i or len(set(e)) != i:
-            raise BadVertex(f"edge {e} is not a {i}-set")
-        for v in e:
-            if not 0 <= v < universe.total:
-                raise BadVertex(f"vertex {v} outside universe")
-            if v not in pool:
-                raise BadVertex(f"vertex {v} outside the vertex pool")
+def _check_levels(levels, k):
+    if any(not 0 <= i <= k for i in levels):
+        raise BadVertex(f"edge level exceeds k={k}")
+
+
+@functools.cache
+def _face_columns(w) -> np.ndarray:
+    """Row t: the columns 0..w-1 without t."""
+    return np.array([[j for j in range(w) if j != t] for t in range(w)], np.intp).reshape(w, w - 1)
+
+
+def faces(E) -> np.ndarray:
+    """Every row of the int array E with one entry left out, block t without
+    column t: the (k-1)-faces of row-sorted k-edges, sorted in turn."""
+    w = E.shape[1]
+    return E[:, _face_columns(w)].transpose(1, 0, 2).reshape(w * len(E), w - 1)
+
+
+def row_codes(rows, total) -> np.ndarray:
+    """Each row of an int array with entries below total as one integer in
+    base total, in lexicographic row order: int64 when every code fits,
+    else Python ints."""
+    width = rows.shape[1]
+    dtype = np.int64 if total ** width <= 1 << 63 else object
+    base = np.array([total ** i for i in reversed(range(width))], dtype)
+    return rows.astype(dtype, copy=False) @ base
+
+
+def _as_rows(edges, i) -> np.ndarray:
+    """i-sets, as tuples or int rows, as a new int64 array of rows."""
+    if isinstance(edges, np.ndarray):
+        rows = np.array(edges, np.int64)
+        if rows.ndim == 2 and rows.shape[1] == i or not rows.size:
+            return rows.reshape(len(rows), i)
+        raise BadVertex(f"rows of shape {rows.shape} are not {i}-sets")
+    edges = list(edges)
+    wrong = next((e for e in edges if len(e) != i), None)
+    if wrong is not None:
+        raise BadVertex(f"edge {edge_key(wrong)} is not a {i}-set")
+    return np.fromiter(chain.from_iterable(edges), np.int64, i * len(edges)).reshape(len(edges), i)
+
+
+def _pool_mask(universe, pool) -> np.ndarray:
+    """At v + 1, whether universe id v is in the pool; the first and last
+    entries are False and stand for the ids outside the universe."""
+    inside = np.zeros(universe.total + 2, bool)
+    inside[[v + 1 for v in pool if 0 <= v < universe.total]] = True
+    return inside
+
+
+def _sorted_rows(rows, inside):
+    """Int rows of i-sets, with their vertices in any order and repeats
+    allowed, as (the sorted distinct rows of the sorted i-sets, read-only;
+    their row_codes): one stable sort of the codes. Rows already in that
+    form are kept. BadVertex names a row that repeats a vertex, else a
+    vertex outside the mask `inside` (see _pool_mask)."""
+    total = len(inside) - 2
+    if rows.shape[1] > 1 and not (rows[:, 1:] > rows[:, :-1]).all():
+        rows = np.sort(rows, axis=1)
+        bad = (rows[:, 1:] == rows[:, :-1]).any(1)
+        if bad.any():
+            raise BadVertex(f"edge {tuple(rows[bad.argmax()].tolist())} is not a {rows.shape[1]}-set")
+    if not inside.take(rows + 1, mode="clip").all():
+        v = next(v for v in rows.ravel().tolist() if not 0 <= v < total or not inside[v + 1])
+        raise BadVertex(f"vertex {v} outside {'the vertex pool' if 0 <= v < total else 'universe'}")
+    codes = row_codes(rows, total)
+    if not (codes[1:] > codes[:-1]).all():
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.concatenate(([True], codes[1:] != codes[:-1]))
+        rows, codes = rows[order[first]], codes[first]
+    rows.flags.writeable = codes.flags.writeable = False
+    return rows, codes
+
+
+_J0 = _sorted_rows(np.zeros((1, 0), np.int64), np.zeros(3, bool))  # level 0: the empty edge
+
+
+def _among(codes, have) -> np.ndarray:
+    """Per code, whether the sorted code array `have` holds it."""
+    if not len(have):
+        return np.zeros(len(codes), bool)
+    return have.take(have.searchsorted(codes), mode="clip") == codes
 
 
 class KSystem:
     """Leveled edge sets over a universe, without the closure requirement.
 
-    An induced subsystem keeps the parent universe but restricts its vertex
-    pool; degrees, matchings, and LP rows range over the pool.
+    Level i is one read-only int64 array of rows: the i-edges as sorted
+    vertex ids, in lexicographic order, without repeats; level 0 is one
+    empty row. Every system is built by __init__, which sorts, de-duplicates
+    and checks the rows it is given. An induced subsystem keeps the parent
+    universe but restricts its vertex pool; degrees, matchings, and LP rows
+    range over the pool.
     """
 
     closed = False
     implicit = False
 
     def __init__(self, universe: VertexUniverse, k: int, levels: dict, vertex_pool=None):
-        pool = (
-            frozenset(universe.vertices()) if vertex_pool is None else frozenset(vertex_pool)
-        )
-        lv = {}
-        for i in range(k + 1):
-            edges = [edge_key(e) for e in levels.get(i, ())]
-            _check_edges(edges, i, universe, pool)
-            lv[i] = frozenset(set(edges))
-        self._adopt(universe, k, lv, pool)
-
-    def _adopt(self, universe, k, levels, pool):
-        self.universe = universe
-        self.k = k
-        self._pool = pool
-        self.levels = levels
-        self._table = None
-        self._common = None
-
-    @classmethod
-    def _of_levels(cls, universe, k, levels, pool):
-        """A system on levels that are already canonical and checked: each
-        levels[i], i <= k, a frozenset of sorted i-tuples of pool vertices,
-        built as frozenset(set(edges)) like KSystem() does. Level iteration
-        order feeds RNG draws, and frozenset(edges) iterates differently."""
-        system = cls.__new__(cls)
-        system._adopt(universe, k, levels, pool)
-        return system
+        _check_levels(levels, k)
+        pool = frozenset(universe.vertices() if vertex_pool is None else vertex_pool)
+        inside = _pool_mask(universe, pool)
+        _as_rows(levels.get(0, ()), 0)
+        self._levels, self._codes = {0: _J0[0]}, {0: _J0[1]}
+        for i in range(k, 0, -1):
+            self._levels[i], self._codes[i] = _sorted_rows(_as_rows(levels.get(i, ()), i), inside)
+        self.universe, self.k, self._pool = universe, k, pool
+        self._table = self._common = None
 
     @property
     def vertex_pool(self) -> frozenset:
         return self._pool
 
-    def level(self, i: int) -> frozenset:
-        return self.levels.get(i, frozenset())
-
-    @property
-    def top(self) -> frozenset:
-        return self.levels[self.k]
+    def level(self, i: int) -> np.ndarray:
+        """The i-edges as sorted int64 rows, in lexicographic order; read-only."""
+        return self._levels[i] if i in self._levels else np.zeros((0, i), np.int64)
 
     def top_count(self) -> int:
-        return len(self.levels[self.k])
+        return len(self._levels[self.k])
 
     def has_top(self, edge) -> bool:
-        return edge_key(edge) in self.levels[self.k]
+        return len(edge) == self.k and self.has_edge(edge)
 
     def has_edge(self, edge) -> bool:
         e = edge_key(edge)
-        return e in self.levels.get(len(e), frozenset())
+        if len(e) > self.k or e and not 0 <= e[0] <= e[-1] < self.universe.total:
+            return False
+        code = 0
+        for v in e:
+            code = code * self.universe.total + v
+        codes = self._codes[len(e)]
+        at = int(codes.searchsorted(code))
+        return at < len(codes) and bool(codes[at] == code)
+
+    def has_top_rows(self, rows) -> np.ndarray:
+        """Per row of sorted universe ids, k wide: is it a top edge?"""
+        return _among(row_codes(rows, self.universe.total), self._codes[self.k])
 
     def iter_top(self):
-        return iter(self.levels[self.k])
+        return map(tuple, self._levels[self.k].tolist())
 
     def edge_table(self) -> EdgeTable:
         """The top level as an EdgeTable; built once, callers must not mutate it."""
@@ -207,48 +273,44 @@ class KSystem:
 
     def rebuild(self, universe: VertexUniverse, vertex_pool):
         """The same kind of system over another universe or a smaller pool,
-        keeping the edges inside the pool; a complex stays closed unchecked."""
+        keeping the edges inside the pool."""
         pool = frozenset(vertex_pool)
-        levels = {
-            i: frozenset(set(filter(pool.issuperset, self.level(i))))
-            for i in range(self.k + 1)
-        }
-        return (KComplex if self.closed else KSystem)._of_levels(universe, self.k, levels, pool)
+        inside = _pool_mask(self.universe, pool)
+        levels = {i: rows[inside[rows + 1].all(1)] for i, rows in self._levels.items()}
+        return type(self)(universe, self.k, levels, vertex_pool=pool)
 
 
 class KComplex(KSystem):
-    """A k-system closed under taking subsets, with J_0 = {()}."""
+    """A k-system closed under taking subsets, with J_0 = {()}: every face
+    of every i-edge is an (i-1)-edge, or ClosureViolation."""
 
     closed = True
 
-    def __init__(self, universe, k, levels, check=True, vertex_pool=None):
+    def __init__(self, universe, k, levels, vertex_pool=None):
         super().__init__(universe, k, levels, vertex_pool=vertex_pool)
-        if () not in self.levels[0]:
-            self.levels[0] = frozenset({()})
-        if check:
-            self._check_closure()
-
-    def _check_closure(self):
-        for i in range(self.k, 0, -1):
-            below = self.levels.get(i - 1, frozenset())
-            for e in self.levels[i]:
-                for sub in combinations(e, i - 1):
-                    if sub not in below:
-                        raise ClosureViolation(
-                            f"{i}-edge {e} present but sub-edge {sub} missing"
-                        )
+        for i in range(k, 1, -1):
+            upper = self.level(i)
+            below = faces(upper)
+            missing = ~_among(row_codes(below, universe.total), self._codes[i - 1])
+            if missing.any():
+                j = int(missing.argmax())
+                raise ClosureViolation(
+                    f"{i}-edge {tuple(upper[j % len(upper)].tolist())} present but "
+                    f"sub-edge {tuple(below[j].tolist())} missing"
+                )
 
 
-def close_down(levels: dict, k: int, closed=False) -> dict:
-    """Downward closure of leveled canonical edges: every subset of every
-    edge, as the level frozensets KSystem() would build from it. closed=True
-    skips the update, for levels known to hold every face of the level above."""
-    out = {i: set(levels.get(i, ())) for i in range(k + 1)}
-    for i in range(k, 0, -1) if not closed else ():
-        out[i - 1].update(chain.from_iterable(map(combinations, out[i], repeat(i - 1))))
-    out[0].add(())
-    # re-inserted in iteration order, as KSystem() would (see _of_levels)
-    return {i: frozenset(set(iter(s))) for i, s in out.items()}
+def close_down(universe: VertexUniverse, k: int, levels: dict) -> dict:
+    """Downward closure of leveled edges, given as KSystem() takes them:
+    each level as sorted distinct rows, with every face of the level above."""
+    _check_levels(levels, k)
+    inside = _pool_mask(universe, universe.vertices())
+    out = {k: _sorted_rows(_as_rows(levels.get(k, ()), k), inside)[0]}
+    for i in range(k, 1, -1):
+        given = _as_rows(levels.get(i - 1, ()), i - 1)
+        out[i - 1] = _sorted_rows(np.concatenate([given, faces(out[i])]), inside)[0]
+    out[0] = _J0[0]
+    return out
 
 
 def build_complex(raw_edges, universe: VertexUniverse, k=None, close=True):
@@ -260,46 +322,40 @@ def build_complex(raw_edges, universe: VertexUniverse, k=None, close=True):
     ClosureViolation raised on any gap.
     """
     if isinstance(raw_edges, dict):
-        leveled = {i: [edge_key(e) for e in es] for i, es in raw_edges.items()}
+        leveled = raw_edges
     else:
-        edges = [edge_key(e) for e in raw_edges]
         leveled = {}
-        for e in edges:
+        for e in map(edge_key, raw_edges):
             leveled.setdefault(len(e), []).append(e)
     if k is None:
-        k = max(leveled) if leveled else 0
-    if any(i > k for i in leveled):
-        raise BadVertex(f"edge level exceeds k={k}")
-    if not close:
-        return KComplex(universe, k, leveled)
-    pool = frozenset(universe.vertices())
-    for i, es in leveled.items():
-        _check_edges(es, i, universe, pool)
-    return KComplex._of_levels(universe, k, close_down(leveled, k), pool)
+        k = max(leveled, default=0)
+    return KComplex(universe, k, close_down(universe, k, leveled) if close else leveled)
 
 
 class CompleteComplex:
     """Implicit complete k-complex: every i-set is an edge.
 
     Duck-compatible with KComplex for the operations the pipeline needs
-    (membership, top counts, induced restriction); levels are never
-    materialized, which keeps n in the hundreds tractable, and nothing is
-    cached.
+    (membership, top counts, induced restriction); levels are only built as
+    rows where a caller asks for one, which keeps n in the hundreds
+    tractable, and nothing is cached.
     """
 
     closed = True
     implicit = True
 
     def __init__(self, universe: VertexUniverse, k: int, vertex_pool=None):
-        self.universe = universe
-        self.k = k
-        self._pool = (
-            frozenset(universe.vertices()) if vertex_pool is None else frozenset(vertex_pool)
-        )
+        self.universe, self.k = universe, k
+        self._pool = frozenset(universe.vertices() if vertex_pool is None else vertex_pool)
 
     @property
     def vertex_pool(self) -> frozenset:
         return self._pool
+
+    def level(self, i: int) -> np.ndarray:
+        """Every i-set of the pool as sorted int64 rows, built on each call."""
+        edges = list(combinations(sorted(self._pool), i))
+        return np.array(edges, np.int64).reshape(self.level_count(i), i)
 
     def level_count(self, i: int) -> int:
         return math.comb(len(self._pool), i)
@@ -326,22 +382,21 @@ class CompleteComplex:
         return CompleteComplex(self.universe, self.k, self._pool & frozenset(vertex_set))
 
 
-# An explicit top level as integer arrays, in top-level (frozenset iteration)
-# order: edge i is tops[i] == tuple(E[i]) with index vector vectors[vid[i]],
-# and the edges of vertex v are ids[ptr[v]:ptr[v + 1]], in that order.
-EdgeTable = namedtuple("EdgeTable", "tops E ptr ids vid vectors")
+# An explicit top level as integer arrays: E is the host's top level, whose
+# edge i has index vector vectors[vid[i]], and the edges of vertex v are
+# ids[ptr[v]:ptr[v + 1]], in row order.
+EdgeTable = namedtuple("EdgeTable", "E ptr ids vid vectors")
 
 
 def _edge_table(system) -> EdgeTable:
     uni, k = system.universe, system.k
-    tops = list(system.levels[k])
-    E = np.fromiter(chain.from_iterable(tops), np.int64, len(tops) * k).reshape(len(tops), k)
+    E = system.level(k)
     flat = E.ravel()
-    # stable, so each vertex keeps its edges in top-level order; radix on 16 bits
+    # stable, so each vertex keeps its edges in row order; radix on 16 bits
     order = np.argsort(flat.astype(np.uint16) if uni.total <= 1 << 16 else flat, kind="stable")
     ptr = np.searchsorted(flat[order], np.arange(uni.total + 1))
     vid, vectors = compositions(E, np.array(uni._part_of, dtype=np.int64), uni.r)
-    return EdgeTable(tops, E, ptr, order // k, vid, vectors)
+    return EdgeTable(E, ptr, order // k, vid, vectors)
 
 
 def compositions(E, label, dim):
@@ -356,32 +411,12 @@ def compositions(E, label, dim):
     return ids, [tuple(row) for row in counts[first].tolist()]
 
 
-def _rows(edges, width) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, width)
-
-
-def faces(E) -> np.ndarray:
-    """Every row of the int array E with one entry left out, block t without
-    column t: the (k-1)-faces of row-sorted k-edges, sorted in turn."""
-    return np.concatenate([E[:, np.arange(E.shape[1]) != t] for t in range(E.shape[1])])
-
-
-def row_codes(rows, total) -> np.ndarray:
-    """Each row of an int array with entries below total as one integer in
-    base total, in lexicographic row order: int64 when every code fits,
-    else Python ints."""
-    width = rows.shape[1]
-    dtype = np.int64 if total ** width <= 1 << 63 else object
-    base = np.array([total ** i for i in reversed(range(width))], dtype)
-    return rows.astype(dtype, copy=False) @ base
-
-
 def _common_links(system) -> np.ndarray:
     """|L(u) & L(w)| for every pair of vertex ids, as the product A A^T of
     the vertex x (k-1)-set incidence matrix A of the top level. float64 is
     exact here: every entry is at most C(n-1, k-1) < 2**53."""
     k, total = system.k, system.universe.total
-    top = _rows(system.iter_top(), k) if system.implicit else system.edge_table().E
+    top = system.level(k)
     # row block t of faces(top) is every top edge without its t-th vertex;
     # col is the dense id of each of those (k-1)-sets
     col = np.unique(row_codes(faces(top), total), return_inverse=True)[1].ravel()
@@ -591,20 +626,10 @@ def matching_stats(matching: Matching, alloc: Allocation, universe: VertexUniver
     return {"n_tilde": n_tilde, "alpha": alpha}
 
 
-def _level_rows(system, i) -> np.ndarray:
-    """Level i as sorted integer rows: the edge table's E for the top level
-    of a host that has built it, one empty row for level 0."""
-    if i == 0:
-        return np.zeros((1, 0), np.int64)
-    if i == system.k and system._table is not None:
-        return system._table.E
-    return _rows(system.level(i), i)
-
-
 def _level_vectors(system, i) -> list:
     """The distinct index vectors of level i."""
     uni = system.universe
-    return compositions(_level_rows(system, i), np.array(uni._part_of, np.int64), uni.r)[1]
+    return compositions(system.level(i), np.array(uni._part_of, np.int64), uni.r)[1]
 
 
 def is_p_partite(system) -> bool:
@@ -618,7 +643,7 @@ def is_pf_partite(system, alloc: Allocation) -> bool:
     """True iff every edge at every level realizes a prefix of some f in F."""
     uni = system.universe
     if alloc.size == 0:
-        return all(not system.level(i) for i in range(1, system.k + 1))
+        return all(len(system.level(i)) == 0 for i in range(1, system.k + 1))
     if alloc.r == uni.r == 1 and alloc.k >= system.k:
         return True  # every j-edge has index (j,), a prefix of (0, ..., 0)
     return all(
@@ -642,7 +667,7 @@ def _extensions(system, j, lower, label) -> np.ndarray:
     faces(upper) leaves out column t, so the left-out vertices are the
     columns of upper in turn."""
     r = system.universe.r
-    upper = _level_rows(system, j + 1)
+    upper = system.level(j + 1)
     codes = row_codes(np.concatenate([faces(upper), lower]), system.universe.total)
     distinct, ids = np.unique(codes, return_inverse=True)
     ids = ids.ravel()
@@ -677,7 +702,7 @@ def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSe
     label = np.array(uni._part_of, np.int64)
     plain, part, fdeg = [], [], []
     for j in range(system.k):
-        lower = _level_rows(system, j)
+        lower = system.level(j)
         count = _extensions(system, j, lower, label)
         plain.append(_least(count.sum(1)))
         if not partite and (alloc is None or one_part):

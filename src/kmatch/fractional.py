@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Allocation, _rows, compositions, edge_key, index_vector
+from .core import Allocation, compositions, edge_key, index_vector
 from .errors import BadParams, EmptyTopLevel, UnknownEdge
 from .simplex import solve_equality_feasibility
 
@@ -71,25 +71,23 @@ def build_lp(system, alloc: Allocation) -> LPModel:
     Column j, the j-th top edge in sorted order, reads 1 on its vertex rows
     and +-1/m on balance rows (m the multiplicity of its index vector), and
     is stored times scale[j] = m. An explicit host's columns are read off its
-    edge table, an implicit host's off the rows of its iter_top().
+    edge table, an implicit host's off the rows of its top level.
     """
     if system.top_count() == 0:
         raise EmptyTopLevel("system has no top-level edges")
     if not system.implicit:
-        tops, E, _, _, vid, vectors = system.edge_table()
-        return _lp_model(system, alloc, tops, E, vid, vectors)
-    uni, tops = system.universe, list(system.iter_top())
-    E = _rows(tops, system.k)
+        E, _, _, vid, vectors = system.edge_table()
+        return _lp_model(system, alloc, E, vid, vectors)
+    uni, E = system.universe, system.level(system.k)
     vid, vectors = compositions(E, np.array(uni._part_of, dtype=np.int64), uni.r)
-    return _lp_model(system, alloc, tops, E, vid, vectors)
+    return _lp_model(system, alloc, E, vid, vectors)
 
 
-def _lp_model(host, alloc: Allocation, tops, E, vid, host_vectors) -> LPModel:
-    """The model of build_lp on the top edges of host given as table rows:
-    edge i is tops[i] == tuple(E[i]), with index vector host_vectors[vid[i]]."""
+def _lp_model(host, alloc: Allocation, E, vid, host_vectors) -> LPModel:
+    """The model of build_lp on the top edges of host given as sorted table
+    rows E, in column order: edge i has index vector host_vectors[vid[i]]."""
     k = host.k
-    order = np.lexsort(E.T[::-1])
-    edges, E, vid = [tops[i] for i in order.tolist()], E[order], vid[order]
+    edges = list(map(tuple, E.tolist()))
     pool = sorted(host.vertex_pool)
     nrows = len(pool)
     vectors = alloc.index_vectors()
@@ -284,7 +282,7 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
         return _greedy_implicit(system, quotas, pairs, rng, tries)
 
     table = system.edge_table()
-    tops, E, ptr, ids, vid, vectors = table
+    E, ptr, ids, vid, vectors = table
     quota = [int(quotas.get(vec, 0)) for vec in vectors]
     base = _alive(table, pairs, system.universe.total) & (np.array(quota, dtype=np.int64)[vid] > 0)
     span = [ids[p:q] for p, q in zip(ptr.tolist(), ptr[1:].tolist())]
@@ -296,12 +294,13 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
             if not len(cands):
                 break
             e = int(cands[rng.randrange(len(cands))])
-            chosen.append(tops[e])
+            edge = E[e].tolist()
+            chosen.append(tuple(edge))
             c = vid[e]
             need[c] -= 1
             if not need[c]:
                 ok &= vid != c
-            for u in E[e].tolist():
+            for u in edge:
                 ok[span[u]] = False
                 free.remove(u)
         else:
@@ -383,9 +382,8 @@ def extract_weight_disjoint(
             if not 0 < len(live) <= LP_COLUMN_CAP:
                 diag["rounds"].append({"round": rnd, "status": "empty-or-oversized", "columns": len(live)})
                 break
-            tops = [table.tops[i] for i in live.tolist()]
             diag["lp_solves"] += 1
-            frac = solve_feasible(_lp_model(system, alloc, tops, table.E[live], table.vid[live], table.vectors))
+            frac = solve_feasible(_lp_model(system, alloc, table.E[live], table.vid[live], table.vectors))
         if frac is None:
             diag["rounds"].append({"round": rnd, "status": "infeasible"})
             break

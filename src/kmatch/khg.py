@@ -22,6 +22,8 @@ every edge line, and `parts` and `part` lines may come anywhere after
 Vertex tokens are opaque names of any length, NUL bytes included, mapped
 to dense integer ids in part order. Plain `edge` lines are top-level
 k-edges; an edge may list its vertices in any order and may be repeated.
+A loaded host holds each level as sorted distinct rows, so it, and every
+output read off it, is the same for any order of the edge lines.
 
 The reader is one numpy pass over the UTF-8 bytes (non-ASCII whitespace
 mapped onto ASCII first): a byte-class table finds the tokens, the line
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import KComplex, KSystem, VertexUniverse, close_down, faces, row_codes
+from .core import KComplex, KSystem, VertexUniverse, close_down
 from .errors import BadVertex
 
 # the non-ASCII characters str.split splits at, as ASCII: the ones
@@ -182,9 +184,8 @@ def _edge_level(key, k, where):
 
 
 def _parse_bulk(text):
-    """parse_khg's result with each level as an int array of sorted rows,
-    or None when a check fails. The directive lines are read one by one,
-    the edge lines all at once."""
+    """parse_khg's result, or None when a check fails. The directive lines
+    are read one by one, the edge lines all at once."""
     raw, words, start, end, is_key = _tokenize(text)
     first = is_key.nonzero()[0]  # the key token of each line with a token
     if not len(first):
@@ -278,8 +279,12 @@ def _raise_first_error(lines):
     raise AssertionError("the bulk checks rejected a file the line checks accept")
 
 
-def _parse(text):
-    """parse_khg's result with each level as an int array of sorted rows."""
+def parse_khg(text: str):
+    """Parse khg text into (universe, k, leveled edges, vertex name list).
+
+    Each level's edges are int64 rows of sorted ids, in file order. Every
+    malformed directive raises BadVertex naming its line.
+    """
     try:
         parsed = _parse_bulk(text)
     except BadVertex:
@@ -289,36 +294,11 @@ def _parse(text):
     return parsed
 
 
-def _tuples(arrays):
-    return {level: list(zip(*rows.T.tolist())) for level, rows in arrays.items()}
-
-
-def parse_khg(text: str):
-    """Parse khg text into (universe, k, leveled edges, vertex name list).
-
-    Each level's edges are sorted id tuples in file order. Every malformed
-    directive raises BadVertex naming its line.
-    """
-    uni, k, arrays, names = _parse(text)
-    return uni, k, _tuples(arrays), names
-
-
 def load_khg(path, close=True):
     """Load a KComplex (close=True) or validated-closed complex from a file."""
     with open(path, "r", encoding="utf-8") as fh:
-        uni, k, arrays, _ = _parse(fh.read())
-    edges = _tuples(arrays)
-    if not close:
-        return KComplex(uni, k, edges)
-    # does every level the file lists hold all faces of the level above it?
-    n = uni.total
-    closed = all(
-        i not in arrays or i - 1 in arrays
-        and np.isin(row_codes(faces(arrays[i]), n), row_codes(arrays[i - 1], n)).all()
-        for i in range(2, k + 1)
-    )
-    levels = close_down(edges, k, closed=closed)
-    return KComplex._of_levels(uni, k, levels, frozenset(uni.vertices()))
+        uni, k, edges, _ = parse_khg(fh.read())
+    return KComplex(uni, k, close_down(uni, k, edges) if close else edges)
 
 
 def load_khg_system(path) -> KSystem:
@@ -334,12 +314,10 @@ def dump_khg(system, include_lower=False) -> str:
     for j in range(uni.r):
         verts = " ".join(f"v{v}" for v in uni.part_vertices(j))
         out.append(f"part {uni.part_labels[j]} {uni.part_sizes[j]}: {verts}")
-    if include_lower:
-        for i in range(1, system.k):
-            for e in sorted(system.level(i)):
-                out.append(f"edge@{i} " + " ".join(f"v{v}" for v in e))
-    for e in sorted(system.level(system.k)):
-        out.append("edge " + " ".join(f"v{v}" for v in e))
+    for i in range(1 if include_lower else system.k, system.k + 1):
+        key = "edge" if i == system.k else f"edge@{i}"
+        for e in system.level(i).tolist():
+            out.append(f"{key} " + " ".join(f"v{v}" for v in e))
     return "\n".join(out) + "\n"
 
 

@@ -334,13 +334,14 @@ def robust_threshold(mu, n, k) -> Fraction:
 def robust_edge_vectors(edges, partition, mu) -> RobustVectorSet:
     """Index vectors realized by at least mu * |V|^k edges.
 
-    `partition` is either a VertexUniverse or an ordered sequence of vertex
-    sets; counts are exact and the threshold comparison is exact rational.
+    `edges` are k-sets, as tuples or int rows; `partition` is either a
+    VertexUniverse or an ordered sequence of vertex sets; counts are exact
+    and the threshold comparison is exact rational.
     """
     parts = partition.parts() if isinstance(partition, VertexUniverse) else list(partition)
-    edges = list(edges)
-    k = len(edges[0]) if edges else 0
-    rows = np.array(edges, np.int64).reshape(len(edges), k)
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    k = len(edges[0]) if len(edges) else 0
+    rows = np.asarray(edges, np.int64).reshape(len(edges), k)
     # label[v] is the part of vertex v, -1 when v lies in no part
     label = np.full(1 + max([rows.max(initial=0), *map(max, filter(None, parts))]), -1)
     for j, p in enumerate(parts):

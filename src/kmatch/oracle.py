@@ -24,7 +24,6 @@ from .core import (
     VertexUniverse,
     build_complex,
     degree_sequences,
-    edge_key,
     index_vector,
 )
 from .errors import BadParams, TooLarge, Unsatisfiable
@@ -36,7 +35,8 @@ COMPLETE_EXPLICIT_LIMIT = 200_000  # top edges; larger complete complexes are im
 
 
 def _top_edges(host):
-    return list(host.iter_top()) if hasattr(host, "iter_top") else [edge_key(e) for e in host]
+    """The top edges as lists of sorted ids: a system's top rows, or the edges given."""
+    return host.level(host.k).tolist() if hasattr(host, "level") else [sorted(e) for e in host]
 
 
 def brute_force_pm(host, vertices=None, cap=BRUTE_PM_CAP):
@@ -194,7 +194,7 @@ def brute_force_fractional(host, cap=BRUTE_FRACTIONAL_CAP, with_solution=False):
     feasible, sol = _dense_phase1(columns, b)
     if not with_solution:
         return feasible
-    weights = {e: w for e, w in zip(edges, sol) if w != 0} if feasible else None
+    weights = {tuple(e): w for e, w in zip(edges, sol) if w != 0} if feasible else None
     return feasible, weights
 
 
@@ -218,7 +218,7 @@ def gen_space_barrier(n, k, j, s_size, r=1) -> KComplex:
         levels[i] = [
             e for e in combinations(allv, i) if sum(1 for v in e if v in planted) <= j
         ]
-    cx = KComplex(uni, k, levels, check=False)
+    cx = KComplex(uni, k, levels)
     cx.planted_set = frozenset(planted)
     return cx
 
@@ -248,7 +248,7 @@ def complete_complex(n, k, r=1):
         return CompleteComplex(uni, k)
     allv = list(uni.vertices())
     levels = {i: list(combinations(allv, i)) for i in range(1, k + 1)}
-    return KComplex(uni, k, levels, check=False)
+    return KComplex(uni, k, levels)
 
 
 def _floor_ok(plain, floor):

@@ -199,10 +199,8 @@ def _flatten_universe(system):
 def _ensure_complex(system):
     """Bare k-graphs (no lower levels) are closed into their induced complex;
     space-barrier counts are about the complex, not the top level alone."""
-    if all(not system.level(i) for i in range(1, system.k)):
-        return build_complex(
-            {system.k: list(system.iter_top())}, system.universe, k=system.k, close=True
-        )
+    if all(len(system.level(i)) == 0 for i in range(1, system.k)):
+        return build_complex({system.k: system.level(system.k)}, system.universe, k=system.k)
     return system
 
 

@@ -256,7 +256,7 @@ def test_absorber_balancing_extension_adds_edges():
         family_target=2,
     )
     state = build_absorber(cx, alloc, cfg)
-    assert state.extension == ((2, 6, 28), (11, 14, 29))
+    assert state.extension == ((3, 6, 28), (7, 12, 26))
     assert not any(f.startswith("balancing extension") for f in state.flags)
     counts = state.w_matching.per_index_counts(cx.universe)
     assert counts == {(1, 2): 5, (2, 1): 5}
@@ -357,14 +357,16 @@ def test_edge_table_built_once_per_host(monkeypatch):
     state = build_absorber(cx, ALLOC3, cfg, partition=cp)
     assert state.family.t == 1  # t=1 members draw their witnesses from the links
     assert len(builds) == 1
-    # the CSR lists each vertex's edges in top-level order; vectors decode
+    # E is the top level itself; the CSR lists each vertex's edges in row
+    # order; vectors decode
     table = cx.edge_table()
+    assert table.E is cx.level(3)
     incident = {}
-    for e in cx.top:
+    for e in cx.iter_top():
         for v in e:
-            incident.setdefault(v, []).append(e)
+            incident.setdefault(v, []).append(list(e))
     for v in range(cx.universe.total):
-        assert [table.tops[i] for i in table.ids[table.ptr[v]:table.ptr[v + 1]]] == incident[v]
+        assert table.E[table.ids[table.ptr[v]:table.ptr[v + 1]]].tolist() == incident[v]
     assert [table.vectors[i] for i in table.vid] == [(3,)] * cx.top_count()
     # a new host builds its own
     cx.induced(range(27)).edge_table()
@@ -418,7 +420,7 @@ def test_t2_member_keeps_its_witness_matchings():
     assert [len(s) for s in state.family.sets] == [18]
     blob = json.dumps(state.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
-        "243264c2e6c38fbcf5eaeeeef3d1347edbe0e118e69a9d54a178b5f52d392f8a"
+        "ab40599c9dd58d8dec4cc3b5887965a7c7da1db10e658b6b248ff78867d29731"
     )
     rng = random.Random(0)
     outside = sorted(set(cx.vertex_pool) - state.w_vertices)

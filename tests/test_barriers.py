@@ -332,7 +332,7 @@ def test_lp_space_search_reports_only_infeasible_lps():
     outcomes = set()
     for n in (15, 18):
         planted = gen_space_barrier(n, 3, 1, n // 3 + 2)
-        kept = set(planted.level(3))
+        kept = set(planted.iter_top())
         for q in (0.0, 0.03, 0.1, 0.3):
             edges = [e for e in combinations(range(n), 3) if e in kept or rng.random() < q]
             cx = host_view(build_complex({3: edges}, VertexUniverse.single(n), k=3, close=True))

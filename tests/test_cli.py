@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
@@ -445,3 +446,48 @@ def test_gen_spec_field_errors_exit_3(tmp_path, capsys, spec, message):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert main(["gen", str(tmp_path / "spec.json")]) == 3
     assert message in capsys.readouterr().err
+
+
+def _rewritten(text, how, rng):
+    """The khg text with its edge lines shuffled, with the vertices of each
+    edge line in a random order, or with some edge lines listed twice."""
+    lines = text.splitlines()
+    head = [line for line in lines if not line.startswith("edge")]
+    edges = [line for line in lines if line.startswith("edge")]
+    if how == "shuffled":
+        rng.shuffle(edges)
+    elif how == "permuted":
+        for i, line in enumerate(edges):
+            key, *verts = line.split()
+            rng.shuffle(verts)
+            edges[i] = " ".join([key, *verts])
+    else:
+        edges += rng.sample(edges, len(edges) // 3)
+        rng.shuffle(edges)
+    return "\n".join(head + edges) + "\n"
+
+
+@pytest.mark.parametrize("host, seed", [("dense30-a", "1"), ("lp-fallback", "2"), ("dense12", "6")])
+def test_output_does_not_depend_on_the_order_of_edge_lines(tmp_path, capsys, host, seed):
+    # the same host written four ways prints the same bytes
+    build = {
+        "dense30-a": lambda: gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=1001),
+        "lp-fallback": lambda: gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=178118052),
+        "dense12": lambda: gen_random_dense(12, 3, p=0.8, seed=906),
+    }[host]
+    canonical = tmp_path / "host.khg"
+    save_khg(build(), canonical, include_lower=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ell": 10}))
+    commands = [["decide"], ["match", "--config", str(config)], ["frac", "--weights", "--ell", "3"]]
+    if host == "dense12":
+        commands.append(["oracle"])
+    rng = random.Random(seed)
+    files = [canonical]
+    for how in ("shuffled", "permuted", "repeated"):
+        files.append(tmp_path / f"{how}.khg")
+        files[-1].write_text(_rewritten(canonical.read_text(), how, rng))
+    for command in commands:
+        outs = {run_cli(capsys, command[0], str(path), "--json", "--seed", seed, *command[1:])
+                for path in files}
+        assert len(outs) == 1, command

@@ -4,7 +4,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
 
 import numpy as np
 import pytest
@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmatch.core import (
+    KComplex,
     KSystem,
     Matching,
     VertexUniverse,
     allocation_from_index_multiset,
     allocation_properties,
     build_complex,
+    close_down,
     degree_sequences,
     edge_key,
     index_vector,
@@ -69,9 +71,9 @@ def test_index_vector_additive(data):
 def test_build_complex_closure_of_one_edge():
     uni = VertexUniverse.single(3)
     cx = build_complex([(0, 1, 2)], uni, close=True)
-    assert cx.level(2) == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert cx.level(1) == frozenset({(0,), (1,), (2,)})
-    assert cx.level(0) == frozenset({()})
+    assert cx.level(2).tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert cx.level(1).tolist() == [[0], [1], [2]]
+    assert cx.level(0).shape == (1, 0)
 
 
 def test_build_complex_closure_violation():
@@ -89,9 +91,86 @@ def test_space_barrier_generator_output_is_closed():
     # construction rule: i-sets with at most j vertices of S; closure holds
     cx = gen_space_barrier(6, 3, 1, 2)
     rebuilt = build_complex(
-        {i: list(cx.level(i)) for i in range(1, 4)}, cx.universe, k=3, close=False
+        {i: cx.level(i) for i in range(1, 4)}, cx.universe, k=3, close=False
     )
-    assert rebuilt.level(3) == cx.level(3)
+    assert rebuilt.level(3).tolist() == cx.level(3).tolist()
+
+
+def test_levels_outside_0_to_k_raise():
+    # build_complex, KSystem() and KComplex() refuse a level above k alike
+    uni = VertexUniverse.single(6)
+    levels = {2: [(0, 1)], 3: [(0, 1, 2)]}
+    for build in (KSystem, KComplex, lambda u, k, lv: build_complex(lv, u, k=k, close=False),
+                  lambda u, k, lv: build_complex(lv, u, k=k)):
+        with pytest.raises(BadVertex, match="edge level exceeds k=2"):
+            build(uni, 2, levels)
+    with pytest.raises(BadVertex, match="edge level exceeds k=2"):
+        KSystem(uni, 2, {-1: []})
+
+
+def _reference_close_down(levels, k):
+    """The downward closure as tuples in sets, subset by subset."""
+    out = {i: {tuple(sorted(e)) for e in levels.get(i, ())} for i in range(k + 1)}
+    for i in range(k, 0, -1):
+        out[i - 1].update(chain.from_iterable(map(combinations, out[i], repeat(i - 1))))
+    out[0].add(())
+    return out
+
+
+def _reference_rebuild(levels, pool):
+    """The levels restricted to the edges inside pool, by a set filter."""
+    return {i: set(filter(pool.issuperset, es)) for i, es in levels.items()}
+
+
+def _assert_levels(system, want):
+    for i in range(system.k + 1):
+        assert list(map(tuple, system.level(i).tolist())) == sorted(want[i]), i
+
+
+@st.composite
+def _raw_levels(draw):
+    """Levels of random i-sets for k in 1..4, each listed with its vertices
+    in a random order and some listed twice, and a vertex pool."""
+    k = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 2))
+    uni = VertexUniverse.equipartition(r, draw(st.integers(k, 7)))
+    levels = {}
+    for i in range(1, k + 1):
+        sets = list(combinations(range(uni.total), i))
+        edges = draw(st.lists(st.sampled_from(sets), max_size=12))
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+        levels[i] = [tuple(draw(st.permutations(e))) for e in edges]
+    pool = draw(st.sets(st.sampled_from(range(uni.total))))
+    return uni, k, levels, frozenset(pool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_levels())
+def test_levels_equal_the_tuple_set_reference(case):
+    # KSystem(), close_down, KComplex(), induced and rebuild against tuple
+    # sets: sorted distinct rows, level 0 one empty row
+    uni, k, levels, pool = case
+    given_sets = {i: {tuple(sorted(e)) for e in levels.get(i, ())} for i in range(k + 1)}
+    given_sets[0] = {()}
+    closed = _reference_close_down(levels, k)
+    rows = close_down(uni, k, levels)
+    assert {i: list(map(tuple, rows[i].tolist())) for i in rows} == {i: sorted(closed[i]) for i in closed}
+    system, cx = KSystem(uni, k, levels), KComplex(uni, k, rows)
+    inside = {i: [e for e in es if pool.issuperset(e)] for i, es in levels.items()}
+    for host, want, on_pool in ((system, given_sets, KSystem(uni, k, inside, vertex_pool=pool)),
+                                (cx, closed, KComplex(uni, k, close_down(uni, k, inside), vertex_pool=pool))):
+        _assert_levels(host, want)
+        _assert_levels(host.induced(pool), _reference_rebuild(want, pool))
+        flat = host.rebuild(VertexUniverse.single(uni.total), pool)
+        assert flat.closed == host.closed and flat.universe.r == 1
+        _assert_levels(flat, _reference_rebuild(want, pool))
+        assert on_pool.vertex_pool == pool
+        _assert_levels(on_pool, _reference_close_down(inside, k) if host.closed else
+                       _reference_rebuild(given_sets, pool))
+    for i in range(k + 1):
+        for level in (system.level(i), cx.level(i), rows[i]):
+            with pytest.raises(ValueError):
+                level[...] = 0
 
 
 def test_build_complex_bad_vertex():
@@ -107,9 +186,9 @@ def test_closure_idempotent(raw):
     edges = [t for t in raw if len(set(t)) == 3]
     cx = build_complex(edges, uni, k=3, close=True)
     again = build_complex(
-        {i: list(cx.level(i)) for i in range(4)}, uni, k=3, close=True
+        {i: cx.level(i) for i in range(4)}, uni, k=3, close=True
     )
-    assert all(again.level(i) == cx.level(i) for i in range(4))
+    assert all(again.level(i).tolist() == cx.level(i).tolist() for i in range(4))
 
 
 def test_degree_sequences_space_barrier():
@@ -155,13 +234,17 @@ def test_partite_degrees_require_partite_system():
         degree_sequences(cx, partite=True)
 
 
+def _edges(system, i) -> set:
+    return set(map(tuple, system.level(i).tolist()))
+
+
 # Reference degrees by direct enumeration, one function per kind: each
 # extension is looked up edge by edge, independently of the counting pass.
 def _plain_degrees(system) -> tuple:
     out = []
     for i in range(system.k):
-        lower = system.level(i) if i > 0 else frozenset({()})
-        upper = system.level(i + 1)
+        lower = _edges(system, i)
+        upper = _edges(system, i + 1)
         if not lower:
             out.append(0)
             continue
@@ -180,7 +263,6 @@ def test_degree_sequences_past_int64_codes():
     top = [tuple(range(12)), tuple(range(6, 18)), tuple(range(49, 61))]
     bare = KSystem(uni, 12, {12: top, 11: [top[0][1:]]})
     for system in (build_complex({12: top}, uni, k=12), bare):
-        system.edge_table()  # the top level is then counted on the table
         assert degree_sequences(system).plain == _plain_degrees(system)
     rows = np.array([[60] * 11, [60] * 10 + [59], [0] * 10 + [1]])
     assert row_codes(rows, 61).tolist() == [61 ** 11 - 1, 61 ** 11 - 2, 1]
@@ -190,8 +272,8 @@ def _partite_degrees(system) -> tuple:
     uni = system.universe
     out = []
     for j in range(system.k):
-        lower = system.level(j) if j > 0 else frozenset({()})
-        upper = system.level(j + 1)
+        lower = _edges(system, j)
+        upper = _edges(system, j + 1)
         best = None
         for e in lower:
             used = set(uni.part_of(v) for v in e)
@@ -209,8 +291,8 @@ def _f_degrees(system, alloc) -> tuple:
     uni = system.universe
     out = []
     for j in range(system.k):
-        lower = system.level(j) if j > 0 else frozenset({()})
-        upper = system.level(j + 1)
+        lower = _edges(system, j)
+        upper = _edges(system, j + 1)
         by_index = {}
         for e in lower:
             by_index.setdefault(index_vector(e, uni), []).append(e)

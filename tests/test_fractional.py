@@ -257,13 +257,13 @@ def test_alive_mask_follows_the_dead_pairs(k, data):
                 pairs.charge(pr, data.draw(_CHARGES))
         host = data.draw(st.sampled_from(hosts))
         table = host.edge_table()
-        assert _alive(table, pairs, 7).tolist() == [pairs.edge_alive(e) for e in table.tops]
+        assert _alive(table, pairs, 7).tolist() == [pairs.edge_alive(e) for e in host.iter_top()]
 
 
 def _incidence(system) -> dict:
-    """vertex -> its top edges in top-level order, by a plain pass."""
+    """vertex -> its top edges in iter_top order, by a plain pass."""
     incident = {}
-    for e in system.top:
+    for e in system.iter_top():
         for v in e:
             incident.setdefault(v, []).append(e)
     return incident
@@ -273,13 +273,14 @@ def _assert_edge_table(system):
     """The edge table equals the top level, its CSR the reference incidence,
     and its vector ids decode to index_vector."""
     table, uni = system.edge_table(), system.universe
-    assert table.tops == list(system.top)
-    assert table.E.tolist() == [list(e) for e in table.tops]
+    tops = list(system.iter_top())
+    assert table.E is system.level(system.k)
+    assert table.E.tolist() == [list(e) for e in tops]
     incident = _incidence(system)
     for v in range(uni.total):
-        got = [table.tops[i] for i in table.ids[table.ptr[v]:table.ptr[v + 1]]]
+        got = [tops[i] for i in table.ids[table.ptr[v]:table.ptr[v + 1]]]
         assert got == incident.get(v, [])
-    assert [table.vectors[i] for i in table.vid] == [index_vector(e, uni) for e in table.tops]
+    assert [table.vectors[i] for i in table.vid] == [index_vector(e, uni) for e in tops]
 
 
 def test_edge_table_matches_reference_and_is_built_once(monkeypatch):
@@ -309,7 +310,7 @@ _LP_FALLBACK_HOST = dict(n=30, k=3, p=0.92, degree_floor=(30, 18, 10), seed=1781
 
 
 def test_lp_rounds_read_the_host_edge_table(monkeypatch):
-    # the match-lp-fallback golden host: at ell 25, seed 0 the greedy misses
+    # the match-lp-fallback golden host: at ell 25, seed 1 the greedy misses
     # twice, and both LP rounds read the live rows of the host's one table
     import kmatch.core as core
 
@@ -317,7 +318,7 @@ def test_lp_rounds_read_the_host_edge_table(monkeypatch):
     original = core._edge_table
     monkeypatch.setattr(core, "_edge_table", lambda system: builds.append(1) or original(system))
     host = gen_random_dense(**_LP_FALLBACK_HOST)
-    res = extract_weight_disjoint(host, ALLOC3, 25, seed=0)
+    res = extract_weight_disjoint(host, ALLOC3, 25, seed=1)
     assert res.diagnostics["lp_solves"] == 2
     assert len(builds) == 1
 
@@ -328,18 +329,18 @@ def test_an_lp_round_past_the_column_cap_ends_extraction(monkeypatch):
 
     host = gen_random_dense(**_LP_FALLBACK_HOST)
     monkeypatch.setattr(fractional, "LP_COLUMN_CAP", 100)
-    res = extract_weight_disjoint(host, ALLOC3, 25, seed=0)
-    live = sum(map(res.pair_weights.edge_alive, host.top))
+    res = extract_weight_disjoint(host, ALLOC3, 25, seed=1)
+    live = sum(map(res.pair_weights.edge_alive, host.iter_top()))
     assert live > 100 and res.diagnostics["lp_solves"] == 0
-    assert res.diagnostics["rounds"][-1] == {"round": 23, "status": "empty-or-oversized", "columns": live}
+    assert res.diagnostics["rounds"][-1] == {"round": 22, "status": "empty-or-oversized", "columns": live}
     monkeypatch.setattr(fractional, "LP_COLUMN_CAP", live)
-    assert extract_weight_disjoint(host, ALLOC3, 25, seed=0).diagnostics["lp_solves"] == 2
+    assert extract_weight_disjoint(host, ALLOC3, 25, seed=1).diagnostics["lp_solves"] == 2
 
 
 def _pruned_system(system, pairs: PairWeights):
     """Reference for an LP round's host: the live top edges as a KSystem of
     their own, on the same pool."""
-    live = [e for e in system.top if pairs.edge_alive(e)]
+    live = [e for e in system.iter_top() if pairs.edge_alive(e)]
     return KSystem(system.universe, system.k, {system.k: live}, vertex_pool=system.vertex_pool)
 
 
@@ -386,9 +387,6 @@ def test_lp_round_model_equals_build_lp_of_the_pruned_system(k, r, data):
     assert model.balance_pairs == want.balance_pairs
     for got, ref in zip(model.csc, want.csc):
         assert got.dtype == ref.dtype and got.tolist() == ref.tolist()
-    # the columns are the host table's own tuples
-    tuples = {id(e) for e in host.edge_table().tops}
-    assert all(id(e) in tuples for e in model.edges)
 
 
 def _set_greedy(system, alloc, pairs, rng, tries=60):
@@ -407,7 +405,7 @@ def _set_greedy(system, alloc, pairs, rng, tries=60):
             return None
         quotas[vec] = int(q)
     incident = _incidence(system)
-    vec_of = {e: index_vector(e, system.universe) for e in system.top}
+    vec_of = {e: index_vector(e, system.universe) for e in system.iter_top()}
     for _ in range(tries):
         free = set(pool)
         need = dict(quotas)

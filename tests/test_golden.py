@@ -26,23 +26,24 @@ CORPUS = {
     "match-dense30-a": (
         lambda: _dense30(1001),
         ["match", "--seed", "1"], {"ell": 10},
-        "26af3debe6bc3738042717fc5f5a2e9d69b33a04f7c5ff2bdeb3bf3628411a83",
+        "4dd3ca972ccca55c21c0d46636a640af5a86b8de064bd54cac01821bd88ce5c6",
     ),
     "match-dense30-b": (
         lambda: _dense30(1002),
         ["match", "--seed", "2"], {"ell": 10},
-        "13ad607e945778e644f5a96be1b2a7e2e24c5d48bff84cbaf1375f09907af13f",
+        "38563a528aa34ba1f25735ea179984a7a0317385fb870bff71a0b64bc5a0b5bd",
     ),
     "match-dense30-c": (
         lambda: _dense30(1003),
         ["match", "--seed", "3"], {"ell": 10},
-        "91cc7ef92aa311de1b4b996f041669624eddea6007dbce11e1bca7fb112f7c1c",
+        "090acc0347cd152f9348ca095998f619b2bbfcb290f841e3dd085ce56b5607e9",
     ),
-    # greedy extraction misses here and the exact LP fallback runs
+    # greedy extraction misses here and the exact LP fallback runs, as
+    # test_lp_fallback_entry_runs_an_lp_round checks
     "match-lp-fallback": (
         lambda: _dense30(178118052),
-        ["match", "--seed", "324388370"], {"ell": 15},
-        "c2e0f8e46bdad2add5bdd6075f36809d28acaeb5c97d06907a757d83edbb8b5e",
+        ["match", "--seed", "2"], {"ell": 15},
+        "f4f8df3fc9db784412b46d34461a5feda2746b62c9c4431f2db718a573c22c88",
     ),
     "match-div9": (
         lambda: gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)]),
@@ -54,30 +55,30 @@ CORPUS = {
         lambda: gen_random_dense(8, 3, r=3, p=0.9, seed=1,
                                  allocation=allocation_from_index_multiset([(1, 1, 1)])),
         ["match", "--seed", "1"], {"allocation_index_multiset": [[1, 1, 1]]},
-        "e3109e66539704d33217b3ac88461a5efc7e3953d97d1613e0d85402cb343713",
+        "72763283a0b25a98d01b55eec0d24dac5ec9fd0baf9a310da8a27e6df72efe36",
     ),
     # decide's greedy witness fills the allocation's quotas
     "decide-partite8": (
         lambda: gen_random_dense(8, 3, r=3, p=0.9, seed=1,
                                  allocation=allocation_from_index_multiset([(1, 1, 1)])),
         ["decide", "--seed", "1"], {"allocation_index_multiset": [[1, 1, 1]]},
-        "604ed46189c83f944b249c25f6c76ebbbfe5963e4ca69e5bb6afdca552cd5cd9",
+        "a565bd8f9a22b227e1dd606e5e6b656c6277d8a260a48d4d1689ae03c52f9afb",
     ),
     "decide-dense9": (
         lambda: gen_random_dense(9, 3, p=0.9, seed=905),
         ["decide", "--seed", "5"], None,
-        "be4af764c9ed503627be0770444c41ebd1d0a7732db4f90b480658e961cfddef",
+        "0a5005bf0c633003846a416e27bd1468cf43833d5b519440cfd75ced606d5251",
     ),
     "decide-dense12": (
         lambda: gen_random_dense(12, 3, p=0.8, seed=906),
         ["decide", "--seed", "6"], None,
-        "dd6355a414f55d3838fddda4f5262585b82fdcd5683d634858a7bc78ca9b2a77",
+        "26b19e673dee22b82cbccd5709eb9209d76ba1a8d49028dc033abd5c8723724f",
     ),
     # n > 12: past the brute-force cap, so no oracle cross-check is attached
     "decide-dense15": (
         lambda: gen_random_dense(15, 3, p=0.85, seed=915),
         ["decide", "--seed", "12"], None,
-        "5c589f8a10c2f39b0068d9e2086ea3887427978caffe6848466a682a49e68e10",
+        "d451c5f0953084072883921fcbf43090a5a949f0c02344c00d42142d3972bc64",
     ),
     "decide-space9": (
         lambda: gen_space_barrier(9, 3, 1, 4),
@@ -113,12 +114,12 @@ CORPUS = {
     "absorb-demo-dense30": (
         lambda: gen_random_dense(30, 3, p=0.9, seed=3),
         ["absorb-demo", "--state", "--seed", "11"], None,
-        "3bd96c62363c200fd2d5f2ebface8ce1afeafba3acc7d7395c5a9ff78648e5ce",
+        "7095ba339be2288e46d1c008ea9d1a0d3337d2835f8ab7d9e0da798b1d2320fc",
     ),
     "frac-weights": (
         lambda: gen_random_dense(12, 3, p=0.9, seed=5),
         ["frac", "--ell", "3", "--weights", "--seed", "11"], None,
-        "e37fb757b2fb0077a935c28f52a2a2f631e90b01ddb038ac8ee4990e2e0e0a8c",
+        "47236d9c5ef6b92d1e76277ad401eee462c27b7f90bbc2b2c2fc03c96f0f12fc",
     ),
 }
 
@@ -171,6 +172,17 @@ def test_golden_digest(tmp_path, capsys, name):
     assert code in (0, 2)
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS[name][3]
     assert canonical(strip_removed(json.loads(out))) == out
+
+
+def test_lp_fallback_entry_runs_an_lp_round(tmp_path, capsys, monkeypatch):
+    # the entry exists for its exact-LP round: at least one must run
+    import kmatch.pipeline as pipeline
+
+    runs, extract = [], pipeline.extract_weight_disjoint
+    monkeypatch.setattr(pipeline, "extract_weight_disjoint",
+                        lambda *args, **kwargs: runs.append(extract(*args, **kwargs)) or runs[-1])
+    code, _ = run_corpus_entry(tmp_path, capsys, "match-lp-fallback")
+    assert code == 0 and sum(run.diagnostics["lp_solves"] for run in runs) >= 1
 
 
 if __name__ == "__main__":

@@ -214,7 +214,7 @@ def test_erosion_bound_holds_for_lp_rounds(monkeypatch):
 
     monkeypatch.setattr(pipeline, "extract_weight_disjoint", recording)
     cx = gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=178118052)
-    cert = run_matching_pipeline(cx, None, PipelineConfig(ell=15, seed=324388370))
+    cert = run_matching_pipeline(cx, None, PipelineConfig(ell=15, seed=2))
     assert cert.tag == "PerfectMatching"
     diag = runs[-1].diagnostics
     assert diag["lp_solves"] > 0
@@ -316,7 +316,7 @@ def test_decide_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n
     assert calls == {"degree_sequences": 1, "closed_partition": 1}
 
 
-@pytest.mark.parametrize("host_seed, seed, kept", [(1008521273, 25, 0), (158063559, 7, 1)])
+@pytest.mark.parametrize("host_seed, seed, kept", [(1008521273, 25, 0), (158063559, 21, 1)])
 def test_rounding_reports_the_regularity_of_the_kept_sample(monkeypatch, host_seed, seed, kept):
     # every attempt misses, so the first attempt with the fewest uncovered
     # vertices is kept; its own sample's regularity is the one reported. The

@@ -191,11 +191,11 @@ def _sample60():
 
 
 def test_nibble_stops_at_the_cap_in_collapsed_mode():
-    # greedy starts at 15 edges; the walk then stops at the first matching
+    # greedy starts at 16 edges; the walk then stops at the first matching
     # that leaves at most the cap, ceil((60 - cap) / 3) edges
     H = _sample60()
     assert H.num_classes == 1
-    for cap, size in ((12, 16), (9, 17)):
+    for cap, size in ((9, 17), (6, 18)):
         result = nibble_match(H, cap, seed=17)
         assert result.flag == "ok"
         assert result.best_trace[0] < len(result.matching) == size
