@@ -3,15 +3,15 @@
 Vertices are dense integer ids 0..total-1 grouped by part (part order is
 significant everywhere). An explicit system holds each level as one
 read-only int64 array of rows, the edges as sorted vertex ids in
-lexicographic order, which KSystem() sorts, de-duplicates and checks for
-every input: tuples, the loader's rows, the downward closure and every
-restriction. Tuples are made only where edges leave: iter_top(), Matching
-and the callers' certificates. An explicit system keeps each level's
-sorted row codes, for membership, and caches its integer top-edge table
-(edge_table) and common-link counts on first use. Degrees and partite
-checks count each level's rows: one np.unique over face codes per level
-gives every extension count by part, and compositions gives every index
-vector.
+lexicographic order, with their sorted row codes for membership. KSystem()
+sorts, de-duplicates and checks the rows it is given and KComplex() adds a
+face test; close_down sorts each level once into a complex closed by
+construction, and induced/rebuild mask the parent's rows and codes. Tuples
+are made only where edges leave: iter_top(), Matching and the callers'
+certificates. A system caches its integer top-edge table (edge_table) and
+common-link counts on first use. Degrees and partite checks count each
+level's rows: one np.unique over face codes per level gives every
+extension count by part, and compositions gives every index vector.
 """
 
 from __future__ import annotations
@@ -115,6 +115,7 @@ def index_vector(vertex_set, universe: VertexUniverse) -> tuple:
 def _check_levels(levels, k):
     if any(not 0 <= i <= k for i in levels):
         raise BadVertex(f"edge level exceeds k={k}")
+    _as_rows(levels.get(0, ()), 0)
 
 
 @functools.cache
@@ -163,11 +164,10 @@ def _pool_mask(universe, pool) -> np.ndarray:
 
 
 def _sorted_rows(rows, inside):
-    """Int rows of i-sets, with their vertices in any order and repeats
-    allowed, as (the sorted distinct rows of the sorted i-sets, read-only;
-    their row_codes): one stable sort of the codes. Rows already in that
-    form are kept. BadVertex names a row that repeats a vertex, else a
-    vertex outside the mask `inside` (see _pool_mask)."""
+    """Int rows of i-sets, vertices in any order and repeats allowed, as
+    (the sorted distinct rows of the sorted i-sets, their row_codes): one
+    stable sort of the codes; rows already in that form are kept. BadVertex
+    names a row that repeats a vertex, else a vertex outside `inside`."""
     total = len(inside) - 2
     if rows.shape[1] > 1 and not (rows[:, 1:] > rows[:, :-1]).all():
         rows = np.sort(rows, axis=1)
@@ -183,7 +183,6 @@ def _sorted_rows(rows, inside):
         codes = codes[order]
         first = np.concatenate(([True], codes[1:] != codes[:-1]))
         rows, codes = rows[order[first]], codes[first]
-    rows.flags.writeable = codes.flags.writeable = False
     return rows, codes
 
 
@@ -202,10 +201,10 @@ class KSystem:
 
     Level i is one read-only int64 array of rows: the i-edges as sorted
     vertex ids, in lexicographic order, without repeats; level 0 is one
-    empty row. Every system is built by __init__, which sorts, de-duplicates
-    and checks the rows it is given. An induced subsystem keeps the parent
-    universe but restricts its vertex pool; degrees, matchings, and LP rows
-    range over the pool.
+    empty row. __init__ sorts, de-duplicates and checks the rows it is
+    given; close_down and induced/rebuild, whose rows are canonical by
+    construction, skip it. An induced subsystem keeps the parent universe
+    but restricts its vertex pool; degrees, matchings, LP rows range over it.
     """
 
     closed = False
@@ -215,12 +214,18 @@ class KSystem:
         _check_levels(levels, k)
         pool = frozenset(universe.vertices() if vertex_pool is None else vertex_pool)
         inside = _pool_mask(universe, pool)
-        _as_rows(levels.get(0, ()), 0)
-        self._levels, self._codes = {0: _J0[0]}, {0: _J0[1]}
-        for i in range(k, 0, -1):
-            self._levels[i], self._codes[i] = _sorted_rows(_as_rows(levels.get(i, ()), i), inside)
+        rows = {i: _sorted_rows(_as_rows(levels.get(i, ()), i), inside) for i in range(k, 0, -1)}
+        self._assemble(universe, k, rows, pool)
+
+    def _assemble(self, universe, k, rows, pool):
+        """Set every field from rows[i] = (sorted rows, row_codes), i = 1..k."""
+        self._levels = {0: _J0[0]} | {i: level for i, (level, _) in rows.items()}
+        self._codes = {0: _J0[1]} | {i: codes for i, (_, codes) in rows.items()}
+        for array in chain(self._levels.values(), self._codes.values()):
+            array.flags.writeable = False
         self.universe, self.k, self._pool = universe, k, pool
         self._table = self._common = None
+        return self
 
     @property
     def vertex_pool(self) -> frozenset:
@@ -234,16 +239,13 @@ class KSystem:
         return len(self._levels[self.k])
 
     def has_top(self, edge) -> bool:
-        return len(edge) == self.k and self.has_edge(edge)
-
-    def has_edge(self, edge) -> bool:
         e = edge_key(edge)
-        if len(e) > self.k or e and not 0 <= e[0] <= e[-1] < self.universe.total:
+        if len(e) != self.k or e and not 0 <= e[0] <= e[-1] < self.universe.total:
             return False
         code = 0
         for v in e:
             code = code * self.universe.total + v
-        codes = self._codes[len(e)]
+        codes = self._codes[self.k]
         at = int(codes.searchsorted(code))
         return at < len(codes) and bool(codes[at] == code)
 
@@ -272,12 +274,15 @@ class KSystem:
         return self.rebuild(self.universe, frozenset(vertex_set) & self._pool)
 
     def rebuild(self, universe: VertexUniverse, vertex_pool):
-        """The same kind of system over another universe or a smaller pool,
-        keeping the edges inside the pool."""
+        """The same kind of system over a universe of as many vertices or a
+        smaller pool: each level's rows and codes masked to the pool."""
+        if universe.total != self.universe.total:
+            raise BadVertex(f"a universe of {universe.total} vertices, not {self.universe.total}")
         pool = frozenset(vertex_pool)
-        inside = _pool_mask(self.universe, pool)
-        levels = {i: rows[inside[rows + 1].all(1)] for i, rows in self._levels.items()}
-        return type(self)(universe, self.k, levels, vertex_pool=pool)
+        inside = _pool_mask(universe, pool)
+        keep = {i: inside[self._levels[i] + 1].all(1) for i in range(1, self.k + 1)}
+        rows = {i: (self._levels[i][m], self._codes[i][m]) for i, m in keep.items()}
+        return type(self).__new__(type(self))._assemble(universe, self.k, rows, pool)
 
 
 class KComplex(KSystem):
@@ -300,17 +305,16 @@ class KComplex(KSystem):
                 )
 
 
-def close_down(universe: VertexUniverse, k: int, levels: dict) -> dict:
-    """Downward closure of leveled edges, given as KSystem() takes them:
-    each level as sorted distinct rows, with every face of the level above."""
+def close_down(universe: VertexUniverse, k: int, levels: dict) -> KComplex:
+    """The downward closure of leveled edges (as KSystem() takes them): a
+    KComplex, each level sorted once with the faces above, no face test."""
     _check_levels(levels, k)
     inside = _pool_mask(universe, universe.vertices())
-    out = {k: _sorted_rows(_as_rows(levels.get(k, ()), k), inside)[0]}
+    rows = {k: _sorted_rows(_as_rows(levels.get(k, ()), k), inside)}
     for i in range(k, 1, -1):
         given = _as_rows(levels.get(i - 1, ()), i - 1)
-        out[i - 1] = _sorted_rows(np.concatenate([given, faces(out[i])]), inside)[0]
-    out[0] = _J0[0]
-    return out
+        rows[i - 1] = _sorted_rows(np.concatenate([given, faces(rows[i][0])]), inside)
+    return KComplex.__new__(KComplex)._assemble(universe, k, rows, frozenset(universe.vertices()))
 
 
 def build_complex(raw_edges, universe: VertexUniverse, k=None, close=True):
@@ -329,7 +333,7 @@ def build_complex(raw_edges, universe: VertexUniverse, k=None, close=True):
             leveled.setdefault(len(e), []).append(e)
     if k is None:
         k = max(leveled, default=0)
-    return KComplex(universe, k, close_down(universe, k, leveled) if close else leveled)
+    return close_down(universe, k, leveled) if close else KComplex(universe, k, leveled)
 
 
 class CompleteComplex:
@@ -366,10 +370,6 @@ class CompleteComplex:
     def has_top(self, edge) -> bool:
         e = edge_key(edge)
         return len(e) == self.k == len(set(e)) and self._pool.issuperset(e)
-
-    def has_edge(self, edge) -> bool:
-        e = edge_key(edge)
-        return len(set(e)) == len(e) <= self.k and self._pool.issuperset(e)
 
     def iter_top(self):
         return combinations(sorted(self._pool), self.k)

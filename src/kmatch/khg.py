@@ -298,7 +298,7 @@ def load_khg(path, close=True):
     """Load a KComplex (close=True) or validated-closed complex from a file."""
     with open(path, "r", encoding="utf-8") as fh:
         uni, k, edges, _ = parse_khg(fh.read())
-    return KComplex(uni, k, close_down(uni, k, edges) if close else edges)
+    return close_down(uni, k, edges) if close else KComplex(uni, k, edges)
 
 
 def load_khg_system(path) -> KSystem:

@@ -13,7 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kmatch.cli import build_parser, main
-from kmatch.core import KSystem, VertexUniverse, allocation_from_index_multiset
+from kmatch.core import KSystem, VertexUniverse, allocation_from_index_multiset, build_complex
 from kmatch.khg import save_khg
 from kmatch.oracle import (
     GenSpec,
@@ -450,11 +450,16 @@ def test_gen_spec_field_errors_exit_3(tmp_path, capsys, spec, message):
 
 def _rewritten(text, how, rng):
     """The khg text with its edge lines shuffled, with the vertices of each
-    edge line in a random order, or with some edge lines listed twice."""
+    edge line in a random order, with some edge lines listed twice, or with
+    its vertex names, in order, under one part line."""
     lines = text.splitlines()
     head = [line for line in lines if not line.startswith("edge")]
     edges = [line for line in lines if line.startswith("edge")]
-    if how == "shuffled":
+    if how == "one-part":
+        names = [v for line in head if line.startswith("part ") for v in line.split(":")[1].split()]
+        head = [line for line in head if not line.startswith("part")]
+        head += ["parts 1", f"part V {len(names)}: " + " ".join(names)]
+    elif how == "shuffled":
         rng.shuffle(edges)
     elif how == "permuted":
         for i, line in enumerate(edges):
@@ -467,27 +472,63 @@ def _rewritten(text, how, rng):
     return "\n".join(head + edges) + "\n"
 
 
-@pytest.mark.parametrize("host, seed", [("dense30-a", "1"), ("lp-fallback", "2"), ("dense12", "6")])
+@pytest.mark.parametrize("host, seed", [("dense30-a", "1"), ("lp-fallback", "2"), ("dense12", "6"),
+                                        ("div-two-part", "4")])
 def test_output_does_not_depend_on_the_order_of_edge_lines(tmp_path, capsys, host, seed):
-    # the same host written four ways prints the same bytes
+    # the same host written five ways prints the same bytes; the one-part
+    # copy of a two-part host reads as the plain mode's flattened view of it
     build = {
         "dense30-a": lambda: gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=1001),
         "lp-fallback": lambda: gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=178118052),
         "dense12": lambda: gen_random_dense(12, 3, p=0.8, seed=906),
+        "div-two-part": lambda: gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)]),
     }[host]
     canonical = tmp_path / "host.khg"
     save_khg(build(), canonical, include_lower=True)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"ell": 10}))
     commands = [["decide"], ["match", "--config", str(config)], ["frac", "--weights", "--ell", "3"]]
-    if host == "dense12":
+    if host in ("dense12", "div-two-part"):
         commands.append(["oracle"])
+    if host == "div-two-part":
+        commands.append(["barriers"])
     rng = random.Random(seed)
     files = [canonical]
-    for how in ("shuffled", "permuted", "repeated"):
+    for how in ("shuffled", "permuted", "repeated", "one-part"):
         files.append(tmp_path / f"{how}.khg")
         files[-1].write_text(_rewritten(canonical.read_text(), how, rng))
     for command in commands:
         outs = {run_cli(capsys, command[0], str(path), "--json", "--seed", seed, *command[1:])
                 for path in files}
         assert len(outs) == 1, command
+
+
+def _closed(system):
+    return build_complex(system.iter_top(), system.universe)
+
+
+@pytest.mark.parametrize("command, build, ell, tag", [
+    ("decide", lambda: _closed(gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)])), None,
+     "DivisibilityBarrier"),
+    ("match", lambda: gen_random_dense(30, 3, p=0.92, degree_floor=(30, 18, 10), seed=1001), 10,
+     "PerfectMatching"),
+])
+def test_each_loaded_level_is_sorted_once(tmp_path, capsys, monkeypatch, command, build, ell, tag):
+    # a k = 3 file written with its lower levels: the closure sorts each
+    # level once, and the flattened view and the restrictions mask its rows
+    import kmatch.core
+
+    calls = []
+    sorted_rows = kmatch.core._sorted_rows
+    monkeypatch.setattr(kmatch.core, "_sorted_rows", lambda *a: calls.append(1) or sorted_rows(*a))
+    host = build()
+    assert host.closed and len(host.level(2))
+    save_khg(host, tmp_path / "host.khg", include_lower=True)
+    argv = [command, str(tmp_path / "host.khg"), "--json"]
+    if ell:
+        (tmp_path / "config.json").write_text(json.dumps({"ell": ell}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    calls.clear()
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["tag"] == tag
+    assert len(calls) == 3

@@ -108,6 +108,14 @@ def test_levels_outside_0_to_k_raise():
         KSystem(uni, 2, {-1: []})
 
 
+def test_a_vertex_in_level_0_raises_with_or_without_closure():
+    # level 0 holds only the empty edge, whether or not the levels are closed
+    levels = {0: [(1,)], 3: [(0, 1, 2)]}
+    for close in (True, False):
+        with pytest.raises(BadVertex, match=r"edge \(1,\) is not a 0-set"):
+            build_complex(levels, VertexUniverse.single(3), k=3, close=close)
+
+
 def _reference_close_down(levels, k):
     """The downward closure as tuples in sets, subset by subset."""
     out = {i: {tuple(sorted(e)) for e in levels.get(i, ())} for i in range(k + 1)}
@@ -120,6 +128,10 @@ def _reference_close_down(levels, k):
 def _reference_rebuild(levels, pool):
     """The levels restricted to the edges inside pool, by a set filter."""
     return {i: set(filter(pool.issuperset, es)) for i, es in levels.items()}
+
+
+def _levels_of(system) -> dict:
+    return {i: system.level(i) for i in range(system.k + 1)}
 
 
 def _assert_levels(system, want):
@@ -154,11 +166,12 @@ def test_levels_equal_the_tuple_set_reference(case):
     given_sets[0] = {()}
     closed = _reference_close_down(levels, k)
     rows = close_down(uni, k, levels)
-    assert {i: list(map(tuple, rows[i].tolist())) for i in rows} == {i: sorted(closed[i]) for i in closed}
-    system, cx = KSystem(uni, k, levels), KComplex(uni, k, rows)
+    _assert_levels(rows, closed)
+    system, cx = KSystem(uni, k, levels), KComplex(uni, k, _levels_of(rows))
     inside = {i: [e for e in es if pool.issuperset(e)] for i, es in levels.items()}
+    closed_inside = _levels_of(close_down(uni, k, inside))
     for host, want, on_pool in ((system, given_sets, KSystem(uni, k, inside, vertex_pool=pool)),
-                                (cx, closed, KComplex(uni, k, close_down(uni, k, inside), vertex_pool=pool))):
+                                (cx, closed, KComplex(uni, k, closed_inside, vertex_pool=pool))):
         _assert_levels(host, want)
         _assert_levels(host.induced(pool), _reference_rebuild(want, pool))
         flat = host.rebuild(VertexUniverse.single(uni.total), pool)
@@ -168,9 +181,41 @@ def test_levels_equal_the_tuple_set_reference(case):
         _assert_levels(on_pool, _reference_close_down(inside, k) if host.closed else
                        _reference_rebuild(given_sets, pool))
     for i in range(k + 1):
-        for level in (system.level(i), cx.level(i), rows[i]):
+        for level in (system.level(i), cx.level(i), rows.level(i)):
             with pytest.raises(ValueError):
                 level[...] = 0
+
+
+def test_restrictions_mask_the_parent_rows(monkeypatch):
+    # induced and rebuild keep the parent's rows inside the pool, read-only,
+    # without sorting them again, without a face test and without sharing
+    # the parent's edge table; a universe of another size raises
+    import kmatch.core
+
+    bare = gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)])
+    cx = build_complex(bare.iter_top(), bare.universe)
+    cx.edge_table()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a restriction re-checked canonical rows")
+
+    monkeypatch.setattr(kmatch.core, "_sorted_rows", refuse)
+    monkeypatch.setattr(KSystem, "__init__", refuse)
+    monkeypatch.setattr(KComplex, "__init__", refuse)
+    pool = frozenset(range(1, 8))
+    for host in (cx, bare):
+        for sub in (host.induced(pool), host.rebuild(VertexUniverse.single(9), pool)):
+            assert type(sub) is type(host) and sub.vertex_pool == pool
+            for i in range(4):
+                want = [e for e in host.level(i).tolist() if pool.issuperset(e)]
+                assert sub.level(i).tolist() == want
+                with pytest.raises(ValueError):
+                    sub.level(i)[...] = 0
+            top = list(host.iter_top())
+            assert [sub.has_top(e) for e in top] == [pool.issuperset(e) for e in top]
+            assert sub.edge_table().E.tolist() == sub.level(3).tolist()
+        with pytest.raises(BadVertex, match="a universe of 10 vertices, not 9"):
+            host.rebuild(VertexUniverse.single(10), pool)
 
 
 def test_build_complex_bad_vertex():

@@ -128,7 +128,7 @@ def test_load_khg_levels_iterate_as_close_down_builds(tmp_path, lower, drop_face
     for i in range(k + 1):
         rows = list(map(tuple, loaded.level(i).tolist()))
         assert rows == sorted(set(map(tuple, map(sorted, rows))))
-        assert loaded.level(i).tolist() == want[i].tolist() == cx.level(i).tolist()
+        assert loaded.level(i).tolist() == want.level(i).tolist() == cx.level(i).tolist()
 
 
 _HEAD = "khg 1\nk 3\nparts 1\npart A 4: a b c d\n"
