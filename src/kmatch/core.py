@@ -371,6 +371,11 @@ class CompleteComplex:
         e = edge_key(edge)
         return len(e) == self.k == len(set(e)) and self._pool.issuperset(e)
 
+    def has_top_rows(self, rows) -> np.ndarray:
+        """Per int row, k wide: are its entries strictly increasing ids of the pool?"""
+        inside = _pool_mask(self.universe, self._pool).take(rows + 1, mode="clip").all(1)
+        return inside & (rows[:, 1:] > rows[:, :-1]).all(1)
+
     def iter_top(self):
         return combinations(sorted(self._pool), self.k)
 

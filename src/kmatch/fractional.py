@@ -38,11 +38,19 @@ class LPModel:
     """Feasibility model: one nonnegative variable per k-edge, exact rows."""
 
     host: object
-    edges: list                      # column order
+    _rows: np.ndarray                # the k-edges as sorted int rows, in column order
     csc: tuple                       # integer CSC (ptr, rows, vals, scale), see simplex
     b: list
-    row_names: list
     balance_pairs: list              # [(index_vec, index_vec'), ...] in row order
+
+    @property
+    def edges(self) -> list:
+        return list(map(tuple, self._rows.tolist()))
+
+    @property
+    def row_names(self) -> list:
+        return [f"v{v}" for v in sorted(self.host.vertex_pool)] + [
+            f"bal_{'_'.join(map(str, va))}__{'_'.join(map(str, vb))}" for va, vb in self.balance_pairs]
 
     @property
     def num_rows(self) -> int:
@@ -50,7 +58,7 @@ class LPModel:
 
     @property
     def num_cols(self) -> int:
-        return len(self.edges)
+        return len(self._rows)
 
     @property
     def columns(self) -> list:
@@ -87,7 +95,6 @@ def _lp_model(host, alloc: Allocation, E, vid, host_vectors) -> LPModel:
     """The model of build_lp on the top edges of host given as sorted table
     rows E, in column order: edge i has index vector host_vectors[vid[i]]."""
     k = host.k
-    edges = list(map(tuple, E.tolist()))
     pool = sorted(host.vertex_pool)
     nrows = len(pool)
     vectors = alloc.index_vectors()
@@ -105,16 +112,11 @@ def _lp_model(host, alloc: Allocation, E, vid, host_vectors) -> LPModel:
     V = np.column_stack([np.repeat(scale[:, None], k, 1), np.full((len(E), 2), [-1, 1], np.int64)])
     ptr = np.concatenate([[0], np.cumsum(keep.sum(1))]).astype(np.int64)
     b = [1] * nrows + [0] * len(balance_pairs)
-    row_names = [f"v{v}" for v in pool] + [
-        f"bal_{'_'.join(map(str, va))}__{'_'.join(map(str, vb))}"
-        for va, vb in balance_pairs
-    ]
     return LPModel(
         host=host,
-        edges=edges,
+        _rows=E,
         csc=(ptr, R[keep].astype(np.intp), V[keep].astype(np.int64), scale.astype(np.int64)),
         b=b,
-        row_names=row_names,
         balance_pairs=balance_pairs,
     )
 
@@ -152,17 +154,19 @@ def solve_feasible(model: LPModel):
     res = solve_equality_feasibility(model.csc, model.b)
     if not res.feasible:
         return None
-    weights = {model.edges[j]: val for j, val in res.solution.items()}
+    weights = dict(zip(map(tuple, model._rows[list(res.solution)].tolist()), res.solution.values()))
     return FractionalMatching(host=model.host, weights=weights)
 
 
 def verify_fractional(system, frac: FractionalMatching, alloc: Allocation = None) -> dict:
     """Exact residual report: vertex sums, balance residuals, support size.
     The sums are taken in ints over the weights' common denominator."""
-    uni = system.universe
-    for e in frac.weights:
-        if not system.has_top(e):
-            raise UnknownEdge(f"edge {e} not in the host top level")
+    uni, k, edges = system.universe, system.k, list(frac.weights)
+    # one membership call on the sorted rows; a row of the wrong width reads -1
+    rows = np.sort(np.array([e if len(e) == k else (-1,) * k for e in edges], np.int64).reshape(-1, k))
+    known = (rows[:, 0] >= 0) & (rows[:, -1] < uni.total) & system.has_top_rows(rows)
+    if not known.all():
+        raise UnknownEdge(f"edge {edges[known.argmin()]} not in the host top level")
     den = math.lcm(*(w.denominator for w in frac.weights.values()))
     sums = dict.fromkeys(sorted(system.vertex_pool), 0)
     per_index = Counter()

@@ -6,9 +6,11 @@ negated first, and phase 1 starts from one artificial per row. The columns
 arrive as integer CSC arrays, each scaled by the lcm of its own denominators,
 and b is scaled by one lcm: no pivot choice changes.
 
-1. Float guide. The same phase 1 in float64 on a dense numpy tableau (Dantzig
-   pricing, min-ratio test, at most FLOAT_PIVOTS_PER_ROW pivots per row) on
-   the unscaled coefficients. Its only output is a basis.
+1. Float guide. The same phase 1 in float64 on the unscaled coefficients
+   (Dantzig pricing, min-ratio test, at most FLOAT_PIVOTS_PER_ROW pivots per
+   row) on one dense tableau whose last row is the reduced costs and last
+   column the basic values, so that a pivot is one update of the rows it
+   changes, in column blocks of _BLOCK. Its only output is a basis.
 2. Exact install. Each real column of that basis enters by an exact pivot,
    replacing an artificial that the float basis does not keep. The basis is
    kept only if every exact basic value is >= 0; else the solver restarts
@@ -34,6 +36,7 @@ import numpy as np
 
 FLOAT_TOL = 1e-9
 FLOAT_PIVOTS_PER_ROW = 20
+_BLOCK = 4096  # columns per step of the guide's row update, which bounds its temporaries
 
 
 @dataclass
@@ -50,31 +53,30 @@ def _float_basis(cols, rhs):
     a guide: nothing it computes is used beyond the basis itself."""
     ptr, rows, vals = cols
     m, ncols = len(rhs), len(ptr) - 1
-    tab = np.zeros((m, ncols + m))
+    w = ncols + m
+    # B^-1 [A | I] over the reduced costs (1 on artificials minus the column sums)
+    tab = np.zeros((m + 1, w + 1))
     tab[rows, np.repeat(np.arange(ncols), np.diff(ptr))] = vals
-    tab[:, ncols:] = np.eye(m)
-    x = np.array(rhs, dtype=float)
-    # reduced phase-1 costs: 1 on artificials minus the column sums
-    cost = np.concatenate([-tab[:, :ncols].sum(axis=0), np.zeros(m)])
-    basis = list(range(ncols, ncols + m))
+    tab[np.arange(m), np.arange(ncols, w)] = 1
+    tab[:m, w] = rhs
+    tab[m, :ncols] = -tab[:m, :ncols].sum(axis=0)
+    cost, x, ratio, basis = tab[m, :w], tab[:m, w], np.empty(m), list(range(ncols, w))
     for _ in range(FLOAT_PIVOTS_PER_ROW * m):
         enter = int(np.argmin(cost))
         if cost[enter] >= -FLOAT_TOL:
             return basis
-        col = tab[:, enter]
-        rows = np.flatnonzero(col > FLOAT_TOL)
-        if rows.size == 0:
+        col = tab[:m, enter]
+        pos = col > FLOAT_TOL
+        if not pos.any():
             return None
-        leave = int(rows[np.argmin(x[rows] / col[rows])])
-        piv = col[leave]
-        tab[leave] /= piv
-        x[leave] /= piv
-        rows = np.flatnonzero(tab[:, enter])
-        rows = rows[rows != leave]
-        f = tab[rows, enter]
-        tab[rows] -= f[:, None] * tab[leave]
-        x[rows] -= f * x[leave]
-        cost -= cost[enter] * tab[leave]
+        ratio.fill(np.inf)
+        leave = int(np.argmin(np.divide(x, col, out=ratio, where=pos)))
+        tab[leave] /= tab[leave, enter]
+        t = np.flatnonzero(tab[:, enter])  # the cost row too
+        t = t[t != leave]
+        f = tab[t, enter][:, None]
+        for s in range(0, w + 1, _BLOCK):
+            tab[t, s:s + _BLOCK] -= f * tab[leave, s:s + _BLOCK]
         basis[leave] = enter
     return None
 
@@ -196,17 +198,16 @@ def _dots(y, a):
 
 
 def _pivot_rows(tab, d, leave, den):
-    """Fraction-free (Edmonds-Bareiss) pivot on d[leave] of the rows of tab and
-    the entering column d, all over den, in place; returns the new
-    denominator |d[leave]|. An inexact division raises ArithmeticError."""
+    """Fraction-free (Edmonds-Bareiss) pivot on p = d[leave] of the rows of tab
+    and the entering column d, all over den, in place: each other row a becomes
+    (p * a - d_t * tab[leave]) / den, so a row with d_t == 0 and p == den is
+    unchanged. Returns |p|; an inexact division raises ArithmeticError."""
     p, prow = int(d[leave]), tab[leave].copy()
-    # with p == den a row with f == 0 keeps its values
-    t = np.flatnonzero(((d != 0) | (p != den)) & (np.arange(len(d)) != leave))
-    new = p * tab[t] - d[t, None] * prow
-    out = new // den
-    if (out * den != new).any():
+    new = p * tab - d[:, None] * prow
+    np.floor_divide(new, den, out=tab)
+    if (tab * den != new).any():
         raise ArithmeticError("inexact fraction-free division")
-    tab[t] = out
+    tab[leave] = prow
     if p < 0:
         tab *= -1
     return abs(p)

@@ -141,6 +141,26 @@ def test_verify_fractional_residuals():
         verify_fractional(cc, FractionalMatching(host=cc, weights={(0, 1, 9): Fraction(1)}), ALLOC3)
 
 
+@pytest.mark.parametrize("implicit", [True, False])
+def test_verify_fractional_support_check_agrees_with_has_top(implicit):
+    # the support is checked by one has_top_rows call on its sorted rows:
+    # an edge listed out of order passes, and an edge with a repeated,
+    # out-of-pool or out-of-universe vertex, or of the wrong width, raises
+    uni = VertexUniverse.single(6)
+    host = CompleteComplex(uni, 3, vertex_pool=range(5))
+    if not implicit:
+        host = KSystem(uni, 3, {3: list(host.iter_top())}, vertex_pool=range(5))
+    candidates = [(0, 1, 2), (2, 0, 1), (4, 3, 1), (0, 1, 5), (0, 0, 1), (0, 1, 6), (-1, 0, 1), (0, 1), (0, 1, 2, 3)]
+    assert [host.has_top(e) for e in candidates] == [True] * 3 + [False] * 6
+    for e in candidates:
+        frac = FractionalMatching(host, {e: Fraction(1)})
+        if host.has_top(e):
+            assert verify_fractional(host, frac)["support"] == 1
+        else:
+            with pytest.raises(UnknownEdge):
+                verify_fractional(host, frac)
+
+
 def test_solver_verdict_stable_under_edge_reordering():
     rng = random.Random(3)
     cx = gen_random_dense(9, 3, p=0.4, seed=3)

@@ -4,6 +4,7 @@ restarts, exact points and exactly checked Farkas certificates."""
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -257,6 +258,102 @@ def test_pivot_path_digest_on_python_ints(monkeypatch):
     # the object-dtype tableau takes the same pivots to the same answers
     monkeypatch.setattr(simplex, "_tableau_dtype", lambda a, rhs: object)
     assert _corpus_digest(monkeypatch) == PIVOT_PATH_DIGEST
+
+
+def _reference_float_basis(cols, rhs):
+    """The float guide with the cost row and the basic values kept apart from
+    the tableau, each updated on its own: the guide must return its basis."""
+    ptr, rows, vals = cols
+    m, ncols = len(rhs), len(ptr) - 1
+    tab = np.zeros((m, ncols + m))
+    tab[rows, np.repeat(np.arange(ncols), np.diff(ptr))] = vals
+    tab[:, ncols:] = np.eye(m)
+    x = np.array(rhs, dtype=float)
+    cost = np.concatenate([-tab[:, :ncols].sum(axis=0), np.zeros(m)])
+    basis = list(range(ncols, ncols + m))
+    for _ in range(simplex.FLOAT_PIVOTS_PER_ROW * m):
+        enter = int(np.argmin(cost))
+        if cost[enter] >= -simplex.FLOAT_TOL:
+            return basis
+        col = tab[:, enter]
+        rows = np.flatnonzero(col > simplex.FLOAT_TOL)
+        if rows.size == 0:
+            return None
+        leave = int(rows[np.argmin(x[rows] / col[rows])])
+        piv = col[leave]
+        tab[leave] /= piv
+        x[leave] /= piv
+        rows = np.flatnonzero(tab[:, enter])
+        rows = rows[rows != leave]
+        f = tab[rows, enter]
+        tab[rows] -= f[:, None] * tab[leave]
+        x[rows] -= f * x[leave]
+        cost -= cost[enter] * tab[leave]
+        basis[leave] = enter
+    return None
+
+
+def _guides_agree(csc, b):
+    """Solve with both guides run on the solver's own float input; requires
+    the same basis (or both None) and returns it."""
+    real, bases = simplex._float_basis, []
+
+    def both(cols, rhs):
+        bases.append((real(cols, rhs), _reference_float_basis(cols, rhs)))
+        return bases[-1][0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_float_basis", both)
+        solve_equality_feasibility(csc, b)
+    [(got, want)] = bases
+    assert got == want
+    return got
+
+
+def test_float_guide_matches_the_reference_on_the_corpus():
+    bases = [_guides_agree(csc_from_columns(columns), b) for _, _, columns, b, _ in _corpus()]
+    assert sum(basis is not None for basis in bases) >= 150
+
+
+TWO_VECTOR = allocation_from_index_multiset([(2, 1), (1, 2)])
+
+
+@given(st.integers(4, 15), st.booleans(), st.sampled_from([0.3, 0.5, 0.7, 0.9]), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_float_guide_matches_the_reference_on_dense_hosts(n, two_part, p, seed):
+    # two-part hosts of n // 2 + n // 2 vertices carry the balance row of
+    # the two-vector allocation, with entries -1 and +1
+    host = gen_random_dense(n // 2 if two_part else n, 3, r=2 if two_part else 1, p=p, seed=seed, max_tries=1)
+    if host.top_count():
+        model = build_lp(host, TWO_VECTOR if two_part else ALLOC3)
+        _guides_agree(model.csc, model.b)
+
+
+def test_float_guide_matches_the_reference_on_tied_ratios():
+    # every ratio test ties: all rows read 1 and every column is a 0/1 vector
+    columns = [[(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 1)], [(1, 1), (2, 1)], [(0, 1)], [(2, 1)], [(1, 1)]]
+    b = [1, 1, 1]
+    assert _guides_agree(csc_from_columns(columns), b) is not None
+    _assert_point(columns, b, solve_equality_feasibility(csc_from_columns(columns), b))
+
+
+def test_float_guide_peak_memory_stays_near_its_tableau():
+    # m = 75 rows and 57,193 columns: the (m+1) x (w+1) float tableau is
+    # 34.8 MB, and the row update's column blocks add a few MB to it
+    model = build_lp(gen_random_dense(75, 3, p=0.85, seed=1), ALLOC3)
+    ptr, rows, vals, scale = model.csc
+    cols = (ptr, rows, vals / np.repeat(scale, np.diff(ptr)))  # the solver's float input
+    m, w = model.num_rows, model.num_cols + model.num_rows
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        basis = simplex._float_basis(cols, [float(v) for v in model.b])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert basis is not None
+    assert peak <= 1.5 * (m + 1) * (w + 1) * 8
 
 
 def test_build_lp_csc_matches_a_reference_edge_by_edge(monkeypatch):
