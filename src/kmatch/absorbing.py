@@ -160,6 +160,12 @@ def closed_partition(system, delta, alpha) -> ClosedPartition:
     return ClosedPartition(parts=tuple(parts), witness=witness, delta=delta, alpha=alpha)
 
 
+def _leftover_sets(phi, nv, k) -> int:
+    """The k-sets that a leftover of phi * nv vertices fills, at least one;
+    exact, so the absorber and the pipeline's plan size the same leftover."""
+    return max(1, math.ceil(Fraction(phi) * nv / k))
+
+
 @dataclass
 class AbsorberConfig:
     """Desk-scale knobs for the absorber build; these are module-level budgets,
@@ -334,7 +340,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
 
     t = max(tt for _, tt in partition.witness)
 
-    leftover_sets = max(1, math.ceil(float(config.phi) * nv / k))
+    leftover_sets = _leftover_sets(config.phi, nv, k)
     family_target = config.family_target or (leftover_sets + 1)
     reserve_need = {}
     for w, dec in table.items():

@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", parents=[common], help="barrier searches, then the matching pipeline")
+    p = sub.add_parser("decide", parents=[common],
+                       help="greedy witness, barrier searches, then a bounded exact search")
     p.add_argument("file")
     p.set_defaults(func=cmd_decide)
 

@@ -263,6 +263,16 @@ def _alive(table, pairs: PairWeights, total) -> np.ndarray:
     return alive
 
 
+def _index_quotas(alloc, total, k):
+    """Index vector -> its edges in an F-balanced perfect matching of total
+    vertices, total * m_i / (k * |I(F)|); None when one is not an integer."""
+    mult = dict(alloc.index_multiset)
+    size = k * sum(mult.values())
+    if any(total * m % size for m in mult.values()):
+        return None
+    return {vec: total * m // size for vec, m in mult.items()}
+
+
 def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     """Random greedy F-balanced perfect matching on the pair-pruned system.
 
@@ -275,19 +285,19 @@ def _greedy_integer_pm(system, alloc, pairs: PairWeights, rng, tries=60):
     covers, and the edges of a vector whose quota runs out.
     Returns a list of edges or None; failure here proves nothing.
     """
-    pool, k, mult = system.vertex_pool, system.k, dict(alloc.index_multiset)
+    pool, k = system.vertex_pool, system.k
     total = len(pool)
     if total % k or total == 0:
         return None
-    quotas = {vec: Fraction(total * m, k * sum(mult.values())) for vec, m in mult.items()}
-    if any(q.denominator != 1 for q in quotas.values()):
-        return None  # exact balance unreachable by an integer matching
+    quotas = _index_quotas(alloc, total, k)
+    if quotas is None:
+        return None
     if system.implicit:
         return _greedy_implicit(system, quotas, pairs, rng, tries)
 
     table = system.edge_table()
     E, ptr, ids, vid, vectors = table
-    quota = [int(quotas.get(vec, 0)) for vec in vectors]
+    quota = [quotas.get(vec, 0) for vec in vectors]
     base = _alive(table, pairs, system.universe.total) & (np.array(quota, dtype=np.int64)[vid] > 0)
     span = [ids[p:q] for p, q in zip(ptr.tolist(), ptr[1:].tolist())]
     for _ in range(tries):

@@ -1,10 +1,17 @@
-"""End-to-end orchestration: absorber, pruning, weight-disjoint fractional
-family, rounding, absorption, and the decision trichotomy.
+"""End-to-end orchestration: the decision trichotomy, and the paper's
+matching pipeline.
+
+`decide` runs four stages: a greedy perfect matching, the space and
+divisibility barrier searches, a bounded exact search for a perfect
+matching, and a brute-force cross-check on small hosts.
+`run_matching_pipeline` runs the paper's absorber, restriction,
+weight-disjoint fractional family, rounding and absorption.
 
 Inconclusive is a first-class outcome: the underlying theorems are
 asymptotic, and at desk scale a heuristic stage can fail without disproving
-matchability. Every emitted certificate passes its verifier before it leaves
-this module; failure paths carry stage diagnostics instead of guesses.
+matchability, and the exact search can stop at its bound. Every emitted
+certificate passes its verifier before it leaves this module; failure paths
+carry stage diagnostics instead of guesses.
 
 The hierarchy constants PHI < EPSILON < ALPHA < GAMMA < min(MU, BETA) are
 module constants, not settings: each stage derives its effective desk-scale
@@ -22,9 +29,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
-from .absorbing import AbsorberConfig, absorb, build_absorber, closed_partition
+import numpy as np
+
+from .absorbing import AbsorberConfig, _leftover_sets, absorb, build_absorber, closed_partition
 from .barriers import (
     DIV_EXHAUSTIVE_LIMIT,
     DivBarrierCert,
@@ -53,7 +61,7 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .fractional import PairWeights, _greedy_integer_pm, extract_weight_disjoint
+from .fractional import PairWeights, _greedy_integer_pm, _index_quotas, extract_weight_disjoint
 from .oracle import brute_force_pm
 from .rounding import (
     check_regularity,
@@ -64,6 +72,11 @@ from .rounding import (
 )
 
 NIBBLE_ATTEMPTS = 8  # sample-and-nibble rounds tried before the best one is kept
+# decide's exact search stops once its work passes SEARCH_WORK: the incidence
+# entries it reads, plus STEP_WORK for each edge it tries, the fixed cost of a
+# step in the same units
+SEARCH_WORK = 100_000_000
+STEP_WORK = 2_000
 
 # the proofs' hierarchy 1/n << PHI << EPSILON << ALPHA << GAMMA << MU, BETA;
 # stages read these only as caps or floors, and GAMMA sets the default ell
@@ -153,36 +166,17 @@ def _effective_beta(system) -> Fraction:
     return min(BETA, best)
 
 
-class _Facts:
-    """A host view and its allocation, with the degree sequences and the
-    closed partition that decide's divisibility stage and its matching
-    pipeline both read, each built on first use."""
-
-    def __init__(self, system, alloc):
-        self.system = system
-        self.alloc = alloc
-
-    @cached_property
-    def degrees(self):
-        return degree_sequences(self.system, self.alloc)
-
-    @cached_property
-    def partition(self):
-        """The closed partition, or the PreconditionFailed that refused it."""
-        system = self.system
-        try:
-            return closed_partition(
-                system, delta=Fraction(1, 2 * system.k), alpha=_effective_mu(system, ALPHA) / 2
-            )
-        except PreconditionFailed as exc:
-            return exc
-
-
-def _min_part_size(facts, mu_eff) -> int:
-    rep = facts.degrees
-    dk1 = rep.f_degree[-1] if rep.f_degree else rep.plain[-1]
-    nv = len(facts.system.vertex_pool)
+def _min_part_size(system, degrees, mu_eff) -> int:
+    dk1 = degrees.f_degree[-1] if degrees.f_degree else degrees.plain[-1]
+    nv = len(system.vertex_pool)
     return max(1, math.ceil(dk1 - float(mu_eff) * nv))
+
+
+def _closed_partition(system):
+    """The closed partition that the divisibility stage and the absorber read;
+    raises PreconditionFailed when a vertex reaches too little of its part."""
+    return closed_partition(system, delta=Fraction(1, 2 * system.k),
+                            alpha=_effective_mu(system, ALPHA) / 2)
 
 
 def _stage_seed(config: PipelineConfig, stage: int) -> int:
@@ -235,23 +229,24 @@ def divisibility_barrier_stage(system, alloc=None):
     Exhaustive over set partitions when the pool is small; otherwise the
     candidates are decide's closed partition and its coarsenings.
     """
-    return _divisibility_stage(_Facts(system, alloc or plain_allocation(system.k)))
+    alloc = alloc or plain_allocation(system.k)
+    return _divisibility_stage(system, degree_sequences(system, alloc))
 
 
-def _divisibility_stage(facts, partition=None, diagnostics=None):
-    """The divisibility stage on prepared facts. The candidates are the given
-    closed partition (the one an AbsorberUnavailable carries) and its
-    coarsenings when there is one; diagnostics, when given, records whether a
-    candidate was found and whether it verified."""
-    system = facts.system
+def _divisibility_stage(system, degrees, partition=None, diagnostics=None):
+    """The divisibility stage on the host's degree sequences. The candidates
+    are the given closed partition (the one an AbsorberUnavailable carries)
+    and its coarsenings when there is one; diagnostics, when given, records
+    whether a candidate was found and whether it verified."""
     mu_eff = _effective_mu(system, MU)
-    min_part = _min_part_size(facts, mu_eff)
+    min_part = _min_part_size(system, degrees, mu_eff)
     if partition is None and len(system.vertex_pool) <= DIV_EXHAUSTIVE_LIMIT:
         cert = divisibility_barrier_search(system, mu_eff, min_part)
     else:
         if partition is None:
-            partition = facts.partition
-            if isinstance(partition, PreconditionFailed):
+            try:
+                partition = _closed_partition(system)
+            except PreconditionFailed:
                 return None
         cert = divisibility_barrier_search(
             system, mu_eff, min_part, candidates=partition.coarsenings()
@@ -285,8 +280,7 @@ def _absorber_plan(system):
     nv = len(system.vertex_pool)
     k = system.k
     phi_eff = max(PHI, Fraction(k, nv))
-    leftover_sets = max(1, math.ceil(phi_eff * nv / k))
-    family_target = leftover_sets + 1
+    family_target = _leftover_sets(phi_eff, nv, k) + 1
     # shrink the family until the plan plausibly fits alongside a usable pool
     while family_target > 1 and (family_target * k * k) > nv // 2:
         family_target -= 1
@@ -302,17 +296,13 @@ def _absorber_plan(system):
 
 
 def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certificate:
-    """Full pipeline: absorber, restriction, weight-disjoint family, rounding,
-    absorption; emits the first verified certificate or Inconclusive."""
+    """The paper's pipeline: absorber, restriction, weight-disjoint family,
+    rounding, absorption; emits the first verified certificate or Inconclusive."""
+    config = config or PipelineConfig()
     system = host_view(system, alloc)
-    facts = _Facts(system, alloc or plain_allocation(system.k))
-    return _matching_pipeline(facts, config or PipelineConfig())
-
-
-def _matching_pipeline(facts, config) -> Certificate:
-    diagnostics = {"config": config.echo(), "stages": []}
-    system, alloc = facts.system, facts.alloc
     k = system.k
+    alloc = alloc or plain_allocation(k)
+    diagnostics = {"config": config.echo(), "stages": []}
     uni = system.universe
     pool = sorted(system.vertex_pool)
     nv = len(pool)
@@ -321,7 +311,7 @@ def _matching_pipeline(facts, config) -> Certificate:
     if not is_pf_partite(system, alloc):
         raise BadParams("system is not PF-partite for the given allocation")
     system.edge_table()  # the closed partition and the absorber read it, and so does the count
-    deg = facts.degrees
+    deg = degree_sequences(system, alloc)
     diagnostics["degrees"] = {
         "plain": list(deg.plain),
         "f_degree": list(deg.f_degree) if deg.f_degree else None,
@@ -341,10 +331,11 @@ def _matching_pipeline(facts, config) -> Certificate:
     # choice strands a pruned complex with no top edges (small pools only)
     state = None
     sub = None
-    partition = facts.partition
-    if isinstance(partition, PreconditionFailed):
+    try:
+        partition = _closed_partition(system)
+    except PreconditionFailed as exc:
         diagnostics["stages"].append({
-            "stage": "closed-partition", "status": "precondition-failed", "why": str(partition),
+            "stage": "closed-partition", "status": "precondition-failed", "why": str(exc),
         })
         partition = None
 
@@ -365,7 +356,7 @@ def _matching_pipeline(facts, config) -> Certificate:
                 diagnostics["stages"].append(
                     {"stage": "absorber", "status": "lattice-incomplete"}
                 )
-                cert = _divisibility_stage(facts, exc.partition, diagnostics)
+                cert = _divisibility_stage(system, deg, exc.partition, diagnostics)
                 if cert is not None:
                     return Certificate(
                         tag="DivisibilityBarrier", payload=cert.to_json(),
@@ -418,10 +409,7 @@ def _matching_pipeline(facts, config) -> Certificate:
                 "requested": ell, "cap": pair_cap,
             })
             ell = pair_cap
-    for attempt in range(2):
-        extraction = extract_weight_disjoint(sub, alloc, ell, seed=_stage_seed(config, 3 + attempt))
-        if extraction.completed or len(extraction.matchings) >= 2:
-            break
+    extraction = extract_weight_disjoint(sub, alloc, ell, seed=_stage_seed(config, 3))
     got = len(extraction.matchings)
     diagnostics["stages"].append({
         "stage": "fractional",
@@ -493,13 +481,13 @@ def _matching_pipeline(facts, config) -> Certificate:
             "reason": "assembled matching failed exact validation",
         }, diagnostics=diagnostics)
     diagnostics["stages"].append({"stage": "assemble", "status": "ok"})
-    return _perfect_matching(matching, facts, diagnostics, len(w_vertices), len(leftover))
+    return _perfect_matching(matching, alloc, uni, diagnostics, len(w_vertices), len(leftover))
 
 
-def _perfect_matching(matching, facts, diagnostics, absorber_size=0, leftover_size=0):
+def _perfect_matching(matching, alloc, universe, diagnostics, absorber_size=0, leftover_size=0):
     """The PerfectMatching certificate of a validated matching, with its
     balance under the allocation and the absorber and leftover sizes."""
-    stats = matching_stats(matching, facts.alloc, facts.system.universe)
+    stats = matching_stats(matching, alloc, universe)
     payload = {
         "kind": "perfect-matching",
         "edges": [list(e) for e in matching.edges],
@@ -514,44 +502,118 @@ def _perfect_matching(matching, facts, diagnostics, absorber_size=0, leftover_si
     return Certificate(tag="PerfectMatching", payload=payload, diagnostics=diagnostics)
 
 
+def _exact_search(system, quotas):
+    """Least-options backtracking for a perfect matching with quotas[vec] edges
+    of each index vector, on the edge table's CSR. An edge is live while its
+    vertices are free and its vector has quota left. Each step covers the
+    free vertex with the fewest live edges, trying first the edges whose
+    vertices have the fewest; failures are memoized on the covered vertices
+    and the quotas left. Returns (status, edges, work): "ok" and the edges,
+    "exhausted" when there is no such matching, or "bound" once work passes
+    SEARCH_WORK."""
+    E, ptr, ids, vid, vectors = system.edge_table()
+    span = [ids[p:q] for p, q in zip(ptr.tolist(), ptr[1:].tolist())]
+    of_vector = np.split(np.argsort(vid, kind="stable"), np.cumsum(np.bincount(vid))[:-1])
+    need = [quotas.get(vec, 0) for vec in vectors]
+    live = np.array(need, dtype=np.int64)[vid] > 0
+    done = len(E) + 1  # the count of a covered vertex, or of one outside the pool
+    count = np.full(len(span), done)  # live edges per free vertex
+    pool = sorted(system.vertex_pool)
+    count[pool] = np.bincount(E[live].ravel(), minlength=len(span))[pool]
+    memo, stack, trail, work = set(), [], [], 0  # stack: (options left, key) per level
+    while True:
+        v = int(count.argmin())
+        if count[v] == done:
+            return "ok", [tuple(E[e].tolist()) for e, _ in trail], work
+        if work > SEARCH_WORK:
+            return "bound", None, work
+        key = ((count == done).tobytes(), *need)
+        if count[v] and key not in memo:
+            options = span[v][live[span[v]]]
+            options = options[np.argsort(count[E[options]].sum(1), kind="stable")]
+            stack.append((options.tolist()[::-1], key))
+            work += len(span[v])
+        while stack:  # the next option of the deepest level that has one
+            options, key = stack[-1]
+            if len(trail) == len(stack):  # take back the level's last edge
+                e, dead = trail.pop()
+                count[E[e]] = 0
+                count += np.bincount(E[dead].ravel(), minlength=len(span))
+                live[dead] = True
+                need[vid[e]] += 1
+            if options:
+                e = options.pop()
+                need[vid[e]] -= 1
+                read = [span[u] for u in E[e]]
+                if not need[vid[e]]:  # the last edge its vector's quota allows
+                    read.append(of_vector[vid[e]])
+                dead = []
+                for inc in read:  # each live edge once
+                    dead.append(inc[live[inc]])
+                    live[dead[-1]] = False
+                dead = np.concatenate(dead)
+                count -= np.bincount(E[dead].ravel(), minlength=len(span))
+                count[E[e]] = done
+                trail.append((e, dead))
+                work += STEP_WORK + sum(map(len, read))
+                break
+            memo.add(key)
+            stack.pop()
+        else:
+            return "exhausted", None, work
+
+
 def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
-    """A greedy perfect matching, then the barrier searches, then the matching
-    pipeline: the first verified certificate wins. Small instances carry a
-    brute-force cross-check in the diagnostics. The stages read explicit
-    levels, so an implicit host raises TooLarge."""
+    """A greedy perfect matching, then the space and divisibility barrier
+    searches, then a bounded exact search for a perfect matching: the first
+    verified certificate wins. Small instances carry a brute-force
+    cross-check in the diagnostics. The stages read explicit levels, so an
+    implicit host raises TooLarge."""
     config = config or PipelineConfig()
     system = host_view(system, alloc)
     k = system.k
-    facts = _Facts(system, alloc or plain_allocation(k))
+    alloc = alloc or plain_allocation(k)
     nv = len(system.vertex_pool)
     diagnostics = {"config": config.echo(), "mode": "decide"}
 
-    # a host that is not PF-partite for the allocation keeps the pipeline's BadParams
-    if nv % k == 0 and system.top_count() > 0 and is_pf_partite(system, facts.alloc):
+    searchable = nv % k == 0 and system.top_count() > 0
+    partite = searchable and is_pf_partite(system, alloc)
+    if partite:
         rng = random.Random(_stage_seed(config, 1))
-        edges = _greedy_integer_pm(system, facts.alloc, PairWeights(), rng) or ()
+        edges = _greedy_integer_pm(system, alloc, PairWeights(), rng) or ()
         witness = Matching.from_edges(edges)
         if edges and validate_matching(system, witness, cover=system.vertex_pool):
             diagnostics["stages"] = [{"stage": "greedy-witness", "status": "ok"}]
-            return _attach_oracle(system, _perfect_matching(witness, facts, diagnostics))
+            cert = _perfect_matching(witness, alloc, system.universe, diagnostics)
+            return _attach_oracle(system, cert)
 
-    beta_eff = _effective_beta(system)
-    diagnostics["effective_beta"] = str(beta_eff)
+    diagnostics["effective_beta"] = str(_effective_beta(system))
     tag, barrier = "SpaceBarrier", space_barrier_stage(system)
     if barrier is None:
         diagnostics["effective_mu"] = str(_effective_mu(system, MU))
-        tag, barrier = "DivisibilityBarrier", _divisibility_stage(facts)
+        tag, barrier = "DivisibilityBarrier", divisibility_barrier_stage(system, alloc)
 
     if barrier is not None:
         cert = Certificate(tag=tag, payload=barrier.to_json(), diagnostics=diagnostics)
-    elif nv % k == 0 and system.top_count() > 0:
-        cert = _matching_pipeline(facts, config)
-        cert.diagnostics["mode"] = "decide"
-        cert.diagnostics["effective_beta"] = str(beta_eff)
+        return _attach_oracle(system, cert)
+    if not searchable:
+        reason = "vertex count not divisible by k or empty top level"
+    elif not partite:
+        raise BadParams("system is not PF-partite for the given allocation")
+    elif (quotas := _index_quotas(alloc, nv, k)) is None:
+        reason = f"no integer matching of {nv} vertices fills the allocation's quotas exactly"
     else:
-        cert = Certificate(tag="Inconclusive", payload={
-            "reason": "vertex count not divisible by k or empty top level",
-        }, diagnostics=diagnostics)
+        status, edges, work = _exact_search(system, quotas)
+        diagnostics["stages"] = [{"stage": "exact-search", "status": status, "work": work}]
+        if status == "ok":
+            found = Matching.from_edges(edges)
+            assert validate_matching(system, found, cover=system.vertex_pool), "invalid matching"
+            cert = _perfect_matching(found, alloc, system.universe, diagnostics)
+            return _attach_oracle(system, cert)
+        reason = ("the exact search found no perfect matching that fills the allocation's quotas"
+                  if status == "exhausted" else
+                  f"the exact search stopped at its work bound of {SEARCH_WORK}")
+    cert = Certificate(tag="Inconclusive", payload={"reason": reason}, diagnostics=diagnostics)
     return _attach_oracle(system, cert)
 
 

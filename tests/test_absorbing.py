@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import kmatch.absorbing
 from kmatch.absorbing import (
     AbsorberConfig,
+    _leftover_sets,
     absorb,
     build_absorber,
     closed_partition,
@@ -190,6 +191,15 @@ def test_absorber_plan_larger_than_pool_fails_before_any_try(monkeypatch):
     cfg = AbsorberConfig(epsilon=Fraction(15, 6), family_target=1)
     with pytest.raises(BudgetExhausted, match="needs 9 vertices, the pool has 6"):
         build_absorber(cx, ALLOC3, cfg)
+
+
+def test_leftover_count_is_exact():
+    # phi * |V| / k is exactly 1 here, as the pipeline's phi = 3/|V| gives at
+    # |V| = 273; in floats 1/91 * 273 rounds up past 3, and its ceiling would
+    # size the absorber's reserves for two leftover k-sets
+    assert math.ceil(float(Fraction(1, 91)) * 273 / 3) == 2
+    assert _leftover_sets(Fraction(1, 91), 273, 3) == 1
+    assert _leftover_sets(Fraction(1, 100), 30, 3) == 1  # never below one
 
 
 def test_absorb_empty_returns_recorded_matching():

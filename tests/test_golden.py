@@ -185,6 +185,24 @@ def test_lp_fallback_entry_runs_an_lp_round(tmp_path, capsys, monkeypatch):
     assert code == 0 and sum(run.diagnostics["lp_solves"] for run in runs) >= 1
 
 
+# the matching pipeline's stages, which decide never runs
+PIPELINE_STAGES = ("build_absorber", "extract_weight_disjoint", "sample_subgraph",
+                   "color_classes", "nibble_match", "absorb")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CORPUS if CORPUS[n][1][0] == "decide"))
+def test_decide_entry_runs_no_pipeline_stage(tmp_path, capsys, monkeypatch, name):
+    import kmatch.pipeline as pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide ran a matching pipeline stage")
+
+    for stage in PIPELINE_STAGES:
+        monkeypatch.setattr(pipeline, stage, refuse)
+    _, out = run_corpus_entry(tmp_path, capsys, name)
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS[name][3]
+
+
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_golden.py OLD_SRC, from the repository
     # root: compares every corpus output of src/ with the output of the kmatch

@@ -1,18 +1,28 @@
 """Pipeline orchestration: certificates, modes, and reproducibility."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmatch.core import (
+    KSystem,
     Matching,
+    VertexUniverse,
     allocation_from_index_multiset,
+    build_complex,
+    index_vector,
+    matching_stats,
     plain_allocation,
     validate_matching,
 )
 from kmatch.errors import AbsorptionFailed, BadParams, TooLarge
-from kmatch.fractional import extract_weight_disjoint
+from kmatch.fractional import _index_quotas, extract_weight_disjoint
 from kmatch.oracle import (
     brute_force_pm,
     complete_complex,
@@ -27,6 +37,7 @@ from kmatch.pipeline import (
     GAMMA,
     MU,
     PHI,
+    SEARCH_WORK,
     Certificate,
     PipelineConfig,
     decide,
@@ -34,6 +45,7 @@ from kmatch.pipeline import (
     run_matching_pipeline,
     space_barrier_stage,
     verify_certificate,
+    _exact_search,
 )
 
 ALLOC3 = plain_allocation(3)
@@ -270,14 +282,11 @@ def test_matching_pipeline_rejects_an_implicit_host():
 
 
 @pytest.mark.parametrize("n", [15, 18, 30])
-def test_decide_computes_one_common_link_product_per_host(monkeypatch, n):
-    # the divisibility stage and the pipeline both build the closed
-    # partition above the exhaustive range; they share the host's product.
-    # The greedy witness is switched off so that decide runs both of them
+def test_pipeline_computes_one_common_link_product_per_host(monkeypatch, n):
+    # the closed partition reads the host's common-link product, and no later
+    # stage computes one again, on the host or on the host without W
     import kmatch.core as core
-    import kmatch.pipeline as pipeline
 
-    monkeypatch.setattr(pipeline, "_greedy_integer_pm", lambda *args, **kwargs: None)
     hosts = []
     original = core._common_links
 
@@ -286,19 +295,18 @@ def test_decide_computes_one_common_link_product_per_host(monkeypatch, n):
         return original(system)
 
     monkeypatch.setattr(core, "_common_links", counting)
-    cert = decide(gen_random_dense(n, 3, p=0.85, seed=915), PipelineConfig(seed=12))
+    host = gen_random_dense(n, 3, p=0.85, seed=915)
+    cert = run_matching_pipeline(host, None, PipelineConfig(seed=12))
     assert cert.tag == "PerfectMatching"
     assert len(hosts) == len(set(hosts)) == 1
 
 
 @pytest.mark.parametrize("n", [12, 15, 30])
-def test_decide_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n):
-    # the divisibility stage and the matching pipeline read the same degree
-    # sequences and, above the exhaustive range, the same closed partition;
-    # the greedy witness is switched off so that decide runs both of them
+def test_pipeline_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n):
+    # the degree sequences and the closed partition are built once per host,
+    # and the divisibility stage reads the same ones when the absorber fails
     import kmatch.pipeline as pipeline
 
-    monkeypatch.setattr(pipeline, "_greedy_integer_pm", lambda *args, **kwargs: None)
     calls = {"degree_sequences": 0, "closed_partition": 0}
 
     def counting(name):
@@ -311,7 +319,8 @@ def test_decide_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n
 
     for name in calls:
         monkeypatch.setattr(pipeline, name, counting(name))
-    cert = decide(gen_random_dense(n, 3, p=0.85, seed=915), PipelineConfig(seed=12))
+    host = gen_random_dense(n, 3, p=0.85, seed=915)
+    cert = run_matching_pipeline(host, None, PipelineConfig(seed=12))
     assert cert.tag == "PerfectMatching"
     assert calls == {"degree_sequences": 1, "closed_partition": 1}
 
@@ -319,11 +328,9 @@ def test_decide_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n
 @pytest.mark.parametrize("host_seed, seed, kept", [(1008521273, 25, 0), (158063559, 21, 1)])
 def test_rounding_reports_the_regularity_of_the_kept_sample(monkeypatch, host_seed, seed, kept):
     # every attempt misses, so the first attempt with the fewest uncovered
-    # vertices is kept; its own sample's regularity is the one reported. The
-    # greedy witness is switched off so that decide reaches the rounding
+    # vertices is kept; its own sample's regularity is the one reported
     import kmatch.pipeline as pipeline
 
-    monkeypatch.setattr(pipeline, "_greedy_integer_pm", lambda *args, **kwargs: None)
     checks, misses = [], []
     check, nibble = pipeline.check_regularity, pipeline.nibble_match
 
@@ -338,7 +345,8 @@ def test_rounding_reports_the_regularity_of_the_kept_sample(monkeypatch, host_se
 
     monkeypatch.setattr(pipeline, "check_regularity", checking)
     monkeypatch.setattr(pipeline, "nibble_match", nibbling)
-    cert = decide(gen_random_dense(9, 3, p=0.8, seed=host_seed), PipelineConfig(seed=seed))
+    cert = run_matching_pipeline(gen_random_dense(9, 3, p=0.8, seed=host_seed), None,
+                                 PipelineConfig(seed=seed))
     assert cert.payload["reason"].startswith("rounding left")
     assert len(misses) == pipeline.NIBBLE_ATTEMPTS
     assert misses.index(min(misses)) == kept
@@ -369,3 +377,147 @@ def test_rounding_passes_its_leftover_budget_to_the_nibble(monkeypatch):
     rounding = next(s for s in cert.diagnostics["stages"] if s["stage"] == "rounding")
     assert caps == [rounding["max_leftover"]] == [3]
     assert rounding["uncovered"] == cert.payload["leftover_size"] == 3
+
+
+def _space_graph(n, s, q):
+    """k = 2: the first n/2 - s vertices are joined to every vertex, and the
+    other n/2 + s, B, hold only the q disjoint edges of pairs of B's first
+    vertices; a perfect matching exists iff q >= s."""
+    a = n // 2 - s
+    edges = [e for e in combinations(range(n), 2) if e[0] < a]
+    edges += [(a + 2 * i, a + 2 * i + 1) for i in range(q)]
+    return build_complex({2: edges}, VertexUniverse.single(n), k=2, close=True)
+
+
+def _perturbed_space(n, k, j, s, q, seed):
+    """gen_space_barrier(n, k, j, s) plus each missing k-set with probability q."""
+    cx = gen_space_barrier(n, k, j, s)
+    rng = random.Random(seed)
+    have = set(map(tuple, cx.level(k).tolist()))
+    extra = [e for e in combinations(range(n), k) if e not in have and rng.random() < q]
+    levels = {i: [tuple(row) for row in cx.level(i).tolist()] for i in range(1, k + 1)}
+    levels[k] += extra
+    return build_complex(levels, cx.universe, k=k, close=True)
+
+
+def _refuse_pipeline_stages(monkeypatch):
+    import kmatch.pipeline as pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide ran a matching pipeline stage")
+
+    for stage in ("build_absorber", "extract_weight_disjoint", "sample_subgraph",
+                  "color_classes", "nibble_match", "absorb"):
+        monkeypatch.setattr(pipeline, stage, refuse)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _space_graph(40, 1, 2),
+    lambda: _perturbed_space(27, 3, 2, 19, 0.003, 1),
+    lambda: _perturbed_space(20, 4, 3, 16, 0.003, 0),
+], ids=["k2-space40", "k3-perturbed27", "k4-perturbed20"])
+def test_decide_matches_by_exact_search_where_the_greedy_misses(monkeypatch, build):
+    # the greedy misses and no barrier is found; the matching pipeline ended
+    # Inconclusive on these hosts, and the exact search finds a balanced
+    # perfect matching without any of its stages. On the k = 3 host the
+    # search takes 506,141 steps when it tries the options in row order
+    _refuse_pipeline_stages(monkeypatch)
+    host = build()
+    cert = decide(host)
+    assert cert.tag == "PerfectMatching" and cert.payload["alpha"] == "0"
+    assert cert.diagnostics["stages"][0]["stage"] == "exact-search"
+    assert verify_certificate(host_view(host), cert)
+    assert decide(host).dumps() == cert.dumps()
+
+
+def test_exact_search_stops_at_its_bound(monkeypatch):
+    # with the barrier stages off, the planted space barrier reaches the
+    # search, which has no matching to find and stops at its work bound
+    import kmatch.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "space_barrier_stage", lambda system: None)
+    monkeypatch.setattr(pipeline, "divisibility_barrier_stage", lambda system, alloc=None: None)
+    cert = decide(gen_space_barrier(45, 3, 1, 16))
+    assert cert.payload == {"reason": f"the exact search stopped at its work bound of {SEARCH_WORK}"}
+    (stage,) = cert.diagnostics["stages"]
+    assert stage["status"] == "bound" and stage["work"] > SEARCH_WORK
+
+
+def test_exhausted_search_ends_inconclusive():
+    # vertex 14 lies in no edge: no barrier stage sees it, and the search
+    # fails at once on the vertex with no option
+    host = KSystem(VertexUniverse.single(15), 3,
+                   {3: [e for e in combinations(range(15), 3) if 14 not in e]})
+    cert = decide(host)
+    assert cert.payload == {
+        "reason": "the exact search found no perfect matching that fills the allocation's quotas",
+    }
+    assert cert.diagnostics["stages"] == [{"stage": "exact-search", "status": "exhausted", "work": 0}]
+
+
+def test_exact_search_does_not_backtrack_on_a_dense_host():
+    # each of the 30 steps tries one edge and reads the incidences of at
+    # most k + 1 vertices; the last one also reads the edges' vector ids
+    from kmatch.pipeline import STEP_WORK
+
+    host = host_view(gen_random_dense(90, 3, p=0.85, seed=1000))
+    status, edges, work = _exact_search(host, {(3,): 30})
+    assert status == "ok"
+    assert validate_matching(host, Matching.from_edges(edges), cover=range(90))
+    degree = int(np.diff(host.edge_table().ptr).max())
+    assert work <= 30 * (STEP_WORK + 4 * degree) + host.top_count()
+
+
+def _check_search(host, alloc):
+    """The search agrees with the oracle on existence, and its matching
+    validates with alpha 0."""
+    nv = len(host.vertex_pool)
+    status, edges, _ = _exact_search(host, _index_quotas(alloc, nv, host.k))
+    assert status != "bound"
+    assert (status == "ok") == (brute_force_pm(host) is not None)
+    if status == "ok":
+        found = Matching.from_edges(edges)
+        assert validate_matching(host, found, cover=host.vertex_pool)
+        assert matching_stats(found, alloc, host.universe)["alpha"] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from([2, 3, 4]), data=st.data())
+def test_exact_search_agrees_with_the_oracle(k, data):
+    # random top levels on up to 12 vertices, with isolated vertices, on the
+    # whole universe or on a restricted pool
+    size = k * data.draw(st.integers(1, 12 // k))
+    n = data.draw(st.integers(size, 12))
+    pool = sorted(data.draw(st.permutations(range(n)))[:size])
+    picks = data.draw(st.lists(st.integers(0, 10 ** 6), max_size=40))
+    cands = list(combinations(pool, k))
+    host = KSystem(VertexUniverse.single(n), k, {k: [cands[i % len(cands)] for i in picks]})
+    _check_search(host.induced(pool), plain_allocation(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.sampled_from([3, 6]), picks=st.lists(st.integers(0, 10 ** 6), max_size=40))
+def test_exact_search_fills_two_vector_quotas(m, picks):
+    # two parts of m vertices and edges of index (2, 1) or (1, 2) only: a
+    # perfect matching has m/3 edges of each, so any the oracle finds is
+    # balanced
+    uni = VertexUniverse.equipartition(2, m)
+    alloc = allocation_from_index_multiset([(2, 1), (1, 2)])
+    cands = [e for e in combinations(range(2 * m), 3) if index_vector(e, uni) in ((2, 1), (1, 2))]
+    host = KSystem(uni, 3, {3: [cands[i % len(cands)] for i in picks]})
+    _check_search(host, alloc)
+
+
+def test_exact_search_fills_every_quota():
+    # under {(3,0), (2,1), (1,2), (0,3)} a balanced matching of two parts of
+    # 6 has one edge of each vector: the four edges inside the parts match
+    # perfectly, but not in balance, until a (2,1) and a (1,2) edge join them
+    uni = VertexUniverse.equipartition(2, 6)
+    quotas = _index_quotas(allocation_from_index_multiset([(3, 0), (2, 1), (1, 2), (0, 3)]), 12, 3)
+    inside = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+    host = KSystem(uni, 3, {3: inside})
+    assert brute_force_pm(host) is not None
+    assert _exact_search(host, quotas)[0] == "exhausted"
+    status, edges, _ = _exact_search(KSystem(uni, 3, {3: inside + [(3, 4, 9), (5, 10, 11)]}), quotas)
+    assert status == "ok"
+    assert sorted(edges) == [(0, 1, 2), (3, 4, 9), (5, 10, 11), (6, 7, 8)]
