@@ -301,10 +301,10 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     """Build the absorbing state: family of t*k^2-sets, per-index reserves,
     and a balancing extension, with W admitting a recorded perfect matching.
 
-    Raises AbsorberUnavailable (carrying the partition) when the robust-vector
-    lattice is incomplete: that partition is then a divisibility-barrier
-    candidate. Raises BudgetExhausted when the W budget cannot host the family
-    plus reserves that the phi-sized leftover needs.
+    Raises AbsorberUnavailable when the robust-vector lattice is incomplete:
+    the host may then have a divisibility barrier. Raises BudgetExhausted
+    when the W budget cannot host the family plus reserves that the
+    phi-sized leftover needs.
     """
     k = system.k
     rng = random.Random(config.seed)
@@ -329,7 +329,7 @@ def build_absorber(system, alloc, config: AbsorberConfig, partition: ClosedParti
     lat = generate_lattice(vectors, dim)
     groups = ambient_groups
     if not is_complete(lat, k, groups=groups):
-        raise AbsorberUnavailable("robust-vector lattice is incomplete", partition=partition)
+        raise AbsorberUnavailable("robust-vector lattice is incomplete")
 
     # decomposition table for every k-vector that completeness covers
     table = {}

@@ -98,7 +98,10 @@ def _count_inside(system, level, inside: frozenset) -> int:
 
 
 def _count_top_overflow(system, inside: frozenset, p: int) -> int:
-    return sum(1 for e in system.iter_top() if len(inside.intersection(e)) > p)
+    """Top edges with more than p vertices in `inside`, on a boolean vertex mask."""
+    mask = np.zeros(system.universe.total, dtype=bool)
+    mask[list(inside)] = True
+    return int((mask[system.level(system.k)].sum(axis=1) > p).sum())
 
 
 def _space_target_sizes(system, p):
@@ -276,24 +279,27 @@ def _check_div_partition(system, parts, min_part_size):
     return all(len(p) >= min_part_size for p in parts)
 
 
+def _judge(vectors, dim, k, groups=None):
+    """The lattice of a partition's robust vectors, and whether it is
+    incomplete and transferral-free: whether the partition is a barrier."""
+    lat = generate_lattice(vectors, dim)
+    if is_complete(lat, k, groups=groups):
+        return lat, False
+    return lat, find_transferral(lat, groups=groups) is None
+
+
 def _div_facts(system, parts, mu, ambient_groups=None):
+    """The robust vectors of the partition, their lattice, and the verdict."""
     rv = robust_edge_vectors(system.level(system.k), [frozenset(p) for p in parts], mu)
-    lat = generate_lattice(rv.vectors(), len(parts))
-    complete = is_complete(lat, system.k, groups=ambient_groups)
-    transferral = find_transferral(lat, groups=ambient_groups)
-    return rv, lat, complete, transferral
+    return rv.vectors(), *_judge(rv.vectors(), len(parts), system.k, ambient_groups)
 
 
 def verify_divisibility_barrier(system, cert: DivBarrierCert) -> bool:
     """Recompute robust vectors, lattice, and the barrier facts from scratch."""
     if not _check_div_partition(system, cert.parts, cert.min_part_size):
         return False
-    rv, lat, complete, transferral = _div_facts(
-        system, cert.parts, cert.mu, cert.ambient_groups
-    )
-    if set(lat.basis) != set(cert.lattice.basis):
-        return False
-    return (not complete) and transferral is None
+    _, lat, barrier = _div_facts(system, cert.parts, cert.mu, cert.ambient_groups)
+    return barrier and set(lat.basis) == set(cert.lattice.basis)
 
 
 def _labelings(n: int, k: int, min_size: int):
@@ -324,40 +330,27 @@ def _labelings(n: int, k: int, min_size: int):
     return labels, classes
 
 
-def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None):
-    """First partition whose robust lattice is incomplete and transferral-free,
-    under the plain (non-partite) notions.
+def _first_candidate(system, mu, min_part_size, candidates):
+    """The first well-formed candidate with no part below min_part_size that
+    is a barrier, as (parts, robust vectors, lattice), or None."""
+    for parts in candidates:
+        parts = tuple(tuple(sorted(p)) for p in parts)
+        try:
+            _check_div_partition(system, parts, 0)
+        except MalformedCert:
+            continue
+        if any(len(p) < min_part_size for p in parts):
+            continue
+        vectors, lat, barrier = _div_facts(system, parts, mu)
+        if barrier:
+            return parts, vectors, lat
+    return None
 
-    With no explicit candidates the search is exhaustive when the pool is
-    small: it tries every set partition of the sorted pool into at most k
-    parts with no part below min_part_size, in lexicographic order of the
-    restricted growth label rows, so the returned barrier is the first one in
-    that order. Larger instances must supply candidates (the pipeline passes
-    the closed partition and its coarsenings), tried in the order given.
-    """
-    mu = as_fraction(mu)
+
+def _first_labeling(system, mu, min_part_size):
+    """The first barrier among the _labelings of the sorted pool, as (parts,
+    robust vectors, lattice), or None; also None above DIV_EXHAUSTIVE_LIMIT."""
     k = system.k
-    if candidates is not None:
-        for parts in candidates:
-            parts = tuple(tuple(sorted(p)) for p in parts)
-            try:
-                _check_div_partition(system, parts, 0)
-            except MalformedCert:
-                continue
-            if any(len(p) < min_part_size for p in parts):
-                continue
-            rv, lat, complete, transferral = _div_facts(system, parts, mu)
-            if not complete and transferral is None:
-                return DivBarrierCert(
-                    parts=parts,
-                    min_part_size=min_part_size,
-                    lattice=lat,
-                    mu=mu,
-                    exhaustive=False,
-                    robust_vectors=tuple(rv.vectors()),
-                )
-        return None
-
     pool = sorted(system.vertex_pool)
     n = len(pool)
     if n > DIV_EXHAUSTIVE_LIMIT:
@@ -386,23 +379,40 @@ def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None)
         for row in range(len(chunk)):
             dim = int(classes[start + row])
             key = (dim, robust[row].tobytes())
-            verdict = verdict_cache.get(key)
-            if verdict is None:
+            if key not in verdict_cache:
                 vectors = sorted(map(tuple, digits[robust[row], :dim].tolist()))
-                lat = generate_lattice(vectors, dim)
-                complete = is_complete(lat, k)
-                transferral = find_transferral(lat)
-                verdict = (not complete and transferral is None, lat, tuple(vectors))
-                verdict_cache[key] = verdict
-            good, lat, vectors = verdict
-            if good:
+                verdict_cache[key] = (vectors, *_judge(vectors, dim, k))
+            vectors, lat, barrier = verdict_cache[key]
+            if barrier:
                 label_of = dict(zip(pool, chunk[row].tolist()))
-                return DivBarrierCert(
-                    parts=tuple(tuple(v for v in pool if label_of[v] == c) for c in range(dim)),
-                    min_part_size=min_part_size,
-                    lattice=lat,
-                    mu=mu,
-                    exhaustive=True,
-                    robust_vectors=vectors,
-                )
+                parts = tuple(tuple(v for v in pool if label_of[v] == c) for c in range(dim))
+                return parts, vectors, lat
     return None
+
+
+def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None):
+    """First partition whose robust lattice is incomplete and transferral-free,
+    under the plain (non-partite) notions.
+
+    With no explicit candidates the search is exhaustive when the pool is
+    small: it tries every set partition of the sorted pool into at most k
+    parts with no part below min_part_size, in lexicographic order of the
+    restricted growth label rows, so the returned barrier is the first one in
+    that order. Larger instances must supply candidates (the pipeline passes
+    the closed partition and its coarsenings), tried in the order given.
+    """
+    mu = as_fraction(mu)
+    exhaustive = candidates is None
+    found = (_first_labeling(system, mu, min_part_size) if exhaustive
+             else _first_candidate(system, mu, min_part_size, candidates))
+    if found is None:
+        return None
+    parts, vectors, lat = found
+    return DivBarrierCert(
+        parts=parts,
+        min_part_size=min_part_size,
+        lattice=lat,
+        mu=mu,
+        exhaustive=exhaustive,
+        robust_vectors=tuple(vectors),
+    )

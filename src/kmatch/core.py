@@ -596,15 +596,19 @@ class Matching:
 
 def validate_matching(host, matching: Matching, cover=None) -> bool:
     """Exact validity check: edges in the host top level, pairwise disjoint,
-    and covering exactly `cover` when given."""
-    if not matching.is_disjoint():
+    and covering exactly `cover` when given; the edges are read as one array
+    of sorted rows, with one membership query."""
+    k, edges = host.k, matching.edges
+    if any(len(e) != k for e in edges):
         return False
-    for e in matching.edges:
-        if not host.has_top(e):
-            return False
-    if cover is not None and matching.vertex_set() != frozenset(cover):
+    flat = [v for e in edges for v in sorted(e)]
+    covered = set(flat)
+    if len(covered) < len(flat):
         return False
-    return True
+    if flat and not (0 <= min(flat) and max(flat) < host.universe.total):
+        return False
+    rows = np.array(flat, np.int64).reshape(len(edges), k)
+    return bool(host.has_top_rows(rows).all()) and (cover is None or covered == frozenset(cover))
 
 
 def matching_stats(matching: Matching, alloc: Allocation, universe: VertexUniverse) -> dict:

@@ -63,15 +63,7 @@ class PreconditionFailed(KmatchError):
 
 
 class AbsorberUnavailable(KmatchError):
-    """Lattice of robust vectors is incomplete; absorber cannot be built.
-
-    Carries the offending partition so the caller can turn it into a
-    divisibility-barrier candidate.
-    """
-
-    def __init__(self, message, partition=None):
-        super().__init__(message)
-        self.partition = partition
+    """Lattice of robust vectors is incomplete; absorber cannot be built."""
 
 
 class BudgetExhausted(KmatchError):

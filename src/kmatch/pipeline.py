@@ -223,40 +223,29 @@ def space_barrier_stage(system):
 
 
 def divisibility_barrier_stage(system, alloc=None):
-    """decide's divisibility-barrier search on the host view; a verified
-    DivBarrierCert or None.
+    """The divisibility-barrier search on the host view, as decide and `kmatch
+    barriers` run it and run_matching_pipeline runs it when the absorber is
+    unavailable; a verified DivBarrierCert or None.
 
     Exhaustive over set partitions when the pool is small; otherwise the
-    candidates are decide's closed partition and its coarsenings.
+    candidates are the closed partition and its coarsenings.
     """
     alloc = alloc or plain_allocation(system.k)
-    return _divisibility_stage(system, degree_sequences(system, alloc))
-
-
-def _divisibility_stage(system, degrees, partition=None, diagnostics=None):
-    """The divisibility stage on the host's degree sequences. The candidates
-    are the given closed partition (the one an AbsorberUnavailable carries)
-    and its coarsenings when there is one; diagnostics, when given, records
-    whether a candidate was found and whether it verified."""
     mu_eff = _effective_mu(system, MU)
-    min_part = _min_part_size(system, degrees, mu_eff)
-    if partition is None and len(system.vertex_pool) <= DIV_EXHAUSTIVE_LIMIT:
+    min_part = _min_part_size(system, degree_sequences(system, alloc), mu_eff)
+    if len(system.vertex_pool) <= DIV_EXHAUSTIVE_LIMIT:
         cert = divisibility_barrier_search(system, mu_eff, min_part)
     else:
-        if partition is None:
-            try:
-                partition = _closed_partition(system)
-            except PreconditionFailed:
-                return None
+        try:
+            partition = _closed_partition(system)
+        except PreconditionFailed:
+            return None
         cert = divisibility_barrier_search(
             system, mu_eff, min_part, candidates=partition.coarsenings()
         )
-    verified = cert is not None and verify_divisibility_barrier(system, cert)
-    if diagnostics is not None:
-        diagnostics["divisibility"] = (
-            {"verified": True} if verified else {"verified": False, "found": cert is not None}
-        )
-    return cert if verified else None
+    if cert is not None and verify_divisibility_barrier(system, cert):
+        return cert
+    return None
 
 
 def verify_certificate(system, cert: Certificate) -> bool:
@@ -352,11 +341,11 @@ def run_matching_pipeline(system, alloc, config: PipelineConfig = None) -> Certi
                 )
                 state = build_absorber(system, alloc, abs_cfg, partition=partition,
                                        ambient_groups=groups)
-            except AbsorberUnavailable as exc:
+            except AbsorberUnavailable:
                 diagnostics["stages"].append(
                     {"stage": "absorber", "status": "lattice-incomplete"}
                 )
-                cert = _divisibility_stage(system, deg, exc.partition, diagnostics)
+                cert = divisibility_barrier_stage(system, alloc)
                 if cert is not None:
                     return Certificate(
                         tag="DivisibilityBarrier", payload=cert.to_json(),

@@ -168,9 +168,8 @@ def test_absorber_dense_r1():
 def test_absorber_divisibility_unavailable():
     H = close_graph(gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]))
     cp = closed_partition(H, delta=Fraction(1, 8), alpha=Fraction(1, 1000))
-    with pytest.raises(AbsorberUnavailable) as exc:
+    with pytest.raises(AbsorberUnavailable):
         build_absorber(H, ALLOC3, AbsorberConfig(mu=Fraction(1, 200)), partition=cp)
-    assert [len(p) for p in exc.value.partition.parts] == [5, 3]
 
 
 def test_absorber_budget_exhausted():

@@ -10,6 +10,7 @@ import pytest
 from kmatch.barriers import (
     DivBarrierCert,
     _count_inside,
+    _count_top_overflow,
     _labelings,
     SpaceBarrierCert,
     divisibility_barrier_search,
@@ -17,7 +18,7 @@ from kmatch.barriers import (
     verify_divisibility_barrier,
     verify_space_barrier,
 )
-from kmatch.core import VertexUniverse, build_complex, plain_allocation
+from kmatch.core import CompleteComplex, VertexUniverse, build_complex, plain_allocation
 from kmatch.errors import MalformedCert
 from kmatch.fractional import build_lp, solve_feasible
 from kmatch.oracle import (
@@ -289,6 +290,21 @@ def test_exhaustive_space_search_matches_count_inside_loop():
             hits.add(index)
     assert seen == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert {15, 16, 47, 48} <= hits
+
+
+def test_top_overflow_count_equals_the_loop_count():
+    # the mask count against the per-edge loop it replaced, on explicit hosts
+    # and on an implicit complete one, at every p from 0 to k
+    hosts = [gen_random_dense(12, 3, p=0.7, seed=3), gen_space_barrier(12, 4, 1, 4),
+             CompleteComplex(VertexUniverse.single(9), 3, vertex_pool=range(1, 9))]
+    rng = random.Random(0)
+    for host in hosts:
+        pool = sorted(host.vertex_pool)
+        for _ in range(20):
+            inside = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+            for p in range(host.k + 1):
+                loop = sum(1 for e in host.iter_top() if len(inside.intersection(e)) > p)
+                assert _count_top_overflow(host, inside, p) == loop
 
 
 def lp_infeasible(system):

@@ -141,6 +141,25 @@ def test_barriers_reports_the_barrier_decide_returns(tmp_path, capsys, sizes, ge
         assert kind == "space" or "space" not in found
 
 
+@pytest.mark.parametrize("sizes, exhaustive", [((6, 3), True), ((8, 7), False)])
+def test_match_decide_and_barriers_print_one_divisibility_barrier(tmp_path, capsys, sizes,
+                                                                  exhaustive):
+    # match's absorber is unavailable on these hosts, and its fallback runs
+    # decide's divisibility stage: exhaustive on 9 vertices, over the closed
+    # partition's coarsenings on 15
+    path = str(tmp_path / "div.khg")
+    save_khg(gen_divisibility_barrier(list(sizes), 3, [(1, 2), (3, 0)]), path, include_lower=True)
+    runs = [run_cli(capsys, command, path, "--json", "--seed", "3")
+            for command in ("match", "decide", "barriers")]
+    assert [code for code, _ in runs] == [0, 0, 0]
+    match, decide, barriers = (json.loads(out) for _, out in runs)
+    assert match["tag"] == decide["tag"] == "DivisibilityBarrier"
+    payload = barriers["found"]["divisibility"]
+    assert match["payload"] == decide["payload"] == payload
+    assert payload["exhaustive"] is exhaustive
+    assert payload["parts"] == [list(range(sizes[0])), list(range(sizes[0], sum(sizes)))]
+
+
 def test_gen_and_roundtrip(instances, capsys, tmp_path):
     out_path = str(tmp_path / "gen.khg")
     code, _ = run_cli(capsys, "gen", instances["spec"], "-o", out_path, "--json")

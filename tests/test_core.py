@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmatch.core import (
+    CompleteComplex,
     KComplex,
     KSystem,
     Matching,
@@ -28,6 +29,7 @@ from kmatch.core import (
     matching_stats,
     plain_allocation,
     row_codes,
+    validate_matching,
 )
 from kmatch.errors import (
     BadVertex,
@@ -540,6 +542,36 @@ def test_matching_stats_unknown_index():
     m = Matching.from_edges([(0, 1, 2)])  # index (3, 0)
     with pytest.raises(IndexNotInAllocation):
         matching_stats(m, allocation_from_index_multiset([(1, 2)]), uni)
+
+
+# both hosts have the 3-sets of range(6) as their top edges, in a universe of 9
+VALIDATION_HOSTS = {
+    "explicit": lambda: build_complex({3: combinations(range(6), 3)}, VertexUniverse.single(9)),
+    "complete": lambda: CompleteComplex(VertexUniverse.single(9), 3, vertex_pool=range(6)),
+}
+
+
+@pytest.mark.parametrize("host", sorted(VALIDATION_HOSTS))
+@pytest.mark.parametrize("edges, cover, valid", [
+    ([(0, 1, 2), (3, 4, 5)], range(6), True),
+    ([(2, 1, 0), (5, 3, 4)], None, True),              # edges in any vertex order
+    ([], None, True),
+    ([(0, 1, 2), (6, 7, 8)], None, False),             # a non-edge
+    ([(0, 1, 2), (2, 3, 4)], None, False),             # two edges share a vertex
+    ([(0, 1, 2), (0, 1, 2)], None, False),             # a repeated edge
+    ([(0, 1, 1)], None, False),                        # a repeated vertex
+    ([(0, 1), (2, 3, 4)], None, False),                # wrong widths
+    ([(0, 1, 2, 3)], None, False),
+    ([(0, 1, 9)], None, False),                        # vertices outside the universe
+    ([(-1, 0, 1)], None, False),
+    ([(0, 1, 2 ** 70)], None, False),
+    ([(0, 1, 2)], range(6), False),                    # misses the cover
+    ([], range(6), False),
+    ([(0, 1, 2), (3, 4, 5)], range(3), False),         # goes beyond the cover
+])
+def test_validate_matching(host, edges, cover, valid):
+    matching = Matching(edges=tuple(map(tuple, edges)))
+    assert validate_matching(VALIDATION_HOSTS[host](), matching, cover=cover) is valid
 
 
 def test_is_pf_partite():

@@ -45,10 +45,12 @@ CORPUS = {
         ["match", "--seed", "2"], {"ell": 15},
         "f4f8df3fc9db784412b46d34461a5feda2746b62c9c4431f2db718a573c22c88",
     ),
+    # the absorber is unavailable, and match's fallback runs decide's
+    # divisibility stage: exhaustive on a pool of at most 12 vertices
     "match-div9": (
         lambda: gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)]),
         ["match", "--seed", "3"], None,
-        "88f1a9aeb2de4ee693dcab888b74fb4bcc5de4966191f22f2d10151adbc162b4",
+        "3d52fb12a049667293528f9ca1455df6bd0e6072c08d292c92347be441c1f1c6",
     ),
     # a partite allocation: the absorber decomposes and cuts partite k-sets
     "match-partite8": (

@@ -303,8 +303,8 @@ def test_pipeline_computes_one_common_link_product_per_host(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [12, 15, 30])
 def test_pipeline_builds_degrees_and_closed_partition_once_per_host(monkeypatch, n):
-    # the degree sequences and the closed partition are built once per host,
-    # and the divisibility stage reads the same ones when the absorber fails
+    # the degree sequences and the closed partition are built once per host;
+    # only the divisibility fallback, which ends the run, builds its own
     import kmatch.pipeline as pipeline
 
     calls = {"degree_sequences": 0, "closed_partition": 0}
