@@ -1,21 +1,18 @@
 """Space-barrier and divisibility-barrier certificates: search and verification.
 
-Searches are exhaustive on small pools and say so; verifiers recompute
-everything from scratch so a returned certificate never depends on
+The space search is exhaustive on small pools and says so; verifiers
+recompute everything from scratch so a returned certificate never depends on
 search-time state.
 
-The exhaustive searches are array kernels over flat enumerations. The space
-search walks the product of per-part planted-set combinations in blocks that
-double in size, counting the (p+1)-edges inside every set of a block at once
-on a boolean indicator block. On larger pools it plants one set read off the
-Farkas certificate of the exact fractional perfect-matching LP (Keevash and
-Mycroft: a space barrier is exactly an obstruction to a perfect fractional
-matching) and counts it with the same indicator test. The divisibility search
-holds every set partition into at most k parts with no part below the
-minimum size as one array of label rows (prefixes that cannot reach the size
-are never grown), counts the robust vectors of a chunk of rows with one
-`np.bincount`, and judges each distinct (part count, robust set) once; larger
-pools are searched over supplied candidate partitions only.
+The exhaustive space search walks the product of per-part planted-set
+combinations in blocks that double in size, counting the (p+1)-edges inside
+every set of a block at once on a boolean indicator block. On larger pools it
+plants one set read off the Farkas certificate of the exact fractional
+perfect-matching LP (Keevash and Mycroft: a space barrier is exactly an
+obstruction to a perfect fractional matching) and counts it with the same
+indicator test. The divisibility search judges the candidate partitions it is
+given, in order; the pipeline passes the closed partition and its
+coarsenings.
 """
 
 from __future__ import annotations
@@ -37,14 +34,11 @@ from .lattice import (
     generate_lattice,
     is_complete,
     robust_edge_vectors,
-    robust_threshold,
 )
 from .simplex import solve_equality_feasibility
 
 SPACE_EXHAUSTIVE_LIMIT = 14      # exhaust all S when the pool is at most this
 SPACE_FIRST_BLOCK = 16           # planted sets counted at once first; blocks double
-DIV_EXHAUSTIVE_LIMIT = 12        # exhaust set partitions up to this pool size
-DIV_CHUNK_ROWS = 4096           # partitions whose robust codes are counted at once
 
 
 @dataclass
@@ -302,117 +296,29 @@ def verify_divisibility_barrier(system, cert: DivBarrierCert) -> bool:
     return barrier and set(lat.basis) == set(cert.lattice.basis)
 
 
-def _labelings(n: int, k: int, min_size: int):
-    """Every set partition of n items into at most k classes of at least
-    min_size items each, as restricted growth label rows (item i is in class
-    row[i]; each row's first item of class c follows the first of class
-    c - 1) in lexicographic order.
-
-    A prefix is dropped as soon as its classes lack more items than remain
-    to place, so only rows that can still meet min_size are grown. Returns
-    the (rows, n) int8 label array and each row's class count.
+def divisibility_barrier_search(system, mu, min_part_size: int, candidates):
+    """First candidate partition with no part below min_part_size whose robust
+    lattice is incomplete and transferral-free, under the plain (non-partite)
+    notions, tried in the order given; malformed candidates are skipped. At
+    every pool size the pipeline passes the closed partition and its
+    coarsenings.
     """
-    labels = np.zeros((1, 0), dtype=np.int8)
-    classes = np.zeros(1, dtype=np.int64)
-    short = np.zeros((1, k), dtype=np.int64)   # items each class still lacks
-    for i in range(n):
-        fan = np.minimum(classes + 1, k)          # labels 0..fan-1 may follow
-        parent = np.repeat(np.arange(len(labels)), fan)
-        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
-        rows = np.arange(len(parent))
-        classes, short = classes[parent], short[parent]
-        # a new class (label == classes) lacks min_size - 1 items, an old one one fewer
-        lacking = np.where(label == classes, min_size - 1, short[rows, label] - 1)
-        short[rows, label] = lacking.clip(0)
-        keep = short.sum(axis=1) <= n - i - 1
-        grown = np.column_stack([labels[parent], label]).astype(np.int8)
-        labels, classes, short = grown[keep], np.maximum(classes, label + 1)[keep], short[keep]
-    return labels, classes
-
-
-def _first_candidate(system, mu, min_part_size, candidates):
-    """The first well-formed candidate with no part below min_part_size that
-    is a barrier, as (parts, robust vectors, lattice), or None."""
+    mu = as_fraction(mu)
     for parts in candidates:
         parts = tuple(tuple(sorted(p)) for p in parts)
         try:
-            _check_div_partition(system, parts, 0)
+            if not _check_div_partition(system, parts, min_part_size):
+                continue
         except MalformedCert:
-            continue
-        if any(len(p) < min_part_size for p in parts):
             continue
         vectors, lat, barrier = _div_facts(system, parts, mu)
         if barrier:
-            return parts, vectors, lat
+            return DivBarrierCert(
+                parts=parts,
+                min_part_size=min_part_size,
+                lattice=lat,
+                mu=mu,
+                exhaustive=False,
+                robust_vectors=tuple(vectors),
+            )
     return None
-
-
-def _first_labeling(system, mu, min_part_size):
-    """The first barrier among the _labelings of the sorted pool, as (parts,
-    robust vectors, lattice), or None; also None above DIV_EXHAUSTIVE_LIMIT."""
-    k = system.k
-    pool = sorted(system.vertex_pool)
-    n = len(pool)
-    if n > DIV_EXHAUSTIVE_LIMIT:
-        return None
-    edges = np.searchsorted(pool, system.level(k))  # the rows as positions in the pool
-    if not len(edges):
-        return None
-    labels, classes = _labelings(n, k, min_part_size)
-
-    # An edge's robust code is its index vector read in base k + 1, the sum
-    # of (k + 1) ** label over its vertices; a vector is robust when at least
-    # mu * n^k edges share its code (integer counts: compare with the ceiling).
-    base = k + 1
-    codes_per_row = base ** k
-    weight = base ** np.arange(k, dtype=np.int64)
-    digits = np.arange(codes_per_row)[:, None] // weight % base
-    thr_int = math.ceil(robust_threshold(mu, n, k))
-    verdict_cache = {}
-    for start in range(0, len(labels), DIV_CHUNK_ROWS):
-        chunk = labels[start:start + DIV_CHUNK_ROWS]
-        rows = weight[chunk]
-        codes = sum(rows[:, col] for col in edges.T)
-        codes += codes_per_row * np.arange(len(chunk))[:, None]
-        counts = np.bincount(codes.ravel(), minlength=codes_per_row * len(chunk))
-        robust = counts.reshape(len(chunk), codes_per_row) >= thr_int
-        for row in range(len(chunk)):
-            dim = int(classes[start + row])
-            key = (dim, robust[row].tobytes())
-            if key not in verdict_cache:
-                vectors = sorted(map(tuple, digits[robust[row], :dim].tolist()))
-                verdict_cache[key] = (vectors, *_judge(vectors, dim, k))
-            vectors, lat, barrier = verdict_cache[key]
-            if barrier:
-                label_of = dict(zip(pool, chunk[row].tolist()))
-                parts = tuple(tuple(v for v in pool if label_of[v] == c) for c in range(dim))
-                return parts, vectors, lat
-    return None
-
-
-def divisibility_barrier_search(system, mu, min_part_size: int, candidates=None):
-    """First partition whose robust lattice is incomplete and transferral-free,
-    under the plain (non-partite) notions.
-
-    With no explicit candidates the search is exhaustive when the pool is
-    small: it tries every set partition of the sorted pool into at most k
-    parts with no part below min_part_size, in lexicographic order of the
-    restricted growth label rows, so the returned barrier is the first one in
-    that order. Larger instances must supply candidates (the pipeline passes
-    the closed partition and its coarsenings), tried in the order given.
-    """
-    mu = as_fraction(mu)
-    exhaustive = candidates is None
-    found = (_first_labeling(system, mu, min_part_size) if exhaustive
-             else _first_candidate(system, mu, min_part_size, candidates))
-    if found is None:
-        return None
-    parts, vectors, lat = found
-    return DivBarrierCert(
-        parts=parts,
-        min_part_size=min_part_size,
-        lattice=lat,
-        mu=mu,
-        exhaustive=exhaustive,
-        robust_vectors=tuple(vectors),
-    )

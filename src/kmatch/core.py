@@ -581,15 +581,6 @@ class Matching:
     def vertex_set(self) -> frozenset:
         return frozenset(v for e in self.edges for v in e)
 
-    def is_disjoint(self) -> bool:
-        seen = set()
-        for e in self.edges:
-            for v in e:
-                if v in seen:
-                    return False
-                seen.add(v)
-        return True
-
     def per_index_counts(self, universe: VertexUniverse) -> Counter:
         return Counter(index_vector(e, universe) for e in self.edges)
 

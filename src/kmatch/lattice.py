@@ -92,10 +92,6 @@ class IndexLattice:
     generators: tuple
     basis: tuple
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
     def to_json(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -276,34 +272,6 @@ def minimal_decomposition_bound(target, vectors, cap=30) -> Decomposition:
         except BoundTooSmall:
             continue
     raise BoundTooSmall(f"no decomposition of {target} within |a| <= {cap}")
-
-
-DEFAULT_TRANSFER_BOUND = 8
-EXHAUSTIVE_LIMIT = 9  # exhaust generator subsets only when k*r is at most this
-
-
-def transfer_constant(k: int, r: int, configured=None, exhaustive_limit=EXHAUSTIVE_LIMIT):
-    """The worst-case coefficient bound C(k, r) for decomposing k-vectors.
-
-    Exact by double exhaustion (all generator subsets, all lattice-member
-    targets) when k*r is small; otherwise a configured upper bound is returned
-    and flagged. Targets outside the generated lattice are skipped: only
-    lattice members admit decompositions at all.
-    """
-    if configured is not None:
-        return configured, "configured"
-    if k * r > exhaustive_limit:
-        return DEFAULT_TRANSFER_BOUND, "configured"
-    vectors = sum_vectors(k, r)
-    best = 0
-    for size in range(1, len(vectors) + 1):
-        for subset in combinations(vectors, size):
-            lat = generate_lattice(subset, r)
-            for target in vectors:
-                if not lattice_contains(lat, target):
-                    continue
-                best = max(best, minimal_decomposition_bound(target, subset).bound)
-    return best, "exact"
 
 
 @dataclass(frozen=True)

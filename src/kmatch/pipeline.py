@@ -34,7 +34,6 @@ import numpy as np
 
 from .absorbing import AbsorberConfig, _leftover_sets, absorb, build_absorber, closed_partition
 from .barriers import (
-    DIV_EXHAUSTIVE_LIMIT,
     DivBarrierCert,
     SpaceBarrierCert,
     divisibility_barrier_search,
@@ -227,22 +226,17 @@ def divisibility_barrier_stage(system, alloc=None):
     barriers` run it and run_matching_pipeline runs it when the absorber is
     unavailable; a verified DivBarrierCert or None.
 
-    Exhaustive over set partitions when the pool is small; otherwise the
-    candidates are the closed partition and its coarsenings.
+    At every pool size the candidates are the closed partition and its
+    coarsenings; no closed partition means no candidate.
     """
     alloc = alloc or plain_allocation(system.k)
     mu_eff = _effective_mu(system, MU)
     min_part = _min_part_size(system, degree_sequences(system, alloc), mu_eff)
-    if len(system.vertex_pool) <= DIV_EXHAUSTIVE_LIMIT:
-        cert = divisibility_barrier_search(system, mu_eff, min_part)
-    else:
-        try:
-            partition = _closed_partition(system)
-        except PreconditionFailed:
-            return None
-        cert = divisibility_barrier_search(
-            system, mu_eff, min_part, candidates=partition.coarsenings()
-        )
+    try:
+        partition = _closed_partition(system)
+    except PreconditionFailed:
+        return None
+    cert = divisibility_barrier_search(system, mu_eff, min_part, partition.coarsenings())
     if cert is not None and verify_divisibility_barrier(system, cert):
         return cert
     return None

@@ -1,6 +1,7 @@
 """Barrier search and verification against independent exhaustion oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -11,7 +12,6 @@ from kmatch.barriers import (
     DivBarrierCert,
     _count_inside,
     _count_top_overflow,
-    _labelings,
     SpaceBarrierCert,
     divisibility_barrier_search,
     space_barrier_search,
@@ -20,6 +20,7 @@ from kmatch.barriers import (
 )
 from kmatch.core import CompleteComplex, VertexUniverse, build_complex, plain_allocation
 from kmatch.errors import MalformedCert
+from kmatch.lattice import find_transferral, generate_lattice, is_complete
 from kmatch.fractional import build_lp, solve_feasible
 from kmatch.oracle import (
     brute_force_pm,
@@ -109,10 +110,13 @@ def test_space_search_reproducible():
     assert a.part_sets == b.part_sets
 
 
+PARTS_5_3 = (tuple(range(5)), tuple(range(5, 8)))  # gen_divisibility_barrier([5, 3], ...)
+
+
 def test_divisibility_found_and_verified():
     H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
-    cert = divisibility_barrier_search(H, Fraction(1, 100), 2)
-    assert cert is not None and cert.exhaustive
+    cert = divisibility_barrier_search(H, Fraction(1, 100), 2, [PARTS_5_3])
+    assert cert is not None and not cert.exhaustive
     assert [len(p) for p in cert.parts] == [5, 3]
     assert verify_divisibility_barrier(H, cert)
 
@@ -120,41 +124,43 @@ def test_divisibility_found_and_verified():
 def test_divisibility_even_b_still_a_barrier():
     # the lattice shape is the certificate; i(V) membership is not its job
     H = gen_divisibility_barrier([4, 4], 3, [(1, 2), (3, 0)])
-    cert = divisibility_barrier_search(H, Fraction(1, 300), 2)
+    parts = (tuple(range(4)), tuple(range(4, 8)))
+    cert = divisibility_barrier_search(H, Fraction(1, 300), 2, [parts])
     assert cert is not None
     assert verify_divisibility_barrier(H, cert)
 
 
 def test_complete_no_divisibility_at_small_mu():
     cc = complete_complex(9, 3)
-    assert divisibility_barrier_search(cc, Fraction(1, 100), 3) is None
+    every = set_partitions(sorted(cc.vertex_pool), 3)
+    assert divisibility_barrier_search(cc, Fraction(1, 100), 3, every) is None
 
 
 def test_divisibility_mu_raised_flips_verification():
     # raising mu past (1,2)'s support count changes the recomputed lattice,
     # so the original certificate no longer verifies
     H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
-    cert = divisibility_barrier_search(H, Fraction(1, 100), 2)
+    cert = divisibility_barrier_search(H, Fraction(1, 100), 2, [PARTS_5_3])
     assert cert is not None
     raised = DivBarrierCert(
         parts=cert.parts,
         min_part_size=cert.min_part_size,
         lattice=cert.lattice,
         mu=Fraction(16, 512),  # threshold 16 > count(1,2) = 15
-        exhaustive=True,
+        exhaustive=False,
     )
     assert not verify_divisibility_barrier(H, raised)
 
 
 def test_divisibility_min_part_size_fails_verification():
     H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
-    cert = divisibility_barrier_search(H, Fraction(1, 100), 2)
+    cert = divisibility_barrier_search(H, Fraction(1, 100), 2, [PARTS_5_3])
     small = DivBarrierCert(
         parts=cert.parts,
         min_part_size=4,  # B has only 3 vertices
         lattice=cert.lattice,
         mu=cert.mu,
-        exhaustive=True,
+        exhaustive=False,
     )
     assert not verify_divisibility_barrier(H, small)
 
@@ -183,7 +189,9 @@ def test_every_returned_cert_passes_its_verifier():
         sc = space_barrier_search(cx, Fraction(1, 40))
         if sc is not None:
             assert verify_space_barrier(cx, sc)
-        dc = divisibility_barrier_search(cx, Fraction(1, 200), 2)
+        dc = divisibility_barrier_search(
+            cx, Fraction(1, 200), 2, set_partitions(sorted(cx.vertex_pool), 3)
+        )
         if dc is not None:
             assert verify_divisibility_barrier(cx, dc)
 
@@ -192,7 +200,7 @@ def test_certificates_round_trip_through_json():
     space = space_barrier_search(gen_space_barrier(9, 3, 1, 4), Fraction(1, 100))
     large = space_barrier_search(gen_space_barrier(18, 3, 1, 7), Fraction(1, 1000))
     div = divisibility_barrier_search(
-        gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]), Fraction(1, 100), 2
+        gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]), Fraction(1, 100), 2, [PARTS_5_3]
     )
     assert space.exhaustive and not large.exhaustive
     for cert in (space, large):
@@ -221,25 +229,43 @@ def set_partitions(items, max_parts):
     return out
 
 
+def first_barrier_by_counting(system, mu, min_part_size, candidates):
+    """Reference: the first candidate with no part below min_part_size whose
+    robust vectors, counted edge by edge, span an incomplete lattice with no
+    transferral; as (parts, sorted robust vectors, lattice), or None."""
+    k, n = system.k, len(system.vertex_pool)
+    edges = [tuple(e) for e in system.level(k).tolist()]
+    for parts in candidates:
+        if any(len(p) < min_part_size for p in parts):
+            continue
+        part_of = {v: j for j, p in enumerate(parts) for v in p}
+        counts = Counter(tuple(sum(part_of[v] == j for v in e) for j in range(len(parts)))
+                         for e in edges)
+        vectors = sorted(v for v, c in counts.items() if c >= mu * n ** k)
+        lat = generate_lattice(vectors, len(parts))
+        if not is_complete(lat, k) and find_transferral(lat) is None:
+            return parts, vectors, lat
+    return None
+
+
 @pytest.mark.parametrize(
     "n, k, p, seed",
     [(6, 2, 0.5, 1), (8, 2, 0.7, 2), (6, 3, 0.4, 3), (9, 3, 0.6, 4), (9, 3, 0.9, 5),
      (8, 4, 0.5, 6), (8, 4, 0.9, 7)],
 )
-def test_exhaustive_divisibility_matches_candidates_in_order(n, k, p, seed):
+def test_divisibility_search_returns_the_first_barrier_candidate(n, k, p, seed):
     cx = gen_random_dense(n, k, p=p, seed=seed)
     assert cx.top_count() > 0
     every = set_partitions(sorted(cx.vertex_pool), k)
     for mu in (Fraction(1, 500), Fraction(1, 60), Fraction(1, 15)):
         for min_part_size in (0, 2, 3):
-            fast = divisibility_barrier_search(cx, mu, min_part_size)
-            slow = divisibility_barrier_search(cx, mu, min_part_size, candidates=every)
-            assert (fast is None) == (slow is None), (mu, min_part_size)
-            if fast is not None:
-                assert fast.exhaustive and not slow.exhaustive
-                assert fast.parts == slow.parts
-                assert fast.lattice.basis == slow.lattice.basis
-                assert fast.robust_vectors == slow.robust_vectors
+            cert = divisibility_barrier_search(cx, mu, min_part_size, every)
+            want = first_barrier_by_counting(cx, mu, min_part_size, every)
+            assert (cert is None) == (want is None), (mu, min_part_size)
+            if cert is not None:
+                assert (cert.parts, sorted(cert.robust_vectors)) == want[:2]
+                assert cert.lattice.basis == want[2].basis
+                assert verify_divisibility_barrier(cx, cert)
 
 
 def first_sparse_by_count_inside(system, beta):
@@ -384,33 +410,3 @@ def test_lp_space_search_tries_p_below_a_stray_edge(n, j, s, q, seed):
     assert verify_certificate(host_view(cx), cert)
     if n == 15:
         assert brute_force_pm(cx, cap=15) is None
-
-
-def filtered_labelings(n, k, min_size):
-    """Reference: every restricted growth label row with at most k classes,
-    grown one item at a time, then filtered by class size."""
-    labels = np.zeros((1, 0), dtype=np.int8)
-    classes = np.zeros(1, dtype=np.int64)
-    for i in range(n):
-        fan = np.minimum(classes + 1, k)
-        parent = np.repeat(np.arange(len(labels)), fan)
-        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
-        grown = np.empty((len(parent), i + 1), dtype=np.int8)
-        grown[:, :i] = labels[parent]
-        grown[:, i] = label
-        labels, classes = grown, np.maximum(classes[parent], label + 1)
-    keep = np.ones(len(labels), dtype=bool)
-    for c in range(k):
-        keep &= (classes <= c) | ((labels == c).sum(axis=1) >= min_size)
-    return labels[keep], classes[keep]
-
-
-def test_pruned_labelings_equal_filtered_rows():
-    for n in range(11):
-        for k in range(1, 5):
-            for min_size in range(6):
-                labels, classes = _labelings(n, k, min_size)
-                want_labels, want_classes = filtered_labelings(n, k, min_size)
-                assert labels.shape == want_labels.shape, (n, k, min_size)
-                assert np.array_equal(labels, want_labels)
-                assert np.array_equal(classes, want_classes)

@@ -111,7 +111,7 @@ def test_barriers_command(instances, capsys):
 
 def _barrier_agreement_cases():
     # the 25 divisibility instances of criterion 9, with its seeds (their
-    # places 75-99 in the mixture), and two shapes past the exhaustive range
+    # places 75-99 in the mixture), and two shapes of 13 and 15 vertices
     shapes = [(5, 3), (4, 4), (6, 3), (3, 3), (5, 4), (6, 4), (7, 3), (4, 3)]
     gens = [[(1, 2), (3, 0)], [(2, 1), (0, 3)]]
     cases = [(shapes[i % 8], gens[i % 2], 75 + i) for i in range(25)]
@@ -141,12 +141,11 @@ def test_barriers_reports_the_barrier_decide_returns(tmp_path, capsys, sizes, ge
         assert kind == "space" or "space" not in found
 
 
-@pytest.mark.parametrize("sizes, exhaustive", [((6, 3), True), ((8, 7), False)])
-def test_match_decide_and_barriers_print_one_divisibility_barrier(tmp_path, capsys, sizes,
-                                                                  exhaustive):
+@pytest.mark.parametrize("sizes", [(6, 3), (8, 7)])
+def test_match_decide_and_barriers_print_one_divisibility_barrier(tmp_path, capsys, sizes):
     # match's absorber is unavailable on these hosts, and its fallback runs
-    # decide's divisibility stage: exhaustive on 9 vertices, over the closed
-    # partition's coarsenings on 15
+    # decide's divisibility stage, over the closed partition's coarsenings
+    # on 9 vertices as on 15
     path = str(tmp_path / "div.khg")
     save_khg(gen_divisibility_barrier(list(sizes), 3, [(1, 2), (3, 0)]), path, include_lower=True)
     runs = [run_cli(capsys, command, path, "--json", "--seed", "3")
@@ -156,7 +155,7 @@ def test_match_decide_and_barriers_print_one_divisibility_barrier(tmp_path, caps
     assert match["tag"] == decide["tag"] == "DivisibilityBarrier"
     payload = barriers["found"]["divisibility"]
     assert match["payload"] == decide["payload"] == payload
-    assert payload["exhaustive"] is exhaustive
+    assert payload["exhaustive"] is False
     assert payload["parts"] == [list(range(sizes[0])), list(range(sizes[0], sum(sizes)))]
 
 

@@ -46,11 +46,11 @@ CORPUS = {
         "f4f8df3fc9db784412b46d34461a5feda2746b62c9c4431f2db718a573c22c88",
     ),
     # the absorber is unavailable, and match's fallback runs decide's
-    # divisibility stage: exhaustive on a pool of at most 12 vertices
+    # divisibility stage over the closed partition's coarsenings
     "match-div9": (
         lambda: gen_divisibility_barrier([6, 3], 3, [(1, 2), (3, 0)]),
         ["match", "--seed", "3"], None,
-        "3d52fb12a049667293528f9ca1455df6bd0e6072c08d292c92347be441c1f1c6",
+        "da43689a50a899c12f3e1819fc05a7ee5183efc9c5ab8be1757db11b417b768f",
     ),
     # a partite allocation: the absorber decomposes and cuts partite k-sets
     "match-partite8": (
@@ -95,7 +95,7 @@ CORPUS = {
     "decide-div8": (
         lambda: gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]),
         ["decide", "--seed", "9"], None,
-        "45dbd74cefa678cac97634fa315838b7d7e447074ec18698c8bd21e08966abae",
+        "5d9cedee1123de57b641b2d0922bbadbacda4454141d78785dc857cf67d9bd94",
     ),
     "decide-div10": (
         lambda: gen_divisibility_barrier([6, 4], 3, [(2, 1), (0, 3)]),
@@ -105,7 +105,7 @@ CORPUS = {
     "barriers-div8": (
         lambda: gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]),
         ["barriers", "--seed", "9"], None,
-        "3bc8c563b7edf69f3d4e57c5309e73f72d720760905d50320e7999ca7499ea7c",
+        "c119322e40d0fde6ee3d60fa12e0b1a62806f988c32a1e6ee101c20562e61d9f",
     ),
     # n > 12: the divisibility stage tries decide's closed partition
     "barriers-div13": (

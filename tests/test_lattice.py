@@ -1,5 +1,5 @@
-"""Lattice algebra: canonical bases, membership, completeness, transferrals,
-bounded decompositions, and the transfer constant."""
+"""Lattice algebra: canonical bases, membership, completeness, transferrals
+and bounded decompositions."""
 
 import random
 from fractions import Fraction
@@ -19,7 +19,6 @@ from kmatch.lattice import (
     minimal_decomposition_bound,
     robust_edge_vectors,
     sum_vectors,
-    transfer_constant,
 )
 from kmatch.oracle import complete_complex, gen_divisibility_barrier
 
@@ -45,7 +44,6 @@ def test_generate_lattice_examples():
     assert not lattice_contains(lat, (0, 3))   # brute: no |a| <= 6 witness
     assert not brute_member([(1, 2), (3, 0)], (0, 3))
     zero = generate_lattice([], dimension=2)
-    assert zero.rank == 0
     assert lattice_contains(zero, (0, 0))
     assert not lattice_contains(zero, (1, 0))
 
@@ -187,13 +185,6 @@ def test_membership_matches_brute_force():
         lat = generate_lattice(gens, 3)
         for target in vecs3:
             assert lattice_contains(lat, target) == brute_member(gens, target)
-
-
-def test_transfer_constant():
-    assert transfer_constant(3, 1) == (1, "exact")
-    assert transfer_constant(3, 2) == (3, "exact")
-    assert transfer_constant(3, 2, configured=8) == (8, "configured")
-    assert transfer_constant(3, 4) == (8, "configured")  # above the exhaustive range
 
 
 def test_transfer_constant_full_generator_set_needs_one():

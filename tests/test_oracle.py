@@ -14,6 +14,7 @@ from kmatch.core import (
     degree_sequences,
     index_vector,
     plain_allocation,
+    validate_matching,
 )
 from kmatch.errors import BadParams, TooLarge, Unsatisfiable
 from kmatch.fractional import FractionalMatching, build_lp, verify_fractional
@@ -32,8 +33,9 @@ from kmatch.simplex import solve_equality_feasibility
 
 
 def test_brute_pm_complete():
-    m = brute_force_pm(complete_complex(6, 3))
-    assert m is not None and len(m) == 2 and m.is_disjoint()
+    cc = complete_complex(6, 3)
+    m = brute_force_pm(cc)
+    assert m is not None and len(m) == 2 and validate_matching(cc, m)
 
 
 def test_brute_pm_space_barrier_none():

@@ -430,6 +430,22 @@ def test_decide_matches_by_exact_search_where_the_greedy_misses(monkeypatch, bui
     assert decide(host).dumps() == cert.dumps()
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decide_matches_a_host_that_a_set_partition_seems_to_block(seed):
+    # two crossing triples make the [7, 5] divisibility host matchable, but
+    # parts 0-6 and 7-11 still have an incomplete, transferral-free robust
+    # lattice; the closed partition's coarsenings hold no barrier, and the
+    # exact search matches the host in 39,839 work units
+    gen = gen_divisibility_barrier([7, 5], 3, [(1, 2), (3, 0)])
+    edges = [tuple(e) for e in gen.level(3).tolist()] + [(0, 4, 9), (2, 6, 9)]
+    host = build_complex(edges, VertexUniverse.single(12), k=3)
+    assert brute_force_pm(host) is not None
+    cert = decide(host, PipelineConfig(seed=seed))
+    assert cert.tag == "PerfectMatching"
+    assert cert.diagnostics["stages"] == [{"stage": "exact-search", "status": "ok", "work": 39839}]
+    assert verify_certificate(host_view(host), cert)
+
+
 def test_exact_search_stops_at_its_bound(monkeypatch):
     # with the barrier stages off, the planted space barrier reaches the
     # search, which has no matching to find and stops at its work bound
