@@ -44,16 +44,6 @@ PARTITION_ALPHA = Fraction(1, 200)  # reachability threshold for that partition
 BUILD_TRIES = 400                   # absorber member attempts before the build gives up
 
 
-def reachable_neighborhood(system, v, beta) -> frozenset:
-    """Vertices u != v whose link shares at least beta * |V|^(k-1) (k-1)-sets
-    with the link of v: reach length 1, counted exactly on common links."""
-    pool = system.vertex_pool
-    # the counts are integers, so comparing with the ceiling is exact
-    need = math.ceil(as_fraction(beta) * Fraction(len(pool)) ** (system.k - 1))
-    common = system.common_links()
-    return frozenset(u for u in pool if u != v and common[v, u] >= need)
-
-
 def _matching_inside(system, vertices):
     """Exact: a perfect matching of the top edges inside a small vertex set, or
     None when there is none. The k-sets of the sorted vertices are sorted

@@ -5,13 +5,17 @@ significant everywhere). An explicit system holds each level as one
 read-only int64 array of rows, the edges as sorted vertex ids in
 lexicographic order, with their sorted row codes for membership. KSystem()
 sorts, de-duplicates and checks the rows it is given and KComplex() adds a
-face test; close_down sorts each level once into a complex closed by
+face test; close_down sorts each given level on its own and sorts in only
+the faces of the level above that it lacks, a complex closed by
 construction, and induced/rebuild mask the parent's rows and codes. Tuples
 are made only where edges leave: iter_top(), Matching and the callers'
 certificates. A system caches its integer top-edge table (edge_table) and
-common-link counts on first use. Degrees and partite checks count each
-level's rows: one np.unique over face codes per level gives every
-extension count by part, and compositions gives every index vector.
+common-link counts on first use. A face is handled as its code
+(face_codes builds no face rows) and found by one binary search in the
+sorted codes of the level below: in the face test, close_down, the
+common-link incidence and the degree counts. Degrees and partite checks
+count each level's rows: that search and one bincount give every extension
+count by part, and compositions gives every index vector.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import numpy as np
 from .errors import (
     BadVertex,
     ClosureViolation,
-    EmptyAllocation,
     IndexNotInAllocation,
     NotAKVector,
     NotPartite,
@@ -124,11 +127,16 @@ def _face_columns(w) -> np.ndarray:
     return np.array([[j for j in range(w) if j != t] for t in range(w)], np.intp).reshape(w, w - 1)
 
 
-def faces(E) -> np.ndarray:
-    """Every row of the int array E with one entry left out, block t without
-    column t: the (k-1)-faces of row-sorted k-edges, sorted in turn."""
+def face_codes(E, total) -> np.ndarray:
+    """The row_codes of every row of the int array E with one entry left
+    out, block t without column t: the codes of the (k-1)-faces of
+    row-sorted k-edges. Block t weighs the columns of E other than t by the
+    powers of total, so no face is built."""
     w = E.shape[1]
-    return E[:, _face_columns(w)].transpose(1, 0, 2).reshape(w * len(E), w - 1)
+    dtype = np.int64 if total ** (w - 1) <= 1 << 63 else object
+    weights = np.zeros((w, w), dtype)
+    weights[np.arange(w)[:, None], _face_columns(w)] = [total ** i for i in reversed(range(w - 1))]
+    return (weights @ E.T.astype(dtype, copy=False)).ravel()
 
 
 def row_codes(rows, total) -> np.ndarray:
@@ -139,6 +147,12 @@ def row_codes(rows, total) -> np.ndarray:
     dtype = np.int64 if total ** width <= 1 << 63 else object
     base = np.array([total ** i for i in reversed(range(width))], dtype)
     return rows.astype(dtype, copy=False) @ base
+
+
+def _code_rows(codes, total, width) -> np.ndarray:
+    """The int64 rows, width wide, whose row_codes are `codes`."""
+    base = np.array([total ** i for i in reversed(range(width))], codes.dtype)
+    return (codes[:, None] // base % total).astype(np.int64)
 
 
 def _as_rows(edges, i) -> np.ndarray:
@@ -189,11 +203,16 @@ def _sorted_rows(rows, inside):
 _J0 = _sorted_rows(np.zeros((1, 0), np.int64), np.zeros(3, bool))  # level 0: the empty edge
 
 
+def _locate(codes, have):
+    """Per code, its insertion point in the sorted code array `have` and
+    whether `have` holds it there."""
+    at = have.searchsorted(codes)
+    return at, have.take(at, mode="clip") == codes if len(have) else np.zeros(len(codes), bool)
+
+
 def _among(codes, have) -> np.ndarray:
     """Per code, whether the sorted code array `have` holds it."""
-    if not len(have):
-        return np.zeros(len(codes), bool)
-    return have.take(have.searchsorted(codes), mode="clip") == codes
+    return _locate(codes, have)[1]
 
 
 class KSystem:
@@ -295,25 +314,34 @@ class KComplex(KSystem):
         super().__init__(universe, k, levels, vertex_pool=vertex_pool)
         for i in range(k, 1, -1):
             upper = self.level(i)
-            below = faces(upper)
-            missing = ~_among(row_codes(below, universe.total), self._codes[i - 1])
+            missing = ~_among(face_codes(upper, universe.total), self._codes[i - 1])
             if missing.any():
-                j = int(missing.argmax())
+                t, j = divmod(int(missing.argmax()), len(upper))
+                edge = upper[j].tolist()
                 raise ClosureViolation(
-                    f"{i}-edge {tuple(upper[j % len(upper)].tolist())} present but "
-                    f"sub-edge {tuple(below[j].tolist())} missing"
+                    f"{i}-edge {tuple(edge)} present but "
+                    f"sub-edge {tuple(edge[:t] + edge[t + 1:])} missing"
                 )
 
 
 def close_down(universe: VertexUniverse, k: int, levels: dict) -> KComplex:
     """The downward closure of leveled edges (as KSystem() takes them): a
-    KComplex, each level sorted once with the faces above, no face test."""
+    KComplex with no face test. Each given level is sorted on its own; the
+    faces of the level above that it lacks, found by binary search in its
+    codes and rebuilt as rows from their own codes, are then sorted in with
+    it. A level that lists every face gains nothing."""
     _check_levels(levels, k)
     inside = _pool_mask(universe, universe.vertices())
     rows = {k: _sorted_rows(_as_rows(levels.get(k, ()), k), inside)}
     for i in range(k, 1, -1):
-        given = _as_rows(levels.get(i - 1, ()), i - 1)
-        rows[i - 1] = _sorted_rows(np.concatenate([given, faces(rows[i][0])]), inside)
+        given = _sorted_rows(_as_rows(levels.get(i - 1, ()), i - 1), inside)
+        codes = face_codes(rows[i][0], universe.total)
+        missing = np.sort(codes[~_among(codes, given[1])])
+        if len(missing):
+            distinct = np.concatenate(([True], missing[1:] != missing[:-1]))
+            missing = _code_rows(missing[distinct], universe.total, i - 1)
+            given = _sorted_rows(np.concatenate([given[0], missing]), inside)
+        rows[i - 1] = given
     return KComplex.__new__(KComplex)._assemble(universe, k, rows, frozenset(universe.vertices()))
 
 
@@ -419,13 +447,19 @@ def compositions(E, label, dim):
 def _common_links(system) -> np.ndarray:
     """|L(u) & L(w)| for every pair of vertex ids, as the product A A^T of
     the vertex x (k-1)-set incidence matrix A of the top level. float64 is
-    exact here: every entry is at most C(n-1, k-1) < 2**53."""
+    exact here: every entry is at most C(n-1, k-1) < 2**53. A's columns are
+    the rows of level k-1, found by binary search in their codes, then the
+    faces that level lacks (all of them on a bare k-graph); the order of
+    the columns does not change A A^T."""
     k, total = system.k, system.universe.total
     top = system.level(k)
-    # row block t of faces(top) is every top edge without its t-th vertex;
-    # col is the dense id of each of those (k-1)-sets
-    col = np.unique(row_codes(faces(top), total), return_inverse=True)[1].ravel()
-    incidence = np.zeros((total, col.max(initial=-1) + 1))
+    have = row_codes(system.level(k - 1), total)
+    # row block t of the face codes is every top edge without its t-th vertex
+    codes = face_codes(top, total)
+    col, found = _locate(codes, have)
+    extra, ids = np.unique(codes[~found], return_inverse=True)
+    col[~found] = len(have) + ids.ravel()
+    incidence = np.zeros((total, len(have) + len(extra)))
     incidence[top.T.ravel(), col] = 1
     return (incidence @ incidence.T).astype(np.int64)
 
@@ -514,54 +548,6 @@ def allocation_from_index_multiset(index_multiset, r=None, size_bound=0) -> Allo
 def plain_allocation(k) -> Allocation:
     """The r=1 allocation with I = {(k)}; every complex is PF-partite for it."""
     return allocation_from_index_multiset([(k,)])
-
-
-def allocation_properties(alloc: Allocation) -> dict:
-    """Uniformity, connectedness, and size of an allocation.
-
-    Uniform means every coordinate hits every part equally often across F.
-    Connectedness is tested on the maximal admissible part graph: parts j,j'
-    are joined iff for all coordinate pairs i != i' some f has f(i)=j,
-    f(i')=j'.
-    """
-    if alloc.size == 0:
-        raise EmptyAllocation("allocation has no functions")
-    k, r = alloc.k, alloc.r
-    counts = [[0] * r for _ in range(k)]
-    for pattern, c in alloc.functions:
-        for i, p in enumerate(pattern):
-            counts[i][p] += c
-    share = Fraction(alloc.size, r)
-    uniform = all(counts[i][j] == share for i in range(k) for j in range(r))
-
-    pairs_seen = {}
-    for pattern, _ in alloc.functions:
-        for i in range(k):
-            for i2 in range(k):
-                if i == i2:
-                    continue
-                pairs_seen.setdefault((pattern[i], pattern[i2]), set()).add((i, i2))
-    all_pos_pairs = [(i, i2) for i in range(k) for i2 in range(k) if i != i2]
-    adj = {j: set() for j in range(r)}
-    for j in range(r):
-        for j2 in range(j + 1, r):
-            # an edge of G_F needs every ordered coordinate pair realized
-            ok = all(
-                (i, i2) in pairs_seen.get((j, j2), set()) for (i, i2) in all_pos_pairs
-            ) and all((i, i2) in pairs_seen.get((j2, j), set()) for (i, i2) in all_pos_pairs)
-            if ok:
-                adj[j].add(j2)
-                adj[j2].add(j)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    connected = len(seen) == r
-    return {"uniform": uniform, "connected": connected, "size": alloc.size}
 
 
 @dataclass(frozen=True)
@@ -663,17 +649,16 @@ class DegreeSequenceReport:
 
 def _extensions(system, j, lower, label) -> np.ndarray:
     """count[e, p]: how many (j+1)-edges of the system extend row e of
-    `lower` (sorted j-edges) by a vertex of part p. Row block t of
-    faces(upper) leaves out column t, so the left-out vertices are the
-    columns of upper in turn."""
-    r = system.universe.r
+    `lower` (sorted j-edges, in lexicographic order) by a vertex of part p.
+    Each face of the level above is found by binary search in the codes of
+    `lower`; block t of face_codes(upper) leaves out column t, so the
+    left-out vertices are the columns of upper in turn."""
+    r, total = system.universe.r, system.universe.total
     upper = system.level(j + 1)
-    codes = row_codes(np.concatenate([faces(upper), lower]), system.universe.total)
-    distinct, ids = np.unique(codes, return_inverse=True)
-    ids = ids.ravel()
+    at, found = _locate(face_codes(upper, total), row_codes(lower, total))
     added = label[upper.T.ravel()]
-    count = np.bincount(ids[: len(added)] * r + added, minlength=len(distinct) * r)
-    return count.reshape(-1, r)[ids[len(added):]]
+    count = np.bincount(at[found] * r + added[found], minlength=len(lower) * r)
+    return count.reshape(-1, r)
 
 
 def _least(counts) -> int:

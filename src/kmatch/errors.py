@@ -22,10 +22,6 @@ class NotAKVector(KmatchError):
     """A vector is not a nonnegative k-vector of the right dimension."""
 
 
-class EmptyAllocation(KmatchError):
-    """Operation requires a nonempty allocation."""
-
-
 class IndexNotInAllocation(KmatchError):
     """An edge's index vector does not occur in the allocation."""
 

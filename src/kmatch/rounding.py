@@ -18,12 +18,13 @@ from fractions import Fraction
 from .core import Allocation, Matching, index_vector
 from .errors import IndexNotInAllocation, MixedHost
 
-ZERO = Fraction(0)
 NIBBLE_DRAWS_PER_VERTEX = 50  # candidate draws of one nibble run, per pool vertex
+_TWO53 = 1 << 53  # random() returns a multiple of 2**-53
 
 
 def combine_weights(fracs) -> dict:
-    """Half the sum of the given fractional matchings, edge by edge.
+    """Half the sum of the given fractional matchings, edge by edge, summed
+    in ints over twice the weights' common denominator.
 
     The pair-load bound of the extraction loop guarantees the result never
     exceeds 1 on any edge; that is asserted, not assumed.
@@ -31,17 +32,17 @@ def combine_weights(fracs) -> dict:
     if not fracs:
         return {}
     host = fracs[0].host
+    if any(g.host is not host for g in fracs):
+        raise MixedHost("fractional matchings live on different hosts")
+    den = math.lcm(*(w.denominator for g in fracs for w in g.weights.values()))
     combined = {}
     for g in fracs:
-        if g.host is not host:
-            raise MixedHost("fractional matchings live on different hosts")
         for e, w in g.weights.items():
-            combined[e] = combined.get(e, ZERO) + w
+            combined[e] = combined.get(e, 0) + w.numerator * (den // w.denominator)
     out = {}
-    for e, w in combined.items():
-        w = w / 2
-        assert w <= 1, f"combined weight {w} > 1 on {e}"
-        out[e] = w
+    for e, num in combined.items():
+        assert num <= 2 * den, f"combined weight {Fraction(num, 2 * den)} > 1 on {e}"
+        out[e] = Fraction(num, 2 * den)
     return out
 
 
@@ -87,20 +88,26 @@ class SampledGraph:
 
 
 def sample_subgraph(host, g: dict, seed: int = 0) -> SampledGraph:
-    """Keep each support edge independently with probability g(e)."""
+    """Keep each support edge independently with probability g(e).
+
+    The weights are ints over their common denominator den. random() is
+    m / 2**53 for an integer m, so random() < num / den is tested exactly
+    as m * den < num * 2**53."""
     rng = random.Random(seed)
+    den = math.lcm(*(w.denominator for w in g.values()))
     edges = []
     expected = {}
     for e in sorted(g):
         w = g[e]
-        assert 0 <= w <= 1, f"weight {w} outside [0, 1]"
+        num = w.numerator * (den // w.denominator)
+        assert 0 <= num <= den, f"weight {w} outside [0, 1]"
         for v in e:
-            expected[v] = expected.get(v, ZERO) + w
-        if w >= 1 or rng.random() < w:
+            expected[v] = expected.get(v, 0) + num
+        if num == den or int(rng.random() * _TWO53) * den < num * _TWO53:
             edges.append(e)
     values = set(expected.values())
-    declared = values.pop() if len(values) == 1 else Fraction(
-        sum(expected.values(), ZERO), max(len(expected), 1)
+    declared = Fraction(values.pop(), den) if len(values) == 1 else Fraction(
+        sum(expected.values()), den * max(len(expected), 1)
     )
     out = SampledGraph(host=host, edges=edges, seed=seed, expected_degree=declared)
     out.compute_stats()

@@ -16,7 +16,6 @@ from kmatch.absorbing import (
     absorb,
     build_absorber,
     closed_partition,
-    reachable_neighborhood,
 )
 from kmatch.core import (
     KSystem,
@@ -47,27 +46,33 @@ def close_graph(H):
     return build_complex({3: list(H.iter_top())}, H.universe, k=3, close=True)
 
 
-def test_reachable_complete():
-    cc = complete_complex(6, 3)
-    rep = reachable_neighborhood(cc, 0, Fraction(1, 100))
-    assert set(rep) == {1, 2, 3, 4, 5}
+def test_common_links_complete():
+    # in the complete 3-complex on 6 vertices, L(u) & L(w) is every pair
+    # avoiding u and w, and L(u) every pair avoiding u
+    common = complete_complex(6, 3).common_links()
+    for u in range(6):
+        for w in range(6):
+            assert common[u, w] == math.comb(5 if u == w else 4, 2)
 
 
-def test_reachable_divisibility_cross_pair_empty():
-    # u in A, v in B: a common witness pair would need both even and odd
-    # B-intersection, so the count is exactly zero at any positive threshold
+def test_common_links_divisibility_cross_pairs_are_zero():
+    # u in A, w in B: a common witness pair would need both even and odd
+    # B-intersection, so every cross-part count is exactly zero, and every
+    # in-part count is positive
     H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
-    rep = reachable_neighborhood(H, 0, Fraction(1, 10 ** 6))
-    assert all(v <= 4 for v in rep)  # nothing from B = {5, 6, 7}
-    rep_b = reachable_neighborhood(H, 5, Fraction(1, 10 ** 6))
-    assert all(v >= 5 for v in rep_b)
+    common = H.common_links()
+    for u in range(8):
+        for w in range(8):
+            assert (common[u, w] > 0) == ((u < 5) == (w < 5)), (u, w)
 
 
-def test_reachable_isolated_vertex():
+def test_common_links_isolated_vertex():
+    # one triple: each of its vertices has a one-pair link that no other
+    # vertex shares, and the other vertices have empty links
     uni = VertexUniverse.single(6)
     cx = build_complex({3: [(0, 1, 2)]}, uni, k=3, close=True)
-    rep = reachable_neighborhood(cx, 5, Fraction(1, 1000))
-    assert len(rep) == 0
+    common = cx.common_links()
+    assert common.tolist() == [[int(u == w < 3) for w in range(6)] for u in range(6)]
 
 
 def test_closed_partition_complete_single_part():
@@ -309,9 +314,10 @@ def test_proposition_neighborhood_floor_statistical():
         cx = gen_random_dense(18, 3, p=0.95, seed=seed)
         rep = degree_sequences(cx, ALLOC3)
         floor = rep.f_degree[-1] - float(eta) ** 0.5 * 18
+        common = cx.common_links()
+        need = math.ceil(eta * 18 ** 2)  # at least eta |V|^(k-1) common pairs
         for v in (0, 7, 17):
-            nb = reachable_neighborhood(cx, v, eta)
-            assert len(nb) >= floor
+            assert sum(common[v, u] >= need for u in range(18) if u != v) >= floor
 
 
 # the report of the sampled coverage audit, which states saved before its

@@ -18,10 +18,10 @@ from kmatch.core import (
     Matching,
     VertexUniverse,
     allocation_from_index_multiset,
-    allocation_properties,
     build_complex,
     close_down,
     degree_sequences,
+    face_codes,
     edge_key,
     index_vector,
     is_p_partite,
@@ -34,7 +34,6 @@ from kmatch.core import (
 from kmatch.errors import (
     BadVertex,
     ClosureViolation,
-    EmptyAllocation,
     IndexNotInAllocation,
     NotPartite,
 )
@@ -79,8 +78,10 @@ def test_build_complex_closure_of_one_edge():
 
 
 def test_build_complex_closure_violation():
+    # the face test names the first edge and the face it lacks
     uni = VertexUniverse.single(3)
-    with pytest.raises(ClosureViolation):
+    message = r"^3-edge \(0, 1, 2\) present but sub-edge \(1, 2\) missing$"
+    with pytest.raises(ClosureViolation, match=message):
         build_complex(
             {3: [(0, 1, 2)], 2: [(0, 1), (0, 2)], 1: [(0,), (1,), (2,)]},
             uni,
@@ -315,6 +316,17 @@ def test_degree_sequences_past_int64_codes():
     assert row_codes(rows, 61).tolist() == [61 ** 11 - 1, 61 ** 11 - 2, 1]
 
 
+@pytest.mark.parametrize("total", [9, 61])
+def test_face_codes_equal_the_codes_of_the_built_faces(total):
+    # block t of face_codes is row_codes of the rows without column t, in
+    # int64 and, for width 12 over 61 vertices, in the Python-int fallback
+    rng = np.random.default_rng(total)
+    for width in range(1, 13 if total == 61 else 9):
+        E = np.sort(np.array([rng.choice(total, width, replace=False) for _ in range(7)]), axis=1)
+        built = [row_codes(np.delete(E, t, axis=1), total) for t in range(width)]
+        assert face_codes(E, total).tolist() == np.concatenate(built).tolist()
+
+
 def _partite_degrees(system) -> tuple:
     uni = system.universe
     out = []
@@ -415,6 +427,63 @@ def test_degree_sequences_on_the_edge_table_match_enumeration(case):
     assert rep.f_degree == (None if alloc is None else _f_degrees(system, alloc))
 
 
+def _set_counts(levels, k, n):
+    """The common-link matrix and the plain degrees of leveled i-sets, by
+    sets: L(v) is {e - v : v in e} over the k-sets e, and plain degree j is
+    the least number of (j+1)-sets over a j-set, 0 on an empty level."""
+    links = [{tuple(w for w in e if w != v) for e in levels[k] if v in e} for v in range(n)]
+    common = [[len(links[u] & links[w]) for w in range(n)] for u in range(n)]
+    plain = tuple(
+        min((sum(tuple(sorted(e + (v,))) in levels[j + 1] for v in range(n) if v not in e)
+             for e in levels[j]), default=0)
+        for j in range(k)
+    )
+    return common, plain
+
+
+@st.composite
+def _face_systems(draw):
+    """Hosts for k in 1..4 on at most 9 vertices in 1 to 3 parts, with their
+    levels as sets of sorted tuples: a bare k-graph; the closure of a top
+    level whose lower levels list every face or a random part of them, plus
+    i-sets that no top edge contains; or a CompleteComplex and the explicit
+    complete complex."""
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    uni = VertexUniverse(tuple(f"V{j}" for j in range(len(sizes))), tuple(sizes))
+    every = {i: sorted(combinations(uni.vertices(), i)) for i in range(k + 1)}
+    kind = draw(st.sampled_from(["bare", "closed", "complete"]))
+    if kind == "complete":
+        explicit = close_down(uni, k, {i: every[i] for i in range(1, k + 1)})
+        return (CompleteComplex(uni, k), explicit), {i: set(es) for i, es in every.items()}
+    top = draw(st.lists(st.sampled_from(every[k]), max_size=30)) if every[k] else []
+    if kind == "bare":
+        bare = {i: set() for i in range(1, k)} | {0: {()}, k: set(top)}
+        return (KSystem(uni, k, {k: top}),), bare
+    faces_of_top = _reference_close_down({k: top}, k)
+    levels = {k: top}
+    part = draw(st.booleans())
+    for i in range(1, k):
+        listed = [e for e in sorted(faces_of_top[i]) if not part or draw(st.booleans())]
+        stray = draw(st.lists(st.sampled_from(every[i]), max_size=4)) if every[i] else []
+        levels[i] = listed + stray
+    return (close_down(uni, k, levels),), _reference_close_down(levels, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_face_systems())
+def test_faces_found_in_the_level_below_equal_the_set_counts(case):
+    # common_links, the plain degrees and close_down's levels locate faces
+    # in the codes of the level below; sets count them edge by edge
+    hosts, levels = case
+    for host in hosts:
+        k, n = host.k, host.universe.total
+        common, plain = _set_counts(levels, k, n)
+        _assert_levels(host, levels)
+        assert host.common_links().tolist() == common
+        assert degree_sequences(host).plain == plain
+
+
 def test_allocation_from_index_multiset_r1():
     alloc = allocation_from_index_multiset([(3,)])
     assert alloc.size == 6  # 3! copies of the constant function
@@ -483,34 +552,6 @@ def test_allocation_permutation_closed():
                 swapped = list(pattern)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 assert funcs.get(tuple(swapped)) == count
-
-
-def test_allocation_properties_r1():
-    alloc = plain_allocation(3)
-    props = allocation_properties(alloc)
-    assert props == {"uniform": True, "connected": True, "size": 6}
-
-
-def test_allocation_properties_injections():
-    # all injections [3] -> [3]: uniform by symmetry, complete part graph
-    vectors = [(1, 1, 1)] * 1
-    alloc = allocation_from_index_multiset(vectors)
-    # derived count: injections with f(i) = j must be |F| / r
-    funcs = dict(alloc.functions)
-    assert set(funcs) == set(permutations((0, 1, 2)))
-    props = allocation_properties(alloc)
-    assert props["uniform"] and props["connected"]
-
-
-def test_allocation_properties_constant_not_uniform():
-    alloc = allocation_from_index_multiset([(3, 0)])
-    props = allocation_properties(alloc)
-    assert not props["uniform"]
-
-
-def test_allocation_properties_empty_raises():
-    with pytest.raises(EmptyAllocation):
-        allocation_properties(allocation_from_index_multiset([], r=1))
 
 
 def test_matching_stats_single_index_alpha_zero():

@@ -60,6 +60,41 @@ def test_combine_pipeline_weights_at_most_one():
     assert max(combined.values()) <= 1
 
 
+def test_combine_non_dyadic_weights_and_past_one():
+    # halved sums over the common denominator 14 of 1/3, 2/7, 5/14 and 1,
+    # returned as Fractions; a sum of exactly 2 is kept, past it asserts
+    cc = complete_complex(9, 3)
+    g1 = FractionalMatching(host=cc, weights={
+        (0, 1, 2): Fraction(1, 3), (3, 4, 5): Fraction(5, 14), (6, 7, 8): Fraction(1)})
+    g2 = FractionalMatching(host=cc, weights={(0, 1, 2): Fraction(2, 7), (3, 4, 5): Fraction(1)})
+    combined = combine_weights([g1, g2])
+    assert combined == {
+        (0, 1, 2): Fraction(13, 42), (3, 4, 5): Fraction(19, 28), (6, 7, 8): Fraction(1, 2)}
+    assert all(type(w) is Fraction for w in combined.values())
+    assert combine_weights([g1, g1])[6, 7, 8] == 1
+    with pytest.raises(AssertionError, match=r"combined weight 3/2 > 1 on \(6, 7, 8\)"):
+        combine_weights([g1, g1, g1])
+
+
+def test_sample_non_dyadic_weights_draw_as_the_fraction_test():
+    # the keep test in ints over the common denominator keeps exactly the
+    # edges that random() < g(e) keeps on Fractions, with the same draws
+    cc = complete_complex(7, 3)
+    weights = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 14), Fraction(1))
+    g = {e: weights[i % 4] for i, e in enumerate(cc.iter_top())}
+    degree = {}
+    for e, w in g.items():
+        for v in e:
+            degree[v] = degree.get(v, Fraction(0)) + w
+    assert len(set(degree.values())) > 1
+    for seed in range(50):
+        rng = random.Random(seed)
+        want = [e for e in sorted(g) if g[e] >= 1 or rng.random() < g[e]]
+        H = sample_subgraph(cc, g, seed=seed)
+        assert H.edges == want, seed
+        assert H.expected_degree == Fraction(sum(degree.values()), len(degree))
+
+
 def test_sample_zero_and_one():
     cc = complete_complex(6, 3)
     empty = sample_subgraph(cc, {}, seed=0)
