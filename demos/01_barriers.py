@@ -21,7 +21,6 @@ from kmatch import (
     is_complete,
     lattice_contains,
     robust_edge_vectors,
-    PipelineConfig,
 )
 
 # --- space barrier -----------------------------------------------------------
@@ -34,7 +33,7 @@ print("  degree sequence:", degree_sequences(cx).plain, "(= (n, n-|S|, n-|S|-1))
 
 small = gen_space_barrier(12, 3, 1, 5)
 print("  n=12, |S|=5 > 12/3: brute force says matching =", brute_force_pm(small))
-cert = decide(small, PipelineConfig(seed=0))
+cert = decide(small)
 print("  decide tag:", cert.tag, "| planted set recovered:", cert.payload["sets"])
 
 # --- divisibility barrier ----------------------------------------------------
@@ -51,5 +50,5 @@ print("  complete?", is_complete(lat, 3), "| transferral:", find_transferral(lat
 print("  i(V) =", index_vector(H.universe.vertices(), H.universe),
       "in lattice?", lattice_contains(lat, (5, 3)))
 print("  brute force matching:", brute_force_pm(H))
-cert = decide(H, PipelineConfig(seed=0))
+cert = decide(H)
 print("  decide tag:", cert.tag, "| parts:", [len(p) for p in cert.payload["parts"]])

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""The full decision pipeline on the three kinds of instances.
+"""decide() on the three kinds of instances, then the paper's matching
+pipeline.
 
-decide() tries one greedy perfect matching first, then the barrier
-searches, and falls through to the matching pipeline: absorber, restriction,
-weight-disjoint fractional family, randomized rounding, absorption. Every
-certificate is verified before it is returned, and small instances carry a
-brute-force cross-check.
+decide() runs a bounded exact search for a perfect matching, then the
+barrier searches, and draws no random number. run_matching_pipeline() runs
+the paper's absorber, restriction, weight-disjoint fractional family,
+randomized rounding and absorption from a seed. Every certificate is
+verified before it is returned, and small instances carry a brute-force
+cross-check.
 """
 
 from kmatch import (
@@ -17,20 +19,18 @@ from kmatch import (
     run_matching_pipeline,
 )
 
-config = PipelineConfig(seed=1)
-
 print("dense random, n=12:")
-cert = decide(gen_random_dense(12, 3, p=0.9, seed=5), config)
+cert = decide(gen_random_dense(12, 3, p=0.9, seed=5))
 print("  tag:", cert.tag, "| size:", cert.payload.get("size"),
       "| oracle agrees:", not cert.diagnostics["oracle"]["contradicts"])
 
 print("planted space barrier, n=12, |S|=5:")
-cert = decide(gen_space_barrier(12, 3, 1, 5), config)
+cert = decide(gen_space_barrier(12, 3, 1, 5))
 print("  tag:", cert.tag, "| count:", cert.payload["edge_count"],
       "<= threshold", cert.payload["threshold"])
 
 print("planted divisibility barrier, |A|=5, |B|=3:")
-cert = decide(gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]), config)
+cert = decide(gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]))
 print("  tag:", cert.tag, "| robust vectors:", cert.payload["robust_vectors"])
 
 print("\nfull pipeline at n=60 (dense, degree floor (60, 36, 20)):")

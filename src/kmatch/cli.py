@@ -108,9 +108,9 @@ def _certificate_exit(view, cert: Certificate, args) -> int:
 
 
 def cmd_decide(args) -> int:
-    config, alloc = _load_config(args)
+    _, alloc = _load_config(args)
     view = host_view(load_khg(args.file), alloc)
-    return _certificate_exit(view, decide(view, config, alloc=alloc), args)
+    return _certificate_exit(view, decide(view, alloc), args)
 
 
 def cmd_match(args) -> int:
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decide", parents=[common],
-                       help="greedy witness, barrier searches, then a bounded exact search")
+                       help="a bounded exact search and the barrier searches; reads no seed")
     p.add_argument("file")
     p.set_defaults(func=cmd_decide)
 

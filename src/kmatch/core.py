@@ -13,7 +13,7 @@ certificates. A system caches its integer top-edge table (edge_table) and
 common-link counts on first use. A face is handled as its code
 (face_codes builds no face rows) and found by one binary search in the
 sorted codes of the level below: in the face test, close_down, the
-common-link incidence and the degree counts. Degrees and partite checks
+common-link incidence and the degree counts. Degrees and PF-partite checks
 count each level's rows: that search and one bincount give every extension
 count by part, and compositions gives every index vector.
 """
@@ -34,7 +34,6 @@ from .errors import (
     ClosureViolation,
     IndexNotInAllocation,
     NotAKVector,
-    NotPartite,
 )
 
 
@@ -618,13 +617,6 @@ def _level_vectors(system, i) -> list:
     return compositions(system.level(i), np.array(uni._part_of, np.int64), uni.r)[1]
 
 
-def is_p_partite(system) -> bool:
-    """True iff every edge has at most one vertex in any part."""
-    return all(
-        max(v) <= 1 for i in range(1, system.k + 1) for v in _level_vectors(system, i)
-    )
-
-
 def is_pf_partite(system, alloc: Allocation) -> bool:
     """True iff every edge at every level realizes a prefix of some f in F."""
     uni = system.universe
@@ -643,7 +635,6 @@ class DegreeSequenceReport:
     """Exact minimum degree sequences."""
 
     plain: tuple
-    partite: tuple = None
     f_degree: tuple = None
 
 
@@ -665,50 +656,40 @@ def _least(counts) -> int:
     return int(counts.min()) if counts.size else 0
 
 
-def degree_sequences(system, alloc: Allocation = None, partite=None) -> DegreeSequenceReport:
+def degree_sequences(system, alloc: Allocation = None) -> DegreeSequenceReport:
     """Exact minimum degree sequences of a system, from one counting pass
     per level.
 
-    plain entries are always computed. Partite degrees are included when the
-    system is P-partite with r >= 2 (or on demand via partite=True, which
-    raises NotPartite when inapplicable). F-degrees are included when an
-    allocation is given.
+    plain entries are always computed; F-degrees are included when an
+    allocation is given. (The partite degrees of a P-partite system are its
+    F-degrees under the allocation of every injective 0/1 k-vector.)
 
     By convention a level with no edges contributes 0.
     """
     uni = system.universe
-    if partite is None:
-        partite = uni.r >= 2 and is_p_partite(system)
-    elif partite and (uni.r < 2 or not is_p_partite(system)):
-        raise NotPartite("partite degrees need a P-partite system with r >= 2")
     # one part on both sides: every step of F adds a part-0 vertex to any
     # lower edge, so the F-degrees are the plain degrees
     one_part = alloc is not None and uni.r == alloc.r == 1 and alloc.k >= system.k
     label = np.array(uni._part_of, np.int64)
-    plain, part, fdeg = [], [], []
+    plain, fdeg = [], []
     for j in range(system.k):
         lower = system.level(j)
         count = _extensions(system, j, lower, label)
         plain.append(_least(count.sum(1)))
-        if not partite and (alloc is None or one_part):
+        if alloc is None or one_part:
             continue
         vid, vectors = compositions(lower, label, uni.r)
-        if partite:
-            # count only the parts that each lower edge misses
-            part.append(_least(count[np.array(vectors).reshape(-1, uni.r)[vid] == 0]))
-        if alloc is not None:
-            # (prefix index vector, part of the next coordinate) over F
-            steps = {
-                (tuple(f[:j].count(p) for p in range(uni.r)), f[j]) for f, _ in alloc.functions
-            }
-            allowed = np.array([[(v, p) in steps for p in range(uni.r)] for v in vectors], bool)
-            # a step into a part outside the universe extends nothing
-            stray = any(p >= uni.r and v in vectors for v, p in steps)
-            fdeg.append(0 if stray else _least(count[allowed.reshape(-1, uni.r)[vid]]))
+        # (prefix index vector, part of the next coordinate) over F
+        steps = {
+            (tuple(f[:j].count(p) for p in range(uni.r)), f[j]) for f, _ in alloc.functions
+        }
+        allowed = np.array([[(v, p) in steps for p in range(uni.r)] for v in vectors], bool)
+        # a step into a part outside the universe extends nothing
+        stray = any(p >= uni.r and v in vectors for v, p in steps)
+        fdeg.append(0 if stray else _least(count[allowed.reshape(-1, uni.r)[vid]]))
     if one_part:
         fdeg = plain
     return DegreeSequenceReport(
         plain=tuple(plain),
-        partite=tuple(part) if partite else None,
         f_degree=tuple(fdeg) if alloc is not None else None,
     )

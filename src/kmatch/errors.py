@@ -14,10 +14,6 @@ class ClosureViolation(KmatchError):
     """A sub-edge required by downward closure is missing."""
 
 
-class NotPartite(KmatchError):
-    """Partite degrees requested on a system that is not partite."""
-
-
 class NotAKVector(KmatchError):
     """A vector is not a nonnegative k-vector of the right dimension."""
 

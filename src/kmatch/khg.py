@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import KComplex, KSystem, VertexUniverse, close_down
+from .core import KComplex, VertexUniverse, close_down
 from .errors import BadVertex
 
 # the non-ASCII characters str.split splits at, as ASCII: the ones
@@ -299,12 +299,6 @@ def load_khg(path, close=True):
     with open(path, "r", encoding="utf-8") as fh:
         uni, k, edges, _ = parse_khg(fh.read())
     return close_down(uni, k, edges) if close else KComplex(uni, k, edges)
-
-
-def load_khg_system(path) -> KSystem:
-    """Load the file as a bare k-system (no closure computed or required)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return KSystem(*parse_khg(fh.read())[:3])
 
 
 def dump_khg(system, include_lower=False) -> str:

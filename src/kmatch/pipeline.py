@@ -1,9 +1,10 @@
 """End-to-end orchestration: the decision trichotomy, and the paper's
 matching pipeline.
 
-`decide` runs four stages: a greedy perfect matching, the space and
-divisibility barrier searches, a bounded exact search for a perfect
-matching, and a brute-force cross-check on small hosts.
+`decide` draws no random number: a bounded exact search for a perfect
+matching, the space and divisibility barrier searches, the exact search
+again with a larger bound when the first one stopped at its own, and a
+brute-force cross-check on small hosts.
 `run_matching_pipeline` runs the paper's absorber, restriction,
 weight-disjoint fractional family, rounding and absorption.
 
@@ -18,15 +19,14 @@ module constants, not settings: each stage derives its effective desk-scale
 threshold from the instance (recorded in the diagnostics) and uses the
 constant only as a cap or a floor, because the nominal constants are
 asymptotic and would otherwise make every small instance look like a barrier
-or starve the absorber of capacity. PipelineConfig holds only the seed and
-the extraction count ell.
+or starve the absorber of capacity. PipelineConfig, which only the matching
+pipeline reads, holds the seed and the extraction count ell.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,7 +60,7 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .fractional import PairWeights, _greedy_integer_pm, _index_quotas, extract_weight_disjoint
+from .fractional import _index_quotas, extract_weight_disjoint
 from .oracle import brute_force_pm
 from .rounding import (
     check_regularity,
@@ -71,9 +71,9 @@ from .rounding import (
 )
 
 NIBBLE_ATTEMPTS = 8  # sample-and-nibble rounds tried before the best one is kept
-# decide's exact search stops once its work passes SEARCH_WORK: the incidence
-# entries it reads, plus STEP_WORK for each edge it tries, the fixed cost of a
-# step in the same units
+# decide's exact search counts as work the incidence entries it reads, plus
+# STEP_WORK for each edge it tries, the fixed cost of a step in the same
+# units; its last run stops once its work passes SEARCH_WORK
 SEARCH_WORK = 100_000_000
 STEP_WORK = 2_000
 
@@ -485,7 +485,16 @@ def _perfect_matching(matching, alloc, universe, diagnostics, absorber_size=0, l
     return Certificate(tag="PerfectMatching", payload=payload, diagnostics=diagnostics)
 
 
-def _exact_search(system, quotas):
+def _descent_work(system) -> int:
+    """The most work of a search that never backtracks: |V|/k steps, each
+    trying one edge and reading the incidences of at most k + 1 vertices,
+    plus the vector ids of every edge, read once a vector's quota runs out."""
+    E, ptr = system.edge_table()[:2]
+    degree = int(np.diff(ptr).max())
+    return len(system.vertex_pool) // system.k * (STEP_WORK + (system.k + 1) * degree) + len(E)
+
+
+def _exact_search(system, quotas, bound):
     """Least-options backtracking for a perfect matching with quotas[vec] edges
     of each index vector, on the edge table's CSR. An edge is live while its
     vertices are free and its vector has quota left. Each step covers the
@@ -493,7 +502,7 @@ def _exact_search(system, quotas):
     vertices have the fewest; failures are memoized on the covered vertices
     and the quotas left. Returns (status, edges, work): "ok" and the edges,
     "exhausted" when there is no such matching, or "bound" once work passes
-    SEARCH_WORK."""
+    bound."""
     E, ptr, ids, vid, vectors = system.edge_table()
     span = [ids[p:q] for p, q in zip(ptr.tolist(), ptr[1:].tolist())]
     of_vector = np.split(np.argsort(vid, kind="stable"), np.cumsum(np.bincount(vid))[:-1])
@@ -508,7 +517,7 @@ def _exact_search(system, quotas):
         v = int(count.argmin())
         if count[v] == done:
             return "ok", [tuple(E[e].tolist()) for e, _ in trail], work
-        if work > SEARCH_WORK:
+        if work > bound:
             return "bound", None, work
         key = ((count == done).tobytes(), *need)
         if count[v] and key not in memo:
@@ -546,56 +555,58 @@ def _exact_search(system, quotas):
             return "exhausted", None, work
 
 
-def decide(system, config: PipelineConfig = None, alloc=None) -> Certificate:
-    """A greedy perfect matching, then the space and divisibility barrier
-    searches, then a bounded exact search for a perfect matching: the first
-    verified certificate wins. Small instances carry a brute-force
-    cross-check in the diagnostics. The stages read explicit levels, so an
-    implicit host raises TooLarge."""
-    config = config or PipelineConfig()
+def decide(system, alloc=None) -> Certificate:
+    """A bounded exact search for a perfect matching, then the space and
+    divisibility barrier searches: the first verified certificate wins. The
+    search first runs for one descent's work (_descent_work); only when it
+    stopped there and no barrier is found does it run again, up to
+    SEARCH_WORK. No stage draws a random number. Small instances carry a
+    brute-force cross-check in the diagnostics. The stages read explicit
+    levels, so an implicit host raises TooLarge."""
     system = host_view(system, alloc)
     k = system.k
     alloc = alloc or plain_allocation(k)
     nv = len(system.vertex_pool)
-    diagnostics = {"config": config.echo(), "mode": "decide"}
+    diagnostics = {"mode": "decide"}
+
+    def search(bound):
+        status, edges, work = _exact_search(system, quotas, bound)
+        diagnostics["stages"] = [{"stage": "exact-search", "status": status, "work": work}]
+        return status, edges
 
     searchable = nv % k == 0 and system.top_count() > 0
     partite = searchable and is_pf_partite(system, alloc)
-    if partite:
-        rng = random.Random(_stage_seed(config, 1))
-        edges = _greedy_integer_pm(system, alloc, PairWeights(), rng) or ()
-        witness = Matching.from_edges(edges)
-        if edges and validate_matching(system, witness, cover=system.vertex_pool):
-            diagnostics["stages"] = [{"stage": "greedy-witness", "status": "ok"}]
-            cert = _perfect_matching(witness, alloc, system.universe, diagnostics)
+    quotas = _index_quotas(alloc, nv, k) if partite else None
+    status = None
+    if quotas is not None:
+        status, edges = search(_descent_work(system))
+    if status != "ok":
+        diagnostics["effective_beta"] = str(_effective_beta(system))
+        tag, barrier = "SpaceBarrier", space_barrier_stage(system)
+        if barrier is None:
+            diagnostics["effective_mu"] = str(_effective_mu(system, MU))
+            tag, barrier = "DivisibilityBarrier", divisibility_barrier_stage(system, alloc)
+        if barrier is not None:
+            cert = Certificate(tag=tag, payload=barrier.to_json(), diagnostics=diagnostics)
             return _attach_oracle(system, cert)
+        if status == "bound":
+            status, edges = search(SEARCH_WORK)
 
-    diagnostics["effective_beta"] = str(_effective_beta(system))
-    tag, barrier = "SpaceBarrier", space_barrier_stage(system)
-    if barrier is None:
-        diagnostics["effective_mu"] = str(_effective_mu(system, MU))
-        tag, barrier = "DivisibilityBarrier", divisibility_barrier_stage(system, alloc)
-
-    if barrier is not None:
-        cert = Certificate(tag=tag, payload=barrier.to_json(), diagnostics=diagnostics)
+    if status == "ok":
+        found = Matching.from_edges(edges)
+        assert validate_matching(system, found, cover=system.vertex_pool), "invalid matching"
+        cert = _perfect_matching(found, alloc, system.universe, diagnostics)
         return _attach_oracle(system, cert)
     if not searchable:
         reason = "vertex count not divisible by k or empty top level"
     elif not partite:
         raise BadParams("system is not PF-partite for the given allocation")
-    elif (quotas := _index_quotas(alloc, nv, k)) is None:
+    elif quotas is None:
         reason = f"no integer matching of {nv} vertices fills the allocation's quotas exactly"
+    elif status == "exhausted":
+        reason = "the exact search found no perfect matching that fills the allocation's quotas"
     else:
-        status, edges, work = _exact_search(system, quotas)
-        diagnostics["stages"] = [{"stage": "exact-search", "status": status, "work": work}]
-        if status == "ok":
-            found = Matching.from_edges(edges)
-            assert validate_matching(system, found, cover=system.vertex_pool), "invalid matching"
-            cert = _perfect_matching(found, alloc, system.universe, diagnostics)
-            return _attach_oracle(system, cert)
-        reason = ("the exact search found no perfect matching that fills the allocation's quotas"
-                  if status == "exhausted" else
-                  f"the exact search stopped at its work bound of {SEARCH_WORK}")
+        reason = f"the exact search stopped at its work bound of {SEARCH_WORK}"
     cert = Certificate(tag="Inconclusive", payload={"reason": reason}, diagnostics=diagnostics)
     return _attach_oracle(system, cert)
 

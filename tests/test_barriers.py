@@ -30,7 +30,6 @@ from kmatch.oracle import (
     gen_space_barrier,
 )
 from kmatch.pipeline import (
-    PipelineConfig,
     decide,
     host_view,
     space_barrier_stage,
@@ -405,7 +404,7 @@ def test_lp_space_search_tries_p_below_a_stray_edge(n, j, s, q, seed):
     # meets in 2 vertices; p = 1 still plants a set with at most beta n^2
     # 2-edges inside, so decide reports the barrier instead of Inconclusive
     cx = perturbed_space_barrier(n, j, s, q, seed)
-    cert = decide(cx, PipelineConfig(seed=1))
+    cert = decide(cx)
     assert cert.tag == "SpaceBarrier" and cert.payload["p"] == 1
     assert verify_certificate(host_view(cx), cert)
     if n == 15:

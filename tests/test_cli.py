@@ -130,7 +130,7 @@ def test_barriers_reports_the_barrier_decide_returns(tmp_path, capsys, sizes, ge
     found = json.loads(out)["found"]
     kind = {"SpaceBarrier": "space", "DivisibilityBarrier": "divisibility"}.get(cert["tag"])
     if cert["tag"] == "PerfectMatching":
-        # decide's greedy witness runs before any barrier stage, so a barrier
+        # decide's exact search runs before any barrier stage, so a barrier
         # that does not block yields to the matching the host has
         assert brute_force_pm(host) is not None
     elif kind is None:
@@ -282,17 +282,18 @@ def test_human_output(instances, capsys):
 
 
 def test_config_file(instances, capsys, tmp_path):
+    # match echoes the config it ran with
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 4, "ell": 2}))
     code, out = run_cli(
-        capsys, "decide", instances["dense"], "--config", str(cfg), "--json"
+        capsys, "match", instances["dense"], "--config", str(cfg), "--json"
     )
     assert code == 0
     blob = json.loads(out)
     assert blob["diagnostics"]["config"] == {"ell": 2, "seed": 4}
     # the --seed flag overrides the config file
     code, out = run_cli(
-        capsys, "decide", instances["dense"], "--config", str(cfg), "--json",
+        capsys, "match", instances["dense"], "--config", str(cfg), "--json",
         "--seed", "9",
     )
     assert json.loads(out)["diagnostics"]["config"]["seed"] == 9

@@ -24,7 +24,6 @@ from kmatch.core import (
     face_codes,
     edge_key,
     index_vector,
-    is_p_partite,
     is_pf_partite,
     matching_stats,
     plain_allocation,
@@ -35,7 +34,6 @@ from kmatch.errors import (
     BadVertex,
     ClosureViolation,
     IndexNotInAllocation,
-    NotPartite,
 )
 from kmatch.oracle import complete_complex, gen_divisibility_barrier, gen_space_barrier
 
@@ -276,12 +274,6 @@ def test_degree_sequences_divisibility_enumerated():
     assert rep.plain[0] == 8 and rep.plain[1] == 7
 
 
-def test_partite_degrees_require_partite_system():
-    cx = complete_complex(6, 3)  # r=1: no untouched part to extend into
-    with pytest.raises(NotPartite):
-        degree_sequences(cx, partite=True)
-
-
 def _edges(system, i) -> set:
     return set(map(tuple, system.level(i).tolist()))
 
@@ -409,11 +401,16 @@ def test_degree_sequences_match_enumeration(case):
     system, alloc = case
     rep = degree_sequences(system, alloc)
     assert rep.plain == _plain_degrees(system)
-    if system.universe.r >= 2 and is_p_partite(system):
-        assert rep.partite == _partite_degrees(system)
-    else:
-        assert rep.partite is None
     assert rep.f_degree == (None if alloc is None else _f_degrees(system, alloc))
+    # the partite degrees are the F-degrees under every injective 0/1 k-vector,
+    # on the systems that allocation is PF-partite for: the P-partite ones
+    k, r = system.k, system.universe.r
+    if k <= r:
+        injective = allocation_from_index_multiset(
+            [v for v in product((0, 1), repeat=r) if sum(v) == k]
+        )
+        if is_pf_partite(system, injective):
+            assert degree_sequences(system, injective).f_degree == _partite_degrees(system)
 
 
 @settings(max_examples=150, deadline=None)
@@ -642,7 +639,6 @@ def test_degree_and_partite_checks_build_no_edge_table():
     alloc = allocation_from_index_multiset([(3, 0), (1, 2)])
     for host in (build_complex({3: list(H.iter_top())}, H.universe, k=3), complete_complex(6, 3)):
         degree_sequences(host, alloc if host.universe.r == 2 else None)
-        is_p_partite(host)
         is_pf_partite(host, alloc if host.universe.r == 2 else plain_allocation(3))
         assert host._table is None
 

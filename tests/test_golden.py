@@ -59,48 +59,48 @@ CORPUS = {
         ["match", "--seed", "1"], {"allocation_index_multiset": [[1, 1, 1]]},
         "72763283a0b25a98d01b55eec0d24dac5ec9fd0baf9a310da8a27e6df72efe36",
     ),
-    # decide's greedy witness fills the allocation's quotas
+    # decide's exact search fills the allocation's quotas
     "decide-partite8": (
         lambda: gen_random_dense(8, 3, r=3, p=0.9, seed=1,
                                  allocation=allocation_from_index_multiset([(1, 1, 1)])),
         ["decide", "--seed", "1"], {"allocation_index_multiset": [[1, 1, 1]]},
-        "a565bd8f9a22b227e1dd606e5e6b656c6277d8a260a48d4d1689ae03c52f9afb",
+        "ef6601de907693a0fea850f9e81bf030450bbccf021226ac2f72bed4f9c94338",
     ),
     "decide-dense9": (
         lambda: gen_random_dense(9, 3, p=0.9, seed=905),
         ["decide", "--seed", "5"], None,
-        "0a5005bf0c633003846a416e27bd1468cf43833d5b519440cfd75ced606d5251",
+        "4bf7af368a20e11d92ad63dc31a2ddde49f7359deaac836ec9b7cf4e3a60e7d1",
     ),
     "decide-dense12": (
         lambda: gen_random_dense(12, 3, p=0.8, seed=906),
         ["decide", "--seed", "6"], None,
-        "26b19e673dee22b82cbccd5709eb9209d76ba1a8d49028dc033abd5c8723724f",
+        "db462762fed077f7c29d073c0b80413096bdb2950d1afab16f2a5ff5465aff9e",
     ),
     # n > 12: past the brute-force cap, so no oracle cross-check is attached
     "decide-dense15": (
         lambda: gen_random_dense(15, 3, p=0.85, seed=915),
         ["decide", "--seed", "12"], None,
-        "d451c5f0953084072883921fcbf43090a5a949f0c02344c00d42142d3972bc64",
+        "5faef3070faf0dd68673d8398edb0a2bbb91e3d4fa26bbf3d475feea08c727af",
     ),
     "decide-space9": (
         lambda: gen_space_barrier(9, 3, 1, 4),
         ["decide", "--seed", "7"], None,
-        "d69599383accabc2f9f89464c33821000833cd3c90943729a69f74a3d6a2a71c",
+        "17351babd95b134316a621771fb2f3ccf787a695ef97951127c49591d7672569",
     ),
     "decide-space12": (
         lambda: gen_space_barrier(12, 3, 2, 9),
         ["decide", "--seed", "8"], None,
-        "669d31a30ab03136478a98160215189a19e18e06731e282c280af93ba75953f7",
+        "a6506004d1d705019bfc06b71329da84190ed33c3c0cd1c8fdd57f32274a4fdd",
     ),
     "decide-div8": (
         lambda: gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]),
         ["decide", "--seed", "9"], None,
-        "5d9cedee1123de57b641b2d0922bbadbacda4454141d78785dc857cf67d9bd94",
+        "75db1acd78c5651155819d12fd1abe11386eb5f0ec4758ca1f5907ef825318a0",
     ),
     "decide-div10": (
         lambda: gen_divisibility_barrier([6, 4], 3, [(2, 1), (0, 3)]),
         ["decide", "--seed", "10"], None,
-        "1dba0e74f4f97c00c2e2ea2d6c40b92358234da32f7c5d08194243e500c4b7e8",
+        "d5a369fce19972dc8db81388e62ba4db24900d974ee2268a09bdfa7f9773862b",
     ),
     "barriers-div8": (
         lambda: gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)]),
@@ -192,7 +192,10 @@ PIPELINE_STAGES = ("build_absorber", "extract_weight_disjoint", "sample_subgraph
                    "color_classes", "nibble_match", "absorb")
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CORPUS if CORPUS[n][1][0] == "decide"))
+DECIDE_ENTRIES = sorted(n for n in CORPUS if CORPUS[n][1][0] == "decide")
+
+
+@pytest.mark.parametrize("name", DECIDE_ENTRIES)
 def test_decide_entry_runs_no_pipeline_stage(tmp_path, capsys, monkeypatch, name):
     import kmatch.pipeline as pipeline
 
@@ -203,6 +206,30 @@ def test_decide_entry_runs_no_pipeline_stage(tmp_path, capsys, monkeypatch, name
         monkeypatch.setattr(pipeline, stage, refuse)
     _, out = run_corpus_entry(tmp_path, capsys, name)
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS[name][3]
+
+
+@pytest.mark.parametrize("name", DECIDE_ENTRIES)
+def test_decide_entry_prints_the_same_bytes_for_any_seed_and_ell(tmp_path, capsys, name):
+    # decide reads no seed and no ell: the last --seed and --config given win
+    args = corpus_args(tmp_path, name)
+    ell = tmp_path / "ell.json"
+    ell.write_text(json.dumps({**(CORPUS[name][2] or {}), "ell": 2}))
+    for extra in (["--seed", "1"], ["--seed", "7"], ["--config", str(ell)]):
+        main(args + extra)
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CORPUS[name][3]
+
+
+@pytest.mark.parametrize("name", DECIDE_ENTRIES)
+def test_decide_entry_draws_no_random_number(tmp_path, capsys, monkeypatch, name):
+    import random
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide made a random number generator")
+
+    args = corpus_args(tmp_path, name)  # the generators draw, before the patch
+    monkeypatch.setattr(random, "Random", refuse)
+    main(args)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CORPUS[name][3]
 
 
 if __name__ == "__main__":

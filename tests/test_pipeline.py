@@ -38,6 +38,7 @@ from kmatch.pipeline import (
     MU,
     PHI,
     SEARCH_WORK,
+    STEP_WORK,
     Certificate,
     PipelineConfig,
     decide,
@@ -45,6 +46,7 @@ from kmatch.pipeline import (
     run_matching_pipeline,
     space_barrier_stage,
     verify_certificate,
+    _descent_work,
     _exact_search,
 )
 
@@ -107,11 +109,11 @@ def test_pipeline_partite_allocation(n, seed):
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("seed", range(4))
 def test_decide_partite_allocation(n, seed):
-    # the greedy witness fills the allocation's quotas, so decide returns a
+    # the exact search fills the allocation's quotas, so decide returns a
     # balanced matching where the plain divisibility notions see a barrier
     alloc = allocation_from_index_multiset([(1, 1, 1)])
     host = gen_random_dense(n, 3, r=3, p=0.9, seed=seed, allocation=alloc)
-    cert = decide(host, PipelineConfig(seed=seed), alloc)
+    cert = decide(host, alloc)
     assert cert.tag == "PerfectMatching"
     assert cert.payload["alpha"] == "0"
     assert verify_certificate(host_view(host, alloc), cert)
@@ -119,11 +121,11 @@ def test_decide_partite_allocation(n, seed):
 
 def test_decide_rejects_a_host_outside_the_allocation():
     # edges of every index vector are not PF-partite for one vertex per part;
-    # the greedy witness, which would match the (1, 1, 1) edges, does not run
+    # the exact search, which would match the (1, 1, 1) edges, does not run
     alloc = allocation_from_index_multiset([(1, 1, 1)])
     host = gen_random_dense(4, 3, r=3, p=0.9, seed=0)
     with pytest.raises(BadParams, match="not PF-partite"):
-        decide(host, PipelineConfig(seed=0), alloc)
+        decide(host, alloc)
 
 
 def test_pipeline_bad_inputs():
@@ -134,31 +136,31 @@ def test_pipeline_bad_inputs():
 def test_decide_dense_matches_oracle():
     for seed in range(4):
         cx = gen_random_dense(12, 3, p=0.9, seed=40 + seed)
-        cert = decide(cx, PipelineConfig(seed=seed))
+        cert = decide(cx)
         oracle = cert.diagnostics.get("oracle")
         assert oracle is not None
         assert not oracle["contradicts"]
 
 
 def test_decide_planted_barriers():
-    assert decide(gen_space_barrier(12, 3, 1, 5), PipelineConfig(seed=1)).tag == "SpaceBarrier"
+    assert decide(gen_space_barrier(12, 3, 1, 5)).tag == "SpaceBarrier"
     H = gen_divisibility_barrier([5, 3], 3, [(1, 2), (3, 0)])
-    assert decide(H, PipelineConfig(seed=1)).tag == "DivisibilityBarrier"
+    assert decide(H).tag == "DivisibilityBarrier"
     # even |B|: certificate still reported; matchability is a separate question
     H2 = gen_divisibility_barrier([4, 4], 3, [(1, 2), (3, 0)])
-    assert decide(H2, PipelineConfig(seed=1)).tag == "DivisibilityBarrier"
+    assert decide(H2).tag == "DivisibilityBarrier"
 
 
 def test_decide_non_divisible_count():
     cx = gen_random_dense(10, 3, p=0.9, seed=1)
-    cert = decide(cx, PipelineConfig(seed=1))
+    cert = decide(cx)
     assert cert.tag in ("Inconclusive", "SpaceBarrier", "DivisibilityBarrier")
 
 
 def test_reproducible_certificates():
     cx = gen_random_dense(12, 3, p=0.9, seed=77)
-    a = decide(cx, PipelineConfig(seed=9)).dumps()
-    b = decide(cx, PipelineConfig(seed=9)).dumps()
+    a = decide(cx).dumps()
+    b = decide(cx).dumps()
     assert a == b
     c = run_matching_pipeline(complete_complex(30, 3), None, PipelineConfig(seed=9)).dumps()
     d = run_matching_pipeline(complete_complex(30, 3), None, PipelineConfig(seed=9)).dumps()
@@ -430,20 +432,57 @@ def test_decide_matches_by_exact_search_where_the_greedy_misses(monkeypatch, bui
     assert decide(host).dumps() == cert.dumps()
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_decide_matches_a_host_that_a_set_partition_seems_to_block(seed):
+def test_decide_matches_a_host_that_a_set_partition_seems_to_block():
     # two crossing triples make the [7, 5] divisibility host matchable, but
     # parts 0-6 and 7-11 still have an incomplete, transferral-free robust
     # lattice; the closed partition's coarsenings hold no barrier, and the
-    # exact search matches the host in 39,839 work units
+    # exact search, past its first bound of one descent, matches the host in
+    # 39,839 work units
     gen = gen_divisibility_barrier([7, 5], 3, [(1, 2), (3, 0)])
     edges = [tuple(e) for e in gen.level(3).tolist()] + [(0, 4, 9), (2, 6, 9)]
     host = build_complex(edges, VertexUniverse.single(12), k=3)
     assert brute_force_pm(host) is not None
-    cert = decide(host, PipelineConfig(seed=seed))
+    cert = decide(host)
     assert cert.tag == "PerfectMatching"
     assert cert.diagnostics["stages"] == [{"stage": "exact-search", "status": "ok", "work": 39839}]
     assert verify_certificate(host_view(host), cert)
+
+
+def _divisibility_with_triples(shape, gens, c, seed):
+    """The divisibility host of `shape` and `gens` plus c triples drawn from
+    all of them, on one part."""
+    n = sum(shape)
+    top = [tuple(e) for e in gen_divisibility_barrier(list(shape), 3, gens).level(3).tolist()]
+    top += random.Random(seed).sample(list(combinations(range(n), 3)), c)
+    return build_complex(top, VertexUniverse.single(n), k=3)
+
+
+SEEMINGLY_BLOCKED = [
+    *[pytest.param(lambda a=a: _perturbed_space(12, 4, *a), id=f"k4-space12-{a}")
+      for a in [(1, 4, 0.01, 2), (2, 7, 0.003, 0), (2, 7, 0.003, 1), (2, 7, 0.01, 0),
+                (2, 7, 0.03, 2), (3, 10, 0.003, 1)]],
+    pytest.param(lambda: _divisibility_with_triples([9, 3], [(2, 1), (0, 3)], 1, 1), id="div9x3"),
+    *[pytest.param(lambda g=g, c=c, seed=seed: _divisibility_with_triples([3, 3], g, c, seed),
+                   id=f"div3x3-{g[0]}-c{c}-seed{seed}")
+      for g, cs in [([(1, 2), (3, 0)], (1, 2, 3)), ([(2, 1), (0, 3)], (2, 3))]
+      for c in cs for seed in (0, 1)],
+]
+
+
+@pytest.mark.parametrize("build", SEEMINGLY_BLOCKED)
+def test_decide_matches_where_a_space_barrier_blocks_nothing(build):
+    # on each host the space stage returns a verified barrier although the
+    # host has a perfect matching, so the search's first run, bounded by one
+    # descent's work, must find the matching before that stage runs. On the
+    # six-vertex hosts it backtracks first: a run that stopped at its first
+    # dead end would leave them to the barrier
+    host = build()
+    assert brute_force_pm(host) is not None
+    assert space_barrier_stage(host_view(host)) is not None
+    cert = decide(host)
+    assert cert.tag == "PerfectMatching" and cert.payload["alpha"] == "0"
+    assert verify_certificate(host_view(host), cert)
+    assert cert.diagnostics["stages"][0]["status"] == "ok"
 
 
 def test_exact_search_stops_at_its_bound(monkeypatch):
@@ -474,21 +513,19 @@ def test_exhausted_search_ends_inconclusive():
 def test_exact_search_does_not_backtrack_on_a_dense_host():
     # each of the 30 steps tries one edge and reads the incidences of at
     # most k + 1 vertices; the last one also reads the edges' vector ids
-    from kmatch.pipeline import STEP_WORK
-
     host = host_view(gen_random_dense(90, 3, p=0.85, seed=1000))
-    status, edges, work = _exact_search(host, {(3,): 30})
+    status, edges, work = _exact_search(host, {(3,): 30}, SEARCH_WORK)
     assert status == "ok"
     assert validate_matching(host, Matching.from_edges(edges), cover=range(90))
     degree = int(np.diff(host.edge_table().ptr).max())
-    assert work <= 30 * (STEP_WORK + 4 * degree) + host.top_count()
+    assert work <= _descent_work(host) == 30 * (STEP_WORK + 4 * degree) + host.top_count()
 
 
 def _check_search(host, alloc):
     """The search agrees with the oracle on existence, and its matching
     validates with alpha 0."""
     nv = len(host.vertex_pool)
-    status, edges, _ = _exact_search(host, _index_quotas(alloc, nv, host.k))
+    status, edges, _ = _exact_search(host, _index_quotas(alloc, nv, host.k), SEARCH_WORK)
     assert status != "bound"
     assert (status == "ok") == (brute_force_pm(host) is not None)
     if status == "ok":
@@ -533,7 +570,8 @@ def test_exact_search_fills_every_quota():
     inside = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
     host = KSystem(uni, 3, {3: inside})
     assert brute_force_pm(host) is not None
-    assert _exact_search(host, quotas)[0] == "exhausted"
-    status, edges, _ = _exact_search(KSystem(uni, 3, {3: inside + [(3, 4, 9), (5, 10, 11)]}), quotas)
+    assert _exact_search(host, quotas, SEARCH_WORK)[0] == "exhausted"
+    wider = KSystem(uni, 3, {3: inside + [(3, 4, 9), (5, 10, 11)]})
+    status, edges, _ = _exact_search(wider, quotas, SEARCH_WORK)
     assert status == "ok"
     assert sorted(edges) == [(0, 1, 2), (3, 4, 9), (5, 10, 11), (6, 7, 8)]
