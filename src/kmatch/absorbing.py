@@ -68,13 +68,11 @@ class ClosedPartition:
         return tuple(universe.part_of(p[0]) for p in self.parts)
 
     def coarsenings(self):
-        """All partitions obtainable by merging refined parts (ambient-aware
-        merges are the caller's concern; this yields set-partition merges)."""
-        out = []
-        base = [set(p) for p in self.parts]
-        for merged in _merges(base):
-            out.append(tuple(tuple(sorted(p)) for p in merged))
-        return out
+        """All partitions obtainable by merging refined parts, yielded one at
+        a time (ambient-aware merges are the caller's concern; this yields
+        set-partition merges)."""
+        for merged in _merges([set(p) for p in self.parts]):
+            yield tuple(tuple(sorted(p)) for p in merged)
 
     def to_json(self) -> dict:
         return {

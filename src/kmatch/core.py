@@ -25,7 +25,7 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -465,22 +465,22 @@ def _common_links(system) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Permutation-closed multiset of maps [k] -> [r], with index accounting.
+    """Permutation-closed multiset F of maps [k] -> [r], held as its index
+    multiset I(F) with multiplicities m_i.
 
-    functions maps each pattern (f(1),...,f(k)) with 0-based part ids to its
-    multiplicity in the multiset F; index_multiset is I(F) with multiplicities
-    m_i. F always carries the full k! permutation closure of each member.
+    Each vector v of I(F) stands for the k! orderings of a map realizing it
+    (part j at v_j coordinates, 0-based part ids), so F is fixed by I(F), and
+    its size, prefixes and steps are read off I(F).
     """
 
     k: int
     r: int
-    functions: tuple          # sorted ((pattern, count), ...)
     index_multiset: tuple     # sorted ((vector, count), ...)
 
     @property
     def size(self) -> int:
-        """|F| as a multiset (= k! times the multiset size of I(F))."""
-        return sum(c for _, c in self.functions)
+        """|F| as a multiset: k! times the multiset size of I(F)."""
+        return math.factorial(self.k) * sum(c for _, c in self.index_multiset)
 
     def multiplicity(self, vector) -> int:
         """m_i: multiplicity of an index vector in I(F)."""
@@ -489,59 +489,43 @@ class Allocation:
     def index_vectors(self) -> list:
         return [v for v, _ in self.index_multiset]
 
+    def _prefixes(self, j: int):
+        """(v, u) for each vector v of I(F) and each j-vector u <= v,
+        coordinate by coordinate: u is the index vector of the first j
+        coordinates of some ordering of a map realizing v."""
+        for v, _ in self.index_multiset:
+            for u in product(*(range(c + 1) for c in v)):
+                if sum(u) == j:
+                    yield v, u
+
     def prefix_indices(self, j: int) -> set:
         """Index vectors realizable by the first j coordinates of some f in F."""
-        out = set()
-        for pattern, _ in self.functions:
-            counts = [0] * self.r
-            for p in pattern[:j]:
-                counts[p] += 1
-            out.add(tuple(counts))
-        return out
+        return {u for _, u in self._prefixes(j)}
+
+    def steps(self, j: int) -> set:
+        """The F-steps (u, p) at level j: u = i(f(1), ..., f(j)) and p = f(j+1)
+        for some f in F, i.e. a j-prefix u of some v in I(F) with u_p < v_p."""
+        return {(u, p) for v, u in self._prefixes(j) for p in range(self.r) if u[p] < v[p]}
 
 
-def _arrangements(counts) -> list:
-    """The distinct function patterns realizing an index vector (part j at
-    counts[j] coordinates), in lexicographic order."""
-    if not any(counts):
-        return [()]
-    return [(j,) + tail for j, c in enumerate(counts) if c
-            for tail in _arrangements(counts[:j] + (c - 1,) + counts[j + 1:])]
-
-
-def allocation_from_index_multiset(index_multiset, r=None, size_bound=0) -> Allocation:
+def allocation_from_index_multiset(index_multiset, r=None) -> Allocation:
     """Build the allocation F from a multiset of k-vectors.
 
-    For each vector v in I (with repetition) the full k! permutation closure
-    of a realizing function is included: each distinct arrangement of v with
-    multiplicity prod_j v_j!, so |F| = k! * |I| counted with multiplicity.
+    Each vector v in I (with repetition) stands for the full k! permutation
+    closure of a realizing map, so |F| = k! * |I| counted with multiplicity.
     """
     vectors = [tuple(v) for v in index_multiset]
     if not vectors:
-        return Allocation(k=0, r=r or 0, functions=(), index_multiset=())
+        return Allocation(k=0, r=r or 0, index_multiset=())
     if r is None:
         r = len(vectors[0])
     k = sum(vectors[0])
-    funcs = Counter()
-    idx = Counter()
     for v in vectors:
         if len(v) != r:
             raise NotAKVector(f"{v} has dimension {len(v)}, expected {r}")
         if any(c < 0 for c in v) or sum(v) != k:
             raise NotAKVector(f"{v} is not a {k}-vector")
-        idx[v] += 1
-        per_pattern = math.prod(map(math.factorial, v))
-        for pat in _arrangements(v):
-            funcs[pat] += per_pattern
-    total = sum(funcs.values())
-    if size_bound and total > size_bound:
-        raise NotAKVector(f"|F| = {total} exceeds the declared bound {size_bound}")
-    return Allocation(
-        k=k,
-        r=r,
-        functions=tuple(sorted(funcs.items())),
-        index_multiset=tuple(sorted(idx.items())),
-    )
+    return Allocation(k=k, r=r, index_multiset=tuple(sorted(Counter(vectors).items())))
 
 
 def plain_allocation(k) -> Allocation:
@@ -679,10 +663,10 @@ def degree_sequences(system, alloc: Allocation = None) -> DegreeSequenceReport:
         if alloc is None or one_part:
             continue
         vid, vectors = compositions(lower, label, uni.r)
-        # (prefix index vector, part of the next coordinate) over F
-        steps = {
-            (tuple(f[:j].count(p) for p in range(uni.r)), f[j]) for f, _ in alloc.functions
-        }
+        # (prefix index vector, part of the next coordinate) over F, with the
+        # prefix read over the universe's parts
+        pad = (0,) * (uni.r - alloc.r)
+        steps = {(u[:uni.r] + pad, p) for u, p in alloc.steps(j)}
         allowed = np.array([[(v, p) in steps for p in range(uni.r)] for v in vectors], bool)
         # a step into a part outside the universe extends nothing
         stray = any(p >= uni.r and v in vectors for v, p in steps)

@@ -561,8 +561,9 @@ def decide(system, alloc=None) -> Certificate:
     search first runs for one descent's work (_descent_work); only when it
     stopped there and no barrier is found does it run again, up to
     SEARCH_WORK. No stage draws a random number. Small instances carry a
-    brute-force cross-check in the diagnostics. The stages read explicit
-    levels, so an implicit host raises TooLarge."""
+    brute-force cross-check in the diagnostics. A host that is not PF-partite
+    for the allocation raises BadParams before any stage. The stages read
+    explicit levels, so an implicit host raises TooLarge."""
     system = host_view(system, alloc)
     k = system.k
     alloc = alloc or plain_allocation(k)
@@ -574,9 +575,10 @@ def decide(system, alloc=None) -> Certificate:
         diagnostics["stages"] = [{"stage": "exact-search", "status": status, "work": work}]
         return status, edges
 
+    if not is_pf_partite(system, alloc):
+        raise BadParams("system is not PF-partite for the given allocation")
     searchable = nv % k == 0 and system.top_count() > 0
-    partite = searchable and is_pf_partite(system, alloc)
-    quotas = _index_quotas(alloc, nv, k) if partite else None
+    quotas = _index_quotas(alloc, nv, k) if searchable else None
     status = None
     if quotas is not None:
         status, edges = search(_descent_work(system))
@@ -599,8 +601,6 @@ def decide(system, alloc=None) -> Certificate:
         return _attach_oracle(system, cert)
     if not searchable:
         reason = "vertex count not divisible by k or empty top level"
-    elif not partite:
-        raise BadParams("system is not PF-partite for the given allocation")
     elif quotas is None:
         reason = f"no integer matching of {nv} vertices fills the allocation's quotas exactly"
     elif status == "exhausted":

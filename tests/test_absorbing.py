@@ -143,7 +143,7 @@ def test_closed_partition_delta_too_big():
 def test_closed_partition_coarsenings():
     H = close_graph(gen_divisibility_barrier([4, 4], 3, [(1, 2), (3, 0)]))
     cp = closed_partition(H, delta=Fraction(1, 8), alpha=Fraction(1, 1000))
-    coars = cp.coarsenings()
+    coars = list(cp.coarsenings())
     assert any(len(c) == 1 for c in coars)  # the merge of everything
     assert any(len(c) == 2 for c in coars)
 

@@ -207,6 +207,18 @@ def test_absorb_demo_without_an_absorber_exits_2(capsys, tmp_path):
     assert main(["absorb-demo", str(tmp_path / "bad.khg"), "--json"]) == 3
 
 
+def test_decide_host_outside_the_allocation_exits_3(capsys, tmp_path):
+    # the space stage finds a barrier on this host, but it is not PF-partite
+    # for one vertex per part, and decide rejects it before any stage
+    save_khg(gen_space_barrier(4, 3, 1, 3, r=3), tmp_path / "sp.khg")
+    (tmp_path / "alloc.json").write_text('{"allocation_index_multiset": [[1, 1, 1]]}')
+    argv = ["decide", str(tmp_path / "sp.khg"), "--json", "--config", str(tmp_path / "alloc.json")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BadParams: system is not PF-partite for the given allocation" in captured.err
+
+
 def test_absorb_demo_without_a_closed_partition_exits_2(capsys, tmp_path):
     # vertex 14 lies in no edge, so no closed partition exists; the host is
     # valid, and every command prints its outcome and exits 2, not 3

@@ -348,7 +348,7 @@ def _f_degrees(system, alloc) -> tuple:
         for e in lower:
             by_index.setdefault(index_vector(e, uni), []).append(e)
         best = None
-        for pattern, _ in alloc.functions:
+        for pattern, _ in _allocation_by_permutations(alloc.index_vectors()):
             counts = [0] * uni.r
             for p in pattern[:j]:
                 counts[p] += 1
@@ -484,16 +484,20 @@ def test_faces_found_in_the_level_below_equal_the_set_counts(case):
 def test_allocation_from_index_multiset_r1():
     alloc = allocation_from_index_multiset([(3,)])
     assert alloc.size == 6  # 3! copies of the constant function
-    assert alloc.functions == (((0, 0, 0), 6),)
+    assert alloc.index_multiset == (((3,), 1),)
     assert alloc.multiplicity((3,)) == 1
+    assert [alloc.prefix_indices(j) for j in range(4)] == [{(0,)}, {(1,)}, {(2,)}, {(3,)}]
+    assert [alloc.steps(j) for j in range(4)] == [{((0,), 0)}, {((1,), 0)}, {((2,), 0)}, set()]
 
 
 def test_allocation_from_index_multiset_mixed():
     alloc = allocation_from_index_multiset([(1, 2)])
     assert alloc.size == 6
-    funcs = dict(alloc.functions)
-    assert set(funcs) == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
-    assert all(c == 2 for c in funcs.values())
+    # the maps (0, 1, 1), (1, 0, 1) and (1, 1, 0), each twice
+    assert alloc.prefix_indices(1) == {(1, 0), (0, 1)}
+    assert alloc.prefix_indices(2) == {(1, 1), (0, 2)}
+    assert alloc.steps(1) == {((1, 0), 1), ((0, 1), 0), ((0, 1), 1)}
+    assert alloc.steps(2) == {((1, 1), 1), ((0, 2), 0)}
 
 
 def _allocation_by_permutations(index_multiset):
@@ -506,6 +510,17 @@ def _allocation_by_permutations(index_multiset):
         for pat in orbit:
             funcs[pat] += math.factorial(len(base)) // len(orbit)
     return tuple(sorted(funcs.items()))
+
+
+def _index_of(pattern, r) -> tuple:
+    return tuple(pattern.count(p) for p in range(r))
+
+
+def _facts_of_maps(funcs, r, j) -> tuple:
+    """The level-j prefixes and F-steps of an explicit list of maps."""
+    prefixes = {_index_of(f[:j], r) for f, _ in funcs}
+    steps = {(_index_of(f[:j], r), f[j]) for f, _ in funcs if j < len(f)}
+    return prefixes, steps
 
 
 # the index multisets with k <= 6 that the tests build allocations from
@@ -522,9 +537,14 @@ TEST_INDEX_MULTISETS = [
 
 
 def test_allocation_arrangements_match_the_permutation_closure():
+    # size, prefixes and steps read off I(F) are those of the k! orderings
     for index_multiset in TEST_INDEX_MULTISETS:
         alloc = allocation_from_index_multiset(index_multiset)
-        assert alloc.functions == _allocation_by_permutations(index_multiset), index_multiset
+        funcs = _allocation_by_permutations(index_multiset)
+        assert alloc.size == sum(c for _, c in funcs), index_multiset
+        for j in range(alloc.k + 1):
+            facts = (alloc.prefix_indices(j), alloc.steps(j))
+            assert facts == _facts_of_maps(funcs, alloc.r, j), (index_multiset, j)
 
 
 def test_plain_allocation_of_twelve_is_fast():
@@ -532,23 +552,39 @@ def test_plain_allocation_of_twelve_is_fast():
     start = time.perf_counter()
     alloc = plain_allocation(12)
     assert time.perf_counter() - start < 1
-    assert alloc.functions == (((0,) * 12, math.factorial(12)),)
+    assert alloc.size == math.factorial(12)
+    assert alloc.prefix_indices(5) == {(5,)} and alloc.steps(5) == {((5,), 0)}
+
+
+def test_twelve_part_allocation_is_fast():
+    # 12! distinct maps realize the all-ones 12-vector; none is listed
+    start = time.perf_counter()
+    alloc = allocation_from_index_multiset([(1,) * 12])
+    assert alloc.size == math.factorial(12)
+    assert len(alloc.prefix_indices(6)) == math.comb(12, 6)
+    assert len(alloc.steps(6)) == math.comb(12, 6) * 6
+    assert time.perf_counter() - start < 1
 
 
 def test_allocation_empty():
     alloc = allocation_from_index_multiset([], r=2)
     assert alloc.size == 0
+    assert alloc.prefix_indices(0) == set() and alloc.steps(0) == set()
 
 
 def test_allocation_permutation_closed():
+    # swapping two coordinates of any map of F keeps its prefixes and steps
+    # among those read off I(F)
     alloc = allocation_from_index_multiset([(2, 1), (1, 2)])
-    funcs = dict(alloc.functions)
-    for pattern, count in funcs.items():
+    for pattern, _ in _allocation_by_permutations([(2, 1), (1, 2)]):
         for i in range(len(pattern)):
             for j in range(len(pattern)):
                 swapped = list(pattern)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                assert funcs.get(tuple(swapped)) == count
+                for t in range(alloc.k + 1):
+                    prefixes, steps = _facts_of_maps([(tuple(swapped), 1)], alloc.r, t)
+                    assert prefixes <= alloc.prefix_indices(t)
+                    assert steps <= alloc.steps(t)
 
 
 def test_matching_stats_single_index_alpha_zero():

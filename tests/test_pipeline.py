@@ -119,13 +119,25 @@ def test_decide_partite_allocation(n, seed):
     assert verify_certificate(host_view(host, alloc), cert)
 
 
+def test_decide_partite_allocation_of_ten_parts():
+    # F has 10! maps; decide reads its prefixes and steps off I(F)
+    alloc = allocation_from_index_multiset([(1,) * 10])
+    host = gen_random_dense(2, 10, r=10, p=0.9, seed=1, allocation=alloc)
+    cert = decide(host, alloc)
+    assert cert.tag == "PerfectMatching"
+    assert cert.payload["alpha"] == "0"
+    assert verify_certificate(host_view(host, alloc), cert)
+
+
 def test_decide_rejects_a_host_outside_the_allocation():
-    # edges of every index vector are not PF-partite for one vertex per part;
-    # the exact search, which would match the (1, 1, 1) edges, does not run
+    # edges of every index vector are not PF-partite for one vertex per part:
+    # decide raises before any stage, so neither the exact search, which
+    # would match the (1, 1, 1) edges of the first host, nor the space stage,
+    # which finds a barrier on the second, runs
     alloc = allocation_from_index_multiset([(1, 1, 1)])
-    host = gen_random_dense(4, 3, r=3, p=0.9, seed=0)
-    with pytest.raises(BadParams, match="not PF-partite"):
-        decide(host, alloc)
+    for host in (gen_random_dense(4, 3, r=3, p=0.9, seed=0), gen_space_barrier(4, 3, 1, 3, r=3)):
+        with pytest.raises(BadParams, match="not PF-partite"):
+            decide(host, alloc)
 
 
 def test_pipeline_bad_inputs():
