@@ -51,7 +51,7 @@ def _matching_inside(system, vertices):
     verts = sorted(vertices)
     rows = np.array(list(combinations(verts, system.k)), np.int64).reshape(-1, system.k)
     edges = rows[system.has_top_rows(rows)]
-    return brute_force_pm(edges.tolist(), vertices=verts, cap=len(verts))
+    return brute_force_pm(edges, vertices=verts, cap=len(verts))
 
 
 @dataclass
@@ -121,8 +121,9 @@ def closed_partition(system, delta, alpha) -> ClosedPartition:
     hit = (common[np.ix_(pool, pool)] >= need) & (part[:, None] == part[None, :])
     np.fill_diagonal(hit, False)
     reach = {v: {pool[w] for w in np.flatnonzero(row)} for v, row in zip(pool, hit)}
+    floor = math.ceil(delta * nv)  # reach sizes are integers
     for v in pool:
-        if Fraction(len(reach[v])) < delta * nv:
+        if len(reach[v]) < floor:
             raise PreconditionFailed(
                 f"vertex {v} reaches only {len(reach[v])} of its part, "
                 f"needs {float(delta * nv):.1f}"

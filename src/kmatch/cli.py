@@ -15,7 +15,7 @@ import random
 import sys
 
 from .absorbing import AbsorberConfig, absorb, build_absorber
-from .core import allocation_from_index_multiset, plain_allocation
+from .core import allocation_from_index_multiset, is_pf_partite, plain_allocation
 from .errors import (
     AbsorberUnavailable,
     AbsorptionFailed,
@@ -145,6 +145,8 @@ def cmd_frac(args) -> int:
 def cmd_barriers(args) -> int:
     _, alloc = _load_config(args)
     view = host_view(load_khg(args.file), alloc)
+    if alloc is not None and not is_pf_partite(view, alloc):
+        raise BadParams("system is not PF-partite for the given allocation")
     found = {}
     space = space_barrier_stage(view)
     if space is not None:

@@ -434,7 +434,10 @@ def _edge_table(system) -> EdgeTable:
 def compositions(E, label, dim):
     """Per row of the int array E, its count vector over labels 0..dim-1 of
     its entries (label[v] for entry v), as a dense id in lexicographic order,
-    and the distinct count vectors; ids stay below len(E) for any dim."""
+    and the distinct count vectors; ids stay below len(E) for any dim. With
+    one label every row has the one vector (E.shape[1],)."""
+    if dim == 1:
+        return np.zeros(len(E), dtype=np.int64), [(E.shape[1],)] if len(E) else []
     counts = (label[E][:, :, None] == np.arange(dim)).sum(1)
     ids = np.zeros(len(E), dtype=np.int64)
     for col in counts.T:

@@ -1,8 +1,10 @@
 """Ground-truth brute-force solvers and instance generators.
 
 The solvers here are deliberately independent of the production code paths
-they cross-check: the perfect-matching search is exhaustive backtracking with
-bitmask memoization, and the fractional-feasibility oracle is a second,
+they cross-check: the perfect-matching search is exhaustive backtracking on
+Python-int bitsets (the usable edges at each vertex, the edges still live, the
+vertices still uncovered), with its failures memoized on the uncovered mask,
+and the fractional-feasibility oracle is a second,
 self-contained dense-tableau simplex (fraction-free, in integers) with a
 different pivot rule than the production solver.
 """
@@ -15,6 +17,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .core import (
     CompleteComplex,
@@ -35,76 +39,94 @@ COMPLETE_EXPLICIT_LIMIT = 200_000  # top edges; larger complete complexes are im
 
 
 def _top_edges(host):
-    """The top edges as lists of sorted ids: a system's top rows, or the edges given."""
-    return host.level(host.k).tolist() if hasattr(host, "level") else [sorted(e) for e in host]
+    """The top edges as an int array of sorted rows: a system's top level, or
+    the edges given (an int array of rows, or any k-sets); no edges give an
+    empty 0 x 0 array."""
+    if hasattr(host, "level"):
+        return host.level(host.k)
+    rows = np.sort(host, axis=1) if isinstance(host, np.ndarray) else [sorted(e) for e in host]
+    if not len(rows):
+        return np.zeros((0, 0), np.int64)
+    return np.array(rows, np.int64).reshape(len(rows), -1)
 
 
 def brute_force_pm(host, vertices=None, cap=BRUTE_PM_CAP):
     """Exact perfect-matching search by backtracking over the least-degree
     uncovered vertex, memoized on the uncovered bitmask.
 
+    The search runs on Python-int bitsets. inc[v] holds the indices of the
+    usable edges at vertex v (those inside the vertex set, numbered in input
+    order), read off one np.packbits of the vertex x edge incidence; `live`
+    holds the edges that no chosen edge meets, and loses the incidences of
+    an edge's k vertices when the edge is chosen. A vertex's options are the
+    set bits of inc[v] & live, tried in increasing index. The branch vertex
+    is the first uncovered one with the fewest options, taken at once when
+    it has one; a vertex with none fails the node. Only failures are
+    memoized, on the uncovered vertex mask.
+
     Returns a Matching, or None as a proof-by-exhaustion that none exists
     (in particular immediately when k does not divide the vertex count).
     """
     edges = _top_edges(host)
     if vertices is None:
-        vertices = host.vertex_pool if hasattr(host, "vertex_pool") else {v for e in edges for v in e}
+        vertices = host.vertex_pool if hasattr(host, "vertex_pool") else set(edges.ravel().tolist())
     vertices = sorted(vertices)
     nv = len(vertices)
     if nv > cap:
         raise TooLarge(f"{nv} vertices exceeds brute-force cap {cap}")
     if nv == 0:
         return Matching.from_edges([])
-    k = len(edges[0]) if edges else 0
+    k = edges.shape[1]
     if k == 0 or nv % k != 0:
         return None
-    pos = {v: i for i, v in enumerate(vertices)}
-    pool = set(vertices)
-    usable = []
-    for e in edges:
-        if pool.issuperset(e):
-            m = 0
-            for v in e:
-                m |= 1 << pos[v]
-            usable.append((m, e))
-    incident = [[] for _ in range(nv)]
-    for m, e in usable:
-        for v in e:
-            incident[pos[v]].append((m, e))
-    full = (1 << nv) - 1
-    memo = {}
+    verts = np.array(vertices, np.int64)
+    pos = np.searchsorted(verts, edges).clip(max=nv - 1)
+    usable = (verts[pos] == edges).all(axis=1)
+    edges, pos = edges[usable], pos[usable]
+    incidence = np.zeros((nv, len(edges)), bool)
+    incidence[pos, np.arange(len(edges))[:, None]] = True
+    packed = np.packbits(incidence, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    inc = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(nv)]
+    memo = set()
     chosen = []
 
-    def solve(remaining):
+    def solve(remaining, live):
         if remaining == 0:
             return True
-        cached = memo.get(remaining)
-        if cached is not None:
+        if remaining in memo:
             return False  # only failures are memoized; successes return early
-        best_v, best_opts = None, None
+        best_opts, best_count = 0, 0
         r = remaining
         while r:
             low = r & -r
-            i = low.bit_length() - 1
-            opts = [(m, e) for m, e in incident[i] if m & remaining == m]
-            if not opts:
-                memo[remaining] = False
+            opts = inc[low.bit_length() - 1] & live
+            count = opts.bit_count()
+            if not count:
+                memo.add(remaining)
                 return False
-            if best_opts is None or len(opts) < len(best_opts):
-                best_v, best_opts = i, opts
-                if len(opts) == 1:
+            if not best_count or count < best_count:
+                best_opts, best_count = opts, count
+                if count == 1:
                     break
             r ^= low
-        for m, e in best_opts:
-            chosen.append(e)
-            if solve(remaining & ~m):
+        while best_opts:
+            low = best_opts & -best_opts
+            best_opts ^= low
+            j = low.bit_length() - 1
+            mask, rest = 0, live
+            for p in pos[j].tolist():
+                mask |= 1 << p
+                rest &= ~inc[p]
+            chosen.append(j)
+            if solve(remaining & ~mask, rest):
                 return True
             chosen.pop()
-        memo[remaining] = False
+        memo.add(remaining)
         return False
 
-    if solve(full):
-        return Matching.from_edges(chosen)
+    if solve((1 << nv) - 1, (1 << len(edges)) - 1):
+        return Matching.from_edges(edges[chosen].tolist())
     return None
 
 
@@ -180,7 +202,7 @@ def brute_force_fractional(host, cap=BRUTE_FRACTIONAL_CAP, with_solution=False):
     Builds the vertex-sum system from scratch and solves it with the naive
     dense simplex above; exists purely to cross-check the production solver.
     """
-    edges = _top_edges(host)
+    edges = _top_edges(host).tolist()
     vertices = sorted(host.vertex_pool if hasattr(host, "vertex_pool") else {v for e in edges for v in e})
     if len(vertices) > cap:
         raise TooLarge(f"{len(vertices)} vertices exceeds fractional cap {cap}")

@@ -140,6 +140,24 @@ def test_closed_partition_delta_too_big():
         closed_partition(complete_complex(6, 3), delta=Fraction(3, 2), alpha=Fraction(1, 100))
 
 
+@pytest.mark.parametrize("sizes, met", [((5, 4), True), ((5, 3), False)])
+def test_closed_partition_needs_every_vertex_to_reach_ceil_delta_v(sizes, met):
+    # the complete 3-graph over two parts: a vertex reaches the rest of its
+    # part, the last part's vertices |B| - 1 of them. At delta = 2/7,
+    # delta * |V| is 18/7 on 9 vertices and 16/7 on 8, so each needs 3: the
+    # (5, 4) host meets it exactly, and the (5, 3) host is one vertex short
+    uni = VertexUniverse(("A", "B"), sizes)
+    host = build_complex(list(combinations(range(uni.total), 3)), uni, k=3, close=True)
+    delta = Fraction(2, 7)
+    assert math.ceil(delta * uni.total) == 3 and (sizes[1] - 1 >= 3) == met
+    if met:
+        cp = closed_partition(host, delta, Fraction(1, 100))
+        assert [len(p) for p in cp.parts] == list(sizes)
+    else:
+        with pytest.raises(PreconditionFailed, match="reaches only 2 of its part"):
+            closed_partition(host, delta, Fraction(1, 100))
+
+
 def test_closed_partition_coarsenings():
     H = close_graph(gen_divisibility_barrier([4, 4], 3, [(1, 2), (3, 0)]))
     cp = closed_partition(H, delta=Fraction(1, 8), alpha=Fraction(1, 1000))

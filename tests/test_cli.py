@@ -209,14 +209,18 @@ def test_absorb_demo_without_an_absorber_exits_2(capsys, tmp_path):
 
 def test_decide_host_outside_the_allocation_exits_3(capsys, tmp_path):
     # the space stage finds a barrier on this host, but it is not PF-partite
-    # for one vertex per part, and decide rejects it before any stage
+    # for one vertex per part, and decide, barriers and match reject it
+    # before any stage
     save_khg(gen_space_barrier(4, 3, 1, 3, r=3), tmp_path / "sp.khg")
+    assert main(["barriers", str(tmp_path / "sp.khg"), "--json"]) == 0
+    assert "space" in json.loads(capsys.readouterr().out)["found"]
     (tmp_path / "alloc.json").write_text('{"allocation_index_multiset": [[1, 1, 1]]}')
-    argv = ["decide", str(tmp_path / "sp.khg"), "--json", "--config", str(tmp_path / "alloc.json")]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "BadParams: system is not PF-partite for the given allocation" in captured.err
+    for command in ("decide", "barriers", "match"):
+        argv = [command, str(tmp_path / "sp.khg"), "--json", "--config", str(tmp_path / "alloc.json")]
+        assert main(argv) == 3, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "BadParams: system is not PF-partite for the given allocation" in captured.err
 
 
 def test_absorb_demo_without_a_closed_partition_exits_2(capsys, tmp_path):

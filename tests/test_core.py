@@ -20,6 +20,7 @@ from kmatch.core import (
     allocation_from_index_multiset,
     build_complex,
     close_down,
+    compositions,
     degree_sequences,
     face_codes,
     edge_key,
@@ -317,6 +318,30 @@ def test_face_codes_equal_the_codes_of_the_built_faces(total):
         E = np.sort(np.array([rng.choice(total, width, replace=False) for _ in range(7)]), axis=1)
         built = [row_codes(np.delete(E, t, axis=1), total) for t in range(width)]
         assert face_codes(E, total).tolist() == np.concatenate(built).tolist()
+
+
+def _reference_compositions(E, label, dim):
+    """compositions without its one-label shortcut: count vectors labeled by
+    one np.unique per label."""
+    counts = (label[E][:, :, None] == np.arange(dim)).sum(1)
+    ids = np.zeros(len(E), dtype=np.int64)
+    for col in counts.T:
+        ids = np.unique(ids * (E.shape[1] + 1) + col, return_inverse=True)[1].ravel()
+    first = np.unique(ids, return_index=True)[1]
+    return ids, [tuple(row) for row in counts[first].tolist()]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_one_label_compositions_equal_the_general_path(k):
+    rng = np.random.default_rng(k)
+    label = np.zeros(12, np.int64)
+    for count in (0, 1, 5, 40):
+        E = np.sort(np.array([rng.choice(12, k, replace=False) for _ in range(count)],
+                             np.int64).reshape(count, k), axis=1)
+        ids, vectors = compositions(E, label, 1)
+        want_ids, want_vectors = _reference_compositions(E, label, 1)
+        assert ids.dtype == want_ids.dtype and ids.tolist() == want_ids.tolist()
+        assert vectors == want_vectors == ([(k,)] if count else [])
 
 
 def _partite_degrees(system) -> tuple:

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kmatch.core import (
+    Matching,
     VertexUniverse,
     build_complex,
     degree_sequences,
@@ -20,6 +22,7 @@ from kmatch.errors import BadParams, TooLarge, Unsatisfiable
 from kmatch.fractional import FractionalMatching, build_lp, verify_fractional
 from kmatch.lattice import generate_lattice, lattice_contains
 from kmatch.oracle import (
+    BRUTE_PM_CAP,
     _dense_phase1,
     GenSpec,
     brute_force_fractional,
@@ -66,6 +69,109 @@ def test_brute_pm_relabel_invariant():
         rng.shuffle(perm)
         relabeled = [tuple(sorted(perm[v] for v in e)) for e in edges]
         assert (brute_force_pm(relabeled, vertices=range(9)) is not None) == verdict
+
+
+def _reference_brute_force_pm(host, vertices=None, cap=BRUTE_PM_CAP):
+    """The search on lists of edge tuples: at each node, the options of every
+    uncovered vertex are rebuilt from its incident edges."""
+    edges = host.level(host.k).tolist() if hasattr(host, "level") else [sorted(e) for e in host]
+    if vertices is None:
+        vertices = host.vertex_pool if hasattr(host, "vertex_pool") else {v for e in edges for v in e}
+    vertices = sorted(vertices)
+    nv = len(vertices)
+    if nv > cap:
+        raise TooLarge(f"{nv} vertices exceeds brute-force cap {cap}")
+    if nv == 0:
+        return Matching.from_edges([])
+    k = len(edges[0]) if edges else 0
+    if k == 0 or nv % k != 0:
+        return None
+    pos = {v: i for i, v in enumerate(vertices)}
+    pool = set(vertices)
+    usable = []
+    for e in edges:
+        if pool.issuperset(e):
+            m = 0
+            for v in e:
+                m |= 1 << pos[v]
+            usable.append((m, e))
+    incident = [[] for _ in range(nv)]
+    for m, e in usable:
+        for v in e:
+            incident[pos[v]].append((m, e))
+    memo = {}
+    chosen = []
+
+    def solve(remaining):
+        if remaining == 0:
+            return True
+        if memo.get(remaining) is not None:
+            return False
+        best_opts = None
+        r = remaining
+        while r:
+            low = r & -r
+            i = low.bit_length() - 1
+            opts = [(m, e) for m, e in incident[i] if m & remaining == m]
+            if not opts:
+                memo[remaining] = False
+                return False
+            if best_opts is None or len(opts) < len(best_opts):
+                best_opts = opts
+                if len(opts) == 1:
+                    break
+            r ^= low
+        for m, e in best_opts:
+            chosen.append(e)
+            if solve(remaining & ~m):
+                return True
+            chosen.pop()
+        memo[remaining] = False
+        return False
+
+    return Matching.from_edges(chosen) if solve((1 << nv) - 1) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 4), n=st.integers(2, 15), p=st.sampled_from([0.05, 0.15, 0.3, 0.6, 0.9]),
+       seed=st.integers(0, 2**32 - 1), subset=st.booleans(),
+       form=st.sampled_from(["system", "list", "array"]))
+def test_bitset_search_returns_the_reference_matching(k, n, p, seed, subset, form):
+    rng = random.Random(seed)
+    top = [e for e in combinations(range(n), k) if rng.random() < p]
+    vertices = None
+    if subset:
+        # a pool that leaves some top edges outside it
+        vertices = sorted(rng.sample(range(n), rng.randint(0, n)))
+    if form == "system":
+        host = build_complex({k: top}, VertexUniverse.single(n), k=k) if top else top
+    else:
+        host = top if form == "list" else np.array(top, np.int64).reshape(len(top), k)
+    want = _reference_brute_force_pm(host if form != "array" else top, vertices=vertices)
+    event(f"subset={subset}, matched={want is not None}")
+    assert brute_force_pm(host, vertices=vertices) == want
+
+
+def test_bitset_search_without_edges_finds_none():
+    # no edge at a nonempty vertex set, given as a list or a 0-row array
+    assert brute_force_pm([], vertices=range(3)) is None
+    assert brute_force_pm(np.zeros((0, 3), np.int64), vertices=range(3)) is None
+    assert brute_force_pm([], vertices=[]) == Matching.from_edges([])
+
+
+def test_bitset_search_past_64_vertices_and_edges():
+    # a 66-cycle (two disjoint perfect matchings) and one of its matchings:
+    # the vertex masks and the live-edge set both pass 64 bits
+    cycle = [tuple(sorted((v, (v + 1) % 66))) for v in range(66)]
+    for edges in (cycle, cycle[::2]):
+        got = brute_force_pm(edges, vertices=range(66), cap=66)
+        assert got == _reference_brute_force_pm(edges, vertices=range(66), cap=66)
+        assert got is not None and len(got) == 33
+    # two 33-cycles on the same 66 vertices: odd components, so the search
+    # exhausts every branch
+    odd = [tuple(sorted((a + v, a + (v + 1) % 33))) for a in (0, 33) for v in range(33)]
+    assert brute_force_pm(odd, vertices=range(66), cap=66) is None
+    assert _reference_brute_force_pm(odd, vertices=range(66), cap=66) is None
 
 
 def test_gen_space_barrier_membership_rule():
